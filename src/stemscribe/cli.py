@@ -15,6 +15,7 @@ import csv
 import json
 import logging
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,32 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _manifest_source_sets(path) -> list[SourceSet]:
+    """One SourceSet per manifest entry that lists stems."""
+    sets = [SourceSet(**{k: read_wav(p) for k, p in e.stems.items()})
+            for e in load_manifest(path) if e.stems]
+    if not sets:
+        raise ManifestError("manifest has no entries with stems")
+    return sets
+
+
+def _train_and_save(model: nn.Layer, out_dir: Path, name: str, train) -> int:
+    """Run train(epoch_callback=...), checkpointing the model to <name>.ssnn
+    before the first epoch and after each one, then write <name>_loss.csv."""
+    ck_path = out_dir / f"{name}.ssnn"
+    nn.save_checkpoint(ck_path, model.state())  # epochs = 0 leaves exactly this
+
+    def save_epoch(epoch: int, loss: float) -> None:
+        nn.save_checkpoint(ck_path, model.state())
+
+    trace = train(epoch_callback=save_epoch)
+    _write_loss_csv(trace, out_dir / f"{name}_loss.csv")
+    if trace:
+        print(f"trained {len(trace)} epochs, loss {trace[0]:.6f} -> {trace[-1]:.6f}")
+    print(f"wrote {ck_path}")
+    return EXIT_OK
+
+
 def cmd_train_separator(args) -> int:
     cfg = _load_config(args.config)
     out_dir = Path(args.out_dir)
@@ -300,11 +327,7 @@ def cmd_train_separator(args) -> int:
     clip_seconds = args.clip_seconds or cfg.separator.clip_seconds
 
     if args.manifest:
-        manifest = load_manifest(args.manifest)
-        sets = [SourceSet(**{k: read_wav(p) for k, p in e.stems.items()})
-                for e in manifest if e.stems]
-        if not sets:
-            raise ManifestError("manifest has no entries with stems")
+        sets = _manifest_source_sets(args.manifest)
     else:
         sets = synth.make_source_sets(args.synthetic, clip_seconds, rate, cfg.seed)
 
@@ -316,20 +339,9 @@ def cmd_train_separator(args) -> int:
                                         sum_accompaniment(targets), cfg.stft))
 
     model = _separator_model(cfg, None)
-    ck_path = out_dir / "separator.ssnn"
-    nn.save_checkpoint(ck_path, model.state())  # epochs = 0 leaves exactly this
-
-    def save_epoch(epoch: int, loss: float) -> None:
-        nn.save_checkpoint(ck_path, model.state())
-
-    trace = train_separator(clips, model, epochs=epochs, lr=args.lr,
-                            batch_size=cfg.separator.batch_size, seed=cfg.seed,
-                            epoch_callback=save_epoch)
-    _write_loss_csv(trace, out_dir / "separator_loss.csv")
-    if trace:
-        print(f"trained {epochs} epochs, loss {trace[0]:.6f} -> {trace[-1]:.6f}")
-    print(f"wrote {ck_path}")
-    return EXIT_OK
+    return _train_and_save(model, out_dir, "separator", partial(
+        train_separator, clips, model, epochs=epochs, lr=args.lr,
+        batch_size=cfg.separator.batch_size, seed=cfg.seed))
 
 
 def cmd_train_amt(args) -> int:
@@ -346,23 +358,10 @@ def cmd_train_amt(args) -> int:
         for audio, notes in clips
     ]
     model = _amt_model(cfg, None)
-    ck_path = out_dir / "amt.ssnn"
-    nn.save_checkpoint(ck_path, model.state())
-
-    def save_epoch(epoch: int, loss: float) -> None:
-        nn.save_checkpoint(ck_path, model.state())
-
-    trace = train_amt(
-        pairs, model, epochs=epochs,
+    return _train_and_save(model, out_dir, "amt", partial(
+        train_amt, pairs, model, epochs=epochs,
         loss=FocalLossParams(cfg.amt.alpha, cfg.amt.gamma),
-        lr=args.lr, batch_size=args.batch_size, seed=cfg.seed,
-        epoch_callback=save_epoch,
-    )
-    _write_loss_csv(trace, out_dir / "amt_loss.csv")
-    if trace:
-        print(f"trained {epochs} epochs, loss {trace[0]:.6f} -> {trace[-1]:.6f}")
-    print(f"wrote {ck_path}")
-    return EXIT_OK
+        lr=args.lr, batch_size=args.batch_size, seed=cfg.seed))
 
 
 def cmd_mix(args) -> int:
@@ -370,11 +369,7 @@ def cmd_mix(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.manifest:
-        manifest = load_manifest(args.manifest)
-        sets = [SourceSet(**{k: read_wav(p) for k, p in e.stems.items()})
-                for e in manifest if e.stems]
-        if not sets:
-            raise ManifestError("manifest has no entries with stems")
+        sets = _manifest_source_sets(args.manifest)
     else:
         sets = synth.make_source_sets(args.synthetic, args.duration,
                                       args.sample_rate, args.seed)

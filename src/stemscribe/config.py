@@ -70,14 +70,16 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        return cls(
-            stft=StftConfig(**d.get("stft", {})),
-            cqt=CqtConfig(**d.get("cqt", {})),
-            separator=SeparatorSettings(**d.get("separator", {})),
-            amt=AmtSettings(**d.get("amt", {})),
-            paths=PathSettings(**d.get("paths", {})),
-            seed=d.get("seed", 0),
-        )
+        """Build from a parsed JSON object; an unknown key or a value of the
+        wrong type raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, not {type(d).__name__}")
+        sections = {f.name: f.default_factory for f in dataclasses.fields(cls)
+                    if f.default_factory is not dataclasses.MISSING}
+        try:
+            return cls(**{**d, **{name: make(**d.get(name, {})) for name, make in sections.items()}})
+        except TypeError as e:  # the message names the unknown key or the wrong type
+            raise ValueError(f"invalid config: {e}") from e
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")

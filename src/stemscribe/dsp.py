@@ -98,13 +98,17 @@ def stft(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
     return ComplexSpectrogram(np.fft.rfft(frames, axis=1), cfg, w.sample_rate)
 
 
-def _window_norm(cfg: StftConfig, n_frames: int) -> np.ndarray:
-    win = make_window(cfg.window, cfg.fft_size)
-    out_len = (n_frames - 1) * cfg.hop + cfg.fft_size
-    norm = np.zeros(out_len)
-    for t in range(n_frames):
-        norm[t * cfg.hop : t * cfg.hop + cfg.fft_size] += win**2
-    return norm
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum the (frames, n) rows placed hop samples apart.  Piece j of every
+    row lands in one strided add; taking pieces last to first adds each
+    sample's terms from the earliest frame on, exactly as a frame loop does."""
+    n_frames, n = frames.shape
+    pieces = -(-n // hop)
+    out = np.zeros((n_frames + pieces - 1, hop))
+    for j in range(pieces - 1, -1, -1):
+        piece = frames[:, j * hop : (j + 1) * hop]
+        out[j : j + n_frames, : piece.shape[1]] += piece
+    return out.reshape(-1)[: (n_frames - 1) * hop + n]
 
 
 def istft(s: ComplexSpectrogram) -> Waveform:
@@ -112,7 +116,7 @@ def istft(s: ComplexSpectrogram) -> Waveform:
     wherever the squared-window sum is nonzero."""
     cfg = s.config
     win = make_window(cfg.window, cfg.fft_size)
-    norm = _window_norm(cfg, s.num_frames)
+    norm = _overlap_add(np.broadcast_to(win**2, (s.num_frames, cfg.fft_size)), cfg.hop)
     if norm.size > 2 * cfg.fft_size:
         # Away from the edges, overlapping squared windows must tile the
         # signal or frames were lost between hops.
@@ -121,9 +125,7 @@ def istft(s: ComplexSpectrogram) -> Waveform:
                 f"window {cfg.window!r} with hop {cfg.hop} leaves gaps; cannot invert"
             )
     frames = np.fft.irfft(s.bins, n=cfg.fft_size, axis=1) * win[None, :]
-    out = np.zeros(norm.size)
-    for t in range(s.num_frames):
-        out[t * cfg.hop : t * cfg.hop + cfg.fft_size] += frames[t]
+    out = _overlap_add(frames, cfg.hop)
     nonzero = norm > 1e-12
     out[nonzero] /= norm[nonzero]
     return Waveform(out[None, :], s.sample_rate)

@@ -5,7 +5,8 @@ is done by gradient accumulation in the training loop. Analytic backward
 passes are validated against central finite differences (see gradcheck).
 """
 
-from .layers import BatchNorm, BiLstm, Conv2d, Dense, Lstm, MaxPool2d, Sigmoid, uniform_init
+from .layers import (BatchNorm, BiLstm, Conv2d, Dense, Layer, Lstm, MaxPool2d, Sigmoid,
+                     uniform_init)
 from .loss import FocalLossParams, focal_loss
 from .optim import Adam, DivergenceError, Sgd, fit
 from .gradcheck import grad_check
@@ -20,6 +21,7 @@ __all__ = [
     "Dense",
     "DivergenceError",
     "FocalLossParams",
+    "Layer",
     "Lstm",
     "MaxPool2d",
     "Sgd",

@@ -4,6 +4,9 @@ Layout, little-endian throughout:
   magic "SSNN" | version u32 | records until EOF
   record: name_len u32 | name utf-8 | rank u32 | dims u32 * rank |
           float32 payload (row-major)
+
+Loading into a model (restore_params) rejects both missing and unexpected
+tensors, so no weight is left unset or silently dropped.
 """
 
 from __future__ import annotations
@@ -63,10 +66,14 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 
 def restore_params(target: dict[str, np.ndarray], loaded: dict[str, np.ndarray]) -> None:
-    """Copy loaded tensors into an existing parameter dict, checking shapes."""
+    """Copy loaded tensors into an existing parameter dict, checking names
+    and shapes."""
     missing = set(target) - set(loaded)
     if missing:
         raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)}")
+    unexpected = set(loaded) - set(target)
+    if unexpected:
+        raise CheckpointError(f"checkpoint has tensors the model lacks: {sorted(unexpected)}")
     for name, param in target.items():
         value = loaded[name]
         if value.shape != param.shape:

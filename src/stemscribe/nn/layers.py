@@ -5,11 +5,21 @@ Conventions:
   * backward() ACCUMULATES parameter gradients (call zero_grads between
     batches) and returns the gradient w.r.t. the layer input.
   * Sequence layers take (T, features); image layers take (C, H, W).
+
+Tensor naming, which is also the checkpoint format:
+  * A layer lists its trainable array attributes in PARAMS; the gradient
+    buffer of parameter "w" is the attribute "dw".
+  * A layer with named children in its `children` dict reports each
+    child tensor as "<child>.<name>", in child order, recursively.
+  * state() is params() followed by the running statistics listed in
+    STATS (BatchNorm's running_mean and running_var).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .checkpoint import restore_params
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -27,17 +37,38 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class Layer:
-    """Base: parameter-free layers only override forward/backward."""
+    """The one parameter container: subclasses declare PARAMS, STATS and
+    children, and define forward/backward."""
+
+    PARAMS: tuple[str, ...] = ()
+    STATS: tuple[str, ...] = ()
+    children: dict[str, "Layer"] = {}  # containers assign their own in __init__
+
+    def _collect(self, kind: str, attr_prefix: str = "") -> dict[str, np.ndarray]:
+        """The arrays named in the class tuple `kind` (PARAMS or STATS), read
+        from attribute attr_prefix + name, then each child's, prefixed."""
+        out = {n: getattr(self, attr_prefix + n) for n in getattr(self, kind)}
+        for prefix, child in self.children.items():
+            out.update({f"{prefix}.{k}": v for k, v in child._collect(kind, attr_prefix).items()})
+        return out
 
     def params(self) -> dict[str, np.ndarray]:
-        return {}
+        return self._collect("PARAMS")
 
     def grads(self) -> dict[str, np.ndarray]:
-        return {}
+        """Gradient buffers under the names of their parameters."""
+        return self._collect("PARAMS", "d")
 
     def zero_grads(self) -> None:
         for g in self.grads().values():
             g[...] = 0.0
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Parameters, then running statistics: the checkpoint tensors."""
+        return {**self.params(), **self._collect("STATS")}
+
+    def load_state(self, tensors: dict[str, np.ndarray]) -> None:
+        restore_params(self.state(), tensors)
 
 
 class Dense(Layer):
@@ -46,6 +77,8 @@ class Dense(Layer):
     Applying it to a (T, in) sequence gives the time-distributed form,
     same weights at every step.
     """
+
+    PARAMS = ("w", "b")
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.w = uniform_init(rng, (in_features, out_features), in_features)
@@ -65,12 +98,6 @@ class Dense(Layer):
         self.db += grad.sum(axis=0)
         return grad @ self.w.T
 
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def grads(self):
-        return {"w": self.dw, "b": self.db}
-
 
 class Sigmoid(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -87,6 +114,9 @@ class BatchNorm(Layer):
     eps is small enough that normalized batch variance lands within 1e-5
     of unity for any non-degenerate feature column.
     """
+
+    PARAMS = ("gamma", "beta")
+    STATS = ("running_mean", "running_var")
 
     def __init__(self, num_features: int, eps: float = 1e-10, momentum: float = 0.1):
         self.gamma = np.ones(num_features)
@@ -127,24 +157,11 @@ class BatchNorm(Layer):
             n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
         )
 
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self):
-        return {"gamma": self.dgamma, "beta": self.dbeta}
-
-    def state(self):
-        """Parameters plus running statistics, for checkpointing."""
-        return {
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "running_mean": self.running_mean,
-            "running_var": self.running_var,
-        }
-
 
 class Conv2d(Layer):
     """Same-padded stride-1 correlation: (C_in, H, W) -> (C_out, H, W)."""
+
+    PARAMS = ("w", "b")
 
     def __init__(self, in_channels: int, out_channels: int, kernel: tuple[int, int],
                  rng: np.random.Generator):
@@ -187,12 +204,6 @@ class Conv2d(Layer):
                 dxp[:, i : i + h, j : j + w] += dcols[:, i, j]
         return dxp[:, ph : ph + h, pw : pw + w]
 
-    def params(self):
-        return {"w": self.w, "b": self.b}
-
-    def grads(self):
-        return {"w": self.dw, "b": self.db}
-
 
 class MaxPool2d(Layer):
     """Non-overlapping max pooling; pool sizes must divide the input."""
@@ -225,6 +236,8 @@ class Lstm(Layer):
 
     Gate layout along the 4H axis is [input, forget, cell, output].
     """
+
+    PARAMS = ("w_x", "w_h", "b")
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         h = hidden_size
@@ -291,12 +304,6 @@ class Lstm(Layer):
             dh_next = da @ self.w_h.T
         return dx
 
-    def params(self):
-        return {"w_x": self.w_x, "w_h": self.w_h, "b": self.b}
-
-    def grads(self):
-        return {"w_x": self.dw_x, "w_h": self.dw_h, "b": self.db}
-
 
 class BiLstm(Layer):
     """Forward and time-reversed LSTM passes, hidden states concatenated,
@@ -305,6 +312,7 @@ class BiLstm(Layer):
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.fwd = Lstm(input_size, hidden_size, rng)
         self.bwd = Lstm(input_size, hidden_size, rng)
+        self.children = {"fwd": self.fwd, "bwd": self.bwd}
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         h_f = self.fwd.forward(x, training)
@@ -316,13 +324,3 @@ class BiLstm(Layer):
         dx_f = self.fwd.backward(grad[:, :h])
         dx_b = self.bwd.backward(grad[::-1, h:])[::-1]
         return dx_f + dx_b
-
-    def params(self):
-        out = {f"fwd.{k}": v for k, v in self.fwd.params().items()}
-        out.update({f"bwd.{k}": v for k, v in self.bwd.params().items()})
-        return out
-
-    def grads(self):
-        out = {f"fwd.{k}": v for k, v in self.fwd.grads().items()}
-        out.update({f"bwd.{k}": v for k, v in self.bwd.grads().items()})
-        return out

@@ -1,10 +1,8 @@
 """Parameter updates and the shared training loop.
 
-A trainable model exposes four methods:
-  params()        -> dict of name -> parameter array (updated in place)
-  grads()         -> dict of name -> gradient array, same keys
-  zero_grads()
-  loss_and_grad(example) -> float, accumulating into the gradient buffers
+A trainable model has params(), grads() and zero_grads() as an nn.Layer
+does, plus loss_and_grad(example) -> float, which accumulates into the
+gradient buffers; optimizers update the params() arrays in place.
 """
 
 from __future__ import annotations

@@ -98,62 +98,33 @@ def ideal_ratio_mask(target: np.ndarray, residual: np.ndarray) -> np.ndarray:
     return out
 
 
-class SeparatorModel:
+class SeparatorModel(nn.Layer):
     """Mask estimator: per-bin batch norm over frames, an LSTM stack, and a
     time-distributed dense+sigmoid head emitting one mask value per bin."""
 
     def __init__(self, num_bins: int, hidden: int = 64, layers: int = 2, seed: int = 0):
         rng = np.random.default_rng(seed)
         self.num_bins = num_bins
-        self.norm = nn.BatchNorm(num_bins)
-        self.lstms = [
-            nn.Lstm(num_bins if i == 0 else hidden, hidden, rng) for i in range(layers)
-        ]
-        self.head = nn.Dense(hidden, num_bins, rng)
-        self.out = nn.Sigmoid()
+        self.children = {"norm": nn.BatchNorm(num_bins)}
+        for i in range(layers):
+            self.children[f"lstm{i}"] = nn.Lstm(num_bins if i == 0 else hidden, hidden, rng)
+        self.children["head"] = nn.Dense(hidden, num_bins, rng)
+        self.children["out"] = nn.Sigmoid()
         self.log_params = LogMagParams()
-        self._layers = [self.norm, *self.lstms, self.head, self.out]
 
     def forward_mask(self, log_mag: np.ndarray, training: bool = False) -> np.ndarray:
         h = log_mag
-        for layer in self._layers:
+        for layer in self.children.values():
             h = layer.forward(h, training)
         return h
 
     def backward(self, grad_mask: np.ndarray) -> None:
         g = grad_mask
-        for layer in reversed(self._layers):
+        for layer in reversed(self.children.values()):
             g = layer.backward(g)
 
     def predict_mask(self, s: ComplexSpectrogram) -> np.ndarray:
         return self.forward_mask(log_magnitude(s.magnitude(), self.log_params))
-
-    def params(self) -> dict[str, np.ndarray]:
-        out = {f"norm.{k}": v for k, v in self.norm.params().items()}
-        for i, lstm in enumerate(self.lstms):
-            out.update({f"lstm{i}.{k}": v for k, v in lstm.params().items()})
-        out.update({f"head.{k}": v for k, v in self.head.params().items()})
-        return out
-
-    def grads(self) -> dict[str, np.ndarray]:
-        out = {f"norm.{k}": v for k, v in self.norm.grads().items()}
-        for i, lstm in enumerate(self.lstms):
-            out.update({f"lstm{i}.{k}": v for k, v in lstm.grads().items()})
-        out.update({f"head.{k}": v for k, v in self.head.grads().items()})
-        return out
-
-    def zero_grads(self) -> None:
-        for layer in self._layers:
-            layer.zero_grads()
-
-    def state(self) -> dict[str, np.ndarray]:
-        out = self.params()
-        out["norm.running_mean"] = self.norm.running_mean
-        out["norm.running_var"] = self.norm.running_var
-        return out
-
-    def load_state(self, tensors: dict[str, np.ndarray]) -> None:
-        nn.restore_params(self.state(), tensors)
 
     def loss_and_grad(self, example: "TrainingClip") -> float:
         """L1 spectrogram-magnitude loss on both estimated stems."""

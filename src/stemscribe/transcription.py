@@ -94,7 +94,7 @@ class AmtExample:
     targets: np.ndarray
 
 
-class AmtModel:
+class AmtModel(nn.Layer):
     """Frame-wise key-activation estimator over one feature window.
 
     Per-bin batch norm, a 3x3 conv bank, frequency-only max pooling, a
@@ -111,6 +111,8 @@ class AmtModel:
         self.blstm = nn.BiLstm(cfg.seq_features, cfg.hidden, rng)
         self.head = nn.Dense(2 * cfg.hidden, cfg.n_keys, rng)
         self.out = nn.Sigmoid()
+        self.children = {"norm": self.norm, "conv": self.conv, "blstm": self.blstm,
+                         "head": self.head}
         self.loss_params = FocalLossParams()
         self._pooled_shape = None
 
@@ -139,33 +141,6 @@ class AmtModel:
         loss, grad = focal_loss(probs, example.targets, self.loss_params)
         self.backward(grad)
         return loss
-
-    def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in (("norm", self.norm), ("conv", self.conv),
-                            ("blstm", self.blstm), ("head", self.head)):
-            out.update({f"{name}.{k}": v for k, v in layer.params().items()})
-        return out
-
-    def grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in (("norm", self.norm), ("conv", self.conv),
-                            ("blstm", self.blstm), ("head", self.head)):
-            out.update({f"{name}.{k}": v for k, v in layer.grads().items()})
-        return out
-
-    def zero_grads(self) -> None:
-        for layer in (self.norm, self.conv, self.blstm, self.head):
-            layer.zero_grads()
-
-    def state(self) -> dict[str, np.ndarray]:
-        out = self.params()
-        out["norm.running_mean"] = self.norm.running_mean
-        out["norm.running_var"] = self.norm.running_var
-        return out
-
-    def load_state(self, tensors: dict[str, np.ndarray]) -> None:
-        nn.restore_params(self.state(), tensors)
 
 
 def stitch_and_threshold(outputs: list[np.ndarray], hop_frames: int, source_length: int,

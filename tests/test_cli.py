@@ -92,6 +92,21 @@ def test_transcribe_writes_parseable_midi_and_roll(tmp_path, tiny_config):
     assert out.with_suffix(".prol").exists()
 
 
+@pytest.mark.parametrize("raw", [{"stft": {"fft_sise": 256}}, [1, 2]])
+def test_bad_config_is_invalid(tmp_path, mixture_wav, raw):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["separate", str(mixture_wav), "--out-dir", str(tmp_path / "o"),
+                     "--config", str(config)]) == 2
+
+
+def test_checkpoint_for_another_model_shape_is_invalid(tmp_path, tiny_config, mixture_wav):
+    deeper = SeparatorModel(num_bins=65, hidden=8, layers=2, seed=0)
+    nn.save_checkpoint(tmp_path / "deep.ssnn", deeper.state())
+    assert cli.main(["separate", str(mixture_wav), "--out-dir", str(tmp_path / "o"),
+                     "--config", tiny_config, "--checkpoint", str(tmp_path / "deep.ssnn")]) == 2
+
+
 # ---------------------------------------------------------------- render
 
 @pytest.fixture
@@ -285,6 +300,27 @@ def test_mix_writes_consistent_sets(tmp_path):
                  for name in ("vocals", "bass", "drums", "other")]
         total = np.sum([s.samples for s in stems], axis=0)
         np.testing.assert_allclose(mixture.samples, total, atol=1e-6)
+
+
+def test_mix_from_manifest_stems(tmp_path):
+    src = tmp_path / "src"
+    assert cli.main(["mix", "--out-dir", str(src), "--count", "1",
+                     "--synthetic", "2", "--duration", "0.5"]) == 0
+    stems = {name: f"src/mix_000_{name}.wav" for name in ("vocals", "bass", "drums", "other")}
+    manifest = tmp_path / "tracks.json"
+    manifest.write_text(json.dumps([{"mixture": "src/mix_000_mixture.wav", "stems": stems}]))
+    out = tmp_path / "remixed"
+    assert cli.main(["mix", "--out-dir", str(out), "--count", "1",
+                     "--manifest", str(manifest)]) == 0
+    assert (out / "mix_000_mixture.wav").exists()
+
+
+@pytest.mark.parametrize("command", [["mix", "--count", "1"], ["train-separator"]])
+def test_manifest_without_stems_is_invalid(tmp_path, mixture_wav, command):
+    manifest = tmp_path / "tracks.json"
+    manifest.write_text(json.dumps([{"mixture": mixture_wav.name}]))
+    assert cli.main([*command, "--out-dir", str(tmp_path / "o"),
+                     "--manifest", str(manifest)]) == 2
 
 
 def test_mix_count_zero_writes_nothing(tmp_path):

@@ -57,6 +57,17 @@ def test_separator_settings_validation(kwargs):
         SeparatorSettings(**kwargs)
 
 
+@pytest.mark.parametrize("raw, named", [
+    ({"stft": {"fft_sise": 256}}, "fft_sise"),
+    ([{"seed": 1}], "list"),
+    ({"sed": 1}, "sed"),
+    ({"amt": 3}, "int"),
+])
+def test_from_dict_rejects_bad_keys_and_types(raw, named):
+    with pytest.raises(ValueError, match=named):
+        PipelineConfig.from_dict(raw)
+
+
 # -------------------------------------------------------------- manifest
 
 def write_manifest(tmp_path, entries):

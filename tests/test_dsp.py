@@ -159,6 +159,32 @@ def test_istft_gap_detection():
     assert np.abs(back.samples[0] - 1.0).max() < 1e-9
 
 
+def loop_istft(s):
+    """Frame-by-frame overlap-add, the reference the strided one must match."""
+    cfg = s.config
+    win = make_window(cfg.window, cfg.fft_size)
+    length = (s.num_frames - 1) * cfg.hop + cfg.fft_size
+    norm = np.zeros(length)
+    for t in range(s.num_frames):
+        norm[t * cfg.hop : t * cfg.hop + cfg.fft_size] += win**2
+    frames = np.fft.irfft(s.bins, n=cfg.fft_size, axis=1) * win[None, :]
+    out = np.zeros(length)
+    for t in range(s.num_frames):
+        out[t * cfg.hop : t * cfg.hop + cfg.fft_size] += frames[t]
+    nonzero = norm > 1e-12
+    out[nonzero] /= norm[nonzero]
+    return out
+
+
+@pytest.mark.parametrize("fft_size, hop", [(512, 128), (512, 100), (256, 7)])
+def test_istft_matches_frame_loop_exactly(rng, fft_size, hop):
+    cfg = StftConfig(fft_size=fft_size, hop=hop)
+    shape = (37, cfg.num_bins)
+    s = ComplexSpectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                           cfg, 8000)
+    assert np.array_equal(istft(s).samples[0], loop_istft(s))
+
+
 # --------------------------------------------------------- log magnitude
 
 def test_log_magnitude_reference_points():

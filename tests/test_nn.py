@@ -378,3 +378,30 @@ def test_restore_params_rejects_missing_keys(rng):
     d = nn.Dense(2, 2, rng)
     with pytest.raises(nn.CheckpointError):
         nn.restore_params(d.params(), {"w": np.zeros((2, 2))})  # no "b"
+
+
+def test_restore_params_rejects_unexpected_keys(rng):
+    d = nn.Dense(2, 2, rng)
+    extra = {**d.params(), "w_extra": np.zeros(2)}
+    with pytest.raises(nn.CheckpointError, match="w_extra"):
+        nn.restore_params(d.params(), extra)
+
+
+def test_checkpoint_tensor_names_and_order_are_pinned():
+    # Saved .ssnn files hold exactly these names in exactly this order.
+    from stemscribe.separation import SeparatorModel
+    from stemscribe.transcription import AmtModel
+
+    lstm = ["w_x", "w_h", "b"]
+    assert list(SeparatorModel(num_bins=257).state()) == [
+        "norm.gamma", "norm.beta",
+        *(f"lstm{i}.{p}" for i in range(2) for p in lstm),
+        "head.w", "head.b",
+        "norm.running_mean", "norm.running_var",
+    ]
+    assert list(AmtModel().state()) == [
+        "norm.gamma", "norm.beta", "conv.w", "conv.b",
+        *(f"blstm.{d}.{p}" for d in ("fwd", "bwd") for p in lstm),
+        "head.w", "head.b",
+        "norm.running_mean", "norm.running_var",
+    ]

@@ -1,0 +1,41 @@
+"""The benchmark's traced run wraps stemscribe functions and methods by
+name (perfbench/layers.py). A refactor that moves or renames one of them
+must fail here, not only when the benchmark runs."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from stemscribe import nn
+from stemscribe.separation import SeparatorModel
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_by_path(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_install_trace_and_unpatch(monkeypatch):
+    spans = load_by_path("spans", monkeypatch)  # layers.py imports it by this name
+    layers = load_by_path("layers", monkeypatch)
+    original = nn.Lstm.__dict__["forward"]
+    tracer = spans.Tracer()
+    tracer.op = 0
+    layers.install(tracer)
+    try:
+        model = SeparatorModel(num_bins=5, hidden=3, layers=1)
+        model.forward_mask(np.zeros((4, 5)))
+    finally:
+        tracer.unpatch()
+    names = {span[2] for span in tracer.spans}
+    assert {"nn.BatchNorm.forward", "nn.Lstm.forward", "nn.Dense.forward",
+            "nn.Sigmoid.forward"} <= names
+    assert tracer.counters[0]["nn.Lstm.steps"] == 4
+    assert nn.Lstm.__dict__["forward"] is original

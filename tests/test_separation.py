@@ -180,6 +180,15 @@ def test_state_roundtrip(tmp_path):
         assert np.abs(clone.state()[name] - p).max() < 1e-6
 
 
+def test_load_state_rejects_checkpoint_of_a_deeper_stack(tmp_path):
+    from stemscribe import nn
+    deep = SeparatorModel(num_bins=CFG.num_bins, hidden=4, layers=2, seed=1)
+    nn.save_checkpoint(tmp_path / "m.ssnn", deep.state())
+    shallow = SeparatorModel(num_bins=CFG.num_bins, hidden=4, layers=1, seed=1)
+    with pytest.raises(nn.CheckpointError, match="lstm1.w_x"):
+        shallow.load_state(nn.load_checkpoint(tmp_path / "m.ssnn"))
+
+
 # -------------------------------------------------------------- separate
 
 def test_analysis_spectrogram_pads_and_inverts_exactly(rng):
