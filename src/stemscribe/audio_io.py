@@ -1,9 +1,10 @@
 """PCM WAV decode/encode and sample-rate conversion.
 
 Supports RIFF/WAVE containers with 16-bit integer PCM or 32-bit IEEE
-float payloads, little-endian throughout. Integer samples are mapped to
-[-1, 1] on read and quantized back on write, so a read/write round trip
-is exact to within one LSB of the chosen bit depth.
+float payloads, little-endian throughout, tagged plainly or as
+WAVE_FORMAT_EXTENSIBLE with the matching sub-format. Integer samples are
+mapped to [-1, 1] on read and quantized back on write, so a read/write
+round trip is exact to within one LSB of the chosen bit depth.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from scipy.signal import resample_poly
 
 WAVE_FORMAT_PCM = 1
 WAVE_FORMAT_IEEE_FLOAT = 3
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# Bytes 2..15 of every standard sub-format GUID; bytes 0..1 hold the plain
+# format tag (KSDATAFORMAT_SUBTYPE_PCM is 00000001-0000-0010-8000-00aa00389b71).
+_SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
 class WavFormatError(ValueError):
@@ -91,7 +96,11 @@ def read_wav(path) -> Waveform:
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise WavFormatError(f"{path}: fmt chunk truncated")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = list(struct.unpack_from("<HHIIHH", body, 0))
+            if fmt[0] == WAVE_FORMAT_EXTENSIBLE and len(body) >= 40:
+                guid = body[24:40]
+                if guid[2:] == _SUBFORMAT_GUID_TAIL:
+                    fmt[0] = struct.unpack_from("<H", guid)[0]
         elif chunk_id == b"data":
             payload = body
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned

@@ -28,6 +28,7 @@ from .midi import SmfParseError
 from .nn.loss import FocalLossParams
 from .pianoroll import FrameTiming, rasterize_notes, roll_to_notes
 from .separation import (
+    STEM_NAMES,
     SeparatorModel,
     SourceSet,
     analysis_spectrogram,
@@ -293,9 +294,15 @@ def cmd_evaluate(args) -> int:
 
 
 def _manifest_source_sets(path) -> list[SourceSet]:
-    """One SourceSet per manifest entry that lists stems."""
-    sets = [SourceSet(**{k: read_wav(p) for k, p in e.stems.items()})
-            for e in load_manifest(path) if e.stems]
+    """One SourceSet per manifest entry that lists stems; those stems must be
+    exactly STEM_NAMES."""
+    entries = [e for e in load_manifest(path) if e.stems]
+    for e in entries:
+        if set(e.stems) != set(STEM_NAMES):
+            raise ManifestError(
+                f"track {e.mixture} has stems {sorted(e.stems)}; "
+                f"expected exactly {list(STEM_NAMES)}")
+    sets = [SourceSet(**{k: read_wav(p) for k, p in e.stems.items()}) for e in entries]
     if not sets:
         raise ManifestError("manifest has no entries with stems")
     return sets

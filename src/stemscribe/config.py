@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,12 +71,16 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        """Build from a parsed JSON object; an unknown key or a value of the
-        wrong type raises ValueError."""
+        """Build from a parsed JSON object; an unknown key, a section that is
+        not an object or a leaf of the wrong type raises ValueError."""
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, not {type(d).__name__}")
         sections = {f.name: f.default_factory for f in dataclasses.fields(cls)
                     if f.default_factory is not dataclasses.MISSING}
+        _check_leaves(cls, {k: v for k, v in d.items() if k not in sections}, "")
+        for name, section in sections.items():
+            if isinstance(d.get(name), dict):
+                _check_leaves(section, d[name], f"{name}.")
         try:
             return cls(**{**d, **{name: make(**d.get(name, {})) for name, make in sections.items()}})
         except TypeError as e:  # the message names the unknown key or the wrong type
@@ -87,6 +92,28 @@ class PipelineConfig:
     @classmethod
     def load(cls, path) -> "PipelineConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _has_type(value, hint) -> bool:
+    """JSON value against a field annotation: int excludes bool, float takes
+    int, and a union (``str | None``) takes any of its members."""
+    if typing.get_args(hint):
+        return any(_has_type(value, member) for member in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _check_leaves(cls, values: dict, prefix: str) -> None:
+    """Raise ValueError naming the dotted key of the first value whose type
+    does not match its field of cls.  Unknown keys are left to cls itself."""
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        if key in hints and not _has_type(value, hints[key]):
+            expected = getattr(hints[key], "__name__", str(hints[key]))
+            raise ValueError(f"config key {prefix}{key} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,44 @@ def test_unsupported_codec(tmp_path):
         read_wav(p)
 
 
+def riff_wave(fmt, payload):
+    body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(payload)) + payload)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def fmt_chunk(tag, channels, bits, rate=8000, sub_tag=None):
+    """16-byte fmt body, or the 40-byte WAVE_FORMAT_EXTENSIBLE one (tag
+    0xFFFE) whose sub-format GUID carries sub_tag."""
+    align = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
+    if sub_tag is None:
+        return fmt
+    guid = struct.pack("<I", sub_tag) + bytes.fromhex("00001000800000aa00389b71")
+    return fmt + struct.pack("<HHI", 22, bits, 0b11) + guid
+
+
+@pytest.mark.parametrize("tag, bits, dtype, scale", [(1, 16, "<i2", 20000), (3, 32, "<f4", 0.5)],
+                         ids=["pcm16", "float32"])
+def test_extensible_decodes_like_plain_format(tmp_path, rng, tag, bits, dtype, scale):
+    payload = (rng.uniform(-1, 1, 2 * 50) * scale).astype(dtype).tobytes()  # 50 stereo frames
+    (tmp_path / "plain.wav").write_bytes(riff_wave(fmt_chunk(tag, 2, bits), payload))
+    (tmp_path / "ext.wav").write_bytes(riff_wave(fmt_chunk(0xFFFE, 2, bits, sub_tag=tag), payload))
+    plain, ext = read_wav(tmp_path / "plain.wav"), read_wav(tmp_path / "ext.wav")
+    assert ext.samples.shape == (2, 50) and ext.sample_rate == 8000
+    assert np.array_equal(ext.samples, plain.samples)
+
+
+def test_extensible_other_subformats_rejected(tmp_path):
+    p = tmp_path / "ext24.wav"
+    p.write_bytes(riff_wave(fmt_chunk(0xFFFE, 2, 24, sub_tag=1), bytes(6 * 10)))
+    with pytest.raises(UnsupportedCodecError):
+        read_wav(p)
+    p.write_bytes(riff_wave(fmt_chunk(0xFFFE, 1, 16, sub_tag=0x55), bytes(2 * 10)))  # MP3 sub-format
+    with pytest.raises(UnsupportedCodecError):
+        read_wav(p)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_wav(tmp_path / "nope.wav")

@@ -100,6 +100,16 @@ def test_bad_config_is_invalid(tmp_path, mixture_wav, raw):
                      "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize("raw, key", [({"seed": "x"}, "seed"), ({"stft": {"hop": "a"}}, "stft.hop")])
+def test_config_leaf_of_wrong_type_is_invalid(tmp_path, raw, key, caplog):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["train-separator", "--out-dir", str(tmp_path / "o"), "--config", str(config),
+                     "--epochs", "1", "--synthetic", "2", "--remix-count", "2",
+                     "--clip-seconds", "1.0"]) == 2
+    assert f"config key {key} must be int" in caplog.text
+
+
 def test_checkpoint_for_another_model_shape_is_invalid(tmp_path, tiny_config, mixture_wav):
     deeper = SeparatorModel(num_bins=65, hidden=8, layers=2, seed=0)
     nn.save_checkpoint(tmp_path / "deep.ssnn", deeper.state())
@@ -321,6 +331,31 @@ def test_manifest_without_stems_is_invalid(tmp_path, mixture_wav, command):
     manifest.write_text(json.dumps([{"mixture": mixture_wav.name}]))
     assert cli.main([*command, "--out-dir", str(tmp_path / "o"),
                      "--manifest", str(manifest)]) == 2
+
+
+STEM_CASES = {
+    "unknown": {"vocals": "mixture.wav", "accompaniment": "mixture.wav"},
+    "missing": {name: "mixture.wav" for name in ("vocals", "bass", "drums")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEM_CASES))
+def test_manifest_source_sets_reject_wrong_stem_names(tmp_path, mixture_wav, case):
+    manifest = tmp_path / "tracks.json"
+    manifest.write_text(json.dumps([{"mixture": "mixture.wav", "stems": STEM_CASES[case]}]))
+    with pytest.raises(cli.ManifestError, match=r"expected exactly \['vocals', 'bass', 'drums', 'other'\]") as e:
+        cli._manifest_source_sets(manifest)
+    assert str(sorted(STEM_CASES[case])) in str(e.value)
+
+
+@pytest.mark.parametrize("case", sorted(STEM_CASES))
+@pytest.mark.parametrize("command", [["mix", "--count", "1"], ["train-separator"]])
+def test_manifest_with_wrong_stem_names_is_invalid(tmp_path, mixture_wav, command, case, caplog):
+    manifest = tmp_path / "tracks.json"
+    manifest.write_text(json.dumps([{"mixture": "mixture.wav", "stems": STEM_CASES[case]}]))
+    assert cli.main([*command, "--out-dir", str(tmp_path / "o"),
+                     "--manifest", str(manifest)]) == 2
+    assert "expected exactly" in caplog.text
 
 
 def test_mix_count_zero_writes_nothing(tmp_path):

@@ -62,10 +62,21 @@ def test_separator_settings_validation(kwargs):
     ([{"seed": 1}], "list"),
     ({"sed": 1}, "sed"),
     ({"amt": 3}, "int"),
+    ({"seed": "x"}, "key seed must"),
+    ({"seed": True}, "key seed must"),
+    ({"stft": {"hop": "a"}}, "key stft.hop must"),
+    ({"amt": {"threshold": "0.5"}}, "key amt.threshold must"),
+    ({"paths": {"musescore": 3}}, "key paths.musescore must"),
 ])
 def test_from_dict_rejects_bad_keys_and_types(raw, named):
     with pytest.raises(ValueError, match=named):
         PipelineConfig.from_dict(raw)
+
+
+def test_from_dict_accepts_int_for_float_and_null_for_optional():
+    cfg = PipelineConfig.from_dict({"cqt": {"f_min": 55}, "paths": {"musescore": None}})
+    assert cfg.cqt.f_min == 55.0
+    assert cfg.paths.musescore is None
 
 
 # -------------------------------------------------------------- manifest

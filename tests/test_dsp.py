@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,6 +262,53 @@ def test_cqt_matches_direct_inner_products(rng):
             start = cfg.hop * t + pad - kern.size // 2
             seg = padded[start : start + kern.size]
             assert out[k, t] == pytest.approx(abs(np.vdot(kern, seg)), abs=1e-12)
+
+
+def loop_cqt(w, cfg):
+    """One gathered (frames, kernel length) matrix per bin, the reference the
+    octave-grouped GEMM must match."""
+    x = w.mono_samples()
+    kernels = cqt_kernels(cfg)
+    n_frames = num_cqt_frames(x.size, cfg)
+    pad = max(k.size for k in kernels) // 2 + 1
+    padded = np.pad(x, (pad, pad + cfg.hop * n_frames))
+    out = np.empty((cfg.n_bins, n_frames))
+    for k, kernel in enumerate(kernels):
+        n_k = kernel.size
+        starts = cfg.hop * np.arange(n_frames) + pad - n_k // 2
+        segs = padded[starts[:, None] + np.arange(n_k)[None, :]]
+        out[k] = np.abs(segs @ np.conj(kernel))
+    return out
+
+
+@pytest.mark.parametrize("cfg, n_samples", [
+    (CqtConfig(), 3 * 22050),           # default config, 3 s
+    (CqtConfig(n_bins=30), 3 * 22050),  # partial top octave
+    (CqtConfig(), 300),                 # shorter than one hop: 1 frame
+    (CqtConfig(), 257 * 512),           # 257 frames, one past a full block
+])
+def test_cqt_matches_per_bin_loop(rng, cfg, n_samples):
+    w = Waveform(rng.standard_normal(n_samples)[None, :], cfg.sample_rate)
+    out = cqt(w, cfg)
+    assert out.shape == (cfg.n_bins, num_cqt_frames(n_samples, cfg))
+    assert np.allclose(out, loop_cqt(w, cfg), rtol=1e-9, atol=1e-15)
+
+
+def test_cqt_memory_grows_with_audio_not_kernel_length(rng):
+    # From 10 s to 30 s the padded signal and the output grow by ~7 MiB; a
+    # (frames x kernel length) gather per bin would add ~273 MiB.
+    cfg = CqtConfig()
+
+    def peak(seconds):
+        w = Waveform(rng.standard_normal(seconds * cfg.sample_rate)[None, :], cfg.sample_rate)
+        tracemalloc.start()
+        try:
+            cqt(w, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(30) - peak(10) < 64 * 2**20
 
 
 def test_num_cqt_frames_formula():
