@@ -36,6 +36,7 @@ from .separation import (
     make_training_clip,
     remix,
     separate,
+    separate_spectrogram,
     sum_accompaniment,
     train_separator,
 )
@@ -118,7 +119,7 @@ def _separate_to_dir(mixture: Waveform, model: SeparatorModel, cfg: PipelineConf
         forced = np.ones(spec.bins.shape)
     elif mask_mode == "zeros":
         forced = np.zeros(spec.bins.shape)
-    vocals, accomp, mask = separate(mixture, model, cfg.stft, mask=forced)
+    vocals, accomp, mask = separate_spectrogram(spec, mixture.num_samples, model, forced)
     paths = {
         "vocals": out_dir / f"{stem_name}_vocals.wav",
         "accompaniment": out_dir / f"{stem_name}_accompaniment.wav",

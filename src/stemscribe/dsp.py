@@ -96,8 +96,8 @@ def stft(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
     n_frames = num_stft_frames(x.size, cfg)
     padded_len = (n_frames - 1) * cfg.hop + cfg.fft_size
     x = np.pad(x, (0, padded_len - x.size))
-    idx = np.arange(cfg.fft_size)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
-    frames = x[idx] * make_window(cfg.window, cfg.fft_size)[None, :]
+    window = make_window(cfg.window, cfg.fft_size)
+    frames = sliding_window_view(x, cfg.fft_size)[:: cfg.hop] * window
     return ComplexSpectrogram(np.fft.rfft(frames, axis=1), cfg, w.sample_rate)
 
 
@@ -209,7 +209,7 @@ def cqt(w: Waveform, cfg: CqtConfig) -> np.ndarray:
     kernels = cqt_kernels(cfg)
     n_frames = num_cqt_frames(x.size, cfg)
     pad = max(k.size for k in kernels) // 2 + 1
-    padded = np.pad(x, (pad, pad + cfg.hop * n_frames))
+    padded = np.pad(x, pad)  # no window reaches more than pad samples past either end
     out = np.empty((cfg.n_bins, n_frames))
     for k0 in range(0, cfg.n_bins, cfg.bins_per_octave):
         group = kernels[k0 : k0 + cfg.bins_per_octave]

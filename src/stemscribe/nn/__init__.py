@@ -1,7 +1,10 @@
 """Minimal tensor/layer runtime with hand-derived gradients.
 
 Everything runs on float64 numpy arrays, one example at a time; batching
-is done by gradient accumulation in the training loop. Analytic backward
+is done by gradient accumulation in the training loop. An LSTM steps
+through time only for the h -> h recurrence: its input projection and its
+weight and input gradients are single matrix products over the sequence,
+and an inference forward keeps no backward cache. Analytic backward
 passes are validated against central finite differences (see gradcheck).
 """
 

@@ -2,6 +2,8 @@
 
 Conventions:
   * forward() caches whatever backward() needs; call them in pairs.
+    Lstm keeps its cache (gates and states of every step) only when
+    forward(x, training=True); its backward() raises without one.
   * backward() ACCUMULATES parameter gradients (call zero_grads between
     batches) and returns the gradient w.r.t. the layer input.
   * Sequence layers take (T, features); image layers take (C, H, W).
@@ -18,6 +20,7 @@ Tensor naming, which is also the checkpoint format:
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from .checkpoint import restore_params
 
@@ -27,13 +30,9 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-k, k, size=shape)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+# The logistic function, a ufunc that neither overflows nor loses precision
+# at either end.
+sigmoid = expit
 
 
 class Layer:
@@ -235,6 +234,12 @@ class Lstm(Layer):
     """Single-direction LSTM over a (T, input) sequence, zero initial state.
 
     Gate layout along the 4H axis is [input, forget, cell, output].
+
+    Only the h -> h recurrence runs step by step, after the input-GEMM
+    hoisting of Appleyard, Kočiský & Blunsom, "Optimizing Performance of
+    Recurrent Neural Networks on GPUs" (2016): the input projection is one
+    GEMM before the loop, and the weight and input gradients are GEMMs over
+    the per-step gate gradients after it.
     """
 
     PARAMS = ("w_x", "w_h", "b")
@@ -254,55 +259,62 @@ class Lstm(Layer):
         if x.ndim != 2 or x.shape[1] != self.w_x.shape[0]:
             raise ValueError(f"expected (T, {self.w_x.shape[0]}) input, got {x.shape}")
         t_len, h = x.shape[0], self.hidden_size
-        pre = x @ self.w_x + self.b  # recurrent term added per step
-        gi = np.empty((t_len, h))
-        gf = np.empty((t_len, h))
-        gg = np.empty((t_len, h))
-        go = np.empty((t_len, h))
+        # Pre-activations of every step; row t becomes the activated gates
+        # [i, f, g, o] once step t adds its recurrent term.
+        gates = x @ self.w_x + self.b
         c = np.empty((t_len, h))
         tanh_c = np.empty((t_len, h))
         hs = np.empty((t_len, h))
-        h_prev = np.zeros(h)
-        c_prev = np.zeros(h)
-        for t in range(t_len):
-            a = pre[t] + h_prev @ self.w_h
-            gi[t] = sigmoid(a[:h])
-            gf[t] = sigmoid(a[h : 2 * h])
-            gg[t] = np.tanh(a[2 * h : 3 * h])
-            go[t] = sigmoid(a[3 * h :])
-            c[t] = gf[t] * c_prev + gi[t] * gg[t]
-            tanh_c[t] = np.tanh(c[t])
-            hs[t] = go[t] * tanh_c[t]
-            h_prev, c_prev = hs[t], c[t]
-        self._cache = (x, gi, gf, gg, go, c, tanh_c, hs)
+        h_prev = c_prev = np.zeros(h)
+        i, f, g, o = (slice(k * h, (k + 1) * h) for k in range(4))
+        # Row views in lockstep; np.dot costs less per call than @ on vectors.
+        for a, c_t, tanh_c_t, h_t in zip(gates, c, tanh_c, hs):
+            a += np.dot(h_prev, self.w_h)
+            tanh_g = np.tanh(a[g])
+            sigmoid(a, out=a)  # one call for all four gates, then g fixed up
+            a[g] = tanh_g
+            np.multiply(a[f], c_prev, out=c_t)
+            c_t += a[i] * tanh_g
+            np.tanh(c_t, out=tanh_c_t)
+            np.multiply(a[o], tanh_c_t, out=h_t)
+            h_prev, c_prev = h_t, c_t
+        self._cache = (x, gates, c, tanh_c, hs) if training else None
         return hs
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        x, gi, gf, gg, go, c, tanh_c, hs = self._cache
+        if self._cache is None:
+            raise RuntimeError("Lstm.backward needs a preceding forward(x, training=True)")
+        x, gates, c, tanh_c, hs = self._cache
         t_len, h = x.shape[0], self.hidden_size
-        dx = np.empty_like(x)
-        dh_next = np.zeros(h)
-        dc_next = np.zeros(h)
-        for t in range(t_len - 1, -1, -1):
-            dh = grad[t] + dh_next
-            do = dh * tanh_c[t]
-            dc = dh * go[t] * (1.0 - tanh_c[t] ** 2) + dc_next
-            c_prev = c[t - 1] if t > 0 else np.zeros(h)
-            di, df, dg = dc * gg[t], dc * c_prev, dc * gi[t]
-            dc_next = dc * gf[t]
-            da = np.concatenate([
-                di * gi[t] * (1.0 - gi[t]),
-                df * gf[t] * (1.0 - gf[t]),
-                dg * (1.0 - gg[t] ** 2),
-                do * go[t] * (1.0 - go[t]),
-            ])
-            h_prev = hs[t - 1] if t > 0 else np.zeros(h)
-            self.dw_x += np.outer(x[t], da)
-            self.dw_h += np.outer(h_prev, da)
-            self.db += da
-            dx[t] = da @ self.w_x.T
-            dh_next = da @ self.w_h.T
-        return dx
+        i, f, g, o = (gates[:, k * h : (k + 1) * h] for k in range(4))
+        c_prev = np.zeros_like(c)
+        c_prev[1:] = c[:-1]
+        h_prev = np.zeros_like(hs)
+        h_prev[1:] = hs[:-1]
+        # Every elementwise derivative at once: the gate gradients of step t
+        # are dc_t * fac[t, :3] for [i, f, g] and dh_t * fac[t, 3] for o.
+        fac = np.empty((t_len, 4, h))
+        fac[:, 0] = g * i * (1.0 - i)
+        fac[:, 1] = c_prev * f * (1.0 - f)
+        fac[:, 2] = i * (1.0 - g**2)
+        fac[:, 3] = tanh_c * o * (1.0 - o)
+        dc_dh = o * (1.0 - tanh_c**2)
+        da = np.empty((t_len, 4, h))
+        da_rows = da.reshape(t_len, 4 * h)
+        dh_next = dc_next = np.zeros(h)
+        steps = zip(grad[::-1], dc_dh[::-1], fac[::-1], f[::-1], da[::-1], da_rows[::-1])
+        for grad_t, dc_dh_t, fac_t, f_t, da_t, da_row in steps:
+            dh = grad_t + dh_next
+            dc = dh * dc_dh_t
+            dc += dc_next
+            np.multiply(fac_t[:3], dc, out=da_t[:3])
+            np.multiply(fac_t[3], dh, out=da_t[3])
+            dc_next = dc * f_t
+            dh_next = np.dot(self.w_h, da_row)
+        self.dw_x += x.T @ da_rows
+        self.dw_h += h_prev.T @ da_rows
+        self.db += da_rows.sum(axis=0)
+        return da_rows @ self.w_x.T
 
 
 class BiLstm(Layer):

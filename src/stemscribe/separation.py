@@ -185,14 +185,21 @@ def separate(mixture: Waveform, model: SeparatorModel, stft_cfg: StftConfig,
     mask overrides the model (oracle or debug paths) and must match the
     analysis_spectrogram grid of the mixture.
     """
-    spec = analysis_spectrogram(mixture, stft_cfg)
+    return separate_spectrogram(analysis_spectrogram(mixture, stft_cfg), mixture.num_samples,
+                                model, mask)
+
+
+def separate_spectrogram(spec: ComplexSpectrogram, num_samples: int, model: SeparatorModel,
+                         mask: np.ndarray | None = None
+                         ) -> tuple[Waveform, Waveform, np.ndarray]:
+    """separate() from the analysis_spectrogram of a mixture of num_samples
+    samples, for callers that also need the spectrogram itself."""
     if mask is None:
         mask = model.predict_mask(spec)
-    n = mixture.num_samples
-    lo, hi = stft_cfg.fft_size, stft_cfg.fft_size + n
+    lo, hi = spec.config.fft_size, spec.config.fft_size + num_samples
     vocals = istft(apply_mask(mask, spec)).samples[:, lo:hi]
     accomp = istft(apply_mask(1.0 - mask, spec)).samples[:, lo:hi]
-    rate = mixture.sample_rate
+    rate = spec.sample_rate
     return Waveform(vocals, rate), Waveform(accomp, rate), mask
 
 

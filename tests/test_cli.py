@@ -49,6 +49,22 @@ def test_separate_writes_stems_and_audit_files(tmp_path, tiny_config, mixture_wa
     assert len(stats) > 1
 
 
+def test_separate_runs_one_analysis_stft(tmp_path, tiny_config, mixture_wav, monkeypatch):
+    from stemscribe import separation
+
+    calls = []
+
+    def counting_stft(*args, **kwargs):
+        calls.append(args)
+        return stft(*args, **kwargs)
+
+    stft = separation.stft
+    monkeypatch.setattr(separation, "stft", counting_stft)
+    assert cli.main(["separate", str(mixture_wav), "--out-dir", str(tmp_path / "sep"),
+                     "--config", tiny_config]) == 0
+    assert len(calls) == 1
+
+
 def test_separate_ones_mask_passes_mixture_through(tmp_path, tiny_config, mixture_wav):
     out = tmp_path / "ones"
     assert cli.main(["separate", str(mixture_wav), "--out-dir", str(out),

@@ -120,6 +120,30 @@ def test_spectrogram_validation():
         ComplexSpectrogram(np.full((2, 257), np.nan, dtype=complex), cfg, 8000)
 
 
+def gather_stft(w, cfg):
+    """Frames gathered through a (frames, fft_size) index array, the
+    reference the strided-view STFT must match."""
+    x = w.mono_samples()
+    n_frames = num_stft_frames(x.size, cfg)
+    x = np.pad(x, (0, (n_frames - 1) * cfg.hop + cfg.fft_size - x.size))
+    idx = np.arange(cfg.fft_size)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
+    frames = x[idx] * make_window(cfg.window, cfg.fft_size)[None, :]
+    return np.fft.rfft(frames, axis=1)
+
+
+@pytest.mark.parametrize("fft_size, hop, n_samples", [
+    (512, 128, 8000),  # default config
+    (512, 128, 300),   # shorter than one window: 1 frame
+    (512, 128, 512),   # exactly one window
+    (512, 100, 2049),  # hop does not divide the length
+    (256, 7, 1000),
+])
+def test_stft_matches_index_gather_exactly(rng, fft_size, hop, n_samples):
+    cfg = StftConfig(fft_size=fft_size, hop=hop)
+    w = Waveform(rng.standard_normal(n_samples)[None, :], 8000)
+    assert np.array_equal(stft(w, cfg).bins, gather_stft(w, cfg))
+
+
 # ----------------------------------------------------------------- istft
 
 def interior(x, cfg):
@@ -281,17 +305,32 @@ def loop_cqt(w, cfg):
     return out
 
 
-@pytest.mark.parametrize("cfg, n_samples", [
+CQT_CASES = [
     (CqtConfig(), 3 * 22050),           # default config, 3 s
     (CqtConfig(n_bins=30), 3 * 22050),  # partial top octave
     (CqtConfig(), 300),                 # shorter than one hop: 1 frame
     (CqtConfig(), 257 * 512),           # 257 frames, one past a full block
-])
+]
+
+
+@pytest.mark.parametrize("cfg, n_samples", CQT_CASES)
 def test_cqt_matches_per_bin_loop(rng, cfg, n_samples):
     w = Waveform(rng.standard_normal(n_samples)[None, :], cfg.sample_rate)
     out = cqt(w, cfg)
     assert out.shape == (cfg.n_bins, num_cqt_frames(n_samples, cfg))
     assert np.allclose(out, loop_cqt(w, cfg), rtol=1e-9, atol=1e-15)
+
+
+@pytest.mark.parametrize("cfg, n_samples", CQT_CASES)
+def test_cqt_right_pad_covers_every_window(rng, monkeypatch, cfg, n_samples):
+    # Padding the right end by another hop per frame, as the transform once
+    # did, must change no value: no window reads past the narrow pad.
+    w = Waveform(rng.standard_normal(n_samples)[None, :], cfg.sample_rate)
+    out = cqt(w, cfg)
+    extra = cfg.hop * num_cqt_frames(n_samples, cfg)
+    pad = np.pad
+    monkeypatch.setattr(np, "pad", lambda x, width: pad(x, (width, width + extra)))
+    assert np.array_equal(cqt(w, cfg), out)
 
 
 def test_cqt_memory_grows_with_audio_not_kernel_length(rng):

@@ -155,6 +155,100 @@ def test_bilstm_palindrome_symmetry(rng):
         np.testing.assert_allclose(out[t, :3], out[t_len - 1 - t, 3:], atol=1e-12)
 
 
+def masked_sigmoid(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def loop_lstm(lstm, x, grad):
+    """Forward and backward one step at a time, with one outer product per
+    weight per step: the reference the hoisted Lstm must match.  Returns
+    (hs, dx, dw_x, dw_h, db)."""
+    t_len, h = x.shape[0], lstm.hidden_size
+    gi, gf, gg, go, c, tanh_c, hs = (np.empty((t_len, h)) for _ in range(7))
+    h_prev, c_prev = np.zeros(h), np.zeros(h)
+    for t in range(t_len):
+        a = x[t] @ lstm.w_x + lstm.b + h_prev @ lstm.w_h
+        gi[t] = masked_sigmoid(a[:h])
+        gf[t] = masked_sigmoid(a[h : 2 * h])
+        gg[t] = np.tanh(a[2 * h : 3 * h])
+        go[t] = masked_sigmoid(a[3 * h :])
+        c[t] = gf[t] * c_prev + gi[t] * gg[t]
+        tanh_c[t] = np.tanh(c[t])
+        hs[t] = go[t] * tanh_c[t]
+        h_prev, c_prev = hs[t], c[t]
+    dx = np.empty_like(x)
+    dw_x, dw_h, db = (np.zeros_like(p) for p in (lstm.w_x, lstm.w_h, lstm.b))
+    dh_next, dc_next = np.zeros(h), np.zeros(h)
+    for t in range(t_len - 1, -1, -1):
+        dh = grad[t] + dh_next
+        do = dh * tanh_c[t]
+        dc = dh * go[t] * (1.0 - tanh_c[t] ** 2) + dc_next
+        c_prev = c[t - 1] if t > 0 else np.zeros(h)
+        di, df, dg = dc * gg[t], dc * c_prev, dc * gi[t]
+        dc_next = dc * gf[t]
+        da = np.concatenate([
+            di * gi[t] * (1.0 - gi[t]),
+            df * gf[t] * (1.0 - gf[t]),
+            dg * (1.0 - gg[t] ** 2),
+            do * go[t] * (1.0 - go[t]),
+        ])
+        h_prev = hs[t - 1] if t > 0 else np.zeros(h)
+        dw_x += np.outer(x[t], da)
+        dw_h += np.outer(h_prev, da)
+        db += da
+        dx[t] = da @ lstm.w_x.T
+        dh_next = da @ lstm.w_h.T
+    return hs, dx, dw_x, dw_h, db
+
+
+def assert_close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("input_size, hidden, t_len", [
+    (1, 1, 1), (3, 4, 5), (257, 32, 47), (336, 16, 128),
+])
+def test_lstm_matches_per_step_loop(input_size, hidden, t_len):
+    rng = np.random.default_rng(input_size + hidden + t_len)
+    lstm = nn.Lstm(input_size, hidden, rng)
+    x = rng.standard_normal((t_len, input_size))
+    grad = rng.standard_normal((t_len, hidden))
+    hs, dx, dw_x, dw_h, db = loop_lstm(lstm, x, grad)
+    assert_close(lstm.forward(x, training=True), hs)
+    assert_close(lstm.backward(grad), dx)
+    assert_close(lstm.dw_x, dw_x)
+    assert_close(lstm.dw_h, dw_h)
+    assert_close(lstm.db, db)
+
+
+def test_bilstm_matches_per_step_loops(rng):
+    bi = nn.BiLstm(6, 5, rng)
+    x = rng.standard_normal((9, 6))
+    grad = rng.standard_normal((9, 10))
+    hs_f, dx_f, *grads_f = loop_lstm(bi.fwd, x, grad[:, :5])
+    hs_b, dx_b, *grads_b = loop_lstm(bi.bwd, x[::-1], grad[::-1, 5:])
+    assert_close(bi.forward(x, training=True), np.hstack([hs_f, hs_b[::-1]]))
+    assert_close(bi.backward(grad), dx_f + dx_b[::-1])
+    for lstm, expected in ((bi.fwd, grads_f), (bi.bwd, grads_b)):
+        for actual, want in zip((lstm.dw_x, lstm.dw_h, lstm.db), expected):
+            assert_close(actual, want)
+
+
+def test_lstm_inference_keeps_no_backward_cache(rng):
+    lstm = nn.Lstm(3, 4, rng)
+    x = rng.standard_normal((5, 3))
+    lstm.forward(x, training=True)
+    lstm.forward(x, training=False)  # drops the training cache too
+    assert lstm._cache is None
+    with pytest.raises(RuntimeError, match="training=True"):
+        lstm.backward(np.ones((5, 4)))
+
+
 # ------------------------------------------------- conv / pool / dense
 
 def test_conv_identity_kernel(rng):
