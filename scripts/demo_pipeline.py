@@ -15,7 +15,6 @@ import numpy as np
 from stemscribe import midi, notation, synth
 from stemscribe.audio_io import Waveform, write_wav
 from stemscribe.config import PipelineConfig
-from stemscribe.nn.loss import FocalLossParams
 from stemscribe.pianoroll import roll_to_notes
 from stemscribe.separation import SeparatorModel, mixture_of, separate
 from stemscribe.transcription import AmtConfig, AmtModel, transcribe_waveform
@@ -50,7 +49,6 @@ def main():
 
     amt_cfg = AmtConfig(conv_channels=4, hidden=16)
     amt_model = AmtModel(amt_cfg, seed=cfg.seed)
-    amt_model.loss_params = FocalLossParams(cfg.amt.alpha, cfg.amt.gamma)
     roll = transcribe_waveform(vocals, amt_model, cfg.cqt)
     notes = roll_to_notes(roll)
     print(f"piano roll: {roll.num_frames} frames, {len(notes)} notes")

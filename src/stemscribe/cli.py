@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -43,6 +44,7 @@ from .separation import (
 from .transcription import (
     AmtConfig,
     AmtModel,
+    Scores,
     build_training_pair,
     frame_metrics,
     onset_metrics,
@@ -84,7 +86,6 @@ def _amt_model(cfg: PipelineConfig, checkpoint: str | None) -> AmtModel:
         ),
         seed=cfg.seed,
     )
-    model.loss_params = FocalLossParams(cfg.amt.alpha, cfg.amt.gamma)
     if checkpoint:
         model.load_state(nn.load_checkpoint(checkpoint))
     return model
@@ -114,12 +115,12 @@ def _separate_to_dir(mixture: Waveform, model: SeparatorModel, cfg: PipelineConf
                      out_dir: Path, stem_name: str, mask_mode: str = "model") -> dict[str, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = analysis_spectrogram(mixture, cfg.stft)
-    forced = None
-    if mask_mode == "ones":
-        forced = np.ones(spec.bins.shape)
-    elif mask_mode == "zeros":
-        forced = np.zeros(spec.bins.shape)
-    vocals, accomp, mask = separate_spectrogram(spec, mixture.num_samples, model, forced)
+    log_mag = log_magnitude(spec.magnitude())
+    if mask_mode == "model":
+        mask = model.predict_mask(log_mag)
+    else:
+        mask = np.full(spec.bins.shape, 1.0 if mask_mode == "ones" else 0.0)
+    vocals, accomp = separate_spectrogram(spec, mixture, mask)
     paths = {
         "vocals": out_dir / f"{stem_name}_vocals.wav",
         "accompaniment": out_dir / f"{stem_name}_accompaniment.wav",
@@ -129,7 +130,7 @@ def _separate_to_dir(mixture: Waveform, model: SeparatorModel, cfg: PipelineConf
     write_wav(vocals, paths["vocals"])
     write_wav(accomp, paths["accompaniment"])
     _write_mask_csv(mask, paths["mask"])
-    _write_stats_csv(log_magnitude(spec.magnitude()), paths["stats"])
+    _write_stats_csv(log_mag, paths["stats"])
     return paths
 
 
@@ -237,6 +238,12 @@ def _estimate_stems(mixture: Waveform, refs: tuple[Waveform, Waveform], mode: st
     return est_vocals, est_accomp
 
 
+def _scores_dict(s: Scores) -> dict:
+    """The three scores plus the sorted names of those reported as 0
+    because their denominator was empty."""
+    return {**dataclasses.asdict(s), "undefined": sorted(s.undefined)}
+
+
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args.config)
     manifest = load_manifest(args.manifest)
@@ -260,15 +267,14 @@ def cmd_evaluate(args) -> int:
             def flat(w: Waveform) -> np.ndarray:
                 return w.to_mono().samples[0, :n]
 
+            def metrics(ref: Waveform, est: Waveform, other: Waveform) -> dict:
+                r = bss_metrics.evaluate_pair(flat(mixture), flat(ref), flat(est),
+                                              other_references=[flat(other)])
+                return {**r.to_dict(), "clamped": sorted(r.clamped)}
+
             separation_report[name] = {
-                "vocals": bss_metrics.evaluate_pair(
-                    flat(mixture), flat(ref_vocals), flat(est_vocals),
-                    other_references=[flat(ref_accomp)],
-                ).to_dict(),
-                "accompaniment": bss_metrics.evaluate_pair(
-                    flat(mixture), flat(ref_accomp), flat(est_accomp),
-                    other_references=[flat(ref_vocals)],
-                ).to_dict(),
+                "vocals": metrics(ref_vocals, est_vocals, ref_accomp),
+                "accompaniment": metrics(ref_accomp, est_accomp, ref_vocals),
             }
         if entry.midi is not None:
             _, ref_notes = midi.read_smf(entry.midi)
@@ -277,13 +283,10 @@ def cmd_evaluate(args) -> int:
             truth = rasterize_notes(ref_notes, timing, pred.num_frames)
             if args.amt_mode == "oracle":
                 pred = truth  # metric plumbing check: prediction equals truth
-            frame = frame_metrics(pred, truth)
-            onset = onset_metrics(pred, truth, tolerance=args.onset_tolerance)
             amt_report[name] = {
-                "frame": {"precision": frame.precision, "recall": frame.recall,
-                          "f1": frame.f1},
-                "onset": {"precision": onset.precision, "recall": onset.recall,
-                          "f1": onset.f1},
+                "frame": _scores_dict(frame_metrics(pred, truth)),
+                "onset": _scores_dict(onset_metrics(pred, truth,
+                                                    tolerance=args.onset_tolerance)),
             }
 
     sep_path = out_dir / "separation_metrics.json"

@@ -1,9 +1,13 @@
 """Vocals/accompaniment separation: mask algebra, on-the-fly remixing,
 and the LSTM mask-estimator model.
 
-A mask is a plain (frames, bins) float array in [0, 1]; applying m and
-1 - m to the same spectrogram and summing reconstructs it exactly, so the
-two estimated stems always add back to the mixture.
+A mask is a plain (frames, bins) float array in [0, 1] over the
+analysis_spectrogram grid of the mixture. Separation is one pass: one
+STFT, one log-magnitude grid for the model, one inverse STFT of the
+masked bins for the vocals. The accompaniment is the mono mixture minus
+the vocals, so the two estimated stems add back to the mixture by
+construction; it equals the inverse STFT of the complementary mask
+1 - m to rounding error.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .audio_io import Waveform
-from .dsp import ComplexSpectrogram, LogMagParams, StftConfig, istft, log_magnitude, stft
+from .dsp import ComplexSpectrogram, StftConfig, istft, log_magnitude, stft
 
 STEM_NAMES = ("vocals", "bass", "drums", "other")
 
@@ -110,7 +114,6 @@ class SeparatorModel(nn.Layer):
             self.children[f"lstm{i}"] = nn.Lstm(num_bins if i == 0 else hidden, hidden, rng)
         self.children["head"] = nn.Dense(hidden, num_bins, rng)
         self.children["out"] = nn.Sigmoid()
-        self.log_params = LogMagParams()
 
     def forward_mask(self, log_mag: np.ndarray, training: bool = False) -> np.ndarray:
         h = log_mag
@@ -123,8 +126,9 @@ class SeparatorModel(nn.Layer):
         for layer in reversed(self.children.values()):
             g = layer.backward(g)
 
-    def predict_mask(self, s: ComplexSpectrogram) -> np.ndarray:
-        return self.forward_mask(log_magnitude(s.magnitude(), self.log_params))
+    def predict_mask(self, log_mag: np.ndarray) -> np.ndarray:
+        """Inference mask for a (frames, bins) log_magnitude grid."""
+        return self.forward_mask(log_mag)
 
     def loss_and_grad(self, example: "TrainingClip") -> float:
         """L1 spectrogram-magnitude loss on both estimated stems."""
@@ -151,11 +155,10 @@ class TrainingClip:
 
 
 def make_training_clip(mixture: Waveform, vocals: Waveform, accompaniment: Waveform,
-                       cfg: StftConfig, log_params: LogMagParams = LogMagParams()) -> TrainingClip:
-    mix_spec = stft(mixture, cfg)
-    mix_mag = mix_spec.magnitude()
+                       cfg: StftConfig) -> TrainingClip:
+    mix_mag = stft(mixture, cfg).magnitude()
     return TrainingClip(
-        log_mag=log_magnitude(mix_mag, log_params),
+        log_mag=log_magnitude(mix_mag),
         mix_mag=mix_mag,
         vocal_mag=stft(vocals, cfg).magnitude(),
         accomp_mag=stft(accompaniment, cfg).magnitude(),
@@ -176,31 +179,30 @@ def analysis_spectrogram(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
     return stft(Waveform(x[None, :], w.sample_rate), cfg)
 
 
-def separate(mixture: Waveform, model: SeparatorModel, stft_cfg: StftConfig,
+def separate(mixture: Waveform, model: SeparatorModel | None, stft_cfg: StftConfig,
              mask: np.ndarray | None = None) -> tuple[Waveform, Waveform, np.ndarray]:
-    """Mask the mixture spectrogram and invert both sides.
+    """Mask the mixture spectrogram and invert the vocals.
 
-    Returns (vocals, accompaniment, mask); the stems sum back to the
-    mixture because the two masks are complementary.  A caller-supplied
-    mask overrides the model (oracle or debug paths) and must match the
-    analysis_spectrogram grid of the mixture.
+    Returns (vocals, accompaniment, mask); the accompaniment is the exact
+    complement mixture - vocals.  A caller-supplied mask overrides the
+    model (oracle or debug paths; model may then be None) and must match
+    the analysis_spectrogram grid of the mixture.
     """
-    return separate_spectrogram(analysis_spectrogram(mixture, stft_cfg), mixture.num_samples,
-                                model, mask)
-
-
-def separate_spectrogram(spec: ComplexSpectrogram, num_samples: int, model: SeparatorModel,
-                         mask: np.ndarray | None = None
-                         ) -> tuple[Waveform, Waveform, np.ndarray]:
-    """separate() from the analysis_spectrogram of a mixture of num_samples
-    samples, for callers that also need the spectrogram itself."""
+    spec = analysis_spectrogram(mixture, stft_cfg)
     if mask is None:
-        mask = model.predict_mask(spec)
-    lo, hi = spec.config.fft_size, spec.config.fft_size + num_samples
+        mask = model.predict_mask(log_magnitude(spec.magnitude()))
+    vocals, accomp = separate_spectrogram(spec, mixture, mask)
+    return vocals, accomp, mask
+
+
+def separate_spectrogram(spec: ComplexSpectrogram, mixture: Waveform,
+                         mask: np.ndarray) -> tuple[Waveform, Waveform]:
+    """(vocals, accompaniment) from the analysis_spectrogram of the mixture
+    and a mask on its grid, for callers that also need the spectrogram."""
+    lo, hi = spec.config.fft_size, spec.config.fft_size + mixture.num_samples
     vocals = istft(apply_mask(mask, spec)).samples[:, lo:hi]
-    accomp = istft(apply_mask(1.0 - mask, spec)).samples[:, lo:hi]
-    rate = spec.sample_rate
-    return Waveform(vocals, rate), Waveform(accomp, rate), mask
+    accomp = mixture.to_mono().samples - vocals
+    return Waveform(vocals, spec.sample_rate), Waveform(accomp, spec.sample_rate)
 
 
 def train_separator(clips: list[TrainingClip], model: SeparatorModel, epochs: int,

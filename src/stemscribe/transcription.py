@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn
 from .audio_io import Waveform, resample
-from .dsp import CqtConfig, LogMagParams, cqt, log_magnitude
+from .dsp import CqtConfig, cqt, log_magnitude
 from .nn.loss import FocalLossParams, focal_loss
 from .pianoroll import N_KEYS, FrameTiming, PianoRoll, active_runs, rasterize_notes
 
@@ -240,8 +240,19 @@ def onset_metrics(pred: PianoRoll, truth: PianoRoll, tolerance: float = 0.05) ->
     return _scores_from_counts(tp, fp, fn)
 
 
+def _features(audio: Waveform, cqt_cfg: CqtConfig, num_samples: int | None = None) -> np.ndarray:
+    """The (bins, frames) model input of training and inference alike:
+    resample, downmix, log-scaled CQT.  num_samples zero-pads or truncates
+    the signal before the transform."""
+    if audio.sample_rate != cqt_cfg.sample_rate:
+        audio = resample(audio, cqt_cfg.sample_rate)
+    x = audio.mono_samples()
+    if num_samples is not None:
+        x = np.pad(x[:num_samples], (0, max(0, num_samples - x.size)))
+    return log_magnitude(cqt(Waveform(x[None, :], cqt_cfg.sample_rate), cqt_cfg))
+
+
 def build_training_pair(audio: Waveform, notes, cqt_cfg: CqtConfig = CqtConfig(),
-                        log_params: LogMagParams = LogMagParams(),
                         duration: float = DEFAULT_CLIP_SECONDS,
                         window: int = SEGMENT_WINDOW,
                         hop_frames: int = SEGMENT_HOP) -> tuple[SegmentedFeatures, PianoRoll]:
@@ -251,15 +262,7 @@ def build_training_pair(audio: Waveform, notes, cqt_cfg: CqtConfig = CqtConfig()
     duration before the transform, so every pair lands on the same frame
     grid; notes are rasterized onto that grid.
     """
-    if audio.sample_rate != cqt_cfg.sample_rate:
-        audio = resample(audio, cqt_cfg.sample_rate)
-    x = audio.mono_samples()
-    n_target = int(round(duration * cqt_cfg.sample_rate))
-    if x.size < n_target:
-        x = np.pad(x, (0, n_target - x.size))
-    else:
-        x = x[:n_target]
-    feats = log_magnitude(cqt(Waveform(x[None, :], cqt_cfg.sample_rate), cqt_cfg), log_params)
+    feats = _features(audio, cqt_cfg, int(round(duration * cqt_cfg.sample_rate)))
     timing = FrameTiming(cqt_cfg.hop, cqt_cfg.sample_rate)
     roll = rasterize_notes(notes, timing, feats.shape[1])
     return segment(feats, window, hop_frames), roll
@@ -297,14 +300,10 @@ def train_amt(pairs, model: AmtModel, epochs: int,
 
 def transcribe_waveform(audio: Waveform, model: AmtModel,
                         cqt_cfg: CqtConfig = CqtConfig(),
-                        log_params: LogMagParams = LogMagParams(),
                         window: int = SEGMENT_WINDOW,
                         hop_frames: int = SEGMENT_HOP) -> PianoRoll:
     """Audio in, binary piano roll out; the full untrimmed clip is used."""
-    if audio.sample_rate != cqt_cfg.sample_rate:
-        audio = resample(audio, cqt_cfg.sample_rate)
-    feats = log_magnitude(cqt(audio.to_mono(), cqt_cfg), log_params)
-    segmented = segment(feats, window, hop_frames)
+    segmented = segment(_features(audio, cqt_cfg), window, hop_frames)
     outputs = [model.predict(seg) for seg in segmented.segments]
     timing = FrameTiming(cqt_cfg.hop, cqt_cfg.sample_rate)
     return stitch_and_threshold(outputs, segmented.hop_frames, segmented.source_length,

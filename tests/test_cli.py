@@ -1,9 +1,11 @@
+import collections
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from stemscribe import cli, nn
+from stemscribe import cli, dsp, nn
 from stemscribe.audio_io import Waveform, read_wav, write_wav
 from stemscribe.midi import read_smf, write_smf
 from stemscribe.pianoroll import NoteEvent
@@ -63,6 +65,36 @@ def test_separate_runs_one_analysis_stft(tmp_path, tiny_config, mixture_wav, mon
     assert cli.main(["separate", str(mixture_wav), "--out-dir", str(tmp_path / "sep"),
                      "--config", tiny_config]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["separate", "pipeline"])
+def test_separation_is_one_pass(tmp_path, tiny_config, mixture_wav, monkeypatch, command):
+    # one analysis STFT, one log-magnitude grid (model input and stats CSV)
+    # and one inverse STFT per op; the accompaniment needs no second one
+    calls = collections.Counter()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = {name: getattr(dsp, name) for name in ("stft", "istft", "log_magnitude")}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not mod_name.startswith("stemscribe"):
+            continue
+        for name, fn in originals.items():
+            if vars(mod).get(name) is fn:
+                monkeypatch.setattr(mod, name, counting((mod_name, name), fn))
+    assert cli.main([command, str(mixture_wav), "--out-dir", str(tmp_path / "out"),
+                     "--config", tiny_config]) == 0
+
+    def total(name, amt: bool = False) -> int:
+        return sum(n for (mod_name, fn_name), n in calls.items()
+                   if fn_name == name and (mod_name == "stemscribe.transcription") == amt)
+
+    assert (total("stft"), total("istft"), total("log_magnitude")) == (1, 1, 1)
+    assert total("log_magnitude", amt=True) == (1 if command == "pipeline" else 0)
 
 
 def test_separate_ones_mask_passes_mixture_through(tmp_path, tiny_config, mixture_wav):
@@ -245,9 +277,11 @@ def test_evaluate_oracle_mask_beats_ten_db(tmp_path, tiny_config, eval_manifest)
     sep = json.loads((out / "separation_metrics.json").read_text())
     assert sep["mix"]["vocals"]["si_sdri"] > 10.0
     assert sep["mix"]["vocals"]["snri"] > 10.0
+    assert sep["mix"]["vocals"]["clamped"] == sep["mix"]["accompaniment"]["clamped"] == []
     amt = json.loads((out / "amt_metrics.json").read_text())
     assert amt["mix"]["frame"]["f1"] == 1.0
     assert amt["mix"]["onset"]["f1"] == 1.0
+    assert amt["mix"]["frame"]["undefined"] == amt["mix"]["onset"]["undefined"] == []
 
 
 def test_evaluate_mixture_baseline_improves_nothing(tmp_path, tiny_config, eval_manifest):
@@ -258,6 +292,37 @@ def test_evaluate_mixture_baseline_improves_nothing(tmp_path, tiny_config, eval_
     sep = json.loads((out / "separation_metrics.json").read_text())
     assert sep["mix"]["vocals"]["si_sdri"] == pytest.approx(0.0, abs=1e-9)
     assert sep["mix"]["vocals"]["snri"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_evaluate_flags_clamped_metrics_of_a_silent_estimate(tmp_path, tiny_config,
+                                                            eval_manifest):
+    # expit(-1000) is exactly 0: an all-zero mask and a silent vocal estimate
+    state = SeparatorModel(num_bins=65, hidden=8, layers=1, seed=0).state()
+    state["head.b"] = np.full_like(state["head.b"], -1000.0)
+    checkpoint = tmp_path / "silent.ssnn"
+    nn.save_checkpoint(checkpoint, state)
+    out = tmp_path / "eval_silent"
+    assert cli.main(["evaluate", "--manifest", str(eval_manifest),
+                     "--out-dir", str(out), "--config", tiny_config,
+                     "--sep-checkpoint", str(checkpoint), "--amt-mode", "oracle"]) == 0
+    vocals = json.loads((out / "separation_metrics.json").read_text())["mix"]["vocals"]
+    assert vocals["si_sdr"] == -300.0
+    assert "si_sdr" in vocals["clamped"]
+    assert vocals["clamped"] == sorted(vocals["clamped"])
+
+
+def test_evaluate_flags_undefined_scores_of_an_empty_reference(tmp_path, tiny_config):
+    write_wav(Waveform(0.1 * np.ones((1, 8000)), 8000), tmp_path / "mix.wav")
+    write_smf([], tmp_path / "ref.mid")
+    manifest = tmp_path / "tracks.json"
+    manifest.write_text(json.dumps([{"mixture": "mix.wav", "midi": "ref.mid"}]))
+    out = tmp_path / "eval_empty"
+    assert cli.main(["evaluate", "--manifest", str(manifest), "--out-dir", str(out),
+                     "--config", tiny_config, "--amt-mode", "oracle"]) == 0
+    amt = json.loads((out / "amt_metrics.json").read_text())["mix"]
+    for kind in ("frame", "onset"):
+        assert amt[kind]["f1"] == 0.0
+        assert amt[kind]["undefined"] == ["f1", "precision", "recall"]
 
 
 # -------------------------------------------------------------- training

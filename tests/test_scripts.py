@@ -1,0 +1,29 @@
+"""The example scripts run end to end as separate processes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_demo_pipeline_script(tmp_path, no_musescore):
+    done = run_script("demo_pipeline.py", "--out-dir", "tmp", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "tmp" / "vocals.mid").exists()
+    assert "stems sum back to the mixture within" in done.stdout
+
+
+def test_oracle_bounds_script(tmp_path):
+    done = run_script("oracle_bounds.py", "--tracks", "1", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "ideal ratio mask" in done.stdout and "mixture baseline" in done.stdout

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from stemscribe import synth
 from stemscribe.audio_io import Waveform
 from stemscribe.bss_metrics import si_sdr
-from stemscribe.dsp import StftConfig, istft, stft
+from stemscribe.dsp import StftConfig, istft, log_magnitude, stft
 from stemscribe.separation import (SeparatorModel, SourceSet, TrainingClip,
                                    analysis_spectrogram, apply_mask, ideal_ratio_mask,
                                    make_training_clip, mixture_of, remix, separate,
@@ -129,7 +129,7 @@ def test_ideal_ratio_mask_values():
 def test_model_masks_lie_in_unit_interval(rng):
     model = SeparatorModel(num_bins=CFG.num_bins, hidden=8, layers=2, seed=0)
     spec = random_spec(rng)
-    mask = model.predict_mask(spec)
+    mask = model.predict_mask(log_magnitude(spec.magnitude()))
     assert mask.shape == spec.bins.shape
     assert mask.min() >= 0.0 and mask.max() <= 1.0
 
@@ -220,6 +220,29 @@ def test_separate_model_stems_recombine(rng):
     resid = vocals.samples + accomp.samples - mix.to_mono().samples
     rel = np.linalg.norm(resid) / np.linalg.norm(mix.samples)
     assert rel < 1e-6
+
+
+def two_istft_separate(mix, mask, cfg):
+    """Reference stems: the inverse STFTs of m and of 1 - m, each trimmed
+    to the mixture."""
+    spec = analysis_spectrogram(mix, cfg)
+    lo, hi = cfg.fft_size, cfg.fft_size + mix.num_samples
+    return (istft(apply_mask(mask, spec)).samples[:, lo:hi],
+            istft(apply_mask(1.0 - mask, spec)).samples[:, lo:hi])
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_accompaniment_matches_the_inverted_complementary_mask(rng, channels):
+    mix = Waveform(rng.standard_normal((channels, 3000)), 8000)
+    model = SeparatorModel(num_bins=CFG.num_bins, hidden=4, layers=1, seed=0)
+    shape = analysis_spectrogram(mix, CFG).bins.shape
+    for mask in (None, rng.random(shape)):
+        vocals, accomp, used = separate(mix, model, CFG, mask=mask)
+        ref_vocals, ref_accomp = two_istft_separate(mix, used, CFG)
+        assert np.array_equal(vocals.samples, ref_vocals)
+        assert np.abs(accomp.samples - ref_accomp).max() < 1e-12
+        resid = vocals.samples + accomp.samples - mix.to_mono().samples
+        assert np.abs(resid).max() < 1e-12
 
 
 def test_separate_oracle_mask_tone_vs_noise(rng):
