@@ -15,7 +15,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import resample_poly
 
 WAVE_FORMAT_PCM = 1
 WAVE_FORMAT_IEEE_FLOAT = 3
@@ -167,6 +166,8 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     if target_rate == w.sample_rate:
         return w
+    from scipy.signal import resample_poly  # imported here: scipy.signal takes ~1 s to load
+
     ratio = Fraction(target_rate, w.sample_rate)
     out_len = int(round(w.num_samples * target_rate / w.sample_rate))
     out = resample_poly(

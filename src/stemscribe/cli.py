@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bss_metrics, midi, nn, notation, synth
-from .audio_io import UnsupportedCodecError, Waveform, WavFormatError, read_wav, write_wav
+from .audio_io import UnsupportedCodecError, Waveform, WavFormatError, read_wav, resample, write_wav
 from .config import ManifestError, PipelineConfig, load_manifest
-from .dsp import WindowError, log_magnitude
+from .dsp import WindowError, log_magnitude, num_cqt_frames
 from .midi import SmfParseError
 from .nn.loss import FocalLossParams
 from .pianoroll import FrameTiming, rasterize_notes, roll_to_notes
@@ -278,11 +278,15 @@ def cmd_evaluate(args) -> int:
             }
         if entry.midi is not None:
             _, ref_notes = midi.read_smf(entry.midi)
-            pred = transcribe_waveform(mixture, amt_model, cfg.cqt)
             timing = FrameTiming(cfg.cqt.hop, cfg.cqt.sample_rate)
-            truth = rasterize_notes(ref_notes, timing, pred.num_frames)
             if args.amt_mode == "oracle":
-                pred = truth  # metric plumbing check: prediction equals truth
+                # metric plumbing check: the prediction is the truth, on the
+                # frame grid the note model would have produced
+                n = resample(mixture, cfg.cqt.sample_rate).num_samples
+                pred = truth = rasterize_notes(ref_notes, timing, num_cqt_frames(n, cfg.cqt))
+            else:
+                pred = transcribe_waveform(mixture, amt_model, cfg.cqt)
+                truth = rasterize_notes(ref_notes, timing, pred.num_frames)
             amt_report[name] = {
                 "frame": _scores_dict(frame_metrics(pred, truth)),
                 "onset": _scores_dict(onset_metrics(pred, truth,

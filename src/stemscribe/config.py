@@ -123,26 +123,16 @@ class TrackEntry:
     midi: Path | None = None
 
 
-@dataclass(frozen=True)
-class TrackManifest:
-    tracks: tuple[TrackEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.tracks)
-
-    def __iter__(self):
-        return iter(self.tracks)
-
-
 class ManifestError(ValueError):
     pass
 
 
-def load_manifest(path) -> TrackManifest:
+def load_manifest(path) -> tuple[TrackEntry, ...]:
     """Read a JSON track list; every referenced file must already exist.
 
-    Each entry: {"mixture": wav, "stems": {name: wav, ...}?, "midi": mid?}.
-    Relative paths resolve against the manifest's own directory.
+    Each entry: {"mixture": wav, "stems": {name: wav, ...}?, "midi": mid?},
+    with every path a string. Relative paths resolve against the
+    manifest's own directory.
     """
     path = Path(path)
     try:
@@ -155,23 +145,29 @@ def load_manifest(path) -> TrackManifest:
         raise ManifestError("manifest must be a JSON list of track entries")
     base = path.parent
 
-    def checked(p: str) -> Path:
+    def checked(i: int, p) -> Path:
+        if not isinstance(p, str):
+            raise ManifestError(f"track {i} has path {p!r}, expected a string")
         full = base / p
         if not full.exists():
-            raise ManifestError(f"manifest references missing file {full}")
+            raise ManifestError(f"track {i}: manifest references missing file {full}")
         return full
 
     tracks = []
     for i, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ManifestError(f"track {i} is {entry!r}, expected a JSON object")
         if "mixture" not in entry:
             raise ManifestError(f"track {i} has no mixture path")
         stems = entry.get("stems")
         if stems is not None:
-            stems = {name: checked(p) for name, p in stems.items()}
+            if not isinstance(stems, dict):
+                raise ManifestError(f"track {i} has stems {stems!r}, expected a JSON object")
+            stems = {name: checked(i, p) for name, p in stems.items()}
         midi = entry.get("midi")
         tracks.append(TrackEntry(
-            mixture=checked(entry["mixture"]),
+            mixture=checked(i, entry["mixture"]),
             stems=stems,
-            midi=checked(midi) if midi is not None else None,
+            midi=checked(i, midi) if midi is not None else None,
         ))
-    return TrackManifest(tuple(tracks))
+    return tuple(tracks)

@@ -1,7 +1,8 @@
 """Time-frequency transforms: STFT, overlap-add inverse, log-magnitude
 scaling, and a constant-Q filterbank computed one octave at a time as a
 real GEMM over blocks of frames, in memory O(audio + block x longest
-kernel).
+kernel).  One overlap_add serves both the iSTFT and the stitching of the
+note model's overlapping window outputs (transcription.py).
 
 Spectrogram layout conventions:
   * STFT grids are (frames, bins) with bins = fft_size // 2 + 1.
@@ -101,17 +102,18 @@ def stft(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
     return ComplexSpectrogram(np.fft.rfft(frames, axis=1), cfg, w.sample_rate)
 
 
-def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum the (frames, n) rows placed hop samples apart.  Piece j of every
-    row lands in one strided add; taking pieces last to first adds each
-    sample's terms from the earliest frame on, exactly as a frame loop does."""
-    n_frames, n = frames.shape
+def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum the (frames, n, ...) rows placed hop apart along axis 1; trailing
+    axes ride along.  Piece j of every row lands in one strided add; taking
+    pieces last to first adds each sample's terms from the earliest frame
+    on, exactly as a frame loop does."""
+    n_frames, n = frames.shape[:2]
     pieces = -(-n // hop)
-    out = np.zeros((n_frames + pieces - 1, hop))
+    out = np.zeros((n_frames + pieces - 1, hop) + frames.shape[2:])
     for j in range(pieces - 1, -1, -1):
         piece = frames[:, j * hop : (j + 1) * hop]
         out[j : j + n_frames, : piece.shape[1]] += piece
-    return out.reshape(-1)[: (n_frames - 1) * hop + n]
+    return out.reshape((-1,) + frames.shape[2:])[: (n_frames - 1) * hop + n]
 
 
 def istft(s: ComplexSpectrogram) -> Waveform:
@@ -119,7 +121,7 @@ def istft(s: ComplexSpectrogram) -> Waveform:
     wherever the squared-window sum is nonzero."""
     cfg = s.config
     win = make_window(cfg.window, cfg.fft_size)
-    norm = _overlap_add(np.broadcast_to(win**2, (s.num_frames, cfg.fft_size)), cfg.hop)
+    norm = overlap_add(np.broadcast_to(win**2, (s.num_frames, cfg.fft_size)), cfg.hop)
     if norm.size > 2 * cfg.fft_size:
         # Away from the edges, overlapping squared windows must tile the
         # signal or frames were lost between hops.
@@ -128,7 +130,7 @@ def istft(s: ComplexSpectrogram) -> Waveform:
                 f"window {cfg.window!r} with hop {cfg.hop} leaves gaps; cannot invert"
             )
     frames = np.fft.irfft(s.bins, n=cfg.fft_size, axis=1) * win[None, :]
-    out = _overlap_add(frames, cfg.hop)
+    out = overlap_add(frames, cfg.hop)
     nonzero = norm > 1e-12
     out[nonzero] /= norm[nonzero]
     return Waveform(out[None, :], s.sample_rate)

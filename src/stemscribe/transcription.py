@@ -2,9 +2,13 @@
 focal-loss training, probability stitching, and frame/onset scoring.
 
 The feature pipeline is log-scaled constant-Q magnitudes at 22050 Hz with
-a 512-sample hop, cut into 512-frame windows that overlap by half. The
-model emits 88 per-frame key probabilities; overlapping window outputs are
-averaged and binarized strictly above 0.5.
+a 512-sample hop, cut into 512-frame windows that overlap by half. One
+helper, _windows, places those windows: they are a single read-only
+strided view of the grid, and training targets are cut from the piano
+roll by the same placement. The model emits 88 per-frame key
+probabilities; overlapping window outputs are averaged through
+dsp.overlap_add, the iSTFT's own overlap-add, and binarized strictly
+above 0.5.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nn
 from .audio_io import Waveform, resample
-from .dsp import CqtConfig, cqt, log_magnitude
+from .dsp import CqtConfig, cqt, log_magnitude, overlap_add
 from .nn.loss import FocalLossParams, focal_loss
 from .pianoroll import N_KEYS, FrameTiming, PianoRoll, active_runs, rasterize_notes
 
@@ -24,44 +29,48 @@ SEGMENT_HOP = 256
 DEFAULT_CLIP_SECONDS = 180.0
 
 
+def _windows(grid: np.ndarray, window: int, hop: int) -> np.ndarray:
+    """The (count, rows, window) read-only view of a (rows, N) grid's
+    windows, one every hop frames from frame 0.
+
+    A grid shorter than one window is zero-padded up to it; the count is
+    then (N_padded - window) // hop + 1, so a trailing partial window is
+    not emitted. Stitching zero-fills whatever the last window misses.
+    """
+    n = grid.shape[1]
+    if n < window:
+        grid = np.pad(grid, ((0, 0), (0, window - n)))
+    return sliding_window_view(grid, window, axis=1)[:, ::hop].transpose(1, 0, 2)
+
+
 @dataclass
 class SegmentedFeatures:
-    """Overlapping fixed-width windows cut from one feature grid."""
+    """Overlapping fixed-width windows cut from one feature grid, as one
+    (count, bins, window) array."""
 
-    segments: list[np.ndarray]
+    segments: np.ndarray
     hop_frames: int
     source_length: int
 
     def __post_init__(self):
-        if not self.segments:
-            raise ValueError("need at least one segment")
-        widths = {s.shape for s in self.segments}
-        if len(widths) != 1:
-            raise ValueError(f"segments disagree on shape: {sorted(widths)}")
+        self.segments = np.asarray(self.segments)  # a ragged list raises ValueError
+        if self.segments.ndim != 3 or not len(self.segments):
+            raise ValueError(f"need a (count >= 1, bins, window) array, got {self.segments.shape}")
         if self.hop_frames <= 0 or self.source_length <= 0:
             raise ValueError("hop_frames and source_length must be positive")
 
     @property
     def window(self) -> int:
-        return self.segments[0].shape[1]
+        return self.segments.shape[2]
 
 
 def segment(features: np.ndarray, window: int = SEGMENT_WINDOW,
             hop: int = SEGMENT_HOP) -> SegmentedFeatures:
-    """Cut a (bins, N) grid into overlapping (bins, window) slices.
-
-    Inputs shorter than one window are zero-padded up to it; the count is
-    then (N_padded - window) // hop + 1, so a trailing partial window is
-    not emitted. Stitching zero-fills whatever the last window misses.
-    """
+    """Cut a (bins, N) grid into overlapping (bins, window) windows placed
+    by _windows."""
     if features.ndim != 2 or features.shape[1] < 1:
         raise ValueError(f"expected a (bins, N >= 1) grid, got {features.shape}")
-    n = features.shape[1]
-    if n < window:
-        features = np.pad(features, ((0, 0), (0, window - n)))
-    count = (features.shape[1] - window) // hop + 1
-    segs = [features[:, i * hop : i * hop + window].copy() for i in range(count)]
-    return SegmentedFeatures(segs, hop, n)
+    return SegmentedFeatures(_windows(features, window, hop), hop, features.shape[1])
 
 
 @dataclass(frozen=True)
@@ -146,24 +155,19 @@ class AmtModel(nn.Layer):
 def stitch_and_threshold(outputs: list[np.ndarray], hop_frames: int, source_length: int,
                          threshold: float = 0.5,
                          timing: FrameTiming = FrameTiming()) -> PianoRoll:
-    """Average overlapping window outputs, binarize strictly above the
-    threshold, and trim (or zero-fill) to the source frame count."""
-    if not outputs:
-        raise ValueError("nothing to stitch")
-    window, n_keys = outputs[0].shape
-    total = max(source_length, (len(outputs) - 1) * hop_frames + window)
-    accum = np.zeros((total, n_keys))
-    count = np.zeros(total)
-    for i, probs in enumerate(outputs):
-        if probs.shape != (window, n_keys):
-            raise ValueError(f"window {i} has shape {probs.shape}, expected {(window, n_keys)}")
-        start = i * hop_frames
-        accum[start : start + window] += probs
-        count[start : start + window] += 1.0
-    covered = count > 0
-    accum[covered] /= count[covered, None]
-    grid = (accum.T > threshold).astype(np.uint8)
-    return PianoRoll(grid[:, :source_length], timing.time_per_frame)
+    """Average overlapping (window, keys) outputs placed hop_frames apart,
+    binarize strictly above the threshold, and trim (or zero-fill) to the
+    source frame count."""
+    probs = np.asarray(outputs)  # ragged outputs raise ValueError
+    if probs.ndim != 3 or not len(probs):
+        raise ValueError(f"need a (count >= 1, window, keys) stack to stitch, got {probs.shape}")
+    accum = overlap_add(probs, hop_frames)
+    count = overlap_add(np.broadcast_to(1.0, probs.shape[:2]), hop_frames)
+    accum /= np.maximum(count, 1.0)[:, None]  # frames no window covers stay 0
+    grid = np.zeros((probs.shape[2], source_length), dtype=np.uint8)
+    stitched = min(source_length, len(accum))
+    grid[:, :stitched] = accum[:stitched].T > threshold
+    return PianoRoll(grid, timing.time_per_frame)
 
 
 @dataclass(frozen=True)
@@ -269,16 +273,13 @@ def build_training_pair(audio: Waveform, notes, cqt_cfg: CqtConfig = CqtConfig()
 
 
 def examples_from_pair(segmented: SegmentedFeatures, roll: PianoRoll) -> list[AmtExample]:
-    """Align one target window to each feature window (tail zero-padded)."""
-    window = segmented.window
-    examples = []
-    for i, seg in enumerate(segmented.segments):
-        start = i * segmented.hop_frames
-        target = roll.grid[:, start : start + window]
-        if target.shape[1] < window:
-            target = np.pad(target, ((0, 0), (0, window - target.shape[1])))
-        examples.append(AmtExample(seg, target.T.astype(np.float64)))
-    return examples
+    """Cut one target window from the roll for each feature window, by the
+    same placement (a sub-window roll is zero-padded like the features)."""
+    if roll.num_frames != segmented.source_length:
+        raise ValueError(f"roll has {roll.num_frames} frames, features {segmented.source_length}")
+    targets = _windows(roll.grid, segmented.window, segmented.hop_frames)
+    return [AmtExample(seg, target.T.astype(np.float64))
+            for seg, target in zip(segmented.segments, targets)]
 
 
 def train_amt(pairs, model: AmtModel, epochs: int,

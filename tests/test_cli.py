@@ -1,6 +1,9 @@
 import collections
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,21 @@ def mixture_wav(tmp_path, rng):
     path = tmp_path / "mixture.wav"
     write_wav(Waveform(x[None, :], 8000), path)
     return path
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal takes about a second to import; only resampling needs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys, stemscribe.cli; "
+            "print(stemscribe.cli.__file__); print('scipy.signal' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    path, loaded = done.stdout.split()
+    assert Path(path).resolve().is_relative_to(src)
+    assert loaded == "False"
 
 
 def test_separate_writes_stems_and_audit_files(tmp_path, tiny_config, mixture_wav):
@@ -282,6 +300,31 @@ def test_evaluate_oracle_mask_beats_ten_db(tmp_path, tiny_config, eval_manifest)
     assert amt["mix"]["frame"]["f1"] == 1.0
     assert amt["mix"]["onset"]["f1"] == 1.0
     assert amt["mix"]["frame"]["undefined"] == amt["mix"]["onset"]["undefined"] == []
+
+
+def test_evaluate_oracle_amt_mode_never_runs_the_note_model(tmp_path, tiny_config,
+                                                          eval_manifest, monkeypatch):
+    def refuse(self, seg):
+        raise AssertionError("the note model ran in oracle mode")
+
+    monkeypatch.setattr(cli.AmtModel, "predict", refuse)
+    out = tmp_path / "eval_oracle"
+    assert cli.main(["evaluate", "--manifest", str(eval_manifest),
+                     "--out-dir", str(out), "--config", tiny_config,
+                     "--separator", "mixture", "--amt-mode", "oracle"]) == 0
+    amt = json.loads((out / "amt_metrics.json").read_text())
+    assert amt["mix"]["frame"]["f1"] == amt["mix"]["onset"]["f1"] == 1.0
+
+
+@pytest.mark.parametrize("entries", [["mixture.wav"], [5],
+                                     [{"mixture": "mixture.wav", "stems": ["v.wav"]}]])
+def test_evaluate_manifest_entry_of_the_wrong_type_is_invalid(tmp_path, tiny_config,
+                                                             mixture_wav, entries, caplog):
+    manifest = tmp_path / "tracks.json"
+    manifest.write_text(json.dumps(entries))
+    assert cli.main(["evaluate", "--manifest", str(manifest), "--out-dir",
+                     str(tmp_path / "out"), "--config", tiny_config]) == 2
+    assert "track 0" in caplog.text
 
 
 def test_evaluate_mixture_baseline_improves_nothing(tmp_path, tiny_config, eval_manifest):

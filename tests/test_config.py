@@ -3,8 +3,7 @@ import json
 import pytest
 
 from stemscribe.config import (AmtSettings, ManifestError, PathSettings,
-                               PipelineConfig, SeparatorSettings, TrackManifest,
-                               load_manifest)
+                               PipelineConfig, SeparatorSettings, load_manifest)
 
 
 def test_defaults():
@@ -143,4 +142,18 @@ def test_manifest_is_sized_iterable(tmp_path):
         tmp_path, [{"mixture": "a.wav"}, {"mixture": "b.wav"}]))
     assert len(manifest) == 2
     assert [t.mixture.name for t in manifest] == ["a.wav", "b.wav"]
-    assert isinstance(manifest, TrackManifest)
+    assert isinstance(manifest, tuple)
+
+
+@pytest.mark.parametrize("entries, match", [
+    (["mixture.wav"], "track 0 is 'mixture.wav', expected a JSON object"),
+    ([{"mixture": "a.wav"}, 5], "track 1 is 5, expected a JSON object"),
+    ([{"mixture": "a.wav", "stems": ["v.wav"]}], r"track 0 has stems \['v.wav'\]"),
+    ([{"mixture": 7}], "track 0 has path 7, expected a string"),
+    ([{"mixture": "a.wav", "stems": {"vocals": None}}], "track 0 has path None"),
+    ([{"mixture": "a.wav"}, {"mixture": "a.wav", "midi": ["b.mid"]}], "track 1 has path"),
+])
+def test_manifest_rejects_entries_of_the_wrong_type(tmp_path, entries, match):
+    (tmp_path / "a.wav").write_bytes(b"x")
+    with pytest.raises(ManifestError, match=match):
+        load_manifest(write_manifest(tmp_path, entries))

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from stemscribe.audio_io import Waveform
 from stemscribe.dsp import (ComplexSpectrogram, CqtConfig, LogMagParams, StftConfig,
                             WindowError, cqt, cqt_kernels, istft, log_magnitude,
-                            make_window, num_cqt_frames, num_stft_frames, stft)
+                            make_window, num_cqt_frames, num_stft_frames, overlap_add,
+                            stft)
 
 
 def dft_oracle(frame):
@@ -209,6 +210,16 @@ def test_istft_matches_frame_loop_exactly(rng, fft_size, hop):
     s = ComplexSpectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
                            cfg, 8000)
     assert np.array_equal(istft(s).samples[0], loop_istft(s))
+
+
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(1, 3), st.data())
+def test_overlap_add_carries_trailing_axes_like_a_frame_loop(n_frames, n, keys, data):
+    hop = data.draw(st.integers(1, 2 * n + 1), label="hop")
+    frames = np.random.default_rng(n_frames * n * hop).standard_normal((n_frames, n, keys))
+    out = np.zeros(((n_frames - 1) * hop + n, keys))
+    for t in range(n_frames):
+        out[t * hop : t * hop + n] += frames[t]
+    assert np.array_equal(overlap_add(frames, hop), out)
 
 
 # --------------------------------------------------------- log magnitude

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stemscribe.audio_io import Waveform
 from stemscribe.dsp import CqtConfig, num_cqt_frames
@@ -72,6 +74,10 @@ def test_stitch_threshold_is_strict():
     outputs = [np.full((4, N_KEYS), 0.5)]
     roll = stitch_and_threshold(outputs, 4, 4, threshold=0.5, timing=TIMING)
     assert not roll.grid.any()
+    # frames 2-3 average (0.25 + 0.75) / 2 = 0.5 exactly: not above it
+    outputs = [np.full((4, N_KEYS), 0.25), np.full((4, N_KEYS), 0.75)]
+    roll = stitch_and_threshold(outputs, 2, 6, threshold=0.5, timing=TIMING)
+    np.testing.assert_array_equal(roll.grid[0], [0, 0, 0, 0, 1, 1])
 
 
 def test_stitch_averages_overlap():
@@ -96,6 +102,109 @@ def test_stitch_rejects_mismatched_windows():
         stitch_and_threshold([np.zeros((4, N_KEYS)), np.zeros((5, N_KEYS))], 2, 8)
     with pytest.raises(ValueError):
         stitch_and_threshold([], 2, 8)
+
+
+# ------------------------------------------- reference window placement
+# Per-window loop references for segment, examples_from_pair and
+# stitch_and_threshold; the strided window grid must match them exactly.
+
+def loop_segment(features, window, hop):
+    n = features.shape[1]
+    if n < window:
+        features = np.pad(features, ((0, 0), (0, window - n)))
+    count = (features.shape[1] - window) // hop + 1
+    return [features[:, i * hop : i * hop + window].copy() for i in range(count)]
+
+
+def loop_targets(segments, hop, roll):
+    window = segments[0].shape[1]
+    targets = []
+    for i in range(len(segments)):
+        start = i * hop
+        target = roll.grid[:, start : start + window]
+        if target.shape[1] < window:
+            target = np.pad(target, ((0, 0), (0, window - target.shape[1])))
+        targets.append(target.T.astype(np.float64))
+    return targets
+
+
+def loop_stitch(outputs, hop_frames, source_length, threshold):
+    window, n_keys = outputs[0].shape
+    total = max(source_length, (len(outputs) - 1) * hop_frames + window)
+    accum = np.zeros((total, n_keys))
+    count = np.zeros(total)
+    for i, probs in enumerate(outputs):
+        start = i * hop_frames
+        accum[start : start + window] += probs
+        count[start : start + window] += 1.0
+    covered = count > 0
+    accum[covered] /= count[covered, None]
+    grid = (accum.T > threshold).astype(np.uint8)
+    return grid[:, :source_length]
+
+
+def window_grid(max_n, max_window, max_cells=None):
+    """(N, window, hop) with hop in 1..2*window; max_cells caps
+    windows x window by capping N."""
+    def with_n(window, hop):
+        n = max_n
+        if max_cells is not None:
+            n = min(n, window + max(1, max_cells // window) * hop - 1)
+        return st.tuples(st.integers(1, n), st.just(window), st.just(hop))
+
+    return st.integers(1, max_window).flatmap(
+        lambda w: st.integers(1, 2 * w).flatmap(lambda h: with_n(w, h)))
+
+
+@given(window_grid(3000, 600), st.integers(1, 3))
+@settings(max_examples=100)
+def test_segment_matches_the_window_loop(grid, rows):
+    n, window, hop = grid
+    feats = np.random.default_rng(n).standard_normal((rows, n))
+    segs = segment(feats, window, hop)
+    expected = loop_segment(feats, window, hop)
+    assert segs.segments.shape == (len(expected), rows, window)
+    assert np.array_equal(segs.segments, expected)
+    assert segs.source_length == n and not segs.segments.flags.writeable
+
+
+@given(window_grid(600, 120))
+@settings(max_examples=100)
+def test_examples_cut_targets_like_the_window_loop(grid):
+    n, window, hop = grid
+    rng = np.random.default_rng(n)
+    feats = rng.standard_normal((2, n))
+    roll = PianoRoll(rng.integers(0, 2, (N_KEYS, n)), TIMING.time_per_frame)
+    examples = examples_from_pair(segment(feats, window, hop), roll)
+    segments = loop_segment(feats, window, hop)
+    targets = loop_targets(segments, hop, roll)
+    assert len(examples) == len(targets)
+    for ex, seg, target in zip(examples, segments, targets):
+        assert np.array_equal(ex.features, seg)
+        assert np.array_equal(ex.targets, target)
+        assert ex.targets.dtype == target.dtype and ex.targets.strides == target.strides
+
+
+@given(window_grid(3000, 600, max_cells=20_000),
+       st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75]), st.floats(0.0, 0.99)),
+       st.booleans())
+@settings(max_examples=100)
+def test_stitch_matches_the_window_loop(grid, threshold, quantized):
+    n, window, hop = grid
+    count = (max(n, window) - window) // hop + 1
+    rng = np.random.default_rng(n * window)
+    shape = (count, window, N_KEYS)
+    # quarter steps make many averages land exactly on the threshold
+    probs = rng.integers(0, 5, shape) / 4.0 if quantized else rng.random(shape)
+    outputs = list(probs)
+    roll = stitch_and_threshold(outputs, hop, n, threshold, TIMING)
+    assert np.array_equal(roll.grid, loop_stitch(outputs, hop, n, threshold))
+
+
+def test_examples_reject_a_roll_of_another_length(rng):
+    segs = segment(rng.standard_normal((6, 20)), window=8, hop=4)
+    with pytest.raises(ValueError, match="roll has 19 frames"):
+        examples_from_pair(segs, empty_roll(19, TIMING))
 
 
 # ----------------------------------------------------------------- model
