@@ -128,12 +128,18 @@ def read_wav(path) -> Waveform:
     return Waveform(samples, sample_rate)
 
 
-def write_wav(w: Waveform, path, bit_depth: int = 16) -> None:
-    """Encode as PCM16 (default) or IEEE float32."""
+def write_wav(w: Waveform, path, bit_depth: int = 16) -> int:
+    """Encode as PCM16 (default) or IEEE float32.
+
+    Returns the number of samples clipped to the PCM16 range; float32
+    clips nothing and returns 0.
+    """
+    clipped = 0
     if bit_depth == 16:
         audio_format, sample_width = WAVE_FORMAT_PCM, 2
-        quantized = np.clip(np.round(w.samples * 32768.0), -32768, 32767)
-        payload = quantized.T.astype("<i2").tobytes()
+        scaled = np.round(w.samples * 32768.0)
+        clipped = int(np.count_nonzero((scaled < -32768) | (scaled > 32767)))
+        payload = np.clip(scaled, -32768, 32767).T.astype("<i2").tobytes()
     elif bit_depth == 32:
         audio_format, sample_width = WAVE_FORMAT_IEEE_FLOAT, 4
         payload = w.samples.T.astype("<f4").tobytes()
@@ -154,6 +160,7 @@ def write_wav(w: Waveform, path, bit_depth: int = 16) -> None:
     )
     header += b"data" + struct.pack("<I", len(payload))
     Path(path).write_bytes(header + payload)
+    return clipped
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:

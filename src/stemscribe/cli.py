@@ -127,8 +127,11 @@ def _separate_to_dir(mixture: Waveform, model: SeparatorModel, cfg: PipelineConf
         "mask": out_dir / f"{stem_name}_mask.csv",
         "stats": out_dir / f"{stem_name}_spectrogram_stats.csv",
     }
-    write_wav(vocals, paths["vocals"])
-    write_wav(accomp, paths["accompaniment"])
+    for name, stem in (("vocals", vocals), ("accompaniment", accomp)):
+        clipped = write_wav(stem, paths[name])
+        if clipped:
+            log.warning("%s stem: %d samples clipped to the PCM16 range in %s",
+                        name, clipped, paths[name])
     _write_mask_csv(mask, paths["mask"])
     _write_stats_csv(log_mag, paths["stats"])
     return paths

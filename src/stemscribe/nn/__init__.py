@@ -1,11 +1,13 @@
 """Minimal tensor/layer runtime with hand-derived gradients.
 
-Everything runs on float64 numpy arrays, one example at a time; batching
-is done by gradient accumulation in the training loop. An LSTM steps
-through time only for the h -> h recurrence: its input projection and its
-weight and input gradients are single matrix products over the sequence,
-and an inference forward keeps no backward cache. Analytic backward
-passes are validated against central finite differences (see gradcheck).
+Everything runs on float64 numpy arrays, a mini-batch at a time: fit
+stacks each batch and makes one forward and one backward pass for it.
+Sequences are time-major (T, B, F) and images (B, C, H, W). An LSTM steps
+through time only for the h -> h recurrence, one (B, H) @ (H, 4H) product
+per step for the whole batch: its input projection and its weight and
+input gradients are single matrix products over all T·B rows, and an
+inference forward keeps no backward cache. Analytic backward passes are
+validated against central finite differences (see gradcheck).
 """
 
 from .layers import (BatchNorm, BiLstm, Conv2d, Dense, Layer, Lstm, MaxPool2d, Sigmoid,

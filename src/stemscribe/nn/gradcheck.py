@@ -5,20 +5,20 @@ from __future__ import annotations
 import numpy as np
 
 
-def grad_check(model, example, step: float = 1e-4) -> float:
+def grad_check(model, batch, step: float = 1e-4) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Perturbs every parameter element twice, so keep the model tiny. The
-    relative error denominator is floored at 1e-6 to ignore noise on
-    near-zero gradient entries.
+    batch is what model.loss_and_grad takes. Perturbs every parameter
+    element twice, so keep the model tiny. The relative error denominator
+    is floored at 1e-6 to ignore noise on near-zero gradient entries.
     """
     model.zero_grads()
-    model.loss_and_grad(example)
+    model.loss_and_grad(batch)
     analytic = {name: g.copy() for name, g in model.grads().items()}
 
     def loss_only() -> float:
         model.zero_grads()
-        return model.loss_and_grad(example)
+        return model.loss_and_grad(batch)
 
     worst = 0.0
     for name, p in model.params().items():

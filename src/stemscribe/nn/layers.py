@@ -1,12 +1,19 @@
 """Layers with explicit forward/backward passes.
 
 Conventions:
+  * Every layer takes a whole mini-batch. Sequences are time-major
+    (T, B, features), so step t of every sequence is one contiguous
+    (B, features) block; images are (B, C, H, W). A single (T, features)
+    sequence or (C, H, W) image is the B = 1 case of the same code.
+  * Weight products are single GEMMs over the 2-D (T·B, features) view;
+    BatchNorm takes its statistics per example, over axis 0 (time), so an
+    example's outputs do not depend on the rest of its batch.
   * forward() caches whatever backward() needs; call them in pairs.
-    Lstm keeps its cache (gates and states of every step) only when
-    forward(x, training=True); its backward() raises without one.
-  * backward() ACCUMULATES parameter gradients (call zero_grads between
-    batches) and returns the gradient w.r.t. the layer input.
-  * Sequence layers take (T, features); image layers take (C, H, W).
+    Lstm, Conv2d and MaxPool2d keep their cache only when
+    forward(x, training=True); their backward() raises without one.
+  * backward() ACCUMULATES parameter gradients, summed over the batch
+    (call zero_grads between batches), and returns the gradient w.r.t.
+    the layer input.
 
 Tensor naming, which is also the checkpoint format:
   * A layer lists its trainable array attributes in PARAMS; the gradient
@@ -71,10 +78,10 @@ class Layer:
 
 
 class Dense(Layer):
-    """Affine map on the last axis: (N, in) -> (N, out).
+    """Affine map on the last axis: (..., in) -> (..., out).
 
-    Applying it to a (T, in) sequence gives the time-distributed form,
-    same weights at every step.
+    Every leading axis (time, batch) shares the same weights; the product
+    is one GEMM over the (N, in) view of all rows.
     """
 
     PARAMS = ("w", "b")
@@ -90,12 +97,15 @@ class Dense(Layer):
         if x.shape[-1] != self.w.shape[0]:
             raise ValueError(f"expected {self.w.shape[0]} input features, got {x.shape}")
         self._x = x
-        return x @ self.w + self.b
+        rows = x.reshape(-1, x.shape[-1]) @ self.w + self.b
+        return rows.reshape(*x.shape[:-1], rows.shape[1])
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        self.dw += self._x.T @ grad
-        self.db += grad.sum(axis=0)
-        return grad @ self.w.T
+        x = self._x.reshape(-1, self.w.shape[0])
+        g = grad.reshape(-1, self.w.shape[1])
+        self.dw += x.T @ g
+        self.db += g.sum(axis=0)
+        return (g @ self.w.T).reshape(self._x.shape)
 
 
 class Sigmoid(Layer):
@@ -108,7 +118,11 @@ class Sigmoid(Layer):
 
 
 class BatchNorm(Layer):
-    """Per-feature normalization over the leading axis of (N, F) input.
+    """Per-feature normalization over axis 0 of (N, F) or (N, B, F) input.
+
+    Training statistics are taken over the N frames of each of the B
+    examples, never across the batch, and the running statistics move
+    once per example, in batch order.
 
     eps is small enough that normalized batch variance lands within 1e-5
     of unity for any non-degenerate feature column.
@@ -129,13 +143,15 @@ class BatchNorm(Layer):
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.gamma.size:
-            raise ValueError(f"expected (N, {self.gamma.size}) input, got {x.shape}")
+        f = self.gamma.size
+        if x.ndim not in (2, 3) or x.shape[-1] != f:
+            raise ValueError(f"expected (N, {f}) or (N, B, {f}) input, got {x.shape}")
         if training:
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            self.running_mean += self.momentum * (mean - self.running_mean)
-            self.running_var += self.momentum * (var - self.running_var)
+            for m, v in zip(mean.reshape(-1, f), var.reshape(-1, f)):
+                self.running_mean += self.momentum * (m - self.running_mean)
+                self.running_var += self.momentum * (v - self.running_var)
         else:
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
@@ -145,20 +161,26 @@ class BatchNorm(Layer):
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         xhat, inv_std, training = self._cache
-        self.dgamma += (grad * xhat).sum(axis=0)
-        self.dbeta += grad.sum(axis=0)
+        f = self.gamma.size
+        self.dgamma += (grad * xhat).reshape(-1, f).sum(axis=0)
+        self.dbeta += grad.reshape(-1, f).sum(axis=0)
         dxhat = grad * self.gamma
         if not training:
             return dxhat * inv_std
         n = xhat.shape[0]
-        # Batch statistics depend on every row, hence the mean corrections.
+        # Each example's statistics depend on all its frames, hence the
+        # mean corrections over axis 0.
         return (inv_std / n) * (
             n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
         )
 
 
 class Conv2d(Layer):
-    """Same-padded stride-1 correlation: (C_in, H, W) -> (C_out, H, W)."""
+    """Same-padded stride-1 correlation: (B, C_in, H, W) -> (B, C_out, H, W).
+
+    One (C_in, H, W) image is the B = 1 case. The whole batch is one GEMM
+    of the weights with the (C_in·kh·kw, B·H·W) column matrix.
+    """
 
     PARAMS = ("w", "b")
 
@@ -174,72 +196,96 @@ class Conv2d(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         c_out, c_in, kh, kw = self.w.shape
-        if x.ndim != 3 or x.shape[0] != c_in:
-            raise ValueError(f"expected ({c_in}, H, W) input, got {x.shape}")
-        _, h, w = x.shape
+        imgs = x[None] if x.ndim == 3 else x
+        if imgs.ndim != 4 or imgs.shape[1] != c_in:
+            raise ValueError(f"expected (B, {c_in}, H, W) or ({c_in}, H, W) input, got {x.shape}")
+        n, _, h, w = imgs.shape
         ph, pw = kh // 2, kw // 2
-        xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
-        cols = np.empty((c_in, kh, kw, h, w))
+        xp = np.pad(imgs, ((0, 0), (0, 0), (ph, ph), (pw, pw))).transpose(1, 0, 2, 3)
+        cols = np.empty((c_in, kh, kw, n, h, w))
         for i in range(kh):
             for j in range(kw):
-                cols[:, i, j] = xp[:, i : i + h, j : j + w]
-        flat = cols.reshape(c_in * kh * kw, h * w)
-        out = self.w.reshape(c_out, -1) @ flat + self.b[:, None]
-        self._cache = (flat, x.shape)
-        return out.reshape(c_out, h, w)
+                cols[:, i, j] = xp[:, :, i : i + h, j : j + w]
+        flat = cols.reshape(c_in * kh * kw, n * h * w)
+        out = self.w.reshape(c_out, -1) @ flat
+        out += self.b[:, None]
+        self._cache = (flat, imgs.shape) if training else None
+        out = out.reshape(c_out, n, h, w).transpose(1, 0, 2, 3)
+        return out if x.ndim == 4 else out[0]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        flat, x_shape = self._cache
+        if self._cache is None:
+            raise RuntimeError("Conv2d.backward needs a preceding forward(x, training=True)")
+        flat, (n, _, h, w) = self._cache
         c_out, c_in, kh, kw = self.w.shape
-        _, h, w = x_shape
-        gmat = grad.reshape(c_out, h * w)
+        g = grad[None] if grad.ndim == 3 else grad
+        gmat = g.transpose(1, 0, 2, 3).reshape(c_out, n * h * w)
         self.dw += (gmat @ flat.T).reshape(self.w.shape)
         self.db += gmat.sum(axis=1)
-        dcols = (self.w.reshape(c_out, -1).T @ gmat).reshape(c_in, kh, kw, h, w)
+        dcols = (self.w.reshape(c_out, -1).T @ gmat).reshape(c_in, kh, kw, n, h, w)
         ph, pw = kh // 2, kw // 2
-        dxp = np.zeros((c_in, h + 2 * ph, w + 2 * pw))
+        dxp = np.zeros((c_in, n, h + 2 * ph, w + 2 * pw))
         for i in range(kh):
             for j in range(kw):
-                dxp[:, i : i + h, j : j + w] += dcols[:, i, j]
-        return dxp[:, ph : ph + h, pw : pw + w]
+                dxp[:, :, i : i + h, j : j + w] += dcols[:, i, j]
+        dx = dxp[:, :, ph : ph + h, pw : pw + w].transpose(1, 0, 2, 3)
+        return dx if grad.ndim == 4 else dx[0]
 
 
 class MaxPool2d(Layer):
-    """Non-overlapping max pooling; pool sizes must divide the input."""
+    """Non-overlapping max pooling over the last two axes of (..., H, W);
+    pool sizes must divide them.
+
+    Each pool offset (i, j) is one strided view x[..., i::ph, j::pw]; the
+    output is their running np.maximum. A tie keeps the earlier offset in
+    row-major order, so the gradient goes where argmax over the window
+    would send it.
+    """
 
     def __init__(self, pool: tuple[int, int]):
         self.pool = pool
+        self._cache = None
+
+    def _offsets(self) -> list[tuple[slice, slice]]:
+        ph, pw = self.pool
+        return [(slice(i, None, ph), slice(j, None, pw)) for i in range(ph) for j in range(pw)]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         ph, pw = self.pool
-        c, h, w = x.shape
-        if h % ph or w % pw:
+        if x.shape[-2] % ph or x.shape[-1] % pw:
             raise ValueError(f"pool {self.pool} does not divide input {x.shape}")
-        ho, wo = h // ph, w // pw
-        windows = x.reshape(c, ho, ph, wo, pw).transpose(0, 1, 3, 2, 4).reshape(c, ho, wo, ph * pw)
-        self._idx = windows.argmax(axis=-1)
-        self._in_shape = x.shape
-        return np.take_along_axis(windows, self._idx[..., None], axis=-1)[..., 0]
+        first, *rest = (x[(..., *k)] for k in self._offsets())
+        out = first.copy()
+        winner = np.zeros(out.shape, dtype=np.min_scalar_type(ph * pw - 1))
+        for k, view in enumerate(rest, 1):
+            if training:
+                np.copyto(winner, k, where=view > out)
+            np.maximum(out, view, out=out)
+        self._cache = (winner, x.shape) if training else None
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        ph, pw = self.pool
-        c, h, w = self._in_shape
-        ho, wo = h // ph, w // pw
-        scattered = np.zeros((c, ho, wo, ph * pw))
-        np.put_along_axis(scattered, self._idx[..., None], grad[..., None], axis=-1)
-        return scattered.reshape(c, ho, wo, ph, pw).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+        if self._cache is None:
+            raise RuntimeError("MaxPool2d.backward needs a preceding forward(x, training=True)")
+        winner, in_shape = self._cache
+        dx = np.empty(in_shape)
+        for k, offset in enumerate(self._offsets()):
+            dx[(..., *offset)] = np.where(winner == k, grad, 0.0)
+        return dx
 
 
 class Lstm(Layer):
-    """Single-direction LSTM over a (T, input) sequence, zero initial state.
+    """Single-direction LSTM over a time-major (T, B, input) batch of
+    sequences, zero initial state; a (T, input) sequence is the B = 1 case.
 
     Gate layout along the 4H axis is [input, forget, cell, output].
 
     Only the h -> h recurrence runs step by step, after the input-GEMM
     hoisting of Appleyard, Kočiský & Blunsom, "Optimizing Performance of
     Recurrent Neural Networks on GPUs" (2016): the input projection is one
-    GEMM before the loop, and the weight and input gradients are GEMMs over
-    the per-step gate gradients after it.
+    GEMM over the (T·B, input) rows before the loop, and the weight and
+    input gradients are GEMMs over the per-step gate gradients after it.
+    Each step is one (B, H) @ (H, 4H) product for the whole batch.
     """
 
     PARAMS = ("w_x", "w_h", "b")
@@ -256,70 +302,83 @@ class Lstm(Layer):
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.w_x.shape[0]:
-            raise ValueError(f"expected (T, {self.w_x.shape[0]}) input, got {x.shape}")
-        t_len, h = x.shape[0], self.hidden_size
-        # Pre-activations of every step; row t becomes the activated gates
+        n_in = self.w_x.shape[0]
+        seq = x[:, None] if x.ndim == 2 else x
+        if seq.ndim != 3 or seq.shape[2] != n_in:
+            raise ValueError(f"expected (T, B, {n_in}) or (T, {n_in}) input, got {x.shape}")
+        t_len, batch, _ = seq.shape
+        h = self.hidden_size
+        # Pre-activations of every step; block t becomes the activated gates
         # [i, f, g, o] once step t adds its recurrent term.
-        gates = x @ self.w_x + self.b
-        c = np.empty((t_len, h))
-        tanh_c = np.empty((t_len, h))
-        hs = np.empty((t_len, h))
-        h_prev = c_prev = np.zeros(h)
-        i, f, g, o = (slice(k * h, (k + 1) * h) for k in range(4))
-        # Row views in lockstep; np.dot costs less per call than @ on vectors.
-        for a, c_t, tanh_c_t, h_t in zip(gates, c, tanh_c, hs):
-            a += np.dot(h_prev, self.w_h)
-            tanh_g = np.tanh(a[g])
+        gates = (seq.reshape(t_len * batch, n_in) @ self.w_x + self.b).reshape(t_len, batch, 4 * h)
+        c = np.empty((t_len, batch, h))
+        tanh_c = np.empty((t_len, batch, h))
+        hs = np.empty((t_len, batch, h))
+        h_prev = c_prev = np.zeros((batch, h))
+        rec, tanh_g, i_g = np.empty((batch, 4 * h)), np.empty((batch, h)), np.empty((batch, h))
+        gi, gf, gg, go = (gates[..., k * h : (k + 1) * h] for k in range(4))
+        # The (B, ·) blocks of step t in lockstep, all as preallocated views.
+        for a, i_t, f_t, g_t, o_t, c_t, tanh_c_t, h_t in zip(gates, gi, gf, gg, go,
+                                                            c, tanh_c, hs):
+            a += np.dot(h_prev, self.w_h, out=rec)
+            np.tanh(g_t, out=tanh_g)
             sigmoid(a, out=a)  # one call for all four gates, then g fixed up
-            a[g] = tanh_g
-            np.multiply(a[f], c_prev, out=c_t)
-            c_t += a[i] * tanh_g
+            np.copyto(g_t, tanh_g)
+            np.multiply(f_t, c_prev, out=c_t)
+            c_t += np.multiply(i_t, tanh_g, out=i_g)
             np.tanh(c_t, out=tanh_c_t)
-            np.multiply(a[o], tanh_c_t, out=h_t)
+            np.multiply(o_t, tanh_c_t, out=h_t)
             h_prev, c_prev = h_t, c_t
-        self._cache = (x, gates, c, tanh_c, hs) if training else None
-        return hs
+        self._cache = (seq, gates, c, tanh_c, hs) if training else None
+        return hs if x.ndim == 3 else hs[:, 0]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("Lstm.backward needs a preceding forward(x, training=True)")
-        x, gates, c, tanh_c, hs = self._cache
-        t_len, h = x.shape[0], self.hidden_size
-        i, f, g, o = (gates[:, k * h : (k + 1) * h] for k in range(4))
+        seq, gates, c, tanh_c, hs = self._cache
+        t_len, batch, h = hs.shape
+        grad_seq = grad[:, None] if grad.ndim == 2 else grad
+        i, f, g, o = (gates[..., k * h : (k + 1) * h] for k in range(4))
         c_prev = np.zeros_like(c)
         c_prev[1:] = c[:-1]
         h_prev = np.zeros_like(hs)
         h_prev[1:] = hs[:-1]
         # Every elementwise derivative at once: the gate gradients of step t
-        # are dc_t * fac[t, :3] for [i, f, g] and dh_t * fac[t, 3] for o.
-        fac = np.empty((t_len, 4, h))
-        fac[:, 0] = g * i * (1.0 - i)
-        fac[:, 1] = c_prev * f * (1.0 - f)
-        fac[:, 2] = i * (1.0 - g**2)
-        fac[:, 3] = tanh_c * o * (1.0 - o)
+        # are dc_t * fac[t, :, :3] for [i, f, g] and dh_t * fac[t, :, 3] for o.
+        fac = np.empty((t_len, batch, 4, h))
+        fac[:, :, 0] = g * i * (1.0 - i)
+        fac[:, :, 1] = c_prev * f * (1.0 - f)
+        fac[:, :, 2] = i * (1.0 - g**2)
+        fac[:, :, 3] = tanh_c * o * (1.0 - o)
         dc_dh = o * (1.0 - tanh_c**2)
-        da = np.empty((t_len, 4, h))
-        da_rows = da.reshape(t_len, 4 * h)
-        dh_next = dc_next = np.zeros(h)
-        steps = zip(grad[::-1], dc_dh[::-1], fac[::-1], f[::-1], da[::-1], da_rows[::-1])
-        for grad_t, dc_dh_t, fac_t, f_t, da_t, da_row in steps:
-            dh = grad_t + dh_next
-            dc = dh * dc_dh_t
+        da = np.empty((t_len, batch, 4, h))
+        da_rows = da.reshape(t_len, batch, 4 * h)
+        w_h_t = self.w_h.T
+        dh, dh_next, dc_next = np.empty((batch, h)), np.zeros((batch, h)), np.zeros((batch, h))
+        dc_col = np.empty((batch, 1, h))  # dc_t, broadcast over the three gates it feeds
+        dc = dc_col[:, 0]
+        steps = zip(grad_seq[::-1], dc_dh[::-1], fac[::-1, :, :3], fac[::-1, :, 3], f[::-1],
+                    da[::-1, :, :3], da[::-1, :, 3], da_rows[::-1])
+        for grad_t, dc_dh_t, fac_ifg_t, fac_o_t, f_t, da_ifg_t, da_o_t, da_row in steps:
+            np.add(grad_t, dh_next, out=dh)
+            np.multiply(dh, dc_dh_t, out=dc)
             dc += dc_next
-            np.multiply(fac_t[:3], dc, out=da_t[:3])
-            np.multiply(fac_t[3], dh, out=da_t[3])
-            dc_next = dc * f_t
-            dh_next = np.dot(self.w_h, da_row)
-        self.dw_x += x.T @ da_rows
-        self.dw_h += h_prev.T @ da_rows
-        self.db += da_rows.sum(axis=0)
-        return da_rows @ self.w_x.T
+            np.multiply(fac_ifg_t, dc_col, out=da_ifg_t)
+            np.multiply(fac_o_t, dh, out=da_o_t)
+            np.multiply(dc, f_t, out=dc_next)
+            np.dot(da_row, w_h_t, out=dh_next)
+        da_flat = da_rows.reshape(t_len * batch, 4 * h)
+        self.dw_x += seq.reshape(t_len * batch, -1).T @ da_flat
+        self.dw_h += h_prev.reshape(t_len * batch, h).T @ da_flat
+        self.db += da_flat.sum(axis=0)
+        dx = (da_flat @ self.w_x.T).reshape(t_len, batch, -1)
+        return dx if grad.ndim == 3 else dx[:, 0]
 
 
 class BiLstm(Layer):
-    """Forward and time-reversed LSTM passes, hidden states concatenated,
-    so the output feature size is twice the hidden size."""
+    """Forward and time-reversed LSTM passes over (T, B, input) or
+    (T, input), hidden states concatenated, so the output feature size is
+    twice the hidden size."""
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.fwd = Lstm(input_size, hidden_size, rng)
@@ -329,10 +388,10 @@ class BiLstm(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         h_f = self.fwd.forward(x, training)
         h_b = self.bwd.forward(x[::-1], training)[::-1]
-        return np.concatenate([h_f, h_b], axis=1)
+        return np.concatenate([h_f, h_b], axis=-1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         h = self.fwd.hidden_size
-        dx_f = self.fwd.backward(grad[:, :h])
-        dx_b = self.bwd.backward(grad[::-1, h:])[::-1]
+        dx_f = self.fwd.backward(grad[..., :h])
+        dx_b = self.bwd.backward(grad[::-1, ..., h:])[::-1]
         return dx_f + dx_b

@@ -1,14 +1,17 @@
 """Parameter updates and the shared training loop.
 
 A trainable model has params(), grads() and zero_grads() as an nn.Layer
-does, plus loss_and_grad(example) -> float, which accumulates into the
-gradient buffers; optimizers update the params() arrays in place.
+does, plus loss_and_grad(batch) -> float: given a list of examples, it
+adds their gradients into the buffers, in one forward and one backward
+pass for the whole batch, and returns their summed loss. Optimizers
+update the params() arrays in place.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 
 import numpy as np
 
@@ -58,33 +61,38 @@ class Adam:
 
 def fit(model, examples, optimizer, epochs: int, batch_size: int = 1,
         rng: np.random.Generator | None = None, epoch_callback=None) -> list[float]:
-    """Mini-batch training by gradient accumulation.
+    """Mini-batch training: one loss_and_grad call per batch of examples,
+    whose gradients are then divided by the batch size.
 
     Returns the per-epoch mean loss trace; raises DivergenceError with the
-    offending epoch index if the loss goes non-finite.
+    offending epoch index if the loss goes non-finite. Each epoch's loss,
+    wall time and mean global gradient L2 norm (of the batch-averaged
+    gradients) are logged at debug level.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     trace: list[float] = []
     n = len(examples)
     for epoch in range(epochs):
+        started = time.perf_counter()
         order = rng.permutation(n)
         total = 0.0
+        grad_norms = []
         for start in range(0, n, batch_size):
             batch = [examples[i] for i in order[start : start + batch_size]]
             model.zero_grads()
-            batch_loss = 0.0
-            for ex in batch:
-                batch_loss += model.loss_and_grad(ex)
-            for g in model.grads().values():
+            total += model.loss_and_grad(batch)
+            grads = model.grads()
+            for g in grads.values():
                 g /= len(batch)
-            optimizer.step(model.params(), model.grads())
-            total += batch_loss
+            grad_norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
+            optimizer.step(model.params(), grads)
         mean_loss = total / n
         if not math.isfinite(mean_loss):
             raise DivergenceError(epoch, mean_loss)
         trace.append(mean_loss)
         if epoch_callback is not None:
             epoch_callback(epoch, mean_loss)
-        log.debug("epoch %d: loss %.6f", epoch, mean_loss)
+        log.debug("epoch %d: loss %.6f, %.3f s, mean gradient norm %.6g", epoch, mean_loss,
+                  time.perf_counter() - started, sum(grad_norms) / len(grad_norms))
     return trace

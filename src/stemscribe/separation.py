@@ -116,6 +116,8 @@ class SeparatorModel(nn.Layer):
         self.children["out"] = nn.Sigmoid()
 
     def forward_mask(self, log_mag: np.ndarray, training: bool = False) -> np.ndarray:
+        """Masks for a time-major (frames, B, bins) batch of log grids, or
+        for one (frames, bins) grid."""
         h = log_mag
         for layer in self.children.values():
             h = layer.forward(h, training)
@@ -130,18 +132,21 @@ class SeparatorModel(nn.Layer):
         """Inference mask for a (frames, bins) log_magnitude grid."""
         return self.forward_mask(log_mag)
 
-    def loss_and_grad(self, example: "TrainingClip") -> float:
-        """L1 spectrogram-magnitude loss on both estimated stems."""
-        mask = self.forward_mask(example.log_mag, training=True)
-        est_vocal = mask * example.mix_mag
-        est_accomp = (1.0 - mask) * example.mix_mag
-        d_vocal = est_vocal - example.vocal_mag
-        d_accomp = est_accomp - example.accomp_mag
-        n = d_vocal.size
-        loss = float(np.abs(d_vocal).mean() + np.abs(d_accomp).mean())
-        grad_mask = (np.sign(d_vocal) - np.sign(d_accomp)) * example.mix_mag / n
-        self.backward(grad_mask)
-        return loss
+    def loss_and_grad(self, batch: list["TrainingClip"]) -> float:
+        """Summed L1 spectrogram-magnitude loss of equal-length clips on
+        both estimated stems, in one forward and one backward pass."""
+
+        def stack(name: str) -> np.ndarray:
+            return np.stack([getattr(clip, name) for clip in batch], axis=1)
+
+        mix_mag = stack("mix_mag")
+        mask = self.forward_mask(stack("log_mag"), training=True)
+        d_vocal = mask * mix_mag - stack("vocal_mag")
+        d_accomp = (1.0 - mask) * mix_mag - stack("accomp_mag")
+        n = d_vocal.shape[0] * d_vocal.shape[2]  # cells per clip
+        per_clip = np.abs(d_vocal).mean(axis=(0, 2)) + np.abs(d_accomp).mean(axis=(0, 2))
+        self.backward((np.sign(d_vocal) - np.sign(d_accomp)) * mix_mag / n)
+        return float(per_clip.sum())
 
 
 @dataclass

@@ -27,6 +27,10 @@ from .pianoroll import N_KEYS, FrameTiming, PianoRoll, active_runs, rasterize_no
 SEGMENT_WINDOW = 512
 SEGMENT_HOP = 256
 DEFAULT_CLIP_SECONDS = 180.0
+# Windows per forward pass at inference. A default-size window in flight
+# holds ~10 MB of activations; up to 3 at once leave the peak RSS of
+# transcribing a 180 s clip where one at a time puts it.
+_WINDOW_BATCH = 3
 
 
 def _windows(grid: np.ndarray, window: int, hop: int) -> np.ndarray:
@@ -104,11 +108,12 @@ class AmtExample:
 
 
 class AmtModel(nn.Layer):
-    """Frame-wise key-activation estimator over one feature window.
+    """Frame-wise key-activation estimator over feature windows.
 
     Per-bin batch norm, a 3x3 conv bank, frequency-only max pooling, a
     time-major reshape, a BiLSTM, then a shared dense+sigmoid head giving
-    88 probabilities per frame.
+    88 probabilities per frame. A batch of equal-width windows runs as
+    one pass; the batch norm takes its statistics per window.
     """
 
     def __init__(self, cfg: AmtConfig = AmtConfig(), seed: int = 0):
@@ -126,30 +131,39 @@ class AmtModel(nn.Layer):
         self._pooled_shape = None
 
     def forward(self, seg: np.ndarray, training: bool = False) -> np.ndarray:
-        if seg.ndim != 2 or seg.shape[0] != self.cfg.n_bins:
-            raise ValueError(f"expected ({self.cfg.n_bins}, W) features, got {seg.shape}")
-        x = self.norm.forward(seg.T, training).T  # stats per bin, over frames
-        pooled = self.pool.forward(self.conv.forward(x[None], training), training)
-        self._pooled_shape = pooled.shape
-        c, b, w = pooled.shape
-        seq = pooled.transpose(2, 0, 1).reshape(w, c * b)
-        h = self.blstm.forward(seq, training)
-        return self.out.forward(self.head.forward(h, training), training)
+        """(B, bins, W) windows -> (B, W, keys) probabilities; one (bins, W)
+        window -> (W, keys)."""
+        x = seg[None] if seg.ndim == 2 else seg
+        if x.ndim != 3 or x.shape[1] != self.cfg.n_bins:
+            raise ValueError(f"expected (B, {self.cfg.n_bins}, W) or ({self.cfg.n_bins}, W) "
+                             f"features, got {seg.shape}")
+        x = self.norm.forward(x.transpose(2, 0, 1), training)  # stats per window and bin
+        x = self.pool.forward(self.conv.forward(x.transpose(1, 2, 0)[:, None], training),
+                              training)
+        self._pooled_shape = n, c, b, w = x.shape
+        x = self.blstm.forward(x.transpose(3, 0, 1, 2).reshape(w, n, c * b), training)
+        probs = self.out.forward(self.head.forward(x, training), training).transpose(1, 0, 2)
+        return probs if seg.ndim == 3 else probs[0]
 
     def backward(self, grad: np.ndarray) -> None:
-        g = self.blstm.backward(self.head.backward(self.out.backward(grad)))
-        c, b, w = self._pooled_shape
-        g = self.conv.backward(self.pool.backward(g.reshape(w, c, b).transpose(1, 2, 0)))
-        self.norm.backward(g[0].T)  # input gradient ends here
+        """Takes the gradient of the probabilities forward returned."""
+        g = grad[None] if grad.ndim == 2 else grad
+        g = self.blstm.backward(self.head.backward(self.out.backward(g.transpose(1, 0, 2))))
+        n, c, b, w = self._pooled_shape
+        g = self.conv.backward(self.pool.backward(g.reshape(w, n, c, b).transpose(1, 2, 3, 0)))
+        self.norm.backward(g[:, 0].transpose(2, 0, 1))  # input gradient ends here
 
     def predict(self, seg: np.ndarray) -> np.ndarray:
         return self.forward(seg, training=False)
 
-    def loss_and_grad(self, example: AmtExample) -> float:
-        probs = self.forward(example.features, training=True)
-        loss, grad = focal_loss(probs, example.targets, self.loss_params)
-        self.backward(grad)
-        return loss
+    def loss_and_grad(self, batch: list[AmtExample]) -> float:
+        """Summed focal loss of equal-width windows, each averaged over its
+        own cells, in one forward and one backward pass."""
+        probs = self.forward(np.stack([ex.features for ex in batch]), training=True)
+        losses, grads = zip(*(focal_loss(p, ex.targets, self.loss_params)
+                              for p, ex in zip(probs, batch)))
+        self.backward(np.stack(grads))
+        return float(sum(losses))
 
 
 def stitch_and_threshold(outputs: list[np.ndarray], hop_frames: int, source_length: int,
@@ -303,9 +317,12 @@ def transcribe_waveform(audio: Waveform, model: AmtModel,
                         cqt_cfg: CqtConfig = CqtConfig(),
                         window: int = SEGMENT_WINDOW,
                         hop_frames: int = SEGMENT_HOP) -> PianoRoll:
-    """Audio in, binary piano roll out; the full untrimmed clip is used."""
+    """Audio in, binary piano roll out; the full untrimmed clip is used.
+    The windows go through the model in batches of _WINDOW_BATCH."""
     segmented = segment(_features(audio, cqt_cfg), window, hop_frames)
-    outputs = [model.predict(seg) for seg in segmented.segments]
+    windows = segmented.segments
+    outputs = np.concatenate([model.predict(windows[i : i + _WINDOW_BATCH])
+                              for i in range(0, len(windows), _WINDOW_BATCH)])
     timing = FrameTiming(cqt_cfg.hop, cqt_cfg.sample_rate)
     return stitch_and_threshold(outputs, segmented.hop_frames, segmented.source_length,
                                 model.cfg.threshold, timing)

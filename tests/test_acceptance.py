@@ -137,7 +137,7 @@ def test_07_gradient_checks_on_both_models():
                              n_keys=5), seed=1)
     features = np.random.default_rng(2).standard_normal((6, 7))
     targets = (np.random.default_rng(3).random((7, 5)) > 0.6).astype(float)
-    amt_rel = grad_check(amt, AmtExample(features, targets))
+    amt_rel = grad_check(amt, [AmtExample(features, targets)])
     amt_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -145,7 +145,7 @@ def test_07_gradient_checks_on_both_models():
     sep = SeparatorModel(num_bins=5, hidden=4, layers=2, seed=0)
     mix = rng.uniform(0.2, 1.0, (6, 5))
     vocal = rng.uniform(0, 1, (6, 5)) * mix
-    sep_rel = grad_check(sep, TrainingClip(np.log10(mix), mix, vocal, mix - vocal))
+    sep_rel = grad_check(sep, [TrainingClip(np.log10(mix), mix, vocal, mix - vocal)])
     sep_time = time.perf_counter() - t0
 
     ok = amt_rel < 1e-4 and sep_rel < 1e-4 and amt_time < 60 and sep_time < 60

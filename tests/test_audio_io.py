@@ -55,6 +55,17 @@ def test_roundtrip_float32(tmp_path, rng):
     assert np.abs(back.samples - w.samples).max() < 1e-6
 
 
+def test_write_wav_returns_the_clipped_sample_count(tmp_path):
+    # 1.0 rounds to 32768, one past the largest PCM16 code; -1.0 fits
+    w = Waveform(np.array([[0.5, 1.0, -1.0, 1.5], [-2.0, 0.0, 32767 / 32768, -0.25]]), 8000)
+    assert write_wav(w, tmp_path / "c16.wav") == 3
+    assert write_wav(w, tmp_path / "c32.wav", bit_depth=32) == 0
+    assert write_wav(Waveform(np.zeros((1, 0)), 8000), tmp_path / "e.wav") == 0
+    back = read_wav(tmp_path / "c16.wav").samples * 32768
+    np.testing.assert_array_equal(back, [[16384, 32767, -32768, 32767],
+                                         [-32768, 0, 32767, -8192]])
+
+
 def test_empty_waveform_roundtrip(tmp_path):
     write_wav(Waveform(np.zeros((1, 0)), 8000), tmp_path / "e.wav")
     assert (tmp_path / "e.wav").stat().st_size == 44  # header only

@@ -1,5 +1,7 @@
 import collections
+import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -125,6 +127,26 @@ def test_separate_ones_mask_passes_mixture_through(tmp_path, tiny_config, mixtur
     assert np.max(np.abs(vocals - original)) <= 2.0 ** -15
     accomp = read_wav(out / "mixture_accompaniment.wav").samples
     assert np.max(np.abs(accomp)) <= 2.0 ** -15
+
+
+def test_separate_warns_about_a_clipped_stem(tmp_path, tiny_config, caplog):
+    # a float32 mixture above full scale passes through a ones mask into vocals
+    t = np.arange(8000) / 8000.0
+    loud = tmp_path / "loud.wav"
+    write_wav(Waveform(1.5 * np.sin(2 * np.pi * 440.0 * t)[None, :], 8000), loud, bit_depth=32)
+    assert cli.main(["separate", str(loud), "--out-dir", str(tmp_path / "o"),
+                     "--config", tiny_config, "--mask-mode", "ones"]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("vocals stem: ")
+    assert "samples clipped" in warnings[0]
+
+
+def test_separate_of_a_quiet_mixture_warns_of_nothing(tmp_path, tiny_config, mixture_wav,
+                                                      caplog):
+    assert cli.main(["separate", str(mixture_wav), "--out-dir", str(tmp_path / "o"),
+                     "--config", tiny_config, "--mask-mode", "ones"]) == 0
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
 def test_separate_zeros_mask_silences_vocals(tmp_path, tiny_config, mixture_wav):
@@ -408,6 +430,27 @@ def test_train_amt_smoke(tmp_path, tiny_config):
     rows = (out / "amt_loss.csv").read_text().splitlines()
     assert len(rows) == 2
     assert float(rows[1].split(",")[1]) > 0.0
+
+
+@pytest.mark.parametrize("command", [
+    ["train-amt", "--synthetic", "2", "--duration", "1.0", "--window", "16",
+     "--hop-frames", "8", "--batch-size", "2"],
+    ["train-separator", "--synthetic", "2", "--remix-count", "3", "--clip-seconds", "1.0"],
+])
+def test_debug_epoch_records_leave_the_loss_csv_and_checkpoint_alone(tmp_path, tiny_config,
+                                                                     command, caplog):
+    digests = []
+    for level in (logging.WARNING, logging.DEBUG):
+        out = tmp_path / logging.getLevelName(level)
+        with caplog.at_level(level, logger="stemscribe"):
+            assert cli.main([command[0], "--out-dir", str(out), "--config", tiny_config,
+                             "--epochs", "3", *command[1:]]) == 0
+        stem = command[0].removeprefix("train-")
+        digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in (f"{stem}_loss.csv", f"{stem}.ssnn")])
+    epochs = [r for r in caplog.records if r.name == "stemscribe.nn.optim"]
+    assert len(epochs) == 3  # only the DEBUG run records them
+    assert digests[0] == digests[1]
 
 
 def test_divergence_exits_four(tmp_path, tiny_config, monkeypatch):

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +54,24 @@ def test_every_layer_gradient_matches_finite_differences(seed):
         assert nn.grad_check(model, x) < 1e-4
 
 
+def batched_layer_cases(seed):
+    rng = np.random.default_rng(seed)
+    return [
+        (nn.Dense(4, 3, rng), rng.standard_normal((5, 2, 4)), (5, 2, 3)),
+        (nn.BatchNorm(3), rng.standard_normal((6, 3, 3)), (6, 3, 3)),
+        (nn.Conv2d(2, 3, (3, 3), rng), rng.standard_normal((3, 2, 4, 5)), (3, 3, 4, 5)),
+        (nn.Lstm(3, 4, rng), rng.standard_normal((5, 3, 3)), (5, 3, 4)),
+        (nn.BiLstm(3, 2, rng), rng.standard_normal((4, 2, 3)), (4, 2, 4)),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_layer_gradient_matches_finite_differences_on_a_batch(seed):
+    for layer, x, out_shape in batched_layer_cases(seed):
+        model = LayerHarness(layer, out_shape, seed)
+        assert nn.grad_check(model, x) < 1e-4
+
+
 # ------------------------------------------------------------- batch norm
 
 def test_batch_norm_constant_column_is_zeroed():
@@ -92,6 +113,26 @@ def test_batch_norm_inference_uses_running_stats():
     out = bn.forward(np.array([[5.0]]), training=False)
     # at the distribution mean the normalized value is near zero
     assert abs(out[0, 0]) < 0.2
+
+
+def test_batch_norm_takes_statistics_per_example():
+    # example 1 is example 0 scaled by 1e3 and shifted: over the batch
+    # axis the two would share statistics, per example each normalizes alone
+    rng = np.random.default_rng(0)
+    x0 = rng.standard_normal((16, 4))
+    x = np.stack([x0, 1e3 * x0 + 50.0], axis=1)  # (T, B, F)
+    grad = rng.standard_normal(x.shape)
+    batched = nn.BatchNorm(4)
+    out = batched.forward(x, training=True)
+    dx = batched.backward(grad)
+    solo = nn.BatchNorm(4)
+    for b in range(2):
+        np.testing.assert_allclose(out[:, b], solo.forward(x[:, b], training=True),
+                                   rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(dx[:, b], solo.backward(grad[:, b]), rtol=1e-10, atol=1e-12)
+    # running statistics move once per example, in batch order
+    for name, value in solo.state().items():
+        np.testing.assert_allclose(batched.state()[name], value, rtol=1e-12)
 
 
 def test_batch_norm_shape_check():
@@ -239,6 +280,56 @@ def test_bilstm_matches_per_step_loops(rng):
             assert_close(actual, want)
 
 
+@pytest.mark.parametrize("input_size, hidden, t_len, batch", [
+    (3, 4, 5, 2), (168, 16, 128, 4), (257, 32, 91, 6),
+])
+def test_lstm_batch_matches_per_sequence_loops(input_size, hidden, t_len, batch):
+    rng = np.random.default_rng(input_size + batch)
+    lstm = nn.Lstm(input_size, hidden, rng)
+    x = rng.standard_normal((t_len, batch, input_size))
+    grad = rng.standard_normal((t_len, batch, hidden))
+    hs = lstm.forward(x, training=True)
+    dx = lstm.backward(grad)
+    sums = [np.zeros_like(p) for p in (lstm.w_x, lstm.w_h, lstm.db)]
+    for b in range(batch):
+        hs_b, dx_b, *grads_b = loop_lstm(lstm, x[:, b], grad[:, b])
+        assert_close(hs[:, b], hs_b)
+        assert_close(dx[:, b], dx_b)
+        for total, g in zip(sums, grads_b):
+            total += g
+    for actual, want in zip((lstm.dw_x, lstm.dw_h, lstm.db), sums):
+        assert_close(actual, want)
+
+
+def test_lstm_single_sequence_is_the_batch_of_one(rng):
+    lstm = nn.Lstm(5, 3, rng)
+    x = rng.standard_normal((7, 5))
+    grad = rng.standard_normal((7, 3))
+    hs = lstm.forward(x, training=True)
+    dx = lstm.backward(grad)
+    grads = {k: g.copy() for k, g in lstm.grads().items()}
+    lstm.zero_grads()
+    assert np.array_equal(lstm.forward(x[:, None], training=True)[:, 0], hs)
+    assert np.array_equal(lstm.backward(grad[:, None])[:, 0], dx)
+    for name, g in lstm.grads().items():
+        assert np.array_equal(g, grads[name])
+
+
+def test_bilstm_batch_matches_single_sequences(rng):
+    bi = nn.BiLstm(6, 5, rng)
+    x = rng.standard_normal((9, 3, 6))
+    grad = rng.standard_normal((9, 3, 10))
+    out = bi.forward(x, training=True)
+    dx = bi.backward(grad)
+    batched = {k: g.copy() for k, g in bi.grads().items()}
+    bi.zero_grads()
+    for b in range(3):
+        assert_close(out[:, b], bi.forward(x[:, b], training=True))
+        assert_close(dx[:, b], bi.backward(grad[:, b]))
+    for name, g in bi.grads().items():
+        assert_close(batched[name], g)
+
+
 def test_lstm_inference_keeps_no_backward_cache(rng):
     lstm = nn.Lstm(3, 4, rng)
     x = rng.standard_normal((5, 3))
@@ -271,6 +362,53 @@ def test_maxpool_must_divide():
         nn.MaxPool2d((2, 2)).forward(np.zeros((1, 3, 4)))
 
 
+def argmax_maxpool(x, grad, pool):
+    """The window-reshape/argmax max pool over one (C, H, W) image: the
+    reference for values, gradients and the tie rule (first maximum in
+    row-major window order wins).  Returns (output, input gradient)."""
+    ph, pw = pool
+    c, h, w = x.shape
+    ho, wo = h // ph, w // pw
+    windows = x.reshape(c, ho, ph, wo, pw).transpose(0, 1, 3, 2, 4).reshape(c, ho, wo, ph * pw)
+    idx = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    scattered = np.zeros((c, ho, wo, ph * pw))
+    np.put_along_axis(scattered, idx[..., None], grad[..., None], axis=-1)
+    dx = scattered.reshape(c, ho, wo, ph, pw).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+    return out, dx
+
+
+@pytest.mark.parametrize("pool, shape", [
+    ((2, 1), (3, 4, 84, 16)), ((2, 1), (1, 2, 6, 7)), ((2, 2), (2, 3, 4, 6)),
+    ((3, 2), (2, 1, 6, 4)), ((1, 3), (1, 2, 5, 9)),
+])
+def test_maxpool_matches_argmax_pooling_with_exact_ties(pool, shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.integers(-2, 3, size=shape).astype(float)  # five levels: ties everywhere
+    x[..., : pool[0], :] = 1.0  # whole windows of equal values
+    pooled_shape = (*shape[:2], shape[2] // pool[0], shape[3] // pool[1])
+    grad = rng.standard_normal(pooled_shape)
+    layer = nn.MaxPool2d(pool)
+    out = layer.forward(x, training=True)
+    dx = layer.backward(grad)
+    for b in range(shape[0]):
+        want_out, want_dx = argmax_maxpool(x[b], grad[b], pool)
+        assert np.array_equal(out[b], want_out)
+        assert np.array_equal(dx[b], want_dx)
+    # one image is the B = 1 case
+    single = nn.MaxPool2d(pool)
+    assert np.array_equal(single.forward(x[0], training=True), out[0])
+    assert np.array_equal(single.backward(grad[0]), dx[0])
+
+
+def test_maxpool_inference_keeps_no_backward_cache():
+    pool = nn.MaxPool2d((2, 1))
+    pool.forward(np.ones((1, 1, 2, 2)), training=True)
+    pool.forward(np.ones((1, 1, 2, 2)))
+    with pytest.raises(RuntimeError, match="training=True"):
+        pool.backward(np.ones((1, 1, 1, 2)))
+
+
 def test_sigmoid_midpoint_and_saturation():
     s = nn.Sigmoid()
     assert s.forward(np.array([0.0]))[0] == 0.5
@@ -286,6 +424,38 @@ def test_dense_is_time_distributed(rng):
     batched = d.forward(x)
     rows = np.vstack([d.forward(x[t : t + 1]) for t in range(4)])
     np.testing.assert_allclose(batched, rows, atol=1e-12)
+
+
+def test_conv_batch_matches_single_images(rng):
+    conv = nn.Conv2d(2, 3, (3, 3), rng)
+    x = rng.standard_normal((4, 2, 6, 5))
+    grad = rng.standard_normal((4, 3, 6, 5))
+    out = conv.forward(x, training=True)
+    dx = conv.backward(grad)
+    batched = {k: g.copy() for k, g in conv.grads().items()}
+    conv.zero_grads()
+    for b in range(4):
+        np.testing.assert_allclose(out[b], conv.forward(x[b], training=True), rtol=1e-12,
+                                   atol=1e-14)
+        np.testing.assert_allclose(dx[b], conv.backward(grad[b]), rtol=1e-12, atol=1e-14)
+    for name, g in conv.grads().items():
+        np.testing.assert_allclose(batched[name], g, rtol=1e-10, atol=1e-12)
+
+
+def test_conv_inference_keeps_no_backward_cache(rng):
+    conv = nn.Conv2d(1, 2, (3, 3), rng)
+    conv.forward(np.ones((1, 4, 4)), training=True)
+    conv.forward(np.ones((1, 4, 4)))
+    with pytest.raises(RuntimeError, match="training=True"):
+        conv.backward(np.ones((2, 4, 4)))
+
+
+def test_dense_batch_is_time_and_batch_distributed(rng):
+    d = nn.Dense(3, 2, rng)
+    x = rng.standard_normal((4, 5, 3))
+    out = d.forward(x, training=True)
+    assert out.shape == (4, 5, 2)
+    assert np.array_equal(out.reshape(20, 2), d.forward(x.reshape(20, 3)))
 
 
 def test_dense_shape_check(rng):
@@ -378,10 +548,10 @@ class Quadratic:
     def zero_grads(self):
         self.dw[...] = 0.0
 
-    def loss_and_grad(self, example):
+    def loss_and_grad(self, batch):
         diff = self.w[0] - self.target
-        self.dw += 2.0 * diff
-        return float(diff * diff)
+        self.dw += 2.0 * diff * len(batch)
+        return float(diff * diff) * len(batch)
 
 
 def test_sgd_zero_learning_rate_keeps_params():
@@ -419,6 +589,22 @@ def test_fit_batches_average_gradients():
     b = Quadratic()
     nn.fit(b, [0], nn.Sgd(lr=0.1), epochs=1, batch_size=1)
     assert a.w[0] == pytest.approx(b.w[0], abs=1e-12)
+
+
+def test_fit_logs_epoch_time_and_mean_gradient_norm(caplog):
+    model = Quadratic(w0=5.0, target=2.0)
+    with caplog.at_level(logging.DEBUG, logger="stemscribe.nn.optim"):
+        trace = nn.fit(model, [0, 1, 2], nn.Sgd(lr=0.1), epochs=2, batch_size=2)
+    records = [r.getMessage() for r in caplog.records if r.name == "stemscribe.nn.optim"]
+    assert len(records) == 2
+    # epoch 0: batches of two and one examples at w = 5 and w = 4.4, each with
+    # the batch-averaged gradient 2 (w - 2): norms 6 and 4.8
+    match = re.fullmatch(r"epoch 0: loss ([\d.]+), ([\d.]+) s, mean gradient norm ([\d.]+)",
+                         records[0])
+    assert match is not None, records[0]
+    assert float(match[1]) == pytest.approx(trace[0], abs=1e-6)
+    assert float(match[3]) == pytest.approx(5.4, rel=1e-5)
+    assert 0.0 <= float(match[2]) < 10.0
 
 
 def test_grad_check_linear_model_is_tight(rng):

@@ -147,7 +147,7 @@ def test_model_loss_matches_direct_formula(rng):
     expected = (np.abs(mask * clip.mix_mag - clip.vocal_mag).mean()
                 + np.abs((1 - mask) * clip.mix_mag - clip.accomp_mag).mean())
     model.zero_grads()
-    assert model.loss_and_grad(clip) == pytest.approx(expected, rel=1e-9)
+    assert model.loss_and_grad([clip]) == pytest.approx(expected, rel=1e-9)
 
 
 def test_model_loss_zero_when_mask_is_exact(rng):
@@ -158,7 +158,7 @@ def test_model_loss_zero_when_mask_is_exact(rng):
     mask = model.forward_mask(log_mag, training=True)  # batch-stat path
     clip = TrainingClip(log_mag, mix, mask * mix, (1 - mask) * mix)
     model.zero_grads()
-    assert model.loss_and_grad(clip) == pytest.approx(0.0, abs=1e-12)
+    assert model.loss_and_grad([clip]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_model_gradients(rng):
@@ -167,7 +167,71 @@ def test_model_gradients(rng):
     mix = rng.uniform(0.2, 1.0, (6, 5))
     vocal = rng.uniform(0, 1, (6, 5)) * mix
     clip = TrainingClip(np.log10(mix), mix, vocal, mix - vocal)
-    assert nn.grad_check(model, clip) < 1e-4
+    assert nn.grad_check(model, [clip]) < 1e-4
+
+
+def test_model_gradients_on_a_batch(rng):
+    from stemscribe import nn
+    model = SeparatorModel(num_bins=5, hidden=4, layers=2, seed=0)
+    batch = []
+    for scale in (1.0, 50.0):
+        mix = scale * rng.uniform(0.2, 1.0, (6, 5))
+        vocal = rng.uniform(0, 1, (6, 5)) * mix
+        batch.append(TrainingClip(np.log10(mix), mix, vocal, mix - vocal))
+    assert nn.grad_check(model, batch) < 1e-4
+
+
+def per_clip_loss_and_grad(model, clip):
+    """The per-clip SeparatorModel.loss_and_grad that the batched one
+    replaced, kept as the reference: adds into the gradient buffers and
+    returns the loss."""
+    mask = model.forward_mask(clip.log_mag, training=True)
+    d_vocal = mask * clip.mix_mag - clip.vocal_mag
+    d_accomp = (1.0 - mask) * clip.mix_mag - clip.accomp_mag
+    loss = float(np.abs(d_vocal).mean() + np.abs(d_accomp).mean())
+    model.backward((np.sign(d_vocal) - np.sign(d_accomp)) * clip.mix_mag / d_vocal.size)
+    return loss
+
+
+def desk_clips(count, seed=0):
+    """Clips at the train_desk sizes: 91 frames of 257 bins."""
+    rng = np.random.default_rng(seed)
+    clips = []
+    for _ in range(count):
+        mix = rng.uniform(0.0, 2.0, (91, 257))
+        vocal = rng.uniform(0.0, 1.0, mix.shape) * mix
+        clips.append(TrainingClip(log_magnitude(mix), mix, vocal, mix - vocal))
+    return clips
+
+
+@pytest.mark.parametrize("count, rtol", [(1, 1e-12), (6, 1e-10)])
+def test_batched_gradients_equal_accumulated_per_clip_gradients(count, rtol):
+    clips = desk_clips(count)
+    results = []
+    for step in ("per clip", "batched"):
+        model = SeparatorModel(num_bins=257, hidden=32, layers=2, seed=3)
+        model.zero_grads()
+        if step == "per clip":
+            loss = sum(per_clip_loss_and_grad(model, clip) for clip in clips)
+        else:
+            loss = model.loss_and_grad(clips)
+        results.append((loss, {k: g.copy() for k, g in model.grads().items()}, model.state()))
+    (want_loss, want_grads, want_state), (loss, grads, state) = results
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    for name, g in want_grads.items():
+        np.testing.assert_allclose(grads[name], g, rtol=rtol, atol=rtol * np.abs(g).max())
+    for name, value in want_state.items():
+        np.testing.assert_allclose(state[name], value, rtol=1e-12, atol=1e-15)
+
+
+def test_clips_of_very_different_scale_get_their_solo_masks():
+    quiet, = desk_clips(1, seed=1)
+    loud = 1e3 * quiet.log_mag + 40.0
+    model = SeparatorModel(num_bins=257, hidden=32, layers=2, seed=2)
+    together = model.forward_mask(np.stack([quiet.log_mag, loud], axis=1), training=True)
+    for b, log_mag in enumerate((quiet.log_mag, loud)):
+        np.testing.assert_allclose(together[:, b], model.forward_mask(log_mag, training=True),
+                                   rtol=1e-10, atol=1e-12)
 
 
 def test_state_roundtrip(tmp_path):

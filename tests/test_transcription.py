@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from stemscribe.audio_io import Waveform
 from stemscribe.dsp import CqtConfig, num_cqt_frames
 from stemscribe.nn import grad_check
-from stemscribe.nn.loss import FocalLossParams
+from stemscribe.nn.loss import FocalLossParams, focal_loss
 from stemscribe.pianoroll import FrameTiming, N_KEYS, NoteEvent, PianoRoll, empty_roll
 from stemscribe.transcription import (AmtConfig, AmtExample, AmtModel,
                                       SegmentedFeatures, build_training_pair,
@@ -236,8 +236,84 @@ def test_model_gradient_matches_finite_differences(rng):
     model = AmtModel(TINY, seed=1)
     features = np.random.default_rng(2).standard_normal((6, 7))
     targets = (np.random.default_rng(3).random((7, 5)) > 0.6).astype(float)
-    rel = grad_check(model, AmtExample(features, targets))
+    rel = grad_check(model, [AmtExample(features, targets)])
     assert rel < 1e-4
+
+
+def test_model_gradient_matches_finite_differences_on_a_batch():
+    model = AmtModel(TINY, seed=1)
+    rng = np.random.default_rng(2)
+    batch = [AmtExample(scale * rng.standard_normal((6, 7)),
+                        (rng.random((7, 5)) > 0.6).astype(float)) for scale in (1.0, 30.0, 0.1)]
+    assert grad_check(model, batch) < 1e-4
+
+
+def per_example_loss_and_grad(model, ex):
+    """One (bins, W) window through the layers as a single example: the
+    per-example AmtModel.loss_and_grad that the batched one replaced, kept
+    as the reference. Adds into the gradient buffers; returns the loss."""
+    x = model.norm.forward(ex.features.T, True).T
+    pooled = model.pool.forward(model.conv.forward(x[None], True), True)
+    c, b, w = pooled.shape
+    seq = pooled.transpose(2, 0, 1).reshape(w, c * b)
+    probs = model.out.forward(model.head.forward(model.blstm.forward(seq, True), True), True)
+    loss, grad = focal_loss(probs, ex.targets, model.loss_params)
+    g = model.blstm.backward(model.head.backward(model.out.backward(grad)))
+    g = model.conv.backward(model.pool.backward(g.reshape(w, c, b).transpose(1, 2, 0)))
+    model.norm.backward(g[0].T)
+    return loss
+
+
+def accumulated(model, batch):
+    """The per-batch gradient accumulation loop that fit ran before it
+    batched: (summed loss, gradient buffers, checkpoint tensors)."""
+    model.zero_grads()
+    loss = 0.0
+    for ex in batch:
+        loss += per_example_loss_and_grad(model, ex)
+    return loss, {k: g.copy() for k, g in model.grads().items()}, model.state()
+
+
+def batched(model, batch):
+    model.zero_grads()
+    loss = model.loss_and_grad(batch)
+    return loss, {k: g.copy() for k, g in model.grads().items()}, model.state()
+
+
+def desk_windows(count, seed=0):
+    """Windows at the train_desk sizes: 84 CQT bins by 128 frames."""
+    rng = np.random.default_rng(seed)
+    return [AmtExample(rng.standard_normal((84, 128)) - 3.0,
+                       (rng.random((128, N_KEYS)) > 0.95).astype(float)) for _ in range(count)]
+
+
+DESK = AmtConfig(conv_channels=4, hidden=16)
+
+
+@pytest.mark.parametrize("count, rtol", [(1, 1e-12), (4, 1e-10)])
+def test_batched_gradients_equal_accumulated_per_example_gradients(count, rtol):
+    batch = desk_windows(count)
+    want_loss, want_grads, want_state = accumulated(AmtModel(DESK, seed=5), batch)
+    loss, grads, state = batched(AmtModel(DESK, seed=5), batch)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    for name, g in want_grads.items():
+        np.testing.assert_allclose(grads[name], g, rtol=rtol, atol=rtol * np.abs(g).max())
+    for name, value in want_state.items():  # running statistics too
+        np.testing.assert_allclose(state[name], value, rtol=1e-12, atol=1e-15)
+
+
+def test_windows_of_very_different_scale_get_their_solo_outputs():
+    # a batch norm pooling statistics over the batch would mix the two
+    quiet, = desk_windows(1, seed=1)
+    loud = AmtExample(1e3 * quiet.features + 40.0, quiet.targets)
+    model = AmtModel(DESK, seed=2)
+    together = model.forward(np.stack([quiet.features, loud.features]), training=True)
+    for probs, ex in zip(together, (quiet, loud)):
+        np.testing.assert_allclose(probs, model.forward(ex.features, training=True),
+                                   rtol=1e-10, atol=1e-12)
+    inference = model.predict(np.stack([quiet.features, loud.features]))
+    for probs, ex in zip(inference, (quiet, loud)):
+        np.testing.assert_allclose(probs, model.predict(ex.features), rtol=1e-10, atol=1e-12)
 
 
 def test_model_state_round_trip(tmp_path):
