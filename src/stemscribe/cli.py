@@ -6,6 +6,12 @@ external dependency, 4 training divergence. Every command is
 deterministic under a fixed config seed. Intermediate artifacts (mask
 CSV, spectrogram stats, roll binaries, loss traces) are always written
 so each stage can be audited after the fact.
+
+The mask CSV has one row per STFT frame and one field per frequency bin:
+each field is `%.6f`, fields are separated by `,` and every row ends in
+`\\n`, the bytes np.savetxt(path, mask, fmt="%.6f", delimiter=",") writes.
+The spectrogram stats CSV has a `frame,mean_db,max_db` header, then one
+row per frame with the mean and max of its log-magnitude row as `%.4f`.
 """
 
 from __future__ import annotations
@@ -91,16 +97,63 @@ def _amt_model(cfg: PipelineConfig, checkpoint: str | None) -> AmtModel:
     return model
 
 
+# Mask rows per formatted block: its temporaries stay a few MB whatever the
+# audio length.
+_MASK_CSV_BLOCK = 1024
+
+# A mask value in [0, 1] prints as the 8 bytes d.dddddd of q = rint(m * 1e6).
+# With q = 1000 a + b, bytes 0-4 ("d.ddd") are those of the little-endian
+# word _HEAD[a] and bytes 5-7 those of _TAIL[b], so one OR gives the field.
+_HEAD = np.array([int.from_bytes(b"%d.%03d" % divmod(a, 1000), "little") for a in range(1001)],
+                 dtype=np.uint64)
+_TAIL = np.array([int.from_bytes(b"\0" * 5 + b"%03d" % b, "little") for b in range(1000)],
+                 dtype=np.uint64)
+# One field: its 8 bytes, then "," or "\n".
+_FIELD = np.dtype([("num", "<u8"), ("sep", "u1")])
+
+
+def _mask_csv_bytes(block: np.ndarray) -> bytes:
+    """Rows of a float64 grid with every value in [0, 1] and no -0.0, as
+    np.savetxt(fmt="%.6f", delimiter=",") writes them.  A field whose
+    m * 1e6 lies within 1e-6 of a .5 boundary, where the rounded product
+    could round the other way from the exact value, is formatted by "%.6f"
+    itself, which rounds the exact value half to even."""
+    scaled = block * 1e6
+    q = np.rint(scaled)
+    a, b = np.divmod(q.astype(np.int32), 1000)
+    out = np.empty(block.shape, _FIELD)
+    num = _HEAD[a]
+    num |= _TAIL[b]
+    out["num"] = num
+    out["sep"] = ord(",")
+    out["sep"][:, -1] = ord("\n")
+    scaled -= q
+    for i, j in zip(*np.nonzero(np.abs(scaled, out=scaled) > 0.5 - 1e-6)):
+        out["num"][i, j] = int.from_bytes(b"%.6f" % block[i, j], "little")
+    return out.tobytes()
+
+
 def _write_mask_csv(mask: np.ndarray, path: Path) -> None:
-    np.savetxt(path, mask, fmt="%.6f", delimiter=",")
+    """The bytes np.savetxt(path, mask, fmt="%.6f", delimiter=","), written
+    _MASK_CSV_BLOCK rows at a time.  A grid with a value outside [0, 1] or a
+    -0.0 ("-0.000000"), which only a diverged checkpoint gives, goes through
+    np.savetxt itself."""
+    mask = np.asarray(mask, dtype=np.float64)
+    if not np.all((mask >= 0.0) & (mask <= 1.0)) or np.signbit(mask).any():
+        np.savetxt(path, mask, fmt="%.6f", delimiter=",")
+        return
+    with open(path, "wb") as f:
+        for r0 in range(0, mask.shape[0], _MASK_CSV_BLOCK):
+            f.write(_mask_csv_bytes(mask[r0 : r0 + _MASK_CSV_BLOCK]))
 
 
 def _write_stats_csv(log_mag: np.ndarray, path: Path) -> None:
+    means = [f"{v:.4f}" for v in log_mag.mean(axis=1)]
+    maxes = [f"{v:.4f}" for v in log_mag.max(axis=1)]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["frame", "mean_db", "max_db"])
-        for i, row in enumerate(log_mag):
-            writer.writerow([i, f"{row.mean():.4f}", f"{row.max():.4f}"])
+        writer.writerows(zip(range(len(means)), means, maxes))
 
 
 def _write_loss_csv(trace: list[float], path: Path) -> None:

@@ -11,6 +11,7 @@ Spectrogram layout conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +193,30 @@ def num_cqt_frames(n_samples: int, cfg: CqtConfig) -> int:
     return int(np.ceil(n_samples / cfg.hop))
 
 
+@functools.lru_cache(maxsize=8)
+def _octave_bases(cfg: CqtConfig) -> tuple[int, tuple[np.ndarray, ...]]:
+    """The signal padding cqt needs and, per octave, the (n_max, 2g) real
+    basis of its g kernels: real parts in the first g columns, negated
+    imaginary parts in the last g, each kernel zero-padded to the octave's
+    longest, n_max.  Kernel k sits at offset n_max//2 - n_k//2, so it meets
+    exactly the samples hop*t + pad - n_k//2 onward that it would meet
+    alone.  Built once per config and read-only, since every call shares
+    them."""
+    kernels = cqt_kernels(cfg)
+    bases = []
+    for k0 in range(0, cfg.n_bins, cfg.bins_per_octave):
+        group = kernels[k0 : k0 + cfg.bins_per_octave]
+        g, n_max = len(group), max(k.size for k in group)
+        basis = np.zeros((n_max, 2 * g))
+        for j, kernel in enumerate(group):
+            off = n_max // 2 - kernel.size // 2
+            basis[off : off + kernel.size, j] = kernel.real
+            basis[off : off + kernel.size, g + j] = -kernel.imag
+        basis.flags.writeable = False
+        bases.append(basis)
+    return max(k.size for k in kernels) // 2 + 1, tuple(bases)
+
+
 def cqt(w: Waveform, cfg: CqtConfig) -> np.ndarray:
     """Constant-Q magnitudes, shape (n_bins, frames), frames centered at
     multiples of the hop.
@@ -201,28 +226,20 @@ def cqt(w: Waveform, cfg: CqtConfig) -> np.ndarray:
     processing" (SMC 2010), but without decimation: each octave's kernels
     are zero-padded to its longest one, n_max, so that one real GEMM of a
     (frames, n_max) block against the kernels' stacked real and imaginary
-    parts gives the same inner products as one kernel at a time.  Frames
-    go through in blocks of _CQT_BLOCK, so beyond the padded signal the
+    parts gives the same inner products as one kernel at a time.  The
+    bases are built once per config (_octave_bases).  Frames go through
+    in blocks of _CQT_BLOCK, so beyond the padded signal the
     working memory is O(_CQT_BLOCK x longest kernel).
     """
     x = w.mono_samples()
     if x.size == 0:
         raise ValueError("cannot transform an empty waveform")
-    kernels = cqt_kernels(cfg)
+    pad, bases = _octave_bases(cfg)
     n_frames = num_cqt_frames(x.size, cfg)
-    pad = max(k.size for k in kernels) // 2 + 1
     padded = np.pad(x, pad)  # no window reaches more than pad samples past either end
     out = np.empty((cfg.n_bins, n_frames))
-    for k0 in range(0, cfg.n_bins, cfg.bins_per_octave):
-        group = kernels[k0 : k0 + cfg.bins_per_octave]
-        g, n_max = len(group), max(k.size for k in group)
-        # Kernel k sits at offset n_max//2 - n_k//2, so it meets exactly the
-        # samples hop*t + pad - n_k//2 onward that it would meet alone.
-        basis = np.zeros((n_max, 2 * g))
-        for j, kernel in enumerate(group):
-            off = n_max // 2 - kernel.size // 2
-            basis[off : off + kernel.size, j] = kernel.real
-            basis[off : off + kernel.size, g + j] = -kernel.imag
+    for k0, basis in zip(range(0, cfg.n_bins, cfg.bins_per_octave), bases):
+        n_max, g = basis.shape[0], basis.shape[1] // 2
         start = pad - n_max // 2
         frames = sliding_window_view(padded[start:], n_max)[:: cfg.hop][:n_frames]
         for t0 in range(0, n_frames, _CQT_BLOCK):

@@ -1,4 +1,5 @@
 import collections
+import csv
 import hashlib
 import json
 import logging
@@ -9,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from stemscribe import cli, dsp, nn
 from stemscribe.audio_io import Waveform, read_wav, write_wav
@@ -155,6 +159,120 @@ def test_separate_zeros_mask_silences_vocals(tmp_path, tiny_config, mixture_wav)
                      "--config", tiny_config, "--mask-mode", "zeros"]) == 0
     vocals = read_wav(out / "mixture_vocals.wav").samples
     assert np.max(np.abs(vocals)) <= 2.0 ** -15
+
+
+def savetxt_mask_csv(mask, path):
+    """The mask CSV writer before block formatting, the byte reference."""
+    np.savetxt(path, mask, fmt="%.6f", delimiter=",")
+
+
+def loop_stats_csv(log_mag, path):
+    """The stats CSV writer before its reductions were taken once per grid,
+    the byte reference."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["frame", "mean_db", "max_db"])
+        for i, row in enumerate(log_mag):
+            writer.writerow([i, f"{row.mean():.4f}", f"{row.max():.4f}"])
+
+
+def assert_same_bytes(write, reference, grid, tmp_path):
+    write(grid, tmp_path / "new.csv")
+    reference(grid, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def mask_grid(rows, cols, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(0.0, 1.0, (rows, cols))
+    if kind == "logistic":  # saturated like an untrained separator's sigmoid
+        return expit(rng.normal(0.0, 8.0, (rows, cols)))
+    if kind == "dyadic":  # multiples of 2**-20 hit exact halfway points, e.g. 1/128
+        return rng.integers(0, 2**20 + 1, (rows, cols)) / 2.0**20
+    # the doubles nearest (k + 0.5) / 1e6: about half of them lie above the
+    # halfway point while m * 1e6 rounds to it exactly, e.g. 2.5e-6
+    return (rng.integers(0, 10**6, (rows, cols)) + 0.5) / 1e6
+
+
+@given(rows=st.integers(0, 2100), cols=st.integers(1, 12),
+       kind=st.sampled_from(["uniform", "logistic", "dyadic", "decimal"]), seed=st.integers(0, 2**32 - 1),
+       extra=st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_mask_csv_bytes_equal_savetxt(tmp_path_factory, rows, cols, kind, seed, extra):
+    grid = mask_grid(rows, cols, kind, seed)
+    flat = grid.reshape(-1)
+    flat[: min(len(extra), flat.size)] = extra[: flat.size]
+    assert_same_bytes(cli._write_mask_csv, savetxt_mask_csv, grid, tmp_path_factory.mktemp("m"))
+
+
+HALFWAY = (2 * np.arange(64) + 1) / 128  # x * 1e6 is exactly k + 0.5
+SPECIAL = np.array([0.0, 1.0, 5e-7, 1.5e-6, 0.1234565, 0.9999995, 1e-300,
+                    2.5e-6, 0.5000015, 0.9999985])  # %.6f rounds these three up
+
+
+@pytest.mark.parametrize("values", [HALFWAY, SPECIAL], ids=["halfway", "special"])
+def test_mask_csv_rounds_like_percent_format(tmp_path, values, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(np, "savetxt", None)  # none of these may need the fallback
+        cli._write_mask_csv(values[:, None], tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_bytes() == b"".join(b"%.6f\n" % v for v in values)
+    for grid in (values[None, :], np.tile(values, (3, 2))):
+        assert_same_bytes(cli._write_mask_csv, savetxt_mask_csv, grid, tmp_path)
+
+
+def test_mask_csv_rounds_the_exact_value_half_to_even():
+    assert cli._mask_csv_bytes(np.array([[1 / 128, 3 / 128, 2.5e-6]])) == (
+        b"0.007812,0.023438,0.000003\n")
+
+
+@pytest.mark.parametrize("shape", [(1, 257), (300, 1), (cli._MASK_CSV_BLOCK, 3),
+                                   (2 * cli._MASK_CSV_BLOCK, 2),
+                                   (cli._MASK_CSV_BLOCK + 77, 5), (0, 257)])
+def test_mask_csv_shapes_match_savetxt(tmp_path, shape):
+    assert_same_bytes(cli._write_mask_csv, savetxt_mask_csv,
+                      mask_grid(*shape, "logistic", 0), tmp_path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-9, 1 + 1e-9, -0.0])
+def test_mask_csv_outside_the_unit_interval_goes_through_savetxt(tmp_path, bad, monkeypatch):
+    def no_blocks(block):
+        raise AssertionError("a grid outside [0, 1] reached the block formatter")
+
+    monkeypatch.setattr(cli, "_mask_csv_bytes", no_blocks)
+    grid = mask_grid(40, 6, "uniform", 1)
+    grid[17, 3] = bad
+    assert_same_bytes(cli._write_mask_csv, savetxt_mask_csv, grid, tmp_path)
+
+
+def test_stats_csv_keeps_the_sign_of_a_mean_that_rounds_to_zero(tmp_path):
+    grid = np.array([[-0.00002, 0.0], [0.00002, -0.00004], [1.0, -3.0], [0.0, 0.0]])
+    assert_same_bytes(cli._write_stats_csv, loop_stats_csv, grid, tmp_path)
+    rows = (tmp_path / "new.csv").read_text().splitlines()
+    assert rows[1:3] == ["0,-0.0000,0.0000", "1,-0.0000,0.0000"]
+
+
+@pytest.mark.parametrize("mask_mode", ["model", "ones", "zeros"])
+def test_separate_audit_csvs_keep_their_bytes(tmp_path, tiny_config, mixture_wav, monkeypatch,
+                                              mask_mode):
+    grids = {}
+    write_mask, write_stats = cli._write_mask_csv, cli._write_stats_csv
+
+    def keep(name, write):
+        def wrapped(grid, path):
+            grids[name] = grid.copy()
+            write(grid, path)
+        return wrapped
+
+    monkeypatch.setattr(cli, "_write_mask_csv", keep("mask", write_mask))
+    monkeypatch.setattr(cli, "_write_stats_csv", keep("stats", write_stats))
+    out = tmp_path / "sep"
+    assert cli.main(["separate", str(mixture_wav), "--out-dir", str(out),
+                     "--config", tiny_config, "--mask-mode", mask_mode]) == 0
+    savetxt_mask_csv(grids["mask"], tmp_path / "mask.csv")
+    loop_stats_csv(grids["stats"], tmp_path / "stats.csv")
+    assert (out / "mixture_mask.csv").read_bytes() == (tmp_path / "mask.csv").read_bytes()
+    assert ((out / "mixture_spectrogram_stats.csv").read_bytes()
+            == (tmp_path / "stats.csv").read_bytes())
 
 
 def test_separate_missing_input_is_invalid(tmp_path, tiny_config):

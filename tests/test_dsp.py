@@ -2,9 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stemscribe import dsp
 from stemscribe.audio_io import Waveform
 from stemscribe.dsp import (ComplexSpectrogram, CqtConfig, LogMagParams, StftConfig,
                             WindowError, cqt, cqt_kernels, istft, log_magnitude,
@@ -342,6 +344,66 @@ def test_cqt_right_pad_covers_every_window(rng, monkeypatch, cfg, n_samples):
     pad = np.pad
     monkeypatch.setattr(np, "pad", lambda x, width: pad(x, (width, width + extra)))
     assert np.array_equal(cqt(w, cfg), out)
+
+
+def rebuilding_cqt(w, cfg):
+    """The transform as it was before its octave bases were cached: every
+    call builds the kernels and the zero-padded bases again."""
+    x = w.mono_samples()
+    kernels = cqt_kernels(cfg)
+    n_frames = num_cqt_frames(x.size, cfg)
+    pad = max(k.size for k in kernels) // 2 + 1
+    padded = np.pad(x, pad)
+    out = np.empty((cfg.n_bins, n_frames))
+    for k0 in range(0, cfg.n_bins, cfg.bins_per_octave):
+        group = kernels[k0 : k0 + cfg.bins_per_octave]
+        g, n_max = len(group), max(k.size for k in group)
+        basis = np.zeros((n_max, 2 * g))
+        for j, kernel in enumerate(group):
+            off = n_max // 2 - kernel.size // 2
+            basis[off : off + kernel.size, j] = kernel.real
+            basis[off : off + kernel.size, g + j] = -kernel.imag
+        start = pad - n_max // 2
+        frames = sliding_window_view(padded[start:], n_max)[:: cfg.hop][:n_frames]
+        for t0 in range(0, n_frames, dsp._CQT_BLOCK):
+            prod = np.ascontiguousarray(frames[t0 : t0 + dsp._CQT_BLOCK]) @ basis
+            out[k0 : k0 + g, t0 : t0 + dsp._CQT_BLOCK] = np.hypot(prod[:, :g], prod[:, g:]).T
+    return out
+
+
+@pytest.mark.parametrize("cfg, n_samples", CQT_CASES)
+def test_cached_cqt_equals_the_rebuilding_one(rng, cfg, n_samples):
+    w = Waveform(rng.standard_normal(n_samples)[None, :], cfg.sample_rate)
+    assert np.array_equal(cqt(w, cfg), rebuilding_cqt(w, cfg))
+    assert np.array_equal(cqt(w, cfg), rebuilding_cqt(w, cfg))  # from the cache
+
+
+def test_cqt_builds_its_kernels_once_per_config(rng, monkeypatch):
+    calls = []
+
+    def counting_kernels(cfg):
+        calls.append(cfg)
+        return cqt_kernels(cfg)
+
+    monkeypatch.setattr(dsp, "cqt_kernels", counting_kernels)
+    dsp._octave_bases.cache_clear()
+    cfg = CqtConfig(n_bins=24, f_min=110.0, hop=256, sample_rate=8000)
+    for n in (2000, 3000):
+        cqt(Waveform(rng.standard_normal(n)[None, :], cfg.sample_rate), cfg)
+    # an equal config built anew shares the cached bases
+    cqt(Waveform(rng.standard_normal(2000)[None, :], 8000),
+        CqtConfig(n_bins=24, f_min=110.0, hop=256, sample_rate=8000))
+    assert calls == [cfg]
+    other = CqtConfig(n_bins=12, f_min=110.0, sample_rate=8000)
+    cqt(Waveform(rng.standard_normal(2000)[None, :], 8000), other)
+    assert calls == [cfg, other]
+
+
+def test_cached_cqt_bases_are_read_only():
+    _, bases = dsp._octave_bases(CqtConfig(n_bins=24, f_min=110.0, sample_rate=8000))
+    for basis in bases:
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
 
 
 def test_cqt_memory_grows_with_audio_not_kernel_length(rng):
