@@ -219,11 +219,19 @@ def cmd_transcribe(args) -> int:
     return EXIT_OK
 
 
+def _render(midi_path: Path, output: Path, musescore: str | None,
+            timeout: float = notation.DEFAULT_TIMEOUT) -> Path:
+    """Sheet music for a MIDI file through the MuseScore binary that
+    notation.resolve_executable finds from musescore."""
+    job = notation.NotationJob(midi_path, output, notation.resolve_executable(musescore))
+    return notation.export_sheet(job, timeout=timeout)
+
+
 def cmd_render(args) -> int:
+    cfg = _load_config(args.config)
     midi.read_smf(args.input)  # reject malformed input before spawning anything
-    exe = notation.resolve_executable(args.musescore)
-    job = notation.NotationJob(Path(args.input), Path(args.output), exe)
-    out = notation.export_sheet(job, timeout=args.timeout)
+    out = _render(Path(args.input), Path(args.output), args.musescore or cfg.paths.musescore,
+                  args.timeout)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -249,9 +257,7 @@ def cmd_pipeline(args) -> int:
     report["transcribe"] = {"status": "ok", "midi": str(mid_path)}
 
     try:
-        exe = notation.resolve_executable(args.musescore or cfg.paths.musescore)
-        job = notation.NotationJob(mid_path, mid_path.with_suffix(".pdf"), exe)
-        pdf = notation.export_sheet(job)
+        pdf = _render(mid_path, mid_path.with_suffix(".pdf"), args.musescore or cfg.paths.musescore)
         report["render"] = {"status": "ok", "pdf": str(pdf)}
     except (notation.MuseScoreNotFoundError, notation.NotationExportError) as e:
         # Score rendering is optional: stems and MIDI already exist.
@@ -389,18 +395,23 @@ def _train_and_save(model: nn.Layer, out_dir: Path, name: str, train) -> int:
     return EXIT_OK
 
 
+def _overridden(settings, **overrides):
+    """The settings with each override that was given (not None) applied;
+    the settings' own __post_init__ validates the result."""
+    return dataclasses.replace(settings, **{k: v for k, v in overrides.items() if v is not None})
+
+
 def cmd_train_separator(args) -> int:
     cfg = _load_config(args.config)
+    sep = _overridden(cfg.separator, epochs=args.epochs, clip_seconds=args.clip_seconds)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    epochs = args.epochs if args.epochs is not None else cfg.separator.epochs
-    rate = args.sample_rate
-    clip_seconds = args.clip_seconds or cfg.separator.clip_seconds
 
     if args.manifest:
         sets = _manifest_source_sets(args.manifest)
     else:
-        sets = synth.make_source_sets(args.synthetic, clip_seconds, rate, cfg.seed)
+        sets = synth.make_source_sets(args.synthetic, sep.clip_seconds, args.sample_rate,
+                                      cfg.seed)
 
     rng = np.random.default_rng(cfg.seed)
     clips = []
@@ -411,15 +422,15 @@ def cmd_train_separator(args) -> int:
 
     model = _separator_model(cfg, None)
     return _train_and_save(model, out_dir, "separator", partial(
-        train_separator, clips, model, epochs=epochs, lr=args.lr,
-        batch_size=cfg.separator.batch_size, seed=cfg.seed))
+        train_separator, clips, model, epochs=sep.epochs, lr=args.lr,
+        batch_size=sep.batch_size, seed=cfg.seed))
 
 
 def cmd_train_amt(args) -> int:
     cfg = _load_config(args.config)
+    amt = _overridden(cfg.amt, epochs=args.epochs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    epochs = args.epochs if args.epochs is not None else cfg.amt.epochs
 
     clips = synth.make_tone_clips(args.synthetic, args.duration,
                                   cfg.cqt.sample_rate, cfg.seed)
@@ -430,8 +441,8 @@ def cmd_train_amt(args) -> int:
     ]
     model = _amt_model(cfg, None)
     return _train_and_save(model, out_dir, "amt", partial(
-        train_amt, pairs, model, epochs=epochs,
-        loss=FocalLossParams(cfg.amt.alpha, cfg.amt.gamma),
+        train_amt, pairs, model, epochs=amt.epochs,
+        loss=FocalLossParams(amt.alpha, amt.gamma),
         lr=args.lr, batch_size=args.batch_size, seed=cfg.seed))
 
 
@@ -483,6 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--musescore", help="explicit path to the MuseScore binary")
     p.add_argument("--timeout", type=float, default=notation.DEFAULT_TIMEOUT)
+    p.add_argument("--config")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("pipeline", help="separate, transcribe vocals, render score")

@@ -1,16 +1,18 @@
 """Layers with explicit forward/backward passes.
 
 Conventions:
-  * Every layer takes a whole mini-batch. Sequences are time-major
-    (T, B, features), so step t of every sequence is one contiguous
-    (B, features) block; images are (B, C, H, W). A single (T, features)
-    sequence or (C, H, W) image is the B = 1 case of the same code.
+  * Every layer takes a whole mini-batch, in one input shape. Sequences
+    are time-major (T, B, features), so step t of every sequence is one
+    contiguous (B, features) block: Lstm, BiLstm and BatchNorm take only
+    these. Conv2d takes only (B, C, H, W) images. Dense, Sigmoid and
+    MaxPool2d act on trailing axes and take any leading ones. A single
+    example is a batch of one; the models, not the layers, add that axis.
   * Weight products are single GEMMs over the 2-D (T·B, features) view;
     BatchNorm takes its statistics per example, over axis 0 (time), so an
     example's outputs do not depend on the rest of its batch.
-  * forward() caches whatever backward() needs; call them in pairs.
-    Lstm, Conv2d and MaxPool2d keep their cache only when
-    forward(x, training=True); their backward() raises without one.
+  * forward(x, training=True) keeps in _cache what backward() needs; an
+    inference forward keeps nothing and drops any earlier cache. backward()
+    without a cache raises RuntimeError (Layer._backward_cache).
   * backward() ACCUMULATES parameter gradients, summed over the batch
     (call zero_grads between batches), and returns the gradient w.r.t.
     the layer input.
@@ -44,11 +46,20 @@ sigmoid = expit
 
 class Layer:
     """The one parameter container: subclasses declare PARAMS, STATS and
-    children, and define forward/backward."""
+    children, and define forward/backward; backward reads what the last
+    training forward left in _cache through _backward_cache."""
 
     PARAMS: tuple[str, ...] = ()
     STATS: tuple[str, ...] = ()
     children: dict[str, "Layer"] = {}  # containers assign their own in __init__
+    _cache = None  # what backward needs, set only by a training forward
+
+    def _backward_cache(self):
+        """The cache of the last forward, which must have been a training one."""
+        if self._cache is None:
+            raise RuntimeError(
+                f"{type(self).__name__}.backward needs a preceding forward(x, training=True)")
+        return self._cache
 
     def _collect(self, kind: str, attr_prefix: str = "") -> dict[str, np.ndarray]:
         """The arrays named in the class tuple `kind` (PARAMS or STATS), read
@@ -91,34 +102,35 @@ class Dense(Layer):
         self.b = uniform_init(rng, (out_features,), in_features)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._x = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.shape[-1] != self.w.shape[0]:
             raise ValueError(f"expected {self.w.shape[0]} input features, got {x.shape}")
-        self._x = x
+        self._cache = x if training else None
         rows = x.reshape(-1, x.shape[-1]) @ self.w + self.b
         return rows.reshape(*x.shape[:-1], rows.shape[1])
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        x = self._x.reshape(-1, self.w.shape[0])
+        x = self._backward_cache()
         g = grad.reshape(-1, self.w.shape[1])
-        self.dw += x.T @ g
+        self.dw += x.reshape(-1, self.w.shape[0]).T @ g
         self.db += g.sum(axis=0)
-        return (g @ self.w.T).reshape(self._x.shape)
+        return (g @ self.w.T).reshape(x.shape)
 
 
 class Sigmoid(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._y = sigmoid(x)
-        return self._y
+        y = sigmoid(x)
+        self._cache = y if training else None
+        return y
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad * self._y * (1.0 - self._y)
+        y = self._backward_cache()
+        return grad * y * (1.0 - y)
 
 
 class BatchNorm(Layer):
-    """Per-feature normalization over axis 0 of (N, F) or (N, B, F) input.
+    """Per-feature normalization over axis 0 of (N, B, F) input.
 
     Training statistics are taken over the N frames of each of the B
     examples, never across the batch, and the running statistics move
@@ -140,33 +152,30 @@ class BatchNorm(Layer):
         self.momentum = momentum
         self.dgamma = np.zeros_like(self.gamma)
         self.dbeta = np.zeros_like(self.beta)
-        self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         f = self.gamma.size
-        if x.ndim not in (2, 3) or x.shape[-1] != f:
-            raise ValueError(f"expected (N, {f}) or (N, B, {f}) input, got {x.shape}")
+        if x.ndim != 3 or x.shape[2] != f:
+            raise ValueError(f"expected (N, B, {f}) input, got {x.shape}")
         if training:
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            for m, v in zip(mean.reshape(-1, f), var.reshape(-1, f)):
+            for m, v in zip(mean, var):
                 self.running_mean += self.momentum * (m - self.running_mean)
                 self.running_var += self.momentum * (v - self.running_var)
         else:
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean) * inv_std
-        self._cache = (xhat, inv_std, training)
+        self._cache = (xhat, inv_std) if training else None
         return self.gamma * xhat + self.beta
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        xhat, inv_std, training = self._cache
+        xhat, inv_std = self._backward_cache()
         f = self.gamma.size
         self.dgamma += (grad * xhat).reshape(-1, f).sum(axis=0)
         self.dbeta += grad.reshape(-1, f).sum(axis=0)
         dxhat = grad * self.gamma
-        if not training:
-            return dxhat * inv_std
         n = xhat.shape[0]
         # Each example's statistics depend on all its frames, hence the
         # mean corrections over axis 0.
@@ -178,8 +187,8 @@ class BatchNorm(Layer):
 class Conv2d(Layer):
     """Same-padded stride-1 correlation: (B, C_in, H, W) -> (B, C_out, H, W).
 
-    One (C_in, H, W) image is the B = 1 case. The whole batch is one GEMM
-    of the weights with the (C_in·kh·kw, B·H·W) column matrix.
+    The whole batch is one GEMM of the weights with the (C_in·kh·kw, B·H·W)
+    column matrix.
     """
 
     PARAMS = ("w", "b")
@@ -192,16 +201,14 @@ class Conv2d(Layer):
         self.b = uniform_init(rng, (out_channels,), fan_in)
         self.dw = np.zeros_like(self.w)
         self.db = np.zeros_like(self.b)
-        self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         c_out, c_in, kh, kw = self.w.shape
-        imgs = x[None] if x.ndim == 3 else x
-        if imgs.ndim != 4 or imgs.shape[1] != c_in:
-            raise ValueError(f"expected (B, {c_in}, H, W) or ({c_in}, H, W) input, got {x.shape}")
-        n, _, h, w = imgs.shape
+        if x.ndim != 4 or x.shape[1] != c_in:
+            raise ValueError(f"expected (B, {c_in}, H, W) input, got {x.shape}")
+        n, _, h, w = x.shape
         ph, pw = kh // 2, kw // 2
-        xp = np.pad(imgs, ((0, 0), (0, 0), (ph, ph), (pw, pw))).transpose(1, 0, 2, 3)
+        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))).transpose(1, 0, 2, 3)
         cols = np.empty((c_in, kh, kw, n, h, w))
         for i in range(kh):
             for j in range(kw):
@@ -209,17 +216,13 @@ class Conv2d(Layer):
         flat = cols.reshape(c_in * kh * kw, n * h * w)
         out = self.w.reshape(c_out, -1) @ flat
         out += self.b[:, None]
-        self._cache = (flat, imgs.shape) if training else None
-        out = out.reshape(c_out, n, h, w).transpose(1, 0, 2, 3)
-        return out if x.ndim == 4 else out[0]
+        self._cache = (flat, x.shape) if training else None
+        return out.reshape(c_out, n, h, w).transpose(1, 0, 2, 3)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("Conv2d.backward needs a preceding forward(x, training=True)")
-        flat, (n, _, h, w) = self._cache
+        flat, (n, _, h, w) = self._backward_cache()
         c_out, c_in, kh, kw = self.w.shape
-        g = grad[None] if grad.ndim == 3 else grad
-        gmat = g.transpose(1, 0, 2, 3).reshape(c_out, n * h * w)
+        gmat = grad.transpose(1, 0, 2, 3).reshape(c_out, n * h * w)
         self.dw += (gmat @ flat.T).reshape(self.w.shape)
         self.db += gmat.sum(axis=1)
         dcols = (self.w.reshape(c_out, -1).T @ gmat).reshape(c_in, kh, kw, n, h, w)
@@ -228,8 +231,7 @@ class Conv2d(Layer):
         for i in range(kh):
             for j in range(kw):
                 dxp[:, :, i : i + h, j : j + w] += dcols[:, i, j]
-        dx = dxp[:, :, ph : ph + h, pw : pw + w].transpose(1, 0, 2, 3)
-        return dx if grad.ndim == 4 else dx[0]
+        return dxp[:, :, ph : ph + h, pw : pw + w].transpose(1, 0, 2, 3)
 
 
 class MaxPool2d(Layer):
@@ -244,7 +246,6 @@ class MaxPool2d(Layer):
 
     def __init__(self, pool: tuple[int, int]):
         self.pool = pool
-        self._cache = None
 
     def _offsets(self) -> list[tuple[slice, slice]]:
         ph, pw = self.pool
@@ -265,9 +266,7 @@ class MaxPool2d(Layer):
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("MaxPool2d.backward needs a preceding forward(x, training=True)")
-        winner, in_shape = self._cache
+        winner, in_shape = self._backward_cache()
         dx = np.empty(in_shape)
         for k, offset in enumerate(self._offsets()):
             dx[(..., *offset)] = np.where(winner == k, grad, 0.0)
@@ -276,7 +275,7 @@ class MaxPool2d(Layer):
 
 class Lstm(Layer):
     """Single-direction LSTM over a time-major (T, B, input) batch of
-    sequences, zero initial state; a (T, input) sequence is the B = 1 case.
+    sequences, zero initial state.
 
     Gate layout along the 4H axis is [input, forget, cell, output].
 
@@ -299,18 +298,16 @@ class Lstm(Layer):
         self.dw_x = np.zeros_like(self.w_x)
         self.dw_h = np.zeros_like(self.w_h)
         self.db = np.zeros_like(self.b)
-        self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n_in = self.w_x.shape[0]
-        seq = x[:, None] if x.ndim == 2 else x
-        if seq.ndim != 3 or seq.shape[2] != n_in:
-            raise ValueError(f"expected (T, B, {n_in}) or (T, {n_in}) input, got {x.shape}")
-        t_len, batch, _ = seq.shape
+        if x.ndim != 3 or x.shape[2] != n_in:
+            raise ValueError(f"expected (T, B, {n_in}) input, got {x.shape}")
+        t_len, batch, _ = x.shape
         h = self.hidden_size
         # Pre-activations of every step; block t becomes the activated gates
         # [i, f, g, o] once step t adds its recurrent term.
-        gates = (seq.reshape(t_len * batch, n_in) @ self.w_x + self.b).reshape(t_len, batch, 4 * h)
+        gates = (x.reshape(t_len * batch, n_in) @ self.w_x + self.b).reshape(t_len, batch, 4 * h)
         c = np.empty((t_len, batch, h))
         tanh_c = np.empty((t_len, batch, h))
         hs = np.empty((t_len, batch, h))
@@ -329,15 +326,12 @@ class Lstm(Layer):
             np.tanh(c_t, out=tanh_c_t)
             np.multiply(o_t, tanh_c_t, out=h_t)
             h_prev, c_prev = h_t, c_t
-        self._cache = (seq, gates, c, tanh_c, hs) if training else None
-        return hs if x.ndim == 3 else hs[:, 0]
+        self._cache = (x, gates, c, tanh_c, hs) if training else None
+        return hs
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("Lstm.backward needs a preceding forward(x, training=True)")
-        seq, gates, c, tanh_c, hs = self._cache
+        x, gates, c, tanh_c, hs = self._backward_cache()
         t_len, batch, h = hs.shape
-        grad_seq = grad[:, None] if grad.ndim == 2 else grad
         i, f, g, o = (gates[..., k * h : (k + 1) * h] for k in range(4))
         c_prev = np.zeros_like(c)
         c_prev[1:] = c[:-1]
@@ -357,7 +351,7 @@ class Lstm(Layer):
         dh, dh_next, dc_next = np.empty((batch, h)), np.zeros((batch, h)), np.zeros((batch, h))
         dc_col = np.empty((batch, 1, h))  # dc_t, broadcast over the three gates it feeds
         dc = dc_col[:, 0]
-        steps = zip(grad_seq[::-1], dc_dh[::-1], fac[::-1, :, :3], fac[::-1, :, 3], f[::-1],
+        steps = zip(grad[::-1], dc_dh[::-1], fac[::-1, :, :3], fac[::-1, :, 3], f[::-1],
                     da[::-1, :, :3], da[::-1, :, 3], da_rows[::-1])
         for grad_t, dc_dh_t, fac_ifg_t, fac_o_t, f_t, da_ifg_t, da_o_t, da_row in steps:
             np.add(grad_t, dh_next, out=dh)
@@ -368,17 +362,16 @@ class Lstm(Layer):
             np.multiply(dc, f_t, out=dc_next)
             np.dot(da_row, w_h_t, out=dh_next)
         da_flat = da_rows.reshape(t_len * batch, 4 * h)
-        self.dw_x += seq.reshape(t_len * batch, -1).T @ da_flat
+        self.dw_x += x.reshape(t_len * batch, -1).T @ da_flat
         self.dw_h += h_prev.reshape(t_len * batch, h).T @ da_flat
         self.db += da_flat.sum(axis=0)
-        dx = (da_flat @ self.w_x.T).reshape(t_len, batch, -1)
-        return dx if grad.ndim == 3 else dx[:, 0]
+        return (da_flat @ self.w_x.T).reshape(t_len, batch, -1)
 
 
 class BiLstm(Layer):
-    """Forward and time-reversed LSTM passes over (T, B, input) or
-    (T, input), hidden states concatenated, so the output feature size is
-    twice the hidden size."""
+    """Forward and time-reversed LSTM passes over (T, B, input), hidden
+    states concatenated, so the output feature size is twice the hidden
+    size."""
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.fwd = Lstm(input_size, hidden_size, rng)

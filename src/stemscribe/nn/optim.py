@@ -64,15 +64,18 @@ def fit(model, examples, optimizer, epochs: int, batch_size: int = 1,
     """Mini-batch training: one loss_and_grad call per batch of examples,
     whose gradients are then divided by the batch size.
 
-    Returns the per-epoch mean loss trace; raises DivergenceError with the
-    offending epoch index if the loss goes non-finite. Each epoch's loss,
-    wall time and mean global gradient L2 norm (of the batch-averaged
-    gradients) are logged at debug level.
+    Returns the per-epoch mean loss trace; raises ValueError on an empty
+    example list and DivergenceError with the offending epoch index if the
+    loss goes non-finite. Each epoch's loss, wall time and mean global
+    gradient L2 norm (of the batch-averaged gradients) are logged at debug
+    level.
     """
+    n = len(examples)
+    if not n:
+        raise ValueError("fit needs at least one training example; the example list is empty")
     if rng is None:
         rng = np.random.default_rng(0)
     trace: list[float] = []
-    n = len(examples)
     for epoch in range(epochs):
         started = time.perf_counter()
         order = rng.permutation(n)

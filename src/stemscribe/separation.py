@@ -117,14 +117,15 @@ class SeparatorModel(nn.Layer):
 
     def forward_mask(self, log_mag: np.ndarray, training: bool = False) -> np.ndarray:
         """Masks for a time-major (frames, B, bins) batch of log grids, or
-        for one (frames, bins) grid."""
-        h = log_mag
+        for one (frames, bins) grid, which runs as the batch of one."""
+        h = log_mag[:, None] if log_mag.ndim == 2 else log_mag
         for layer in self.children.values():
             h = layer.forward(h, training)
-        return h
+        return h[:, 0] if log_mag.ndim == 2 else h
 
     def backward(self, grad_mask: np.ndarray) -> None:
-        g = grad_mask
+        """Takes the gradient of the mask forward_mask returned."""
+        g = grad_mask[:, None] if grad_mask.ndim == 2 else grad_mask
         for layer in reversed(self.children.values()):
             g = layer.backward(g)
 

@@ -128,7 +128,6 @@ class AmtModel(nn.Layer):
         self.children = {"norm": self.norm, "conv": self.conv, "blstm": self.blstm,
                          "head": self.head}
         self.loss_params = FocalLossParams()
-        self._pooled_shape = None
 
     def forward(self, seg: np.ndarray, training: bool = False) -> np.ndarray:
         """(B, bins, W) windows -> (B, W, keys) probabilities; one (bins, W)
@@ -140,16 +139,17 @@ class AmtModel(nn.Layer):
         x = self.norm.forward(x.transpose(2, 0, 1), training)  # stats per window and bin
         x = self.pool.forward(self.conv.forward(x.transpose(1, 2, 0)[:, None], training),
                               training)
-        self._pooled_shape = n, c, b, w = x.shape
+        n, c, b, w = x.shape
+        self._cache = x.shape if training else None
         x = self.blstm.forward(x.transpose(3, 0, 1, 2).reshape(w, n, c * b), training)
         probs = self.out.forward(self.head.forward(x, training), training).transpose(1, 0, 2)
         return probs if seg.ndim == 3 else probs[0]
 
     def backward(self, grad: np.ndarray) -> None:
         """Takes the gradient of the probabilities forward returned."""
+        n, c, b, w = self._backward_cache()
         g = grad[None] if grad.ndim == 2 else grad
         g = self.blstm.backward(self.head.backward(self.out.backward(g.transpose(1, 0, 2))))
-        n, c, b, w = self._pooled_shape
         g = self.conv.backward(self.pool.backward(g.reshape(w, n, c, b).transpose(1, 2, 3, 0)))
         self.norm.backward(g[:, 0].transpose(2, 0, 1))  # input gradient ends here
 

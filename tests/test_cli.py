@@ -1,3 +1,4 @@
+import argparse
 import collections
 import csv
 import hashlib
@@ -19,6 +20,7 @@ from stemscribe.audio_io import Waveform, read_wav, write_wav
 from stemscribe.midi import read_smf, write_smf
 from stemscribe.pianoroll import NoteEvent
 from stemscribe.separation import SeparatorModel
+from tests.conftest import STUB_FAIL
 
 TINY_CONFIG = {
     "stft": {"fft_size": 128, "hop": 32},
@@ -340,6 +342,27 @@ def test_render_with_stub_succeeds(tmp_path, midi_file, make_stub):
     assert out.read_bytes() == midi_file.read_bytes()
 
 
+def test_render_uses_the_musescore_named_in_the_config(tmp_path, midi_file, make_stub,
+                                                       monkeypatch):
+    # the environment names a failing binary: only the config's may run
+    monkeypatch.setenv("MUSESCORE_PATH", str(make_stub(STUB_FAIL, "failing_stub")))
+    config = tmp_path / "render.json"
+    config.write_text(json.dumps({"paths": {"musescore": str(make_stub())}}))
+    out = tmp_path / "song.pdf"
+    assert cli.main(["render", str(midi_file), str(out), "--config", str(config)]) == 0
+    assert out.read_bytes() == midi_file.read_bytes()
+
+
+def test_every_command_takes_config():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == {"separate", "transcribe", "render", "pipeline", "evaluate",
+                             "train-separator", "train-amt", "mix"}
+    for name, sub in commands.items():
+        assert "--config" in sub._option_string_actions, name
+
+
 def test_render_without_binary_is_missing_dependency(midi_file, tmp_path, no_musescore):
     assert cli.main(["render", str(midi_file), str(tmp_path / "o.pdf")]) == 3
 
@@ -569,6 +592,47 @@ def test_debug_epoch_records_leave_the_loss_csv_and_checkpoint_alone(tmp_path, t
     epochs = [r for r in caplog.records if r.name == "stemscribe.nn.optim"]
     assert len(epochs) == 3  # only the DEBUG run records them
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("command", [
+    ["train-separator", "--synthetic", "2", "--remix-count", "0", "--clip-seconds", "1.0"],
+    ["train-amt", "--synthetic", "0", "--duration", "1.0", "--window", "16",
+     "--hop-frames", "8"],
+])
+def test_an_empty_training_set_is_invalid(tmp_path, tiny_config, command, caplog):
+    assert cli.main([command[0], "--out-dir", str(tmp_path / "t"), "--config", tiny_config,
+                     "--epochs", "1", *command[1:]]) == 2
+    assert "example list is empty" in caplog.text
+
+
+@pytest.mark.parametrize("command", [
+    ["train-separator", "--epochs", "-1", "--clip-seconds", "1.0"],
+    ["train-separator", "--epochs", "1", "--clip-seconds", "0"],
+    ["train-separator", "--epochs", "1", "--clip-seconds", "-2.5"],
+    ["train-amt", "--epochs", "-1"],
+])
+def test_training_overrides_obey_the_config_rules(tmp_path, tiny_config, command, caplog):
+    out = tmp_path / "t"
+    assert cli.main([command[0], "--out-dir", str(out), "--config", tiny_config,
+                     "--synthetic", "2", *command[1:]]) == 2
+    assert "epochs nonnegative" in caplog.text or "clip_seconds must be positive" in caplog.text
+    assert not out.exists()
+
+
+def test_clip_seconds_override_sets_the_clip_length(tmp_path, tiny_config, monkeypatch):
+    from stemscribe import synth
+    seen = []
+    real = synth.make_source_sets
+
+    def spy(count, seconds, *args):
+        seen.append(seconds)
+        return real(count, seconds, *args)
+
+    monkeypatch.setattr(synth, "make_source_sets", spy)
+    assert cli.main(["train-separator", "--out-dir", str(tmp_path / "t"), "--config",
+                     tiny_config, "--epochs", "0", "--synthetic", "2", "--remix-count", "1",
+                     "--clip-seconds", "0.5"]) == 0
+    assert seen == [0.5]
 
 
 def test_divergence_exits_four(tmp_path, tiny_config, monkeypatch):

@@ -36,13 +36,14 @@ class LayerHarness:
 
 
 def layer_cases(seed):
+    """One example per layer, as the batch of one."""
     rng = np.random.default_rng(seed)
     return [
-        (nn.Dense(4, 3, rng), rng.standard_normal((5, 4)), (5, 3)),
-        (nn.BatchNorm(3), rng.standard_normal((6, 3)), (6, 3)),
-        (nn.Conv2d(2, 3, (3, 3), rng), rng.standard_normal((2, 4, 5)), (3, 4, 5)),
-        (nn.Lstm(3, 4, rng), rng.standard_normal((5, 3)), (5, 4)),
-        (nn.BiLstm(3, 2, rng), rng.standard_normal((4, 3)), (4, 4)),
+        (nn.Dense(4, 3, rng), rng.standard_normal((5, 1, 4)), (5, 1, 3)),
+        (nn.BatchNorm(3), rng.standard_normal((6, 1, 3)), (6, 1, 3)),
+        (nn.Conv2d(2, 3, (3, 3), rng), rng.standard_normal((1, 2, 4, 5)), (1, 3, 4, 5)),
+        (nn.Lstm(3, 4, rng), rng.standard_normal((5, 1, 3)), (5, 1, 4)),
+        (nn.BiLstm(3, 2, rng), rng.standard_normal((4, 1, 3)), (4, 1, 4)),
     ]
 
 
@@ -76,13 +77,13 @@ def test_every_layer_gradient_matches_finite_differences_on_a_batch(seed):
 
 def test_batch_norm_constant_column_is_zeroed():
     bn = nn.BatchNorm(2)
-    x = np.full((8, 2), 3.7)
+    x = np.full((8, 1, 2), 3.7)
     assert np.abs(bn.forward(x, training=True)).max() < 1e-4
 
 
 def test_batch_norm_normalizes():
     bn = nn.BatchNorm(1)
-    out = bn.forward(np.array([[1.0], [2.0], [3.0]]), training=True)
+    out = bn.forward(np.array([[[1.0]], [[2.0]], [[3.0]]]), training=True)
     assert abs(out.mean()) < 1e-6
     assert abs(out.var() - 1.0) < 1e-6
 
@@ -91,7 +92,7 @@ def test_batch_norm_affine_params():
     bn = nn.BatchNorm(1)
     bn.gamma[:] = 2.0
     bn.beta[:] = 3.0
-    out = bn.forward(np.array([[1.0], [2.0], [3.0]]), training=True)
+    out = bn.forward(np.array([[[1.0]], [[2.0]], [[3.0]]]), training=True)
     assert out.mean() == pytest.approx(3.0, abs=1e-9)
     assert out.std() == pytest.approx(2.0, rel=1e-6)
 
@@ -100,7 +101,7 @@ def test_batch_norm_statistics_property():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         bn = nn.BatchNorm(5)
-        out = bn.forward(rng.standard_normal((16, 5)) * 3 + 1, training=True)
+        out = bn.forward(rng.standard_normal((16, 1, 5)) * 3 + 1, training=True)
         assert np.abs(out.mean(axis=0)).max() < 1e-6
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-5
 
@@ -109,10 +110,10 @@ def test_batch_norm_inference_uses_running_stats():
     bn = nn.BatchNorm(1)
     rng = np.random.default_rng(0)
     for _ in range(200):
-        bn.forward(rng.standard_normal((32, 1)) * 2 + 5, training=True)
-    out = bn.forward(np.array([[5.0]]), training=False)
+        bn.forward(rng.standard_normal((32, 1, 1)) * 2 + 5, training=True)
+    out = bn.forward(np.array([[[5.0]]]), training=False)
     # at the distribution mean the normalized value is near zero
-    assert abs(out[0, 0]) < 0.2
+    assert abs(out[0, 0, 0]) < 0.2
 
 
 def test_batch_norm_takes_statistics_per_example():
@@ -127,9 +128,11 @@ def test_batch_norm_takes_statistics_per_example():
     dx = batched.backward(grad)
     solo = nn.BatchNorm(4)
     for b in range(2):
-        np.testing.assert_allclose(out[:, b], solo.forward(x[:, b], training=True),
+        one = slice(b, b + 1)
+        np.testing.assert_allclose(out[:, one], solo.forward(x[:, one], training=True),
                                    rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(dx[:, b], solo.backward(grad[:, b]), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(dx[:, one], solo.backward(grad[:, one]), rtol=1e-10,
+                                   atol=1e-12)
     # running statistics move once per example, in batch order
     for name, value in solo.state().items():
         np.testing.assert_allclose(batched.state()[name], value, rtol=1e-12)
@@ -137,7 +140,9 @@ def test_batch_norm_takes_statistics_per_example():
 
 def test_batch_norm_shape_check():
     with pytest.raises(ValueError):
-        nn.BatchNorm(3).forward(np.zeros((4, 2)), training=True)
+        nn.BatchNorm(3).forward(np.zeros((4, 1, 2)), training=True)
+    with pytest.raises(ValueError):  # one (N, F) example must come as the batch of one
+        nn.BatchNorm(3).forward(np.zeros((4, 3)), training=True)
 
 
 # ------------------------------------------------------------------ lstm
@@ -146,7 +151,7 @@ def test_lstm_zero_weights_give_zero_outputs(rng):
     lstm = nn.Lstm(3, 4, rng)
     for p in lstm.params().values():
         p[...] = 0.0
-    out = lstm.forward(rng.standard_normal((6, 3)))
+    out = lstm.forward(rng.standard_normal((6, 1, 3)))
     assert not out.any()
 
 
@@ -155,7 +160,7 @@ def test_lstm_single_step_closed_form():
     lstm.w_x[...] = np.array([[0.5, -0.3, 0.8, 0.2]])
     lstm.w_h[...] = 0.0  # first step has no recurrent term anyway
     lstm.b[...] = np.array([0.1, 0.2, -0.1, 0.0])
-    x = np.array([[2.0]])
+    x = np.array([[[2.0]]])
     out = lstm.forward(x)
 
     def sig(v):
@@ -165,21 +170,21 @@ def test_lstm_single_step_closed_form():
     gate_cell = np.tanh(0.8 * 2 - 0.1)
     gate_out = sig(0.2 * 2 + 0.0)
     c = gate_in * gate_cell  # forget gate sees zero initial cell state
-    assert out[0, 0] == pytest.approx(gate_out * np.tanh(c), abs=1e-12)
+    assert out[0, 0, 0] == pytest.approx(gate_out * np.tanh(c), abs=1e-12)
 
 
 def test_lstm_input_shape_check(rng):
     with pytest.raises(ValueError):
-        nn.Lstm(3, 2, rng).forward(np.zeros((4, 5)))
+        nn.Lstm(3, 2, rng).forward(np.zeros((4, 1, 5)))
 
 
 def test_bilstm_output_width_and_zero_weights(rng):
     bi = nn.BiLstm(3, 4, rng)
-    out = bi.forward(rng.standard_normal((5, 3)))
-    assert out.shape == (5, 8)
+    out = bi.forward(rng.standard_normal((5, 2, 3)))
+    assert out.shape == (5, 2, 8)
     for p in bi.params().values():
         p[...] = 0.0
-    assert not bi.forward(rng.standard_normal((5, 3))).any()
+    assert not bi.forward(rng.standard_normal((5, 2, 3))).any()
 
 
 def test_bilstm_palindrome_symmetry(rng):
@@ -189,8 +194,8 @@ def test_bilstm_palindrome_symmetry(rng):
     for name, p in bi.fwd.params().items():
         bi.bwd.params()[name][...] = p
     row = rng.standard_normal((4, 2))
-    x = np.vstack([row, row[::-1]])  # length 8 palindrome
-    out = bi.forward(x)
+    x = np.vstack([row, row[::-1]])[:, None]  # length 8 palindrome, batch of one
+    out = bi.forward(x)[:, 0]
     t_len = x.shape[0]
     for t in range(t_len):
         np.testing.assert_allclose(out[t, :3], out[t_len - 1 - t, 3:], atol=1e-12)
@@ -260,8 +265,8 @@ def test_lstm_matches_per_step_loop(input_size, hidden, t_len):
     x = rng.standard_normal((t_len, input_size))
     grad = rng.standard_normal((t_len, hidden))
     hs, dx, dw_x, dw_h, db = loop_lstm(lstm, x, grad)
-    assert_close(lstm.forward(x, training=True), hs)
-    assert_close(lstm.backward(grad), dx)
+    assert_close(lstm.forward(x[:, None], training=True)[:, 0], hs)
+    assert_close(lstm.backward(grad[:, None])[:, 0], dx)
     assert_close(lstm.dw_x, dw_x)
     assert_close(lstm.dw_h, dw_h)
     assert_close(lstm.db, db)
@@ -273,8 +278,8 @@ def test_bilstm_matches_per_step_loops(rng):
     grad = rng.standard_normal((9, 10))
     hs_f, dx_f, *grads_f = loop_lstm(bi.fwd, x, grad[:, :5])
     hs_b, dx_b, *grads_b = loop_lstm(bi.bwd, x[::-1], grad[::-1, 5:])
-    assert_close(bi.forward(x, training=True), np.hstack([hs_f, hs_b[::-1]]))
-    assert_close(bi.backward(grad), dx_f + dx_b[::-1])
+    assert_close(bi.forward(x[:, None], training=True)[:, 0], np.hstack([hs_f, hs_b[::-1]]))
+    assert_close(bi.backward(grad[:, None])[:, 0], dx_f + dx_b[::-1])
     for lstm, expected in ((bi.fwd, grads_f), (bi.bwd, grads_b)):
         for actual, want in zip((lstm.dw_x, lstm.dw_h, lstm.db), expected):
             assert_close(actual, want)
@@ -302,17 +307,12 @@ def test_lstm_batch_matches_per_sequence_loops(input_size, hidden, t_len, batch)
 
 
 def test_lstm_single_sequence_is_the_batch_of_one(rng):
+    # a (T, F) sequence has one form, (T, 1, F); the unbatched one is refused
     lstm = nn.Lstm(5, 3, rng)
     x = rng.standard_normal((7, 5))
-    grad = rng.standard_normal((7, 3))
-    hs = lstm.forward(x, training=True)
-    dx = lstm.backward(grad)
-    grads = {k: g.copy() for k, g in lstm.grads().items()}
-    lstm.zero_grads()
-    assert np.array_equal(lstm.forward(x[:, None], training=True)[:, 0], hs)
-    assert np.array_equal(lstm.backward(grad[:, None])[:, 0], dx)
-    for name, g in lstm.grads().items():
-        assert np.array_equal(g, grads[name])
+    with pytest.raises(ValueError, match=r"\(T, B, 5\)"):
+        lstm.forward(x, training=True)
+    assert lstm.forward(x[:, None]).shape == (7, 1, 3)
 
 
 def test_bilstm_batch_matches_single_sequences(rng):
@@ -324,20 +324,10 @@ def test_bilstm_batch_matches_single_sequences(rng):
     batched = {k: g.copy() for k, g in bi.grads().items()}
     bi.zero_grads()
     for b in range(3):
-        assert_close(out[:, b], bi.forward(x[:, b], training=True))
-        assert_close(dx[:, b], bi.backward(grad[:, b]))
+        assert_close(out[:, b : b + 1], bi.forward(x[:, b : b + 1], training=True))
+        assert_close(dx[:, b : b + 1], bi.backward(grad[:, b : b + 1]))
     for name, g in bi.grads().items():
         assert_close(batched[name], g)
-
-
-def test_lstm_inference_keeps_no_backward_cache(rng):
-    lstm = nn.Lstm(3, 4, rng)
-    x = rng.standard_normal((5, 3))
-    lstm.forward(x, training=True)
-    lstm.forward(x, training=False)  # drops the training cache too
-    assert lstm._cache is None
-    with pytest.raises(RuntimeError, match="training=True"):
-        lstm.backward(np.ones((5, 4)))
 
 
 # ------------------------------------------------- conv / pool / dense
@@ -346,8 +336,16 @@ def test_conv_identity_kernel(rng):
     conv = nn.Conv2d(1, 1, (1, 1), rng)
     conv.w[...] = 1.0
     conv.b[...] = 0.0
-    x = rng.standard_normal((1, 5, 6))
+    x = rng.standard_normal((2, 1, 5, 6))
     np.testing.assert_allclose(conv.forward(x), x, atol=1e-12)
+
+
+def test_conv_shape_check(rng):
+    conv = nn.Conv2d(2, 3, (3, 3), rng)
+    with pytest.raises(ValueError):
+        conv.forward(np.zeros((1, 1, 4, 4)))
+    with pytest.raises(ValueError, match=r"\(B, 2, H, W\)"):  # one image is the batch of one
+        conv.forward(np.zeros((2, 4, 4)))
 
 
 def test_maxpool_simple():
@@ -401,20 +399,80 @@ def test_maxpool_matches_argmax_pooling_with_exact_ties(pool, shape):
     assert np.array_equal(single.backward(grad[0]), dx[0])
 
 
-def test_maxpool_inference_keeps_no_backward_cache():
-    pool = nn.MaxPool2d((2, 1))
-    pool.forward(np.ones((1, 1, 2, 2)), training=True)
-    pool.forward(np.ones((1, 1, 2, 2)))
-    with pytest.raises(RuntimeError, match="training=True"):
-        pool.backward(np.ones((1, 1, 1, 2)))
-
-
 def test_sigmoid_midpoint_and_saturation():
     s = nn.Sigmoid()
     assert s.forward(np.array([0.0]))[0] == 0.5
     out = s.forward(np.array([-800.0, 800.0]))
     assert np.all(np.isfinite(out))
     assert sigmoid_fn(np.array([0.0]))[0] == 0.5
+
+
+def contract_cases():
+    """(layer, training input, output shape) for each of the six layer types."""
+    rng = np.random.default_rng(4)
+    return {
+        "Dense": (nn.Dense(3, 2, rng), rng.standard_normal((4, 1, 3)), (4, 1, 2)),
+        "Sigmoid": (nn.Sigmoid(), rng.standard_normal((4, 1, 3)), (4, 1, 3)),
+        "BatchNorm": (nn.BatchNorm(3), rng.standard_normal((4, 1, 3)), (4, 1, 3)),
+        "Conv2d": (nn.Conv2d(1, 2, (3, 3), rng), rng.standard_normal((1, 1, 4, 4)), (1, 2, 4, 4)),
+        "MaxPool2d": (nn.MaxPool2d((2, 1)), rng.standard_normal((1, 1, 2, 2)), (1, 1, 1, 2)),
+        "Lstm": (nn.Lstm(3, 4, rng), rng.standard_normal((5, 1, 3)), (5, 1, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", list(contract_cases()))
+def test_inference_forward_keeps_no_backward_cache(name):
+    layer, x, out_shape = contract_cases()[name]
+    with pytest.raises(RuntimeError, match=rf"^{name}\.backward needs a preceding "
+                                           r"forward\(x, training=True\)$"):
+        layer.backward(np.ones(out_shape))  # no forward at all
+    layer.forward(x, training=True)
+    layer.backward(np.ones(out_shape))
+    layer.forward(x, training=False)  # drops the training cache too
+    assert layer._cache is None
+    with pytest.raises(RuntimeError, match="training=True"):
+        layer.backward(np.ones(out_shape))
+
+
+def held_activations(model):
+    """Attribute paths of every ndarray a model's layers hold beyond their
+    parameters, gradient buffers and running statistics."""
+    own = {id(a) for a in (*model.state().values(), *model.grads().values())}
+    found = []
+
+    def walk(obj, path):
+        if isinstance(obj, np.ndarray):
+            if id(obj) not in own:
+                found.append(path)
+        elif isinstance(obj, nn.Layer):
+            for name, value in vars(obj).items():
+                walk(value, f"{path}.{name}")
+        elif isinstance(obj, (tuple, list)):
+            for i, value in enumerate(obj):
+                walk(value, f"{path}[{i}]")
+        elif isinstance(obj, dict):
+            for key, value in obj.items():
+                walk(value, f"{path}[{key!r}]")
+
+    walk(model, type(model).__name__)
+    return found
+
+
+def test_inference_leaves_no_activations_behind(rng):
+    from stemscribe.separation import SeparatorModel
+    from stemscribe.transcription import AmtConfig, AmtModel
+
+    sep = SeparatorModel(num_bins=9, hidden=4, layers=2)
+    sep.forward_mask(rng.standard_normal((12, 2, 9)), training=True)
+    assert held_activations(sep)  # training keeps what backward needs
+    sep.predict_mask(rng.standard_normal((12, 9)))
+    assert held_activations(sep) == []
+    amt = AmtModel(AmtConfig(n_bins=6, conv_channels=2, hidden=3, n_keys=5))
+    windows = rng.standard_normal((3, 6, 8))
+    amt.forward(windows, training=True)
+    assert held_activations(amt)
+    amt.predict(windows)
+    assert held_activations(amt) == []
 
 
 def test_dense_is_time_distributed(rng):
@@ -435,19 +493,12 @@ def test_conv_batch_matches_single_images(rng):
     batched = {k: g.copy() for k, g in conv.grads().items()}
     conv.zero_grads()
     for b in range(4):
-        np.testing.assert_allclose(out[b], conv.forward(x[b], training=True), rtol=1e-12,
+        np.testing.assert_allclose(out[b : b + 1], conv.forward(x[b : b + 1], training=True),
+                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(dx[b : b + 1], conv.backward(grad[b : b + 1]), rtol=1e-12,
                                    atol=1e-14)
-        np.testing.assert_allclose(dx[b], conv.backward(grad[b]), rtol=1e-12, atol=1e-14)
     for name, g in conv.grads().items():
         np.testing.assert_allclose(batched[name], g, rtol=1e-10, atol=1e-12)
-
-
-def test_conv_inference_keeps_no_backward_cache(rng):
-    conv = nn.Conv2d(1, 2, (3, 3), rng)
-    conv.forward(np.ones((1, 4, 4)), training=True)
-    conv.forward(np.ones((1, 4, 4)))
-    with pytest.raises(RuntimeError, match="training=True"):
-        conv.backward(np.ones((2, 4, 4)))
 
 
 def test_dense_batch_is_time_and_batch_distributed(rng):
@@ -621,7 +672,7 @@ def test_grad_check_linear_model_is_tight(rng):
             d.zero_grads()
 
         def loss_and_grad(self, x):
-            out = d.forward(x)
+            out = d.forward(x, training=True)
             target = 1.0
             diff = out[0, 0] - target
             d.backward(np.array([[2.0 * diff]]))

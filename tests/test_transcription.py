@@ -249,18 +249,18 @@ def test_model_gradient_matches_finite_differences_on_a_batch():
 
 
 def per_example_loss_and_grad(model, ex):
-    """One (bins, W) window through the layers as a single example: the
+    """One (bins, W) window through the layers as the batch of one: the
     per-example AmtModel.loss_and_grad that the batched one replaced, kept
     as the reference. Adds into the gradient buffers; returns the loss."""
-    x = model.norm.forward(ex.features.T, True).T
-    pooled = model.pool.forward(model.conv.forward(x[None], True), True)
+    x = model.norm.forward(ex.features.T[:, None], True)[:, 0].T
+    pooled = model.pool.forward(model.conv.forward(x[None, None], True), True)[0]
     c, b, w = pooled.shape
-    seq = pooled.transpose(2, 0, 1).reshape(w, c * b)
+    seq = pooled.transpose(2, 0, 1).reshape(w, 1, c * b)
     probs = model.out.forward(model.head.forward(model.blstm.forward(seq, True), True), True)
-    loss, grad = focal_loss(probs, ex.targets, model.loss_params)
-    g = model.blstm.backward(model.head.backward(model.out.backward(grad)))
-    g = model.conv.backward(model.pool.backward(g.reshape(w, c, b).transpose(1, 2, 0)))
-    model.norm.backward(g[0].T)
+    loss, grad = focal_loss(probs[:, 0], ex.targets, model.loss_params)
+    g = model.blstm.backward(model.head.backward(model.out.backward(grad[:, None])))
+    g = model.conv.backward(model.pool.backward(g.reshape(w, c, b).transpose(1, 2, 0)[None]))
+    model.norm.backward(g[0, 0].T[:, None])
     return loss
 
 
