@@ -30,7 +30,7 @@ import numpy as np
 from . import bss_metrics, midi, nn, notation, synth
 from .audio_io import UnsupportedCodecError, Waveform, WavFormatError, read_wav, resample, write_wav
 from .config import ManifestError, PipelineConfig, load_manifest
-from .dsp import WindowError, log_magnitude, num_cqt_frames
+from .dsp import WindowError, num_cqt_frames
 from .midi import SmfParseError
 from .nn.loss import FocalLossParams
 from .pianoroll import FrameTiming, rasterize_notes, roll_to_notes
@@ -43,7 +43,7 @@ from .separation import (
     make_training_clip,
     remix,
     separate,
-    separate_spectrogram,
+    separate_blocks,
     sum_accompaniment,
     train_separator,
 )
@@ -133,27 +133,30 @@ def _mask_csv_bytes(block: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def _write_mask_csv(mask: np.ndarray, path: Path) -> None:
-    """The bytes np.savetxt(path, mask, fmt="%.6f", delimiter=","), written
-    _MASK_CSV_BLOCK rows at a time.  A grid with a value outside [0, 1] or a
-    -0.0 ("-0.000000"), which only a diverged checkpoint gives, goes through
-    np.savetxt itself."""
+def _write_mask_csv(mask: np.ndarray, f) -> None:
+    """The bytes np.savetxt(f, mask, fmt="%.6f", delimiter=",") writes to
+    the binary file f, formatted _MASK_CSV_BLOCK rows at a time.  Rows of a
+    grid written in consecutive calls get the bytes of one.  A grid with a
+    value outside [0, 1] or a -0.0 ("-0.000000"), which only a diverged
+    checkpoint gives, goes through np.savetxt itself."""
     mask = np.asarray(mask, dtype=np.float64)
     if not np.all((mask >= 0.0) & (mask <= 1.0)) or np.signbit(mask).any():
-        np.savetxt(path, mask, fmt="%.6f", delimiter=",")
+        np.savetxt(f, mask, fmt="%.6f", delimiter=",")
         return
-    with open(path, "wb") as f:
-        for r0 in range(0, mask.shape[0], _MASK_CSV_BLOCK):
-            f.write(_mask_csv_bytes(mask[r0 : r0 + _MASK_CSV_BLOCK]))
+    for r0 in range(0, mask.shape[0], _MASK_CSV_BLOCK):
+        f.write(_mask_csv_bytes(mask[r0 : r0 + _MASK_CSV_BLOCK]))
 
 
-def _write_stats_csv(log_mag: np.ndarray, path: Path) -> None:
+def _write_stats_csv(log_mag: np.ndarray, f, first_frame: int = 0) -> None:
+    """Stats rows of the log-magnitude rows of frames first_frame onward,
+    to the text file f (opened with newline=""); the header goes before
+    frame 0."""
     means = [f"{v:.4f}" for v in log_mag.mean(axis=1)]
     maxes = [f"{v:.4f}" for v in log_mag.max(axis=1)]
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
+    writer = csv.writer(f)
+    if first_frame == 0:
         writer.writerow(["frame", "mean_db", "max_db"])
-        writer.writerows(zip(range(len(means)), means, maxes))
+    writer.writerows(zip(range(first_frame, first_frame + len(means)), means, maxes))
 
 
 def _write_loss_csv(trace: list[float], path: Path) -> None:
@@ -166,27 +169,29 @@ def _write_loss_csv(trace: list[float], path: Path) -> None:
 
 def _separate_to_dir(mixture: Waveform, model: SeparatorModel, cfg: PipelineConfig,
                      out_dir: Path, stem_name: str, mask_mode: str = "model") -> dict[str, Path]:
+    """Separate the mixture, writing the mask and stats CSV rows of each
+    block of frames as the pass makes them, then the two stems."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = analysis_spectrogram(mixture, cfg.stft)
-    log_mag = log_magnitude(spec.magnitude())
-    if mask_mode == "model":
-        mask = model.predict_mask(log_mag)
-    else:
-        mask = np.full(spec.bins.shape, 1.0 if mask_mode == "ones" else 0.0)
-    vocals, accomp = separate_spectrogram(spec, mixture, mask)
     paths = {
         "vocals": out_dir / f"{stem_name}_vocals.wav",
         "accompaniment": out_dir / f"{stem_name}_accompaniment.wav",
         "mask": out_dir / f"{stem_name}_mask.csv",
         "stats": out_dir / f"{stem_name}_spectrogram_stats.csv",
     }
+    mask = {"model": None, "ones": 1.0, "zeros": 0.0}[mask_mode]
+    with open(paths["mask"], "wb") as mask_csv, \
+            open(paths["stats"], "w", newline="") as stats_csv:
+
+        def write_rows(first_frame: int, log_mag: np.ndarray, rows: np.ndarray) -> None:
+            _write_mask_csv(rows, mask_csv)
+            _write_stats_csv(log_mag, stats_csv, first_frame)
+
+        vocals, accomp = separate_blocks(mixture, model, cfg.stft, mask, write_rows)
     for name, stem in (("vocals", vocals), ("accompaniment", accomp)):
         clipped = write_wav(stem, paths[name])
         if clipped:
             log.warning("%s stem: %d samples clipped to the PCM16 range in %s",
                         name, clipped, paths[name])
-    _write_mask_csv(mask, paths["mask"])
-    _write_stats_csv(log_mag, paths["stats"])
     return paths
 
 
@@ -378,9 +383,12 @@ def _manifest_source_sets(path) -> list[SourceSet]:
     return sets
 
 
-def _train_and_save(model: nn.Layer, out_dir: Path, name: str, train) -> int:
-    """Run train(epoch_callback=...), checkpointing the model to <name>.ssnn
-    before the first epoch and after each one, then write <name>_loss.csv."""
+def _train_and_save(model: nn.Layer, out_dir: Path, name: str, examples: list, train) -> int:
+    """Run train(epoch_callback=...) on the examples, checkpointing the
+    model to <name>.ssnn before the first epoch and after each one, then
+    write <name>_loss.csv.  No examples, no checkpoint."""
+    if not examples:
+        raise ValueError(f"no {name} training examples: the example list is empty")
     ck_path = out_dir / f"{name}.ssnn"
     nn.save_checkpoint(ck_path, model.state())  # epochs = 0 leaves exactly this
 
@@ -401,9 +409,17 @@ def _overridden(settings, **overrides):
     return dataclasses.replace(settings, **{k: v for k, v in overrides.items() if v is not None})
 
 
+def _require_positive(**options: int) -> None:
+    """Refuse a size option below 1, naming it as the command line does."""
+    for name, value in options.items():
+        if value < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be positive, got {value}")
+
+
 def cmd_train_separator(args) -> int:
     cfg = _load_config(args.config)
     sep = _overridden(cfg.separator, epochs=args.epochs, clip_seconds=args.clip_seconds)
+    _require_positive(sample_rate=args.sample_rate)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -421,7 +437,7 @@ def cmd_train_separator(args) -> int:
                                         sum_accompaniment(targets), cfg.stft))
 
     model = _separator_model(cfg, None)
-    return _train_and_save(model, out_dir, "separator", partial(
+    return _train_and_save(model, out_dir, "separator", clips, partial(
         train_separator, clips, model, epochs=sep.epochs, lr=args.lr,
         batch_size=sep.batch_size, seed=cfg.seed))
 
@@ -429,6 +445,11 @@ def cmd_train_separator(args) -> int:
 def cmd_train_amt(args) -> int:
     cfg = _load_config(args.config)
     amt = _overridden(cfg.amt, epochs=args.epochs)
+    _require_positive(batch_size=args.batch_size, window=args.window,
+                      hop_frames=args.hop_frames)
+    if args.hop_frames > args.window:
+        raise ValueError(f"--hop-frames {args.hop_frames} exceeds --window {args.window}: "
+                         "the windows would skip frames")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -440,7 +461,7 @@ def cmd_train_amt(args) -> int:
         for audio, notes in clips
     ]
     model = _amt_model(cfg, None)
-    return _train_and_save(model, out_dir, "amt", partial(
+    return _train_and_save(model, out_dir, "amt", pairs, partial(
         train_amt, pairs, model, epochs=amt.epochs,
         loss=FocalLossParams(amt.alpha, amt.gamma),
         lr=args.lr, batch_size=args.batch_size, seed=cfg.seed))

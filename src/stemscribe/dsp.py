@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .audio_io import Waveform
 
@@ -103,35 +103,64 @@ def stft(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
     return ComplexSpectrogram(np.fft.rfft(frames, axis=1), cfg, w.sample_rate)
 
 
-def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+def overlap_add(frames: np.ndarray, hop: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sum the (frames, n, ...) rows placed hop apart along axis 1; trailing
     axes ride along.  Piece j of every row lands in one strided add; taking
     pieces last to first adds each sample's terms from the earliest frame
-    on, exactly as a frame loop does."""
+    on, exactly as a frame loop does.
+
+    The sum goes into out when it is given: an accumulator of the result's
+    shape, zero but for a carry in its first n - hop samples, the sums of
+    the earlier frames that reach them.  Those sums come first, so a grid
+    added block by block through such a carry gets the bits of one call.
+    """
     n_frames, n = frames.shape[:2]
-    pieces = -(-n // hop)
-    out = np.zeros((n_frames + pieces - 1, hop) + frames.shape[2:])
-    for j in range(pieces - 1, -1, -1):
+    shape = ((n_frames - 1) * hop + n,) + frames.shape[2:]
+    if out is None:
+        out = np.zeros(shape)
+    elif out.shape != shape:
+        raise ValueError(f"accumulator of shape {out.shape}, expected {shape}")
+    for j in range(-(-n // hop) - 1, -1, -1):
         piece = frames[:, j * hop : (j + 1) * hop]
-        out[j : j + n_frames, : piece.shape[1]] += piece
-    return out.reshape((-1,) + frames.shape[2:])[: (n_frames - 1) * hop + n]
+        # rows t of the view are the samples (t + j) * hop onward
+        rows = as_strided(out[j * hop :], piece.shape, (hop * out.strides[0],) + out.strides,
+                          writeable=True)
+        rows += piece
+    return out
 
 
-def istft(s: ComplexSpectrogram) -> Waveform:
+def istft(s: ComplexSpectrogram, carry: np.ndarray | None = None) -> Waveform:
     """Weighted overlap-add inverse; exact for unmodified spectrograms
-    wherever the squared-window sum is nonzero."""
+    wherever the squared-window sum is nonzero.
+
+    A long grid can go through in consecutive blocks of frames, with the
+    bits of one call: give every block the same carry, a (2, fft_size - hop)
+    array of zeros before the first.  Each call then returns only the
+    frames x hop samples that no later frame reaches, and leaves the tails
+    of the frame sum and of the squared-window sum in the carry for the
+    next block.  The last fft_size - hop samples of the grid stay there.
+    """
     cfg = s.config
     win = make_window(cfg.window, cfg.fft_size)
-    norm = overlap_add(np.broadcast_to(win**2, (s.num_frames, cfg.fft_size)), cfg.hop)
-    if norm.size > 2 * cfg.fft_size:
-        # Away from the edges, overlapping squared windows must tile the
-        # signal or frames were lost between hops.
-        if norm[cfg.fft_size : -cfg.fft_size].min() < 1e-10:
-            raise WindowError(
-                f"window {cfg.window!r} with hop {cfg.hop} leaves gaps; cannot invert"
-            )
-    frames = np.fft.irfft(s.bins, n=cfg.fft_size, axis=1) * win[None, :]
-    out = overlap_add(frames, cfg.hop)
+    # Away from the edges each sample sees the squared windows of one hop
+    # period, taken here from the row that every one of `pieces` frames
+    # reaches; if they leave a gap, frames were lost between hops.
+    pieces = -(-cfg.fft_size // cfg.hop)
+    steady = overlap_add(np.broadcast_to(win**2, (pieces, cfg.fft_size)), cfg.hop)
+    if steady[(pieces - 1) * cfg.hop : pieces * cfg.hop].min() < 1e-10:
+        raise WindowError(f"window {cfg.window!r} with hop {cfg.hop} leaves gaps; cannot invert")
+    frames = np.fft.irfft(s.bins, n=cfg.fft_size, axis=1)
+    frames *= win
+    out = np.zeros((s.num_frames - 1) * cfg.hop + cfg.fft_size)
+    norm = np.zeros_like(out)
+    if carry is not None:
+        out[: carry.shape[1]], norm[: carry.shape[1]] = carry
+    overlap_add(np.broadcast_to(win**2, frames.shape), cfg.hop, norm)
+    overlap_add(frames, cfg.hop, out)
+    if carry is not None:
+        done = s.num_frames * cfg.hop
+        carry[:] = out[done:], norm[done:]
+        out, norm = out[:done], norm[:done]
     nonzero = norm > 1e-12
     out[nonzero] /= norm[nonzero]
     return Waveform(out[None, :], s.sample_rate)

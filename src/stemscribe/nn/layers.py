@@ -13,6 +13,12 @@ Conventions:
   * forward(x, training=True) keeps in _cache what backward() needs; an
     inference forward keeps nothing and drops any earlier cache. backward()
     without a cache raises RuntimeError (Layer._backward_cache).
+  * Lstm.forward takes an optional inference-only state, a (2, B, hidden)
+    array of the initial (h, c), which it overwrites with the final (h, c):
+    consecutive blocks of a sequence passed with one state give the outputs
+    of one pass over the whole. Without it the state starts at zero; a
+    training forward given one raises ValueError, since backward() assumes
+    a zero initial state.
   * backward() ACCUMULATES parameter gradients, summed over the batch
     (call zero_grads between batches), and returns the gradient w.r.t.
     the layer input.
@@ -275,7 +281,7 @@ class MaxPool2d(Layer):
 
 class Lstm(Layer):
     """Single-direction LSTM over a time-major (T, B, input) batch of
-    sequences, zero initial state.
+    sequences, from a zero initial state or, at inference, a carried one.
 
     Gate layout along the 4H axis is [input, forget, cell, output].
 
@@ -299,19 +305,26 @@ class Lstm(Layer):
         self.dw_h = np.zeros_like(self.w_h)
         self.db = np.zeros_like(self.b)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False,
+                state: np.ndarray | None = None) -> np.ndarray:
         n_in = self.w_x.shape[0]
         if x.ndim != 3 or x.shape[2] != n_in:
             raise ValueError(f"expected (T, B, {n_in}) input, got {x.shape}")
         t_len, batch, _ = x.shape
         h = self.hidden_size
+        if state is None:
+            state = np.zeros((2, batch, h))
+        elif training:
+            raise ValueError("a training forward starts from zero state; backward assumes it")
+        elif state.shape != (2, batch, h):
+            raise ValueError(f"expected a (2, {batch}, {h}) state, got {state.shape}")
         # Pre-activations of every step; block t becomes the activated gates
         # [i, f, g, o] once step t adds its recurrent term.
         gates = (x.reshape(t_len * batch, n_in) @ self.w_x + self.b).reshape(t_len, batch, 4 * h)
         c = np.empty((t_len, batch, h))
         tanh_c = np.empty((t_len, batch, h))
         hs = np.empty((t_len, batch, h))
-        h_prev = c_prev = np.zeros((batch, h))
+        h_prev, c_prev = state
         rec, tanh_g, i_g = np.empty((batch, 4 * h)), np.empty((batch, h)), np.empty((batch, h))
         gi, gf, gg, go = (gates[..., k * h : (k + 1) * h] for k in range(4))
         # The (B, ·) blocks of step t in lockstep, all as preallocated views.
@@ -326,6 +339,7 @@ class Lstm(Layer):
             np.tanh(c_t, out=tanh_c_t)
             np.multiply(o_t, tanh_c_t, out=h_t)
             h_prev, c_prev = h_t, c_t
+        state[:] = h_prev, c_prev
         self._cache = (x, gates, c, tanh_c, hs) if training else None
         return hs
 

@@ -2,27 +2,37 @@
 and the LSTM mask-estimator model.
 
 A mask is a plain (frames, bins) float array in [0, 1] over the
-analysis_spectrogram grid of the mixture. Separation is one pass: one
-STFT, one log-magnitude grid for the model, one inverse STFT of the
-masked bins for the vocals. The accompaniment is the mono mixture minus
-the vocals, so the two estimated stems add back to the mixture by
-construction; it equals the inverse STFT of the complementary mask
-1 - m to rounding error.
+analysis_spectrogram grid of the mixture. Separation is one pass over
+blocks of _SEP_BLOCK frames of that grid: each block's STFT, its
+log-magnitude grid, the model's mask and the inverse STFT of the masked
+bins, with each LSTM layer's (h, c) and the overlap-add tail carried
+from block to block. Every stage is per frame or causal, so the result
+is the one pass over the whole grid would give, while only the signals
+are held whole. The accompaniment is the mono mixture minus the vocals,
+so the two estimated stems add back to the mixture by construction; it
+equals the inverse STFT of the complementary mask 1 - m to rounding
+error.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .audio_io import Waveform
-from .dsp import ComplexSpectrogram, StftConfig, istft, log_magnitude, stft
+from .dsp import ComplexSpectrogram, StftConfig, istft, log_magnitude, num_stft_frames, stft
 
 STEM_NAMES = ("vocals", "bass", "drums", "other")
 
 GAIN_LOW, GAIN_HIGH = 0.5, 1.25
+
+# Analysis frames per separation block: 11.9 s at the default 22.05 kHz
+# and hop 128.  Its grids (frames, bins, masks, inverse frames) peak near
+# 35 MB at the default config, whatever the length of the audio.
+_SEP_BLOCK = 2048
 
 
 @dataclass
@@ -115,12 +125,17 @@ class SeparatorModel(nn.Layer):
         self.children["head"] = nn.Dense(hidden, num_bins, rng)
         self.children["out"] = nn.Sigmoid()
 
-    def forward_mask(self, log_mag: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward_mask(self, log_mag: np.ndarray, training: bool = False,
+                     state: dict[str, np.ndarray] | None = None) -> np.ndarray:
         """Masks for a time-major (frames, B, bins) batch of log grids, or
-        for one (frames, bins) grid, which runs as the batch of one."""
+        for one (frames, bins) grid, which runs as the batch of one.  A
+        state (see predict_mask) holds one LSTM state per layer name."""
         h = log_mag[:, None] if log_mag.ndim == 2 else log_mag
-        for layer in self.children.values():
-            h = layer.forward(h, training)
+        for name, layer in self.children.items():
+            if state is not None and name in state:
+                h = layer.forward(h, training, state[name])
+            else:
+                h = layer.forward(h, training)
         return h[:, 0] if log_mag.ndim == 2 else h
 
     def backward(self, grad_mask: np.ndarray) -> None:
@@ -129,9 +144,19 @@ class SeparatorModel(nn.Layer):
         for layer in reversed(self.children.values()):
             g = layer.backward(g)
 
-    def predict_mask(self, log_mag: np.ndarray) -> np.ndarray:
-        """Inference mask for a (frames, bins) log_magnitude grid."""
-        return self.forward_mask(log_mag)
+    def zero_state(self) -> dict[str, np.ndarray]:
+        """The (h, c) of every LSTM layer at the start of a grid, for
+        predict_mask."""
+        return {name: np.zeros((2, 1, layer.hidden_size))
+                for name, layer in self.children.items() if isinstance(layer, nn.Lstm)}
+
+    def predict_mask(self, log_mag: np.ndarray,
+                     state: dict[str, np.ndarray] | None = None) -> np.ndarray:
+        """Inference mask for a (frames, bins) log_magnitude grid.  Given a
+        state from zero_state(), each LSTM layer starts from its (h, c)
+        there and leaves its final one, so consecutive blocks of a grid get
+        the masks of the whole."""
+        return self.forward_mask(log_mag, state=state)
 
     def loss_and_grad(self, batch: list["TrainingClip"]) -> float:
         """Summed L1 spectrogram-magnitude loss of equal-length clips on
@@ -185,6 +210,55 @@ def analysis_spectrogram(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
     return stft(Waveform(x[None, :], w.sample_rate), cfg)
 
 
+def separate_blocks(mixture: Waveform, model: SeparatorModel | None, stft_cfg: StftConfig,
+                    mask: np.ndarray | float | None = None,
+                    on_block: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+                    ) -> tuple[Waveform, Waveform]:
+    """(vocals, accompaniment) of the mixture in one pass over blocks of
+    _SEP_BLOCK frames of its analysis_spectrogram grid.
+
+    Each block is transformed, masked and inverted in turn; the model's
+    LSTM state and the inverse's overlap-add tail carry over to the next,
+    so the stems are those of the whole grid at once.  A caller-supplied
+    mask, a (frames, bins) grid or one value for every cell, overrides the
+    model (which may then be None).  on_block(first_frame, log_mag, mask)
+    sees each block's log-magnitude rows and mask rows in frame order.
+    """
+    cfg = stft_cfg
+    mono = mixture.to_mono().samples[0]
+    x = np.pad(mono, (cfg.fft_size, cfg.fft_size))
+    n_frames = num_stft_frames(x.size, cfg)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.ndim == 0:
+            mask = np.broadcast_to(mask, (n_frames, cfg.num_bins))
+        elif mask.shape != (n_frames, cfg.num_bins):
+            raise ValueError(f"mask shape {mask.shape} does not match the analysis grid "
+                             f"{(n_frames, cfg.num_bins)}")
+    state = model.zero_state() if mask is None else None
+    # The inverse from x[0] on.  The last frame starts no earlier than
+    # mono's end, so the n_frames * hop samples the blocks finish cover it.
+    inverse = np.empty(n_frames * cfg.hop)
+    carry = np.zeros((2, cfg.fft_size - cfg.hop))
+    for t0 in range(0, n_frames, _SEP_BLOCK):
+        t1 = min(t0 + _SEP_BLOCK, n_frames)
+        # frames t0..t1-1, the last one zero-padded as in the whole grid
+        block = x[t0 * cfg.hop : (t1 - 1) * cfg.hop + cfg.fft_size]
+        spec = stft(Waveform(block[None, :], mixture.sample_rate), cfg)
+        log_mag = (log_magnitude(spec.magnitude())
+                   if mask is None or on_block is not None else None)
+        rows = model.predict_mask(log_mag, state) if mask is None else mask[t0:t1]
+        if on_block is not None:
+            on_block(t0, log_mag, rows)
+        spec = apply_mask(rows, spec)
+        log_mag = rows = None  # the inverse needs only the masked bins
+        inverse[t0 * cfg.hop : t1 * cfg.hop] = istft(spec, carry).samples[0]
+    vocals = inverse[cfg.fft_size : cfg.fft_size + mono.size]
+    accomp = mono - vocals
+    return (Waveform(vocals[None, :], mixture.sample_rate),
+            Waveform(accomp[None, :], mixture.sample_rate))
+
+
 def separate(mixture: Waveform, model: SeparatorModel | None, stft_cfg: StftConfig,
              mask: np.ndarray | None = None) -> tuple[Waveform, Waveform, np.ndarray]:
     """Mask the mixture spectrogram and invert the vocals.
@@ -194,21 +268,13 @@ def separate(mixture: Waveform, model: SeparatorModel | None, stft_cfg: StftConf
     model (oracle or debug paths; model may then be None) and must match
     the analysis_spectrogram grid of the mixture.
     """
-    spec = analysis_spectrogram(mixture, stft_cfg)
-    if mask is None:
-        mask = model.predict_mask(log_magnitude(spec.magnitude()))
-    vocals, accomp = separate_spectrogram(spec, mixture, mask)
-    return vocals, accomp, mask
-
-
-def separate_spectrogram(spec: ComplexSpectrogram, mixture: Waveform,
-                         mask: np.ndarray) -> tuple[Waveform, Waveform]:
-    """(vocals, accompaniment) from the analysis_spectrogram of the mixture
-    and a mask on its grid, for callers that also need the spectrogram."""
-    lo, hi = spec.config.fft_size, spec.config.fft_size + mixture.num_samples
-    vocals = istft(apply_mask(mask, spec)).samples[:, lo:hi]
-    accomp = mixture.to_mono().samples - vocals
-    return Waveform(vocals, spec.sample_rate), Waveform(accomp, spec.sample_rate)
+    if mask is not None:
+        vocals, accomp = separate_blocks(mixture, model, stft_cfg, mask)
+        return vocals, accomp, mask
+    blocks = []
+    vocals, accomp = separate_blocks(mixture, model, stft_cfg,
+                                     on_block=lambda t0, log_mag, rows: blocks.append(rows))
+    return vocals, accomp, np.concatenate(blocks)
 
 
 def train_separator(clips: list[TrainingClip], model: SeparatorModel, epochs: int,

@@ -7,6 +7,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from stemscribe import cli, dsp, nn
+from stemscribe import cli, dsp, nn, separation
 from stemscribe.audio_io import Waveform, read_wav, write_wav
+from stemscribe.config import PipelineConfig
 from stemscribe.midi import read_smf, write_smf
 from stemscribe.pianoroll import NoteEvent
 from stemscribe.separation import SeparatorModel
@@ -77,50 +79,75 @@ def test_separate_writes_stems_and_audit_files(tmp_path, tiny_config, mixture_wa
     assert len(stats) > 1
 
 
+# Analysis frames per separation block in the tests that run a multi-block
+# pass: the 8000-sample mixture at the tiny config is 255 frames, 4 blocks.
+SMALL_BLOCK = 64
+
+
+def analysis_grid(wav_path, config_path):
+    """The whole analysis_spectrogram of a mixture file under a config."""
+    return separation.analysis_spectrogram(read_wav(wav_path),
+                                           PipelineConfig.load(config_path).stft)
+
+
 def test_separate_runs_one_analysis_stft(tmp_path, tiny_config, mixture_wav, monkeypatch):
-    from stemscribe import separation
+    # every frame of the analysis grid is transformed exactly once, in order
+    grid = analysis_grid(mixture_wav, tiny_config).bins
+    blocks = []
 
-    calls = []
-
-    def counting_stft(*args, **kwargs):
-        calls.append(args)
-        return stft(*args, **kwargs)
+    def keeping_stft(*args, **kwargs):
+        spec = stft(*args, **kwargs)
+        blocks.append(spec.bins)
+        return spec
 
     stft = separation.stft
-    monkeypatch.setattr(separation, "stft", counting_stft)
+    monkeypatch.setattr(separation, "stft", keeping_stft)
+    monkeypatch.setattr(separation, "_SEP_BLOCK", SMALL_BLOCK)
     assert cli.main(["separate", str(mixture_wav), "--out-dir", str(tmp_path / "sep"),
                      "--config", tiny_config]) == 0
-    assert len(calls) == 1
+    assert len(blocks) == -(-grid.shape[0] // SMALL_BLOCK) > 1
+    assert np.array_equal(np.concatenate(blocks), grid)
 
 
 @pytest.mark.parametrize("command", ["separate", "pipeline"])
 def test_separation_is_one_pass(tmp_path, tiny_config, mixture_wav, monkeypatch, command):
-    # one analysis STFT, one log-magnitude grid (model input and stats CSV)
-    # and one inverse STFT per op; the accompaniment needs no second one
+    # Every analysis frame goes once through the STFT, once through the
+    # log-magnitude grid (model input and stats CSV) and once through the
+    # inverse STFT, whatever the blocks; the accompaniment needs no second
+    # inverse.  The note model's one log grid of the vocals is separate.
+    n_frames = analysis_grid(mixture_wav, tiny_config).num_frames
+    frames = collections.Counter()
     calls = collections.Counter()
 
-    def counting(key, fn):
+    def counting(key, fn, frames_of):
         def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
             calls[key] += 1
-            return fn(*args, **kwargs)
+            frames[key] += frames_of(args[0], result)
+            return result
         return wrapper
 
-    originals = {name: getattr(dsp, name) for name in ("stft", "istft", "log_magnitude")}
+    frames_of = {"stft": lambda w, spec: spec.num_frames,
+                 "istft": lambda spec, w: spec.num_frames,
+                 "log_magnitude": lambda grid, out: grid.shape[0]}
+    originals = {name: getattr(dsp, name) for name in frames_of}
     for mod_name, mod in list(sys.modules.items()):
         if mod is None or not mod_name.startswith("stemscribe"):
             continue
         for name, fn in originals.items():
             if vars(mod).get(name) is fn:
-                monkeypatch.setattr(mod, name, counting((mod_name, name), fn))
+                monkeypatch.setattr(mod, name, counting((mod_name, name), fn, frames_of[name]))
+    monkeypatch.setattr(separation, "_SEP_BLOCK", SMALL_BLOCK)
     assert cli.main([command, str(mixture_wav), "--out-dir", str(tmp_path / "out"),
                      "--config", tiny_config]) == 0
 
-    def total(name, amt: bool = False) -> int:
-        return sum(n for (mod_name, fn_name), n in calls.items()
+    def total(counter, name, amt: bool = False) -> int:
+        return sum(n for (mod_name, fn_name), n in counter.items()
                    if fn_name == name and (mod_name == "stemscribe.transcription") == amt)
 
-    assert (total("stft"), total("istft"), total("log_magnitude")) == (1, 1, 1)
-    assert total("log_magnitude", amt=True) == (1 if command == "pipeline" else 0)
+    assert total(calls, "stft") > 1
+    assert [total(frames, name) for name in frames_of] == [n_frames] * 3
+    assert total(calls, "log_magnitude", amt=True) == (1 if command == "pipeline" else 0)
 
 
 def test_separate_ones_mask_passes_mixture_through(tmp_path, tiny_config, mixture_wav):
@@ -178,6 +205,18 @@ def loop_stats_csv(log_mag, path):
             writer.writerow([i, f"{row.mean():.4f}", f"{row.max():.4f}"])
 
 
+def mask_csv(mask, path):
+    """cli._write_mask_csv of one grid to a new file."""
+    with open(path, "wb") as f:
+        cli._write_mask_csv(mask, f)
+
+
+def stats_csv(log_mag, path):
+    """cli._write_stats_csv of one grid to a new file."""
+    with open(path, "w", newline="") as f:
+        cli._write_stats_csv(log_mag, f)
+
+
 def assert_same_bytes(write, reference, grid, tmp_path):
     write(grid, tmp_path / "new.csv")
     reference(grid, tmp_path / "ref.csv")
@@ -204,7 +243,7 @@ def test_mask_csv_bytes_equal_savetxt(tmp_path_factory, rows, cols, kind, seed, 
     grid = mask_grid(rows, cols, kind, seed)
     flat = grid.reshape(-1)
     flat[: min(len(extra), flat.size)] = extra[: flat.size]
-    assert_same_bytes(cli._write_mask_csv, savetxt_mask_csv, grid, tmp_path_factory.mktemp("m"))
+    assert_same_bytes(mask_csv, savetxt_mask_csv, grid, tmp_path_factory.mktemp("m"))
 
 
 HALFWAY = (2 * np.arange(64) + 1) / 128  # x * 1e6 is exactly k + 0.5
@@ -216,10 +255,10 @@ SPECIAL = np.array([0.0, 1.0, 5e-7, 1.5e-6, 0.1234565, 0.9999995, 1e-300,
 def test_mask_csv_rounds_like_percent_format(tmp_path, values, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(np, "savetxt", None)  # none of these may need the fallback
-        cli._write_mask_csv(values[:, None], tmp_path / "m.csv")
+        mask_csv(values[:, None], tmp_path / "m.csv")
     assert (tmp_path / "m.csv").read_bytes() == b"".join(b"%.6f\n" % v for v in values)
     for grid in (values[None, :], np.tile(values, (3, 2))):
-        assert_same_bytes(cli._write_mask_csv, savetxt_mask_csv, grid, tmp_path)
+        assert_same_bytes(mask_csv, savetxt_mask_csv, grid, tmp_path)
 
 
 def test_mask_csv_rounds_the_exact_value_half_to_even():
@@ -231,7 +270,7 @@ def test_mask_csv_rounds_the_exact_value_half_to_even():
                                    (2 * cli._MASK_CSV_BLOCK, 2),
                                    (cli._MASK_CSV_BLOCK + 77, 5), (0, 257)])
 def test_mask_csv_shapes_match_savetxt(tmp_path, shape):
-    assert_same_bytes(cli._write_mask_csv, savetxt_mask_csv,
+    assert_same_bytes(mask_csv, savetxt_mask_csv,
                       mask_grid(*shape, "logistic", 0), tmp_path)
 
 
@@ -243,38 +282,78 @@ def test_mask_csv_outside_the_unit_interval_goes_through_savetxt(tmp_path, bad, 
     monkeypatch.setattr(cli, "_mask_csv_bytes", no_blocks)
     grid = mask_grid(40, 6, "uniform", 1)
     grid[17, 3] = bad
-    assert_same_bytes(cli._write_mask_csv, savetxt_mask_csv, grid, tmp_path)
+    assert_same_bytes(mask_csv, savetxt_mask_csv, grid, tmp_path)
 
 
 def test_stats_csv_keeps_the_sign_of_a_mean_that_rounds_to_zero(tmp_path):
     grid = np.array([[-0.00002, 0.0], [0.00002, -0.00004], [1.0, -3.0], [0.0, 0.0]])
-    assert_same_bytes(cli._write_stats_csv, loop_stats_csv, grid, tmp_path)
+    assert_same_bytes(stats_csv, loop_stats_csv, grid, tmp_path)
     rows = (tmp_path / "new.csv").read_text().splitlines()
     assert rows[1:3] == ["0,-0.0000,0.0000", "1,-0.0000,0.0000"]
+
+
+def test_csv_rows_written_block_by_block_equal_one_write(tmp_path):
+    # a middle block outside [0, 1] goes through np.savetxt on its own
+    mask = mask_grid(300, 7, "logistic", 3)
+    mask[120, 2] = 1.5
+    log_mag = np.random.default_rng(3).normal(-20.0, 30.0, (300, 7))
+    with open(tmp_path / "mask.csv", "wb") as m, open(tmp_path / "stats.csv", "w",
+                                                       newline="") as st_file:
+        for r0 in (0, 100, 200):
+            cli._write_mask_csv(mask[r0 : r0 + 100], m)
+            cli._write_stats_csv(log_mag[r0 : r0 + 100], st_file, r0)
+    savetxt_mask_csv(mask, tmp_path / "mask_ref.csv")
+    loop_stats_csv(log_mag, tmp_path / "stats_ref.csv")
+    for name in ("mask", "stats"):
+        assert ((tmp_path / f"{name}.csv").read_bytes()
+                == (tmp_path / f"{name}_ref.csv").read_bytes())
 
 
 @pytest.mark.parametrize("mask_mode", ["model", "ones", "zeros"])
 def test_separate_audit_csvs_keep_their_bytes(tmp_path, tiny_config, mixture_wav, monkeypatch,
                                               mask_mode):
-    grids = {}
-    write_mask, write_stats = cli._write_mask_csv, cli._write_stats_csv
+    # in one block or several, the streamed CSVs have the bytes of the
+    # reference writers applied to the whole-grid log magnitudes and mask
+    log_mag = dsp.log_magnitude(analysis_grid(mixture_wav, tiny_config).magnitude())
+    if mask_mode == "model":
+        cfg = PipelineConfig.load(tiny_config)
+        mask = cli._separator_model(cfg, None).predict_mask(log_mag)
+    else:
+        mask = np.full(log_mag.shape, 1.0 if mask_mode == "ones" else 0.0)
+    savetxt_mask_csv(mask, tmp_path / "mask.csv")
+    loop_stats_csv(log_mag, tmp_path / "stats.csv")
+    for block in (separation._SEP_BLOCK, SMALL_BLOCK):
+        monkeypatch.setattr(separation, "_SEP_BLOCK", block)
+        out = tmp_path / f"sep{block}"
+        assert cli.main(["separate", str(mixture_wav), "--out-dir", str(out),
+                         "--config", tiny_config, "--mask-mode", mask_mode]) == 0
+        assert (out / "mixture_mask.csv").read_bytes() == (tmp_path / "mask.csv").read_bytes()
+        assert ((out / "mixture_spectrogram_stats.csv").read_bytes()
+                == (tmp_path / "stats.csv").read_bytes())
 
-    def keep(name, write):
-        def wrapped(grid, path):
-            grids[name] = grid.copy()
-            write(grid, path)
-        return wrapped
 
-    monkeypatch.setattr(cli, "_write_mask_csv", keep("mask", write_mask))
-    monkeypatch.setattr(cli, "_write_stats_csv", keep("stats", write_stats))
-    out = tmp_path / "sep"
-    assert cli.main(["separate", str(mixture_wav), "--out-dir", str(out),
-                     "--config", tiny_config, "--mask-mode", mask_mode]) == 0
-    savetxt_mask_csv(grids["mask"], tmp_path / "mask.csv")
-    loop_stats_csv(grids["stats"], tmp_path / "stats.csv")
-    assert (out / "mixture_mask.csv").read_bytes() == (tmp_path / "mask.csv").read_bytes()
-    assert ((out / "mixture_spectrogram_stats.csv").read_bytes()
-            == (tmp_path / "stats.csv").read_bytes())
+def test_separation_memory_grows_with_the_audio_not_the_grids(tmp_path, tiny_config,
+                                                              monkeypatch):
+    # From 4 to 8 blocks of SMALL_BLOCK frames the signals grow by 8192
+    # samples.  The padded input, the two stems and write_wav's PCM16
+    # temporaries stay within a few float64 copies of them; whole
+    # (frames x bins) grids would add some 20 copies (64 kB each).
+    cfg = PipelineConfig.load(tiny_config)
+    model = cli._separator_model(cfg, None)
+    monkeypatch.setattr(separation, "_SEP_BLOCK", SMALL_BLOCK)
+    per_block = SMALL_BLOCK * cfg.stft.hop
+    rng = np.random.default_rng(0)
+
+    def peak(blocks):
+        mixture = Waveform(0.1 * rng.standard_normal((1, blocks * per_block)), 8000)
+        tracemalloc.start()
+        try:
+            cli._separate_to_dir(mixture, model, cfg, tmp_path / str(blocks), "m")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) - peak(4) < 6 * 8 * 4 * per_block
 
 
 def test_separate_missing_input_is_invalid(tmp_path, tiny_config):
@@ -603,6 +682,40 @@ def test_an_empty_training_set_is_invalid(tmp_path, tiny_config, command, caplog
     assert cli.main([command[0], "--out-dir", str(tmp_path / "t"), "--config", tiny_config,
                      "--epochs", "1", *command[1:]]) == 2
     assert "example list is empty" in caplog.text
+
+
+@pytest.mark.parametrize("command", [
+    ["train-separator", "--synthetic", "2", "--remix-count", "0", "--clip-seconds", "1.0"],
+    ["train-amt", "--synthetic", "0", "--duration", "1.0", "--window", "16",
+     "--hop-frames", "8"],
+])
+def test_a_refused_training_run_leaves_no_checkpoint(tmp_path, tiny_config, command):
+    out = tmp_path / "t"
+    assert cli.main([command[0], "--out-dir", str(out), "--config", tiny_config,
+                     "--epochs", "1", *command[1:]]) == 2
+    assert list(out.glob("*.ssnn")) == []
+
+
+AMT_SMALL = ["--synthetic", "2", "--duration", "1.0"]
+
+
+@pytest.mark.parametrize("command, option", [
+    (["train-amt", *AMT_SMALL, "--batch-size", "0"], "--batch-size"),
+    (["train-amt", *AMT_SMALL, "--window", "0"], "--window"),
+    (["train-amt", *AMT_SMALL, "--hop-frames", "0"], "--hop-frames"),
+    (["train-separator", "--synthetic", "2", "--clip-seconds", "1.0", "--sample-rate", "0"],
+     "--sample-rate"),
+    # windows 17 frames apart, 16 long, would never see every 17th frame
+    (["train-amt", *AMT_SMALL, "--window", "16", "--hop-frames", "17"], "--hop-frames"),
+], ids=["batch-size", "window", "hop-frames", "sample-rate", "hop-beyond-window"])
+def test_training_size_options_are_checked_where_they_enter(tmp_path, tiny_config, command,
+                                                             option, caplog):
+    out = tmp_path / "t"
+    assert cli.main([command[0], "--out-dir", str(out), "--config", tiny_config,
+                     "--epochs", "1", *command[1:]]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and option in errors[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -224,6 +224,53 @@ def test_overlap_add_carries_trailing_axes_like_a_frame_loop(n_frames, n, keys, 
     assert np.array_equal(overlap_add(frames, hop), out)
 
 
+@given(st.integers(1, 12), st.integers(1, 40), st.integers(1, 3), st.data())
+def test_overlap_add_through_a_carry_equals_one_call(n_frames, n, keys, data):
+    hop = data.draw(st.integers(1, n), label="hop")
+    cut = data.draw(st.integers(0, n_frames), label="cut")
+    frames = np.random.default_rng(n_frames * n * hop).standard_normal((n_frames, n, keys))
+    whole = overlap_add(frames, hop)
+    tail = n - hop
+    done, carry = [], np.zeros((tail, keys))
+    for block in (frames[:cut], frames[cut:]):
+        if not len(block):
+            continue
+        acc = np.zeros(((len(block) - 1) * hop + n, keys))
+        acc[:tail] = carry
+        assert overlap_add(block, hop, acc) is acc
+        done.append(acc[: len(block) * hop])
+        carry = acc[len(block) * hop :]
+    assert np.array_equal(np.concatenate(done + [carry]), whole)
+
+
+def test_overlap_add_refuses_an_accumulator_of_the_wrong_length():
+    with pytest.raises(ValueError, match="accumulator"):
+        overlap_add(np.ones((3, 8)), 4, np.zeros(15))
+
+
+@pytest.mark.parametrize("fft_size, hop", [(512, 128), (512, 100), (128, 128)])
+@pytest.mark.parametrize("cuts", [(1,), (7, 8), (16, 30, 36)])
+def test_istft_block_by_block_through_a_carry_equals_one_call(rng, fft_size, hop, cuts):
+    cfg = StftConfig(fft_size=fft_size, hop=hop, window="hann" if hop < fft_size else "rectangular")
+    shape = (37, cfg.num_bins)
+    s = ComplexSpectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                           cfg, 8000)
+    carry = np.zeros((2, fft_size - hop))
+    parts = [istft(ComplexSpectrogram(s.bins[a:b], cfg, 8000), carry).samples[0]
+             for a, b in zip((0, *cuts), (*cuts, 37))]
+    whole = istft(s).samples[0]
+    assert [p.size for p in parts] == [(b - a) * hop for a, b in zip((0, *cuts), (*cuts, 37))]
+    assert np.array_equal(np.concatenate(parts), whole[: 37 * hop])
+
+
+def test_istft_refuses_a_gapped_window_on_any_grid():
+    # the squared Hann windows at hop == fft_size vanish at every frame
+    # start, which a one-frame grid does not reach; the pair is refused anyway
+    cfg = StftConfig(fft_size=64, hop=64, window="hann")
+    with pytest.raises(WindowError):
+        istft(ComplexSpectrogram(np.ones((1, 33), dtype=complex), cfg, 8000))
+
+
 # --------------------------------------------------------- log magnitude
 
 def test_log_magnitude_reference_points():

@@ -315,6 +315,36 @@ def test_lstm_single_sequence_is_the_batch_of_one(rng):
     assert lstm.forward(x[:, None]).shape == (7, 1, 3)
 
 
+@pytest.mark.parametrize("split", [1, 20, 39])
+def test_lstm_carried_state_joins_two_halves_into_one_pass(rng, split):
+    lstm = nn.Lstm(257, 64, rng)
+    x = rng.standard_normal((40, 2, 257))
+    whole = lstm.forward(x)
+    state = np.zeros((2, 2, 64))
+    halves = [lstm.forward(x[:split], state=state), lstm.forward(x[split:], state=state)]
+    np.testing.assert_allclose(np.concatenate(halves), whole, rtol=0, atol=1e-12)
+    # the state left behind is the last step's (h, c)
+    np.testing.assert_allclose(state[0], whole[-1], rtol=0, atol=1e-12)
+
+
+def test_lstm_state_starts_where_it_is_given(rng):
+    lstm = nn.Lstm(3, 4, rng)
+    x = rng.standard_normal((5, 1, 3))
+    state = np.zeros((2, 1, 4))
+    lstm.forward(x, state=state)
+    carried = state.copy()
+    assert not np.array_equal(lstm.forward(x, state=state), lstm.forward(x))
+    assert not np.array_equal(carried, 0.0)
+
+
+def test_lstm_training_forward_refuses_a_state(rng):
+    lstm = nn.Lstm(3, 4, rng)
+    with pytest.raises(ValueError, match="zero state"):
+        lstm.forward(rng.standard_normal((5, 1, 3)), training=True, state=np.zeros((2, 1, 4)))
+    with pytest.raises(ValueError, match=r"\(2, 1, 4\) state"):
+        lstm.forward(rng.standard_normal((5, 1, 3)), state=np.zeros((2, 4)))
+
+
 def test_bilstm_batch_matches_single_sequences(rng):
     bi = nn.BiLstm(6, 5, rng)
     x = rng.standard_normal((9, 3, 6))

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stemscribe import synth
+from stemscribe import separation, synth
 from stemscribe.audio_io import Waveform
 from stemscribe.bss_metrics import si_sdr
 from stemscribe.dsp import StftConfig, istft, log_magnitude, stft
 from stemscribe.separation import (SeparatorModel, SourceSet, TrainingClip,
                                    analysis_spectrogram, apply_mask, ideal_ratio_mask,
                                    make_training_clip, mixture_of, remix, separate,
-                                   sum_accompaniment, train_separator)
+                                   separate_blocks, sum_accompaniment, train_separator)
 
 CFG = StftConfig()
 
@@ -307,6 +307,63 @@ def test_accompaniment_matches_the_inverted_complementary_mask(rng, channels):
         assert np.abs(accomp.samples - ref_accomp).max() < 1e-12
         resid = vocals.samples + accomp.samples - mix.to_mono().samples
         assert np.abs(resid).max() < 1e-12
+
+
+def whole_grid_separate(mix, model, cfg, mask=None):
+    """The whole-grid separation that the blocked pass replaced, kept as
+    the reference: one STFT, one mask and one inverse STFT of the analysis
+    grid.  Returns (vocals samples, mask)."""
+    spec = analysis_spectrogram(mix, cfg)
+    if mask is None:
+        mask = model.predict_mask(log_magnitude(spec.magnitude()))
+    lo, hi = cfg.fft_size, cfg.fft_size + mix.num_samples
+    return istft(apply_mask(mask, spec)).samples[:, lo:hi], mask
+
+
+BLOCK = 16
+
+
+@pytest.mark.parametrize("block, frames", [
+    # 6 frames is the smallest analysis grid: one sample plus the padding
+    (BLOCK, 6), (BLOCK, BLOCK - 1), (BLOCK, BLOCK), (BLOCK, BLOCK + 1),
+    (BLOCK, 3 * BLOCK + 17), (1, 3 * BLOCK + 17),
+])
+def test_blocked_separation_matches_the_whole_grid(rng, monkeypatch, block, frames):
+    monkeypatch.setattr(separation, "_SEP_BLOCK", block)
+    # the fewest samples with this many frames, so the last one is zero-padded
+    mix = Waveform(rng.standard_normal((1, (frames - 2) * CFG.hop - CFG.fft_size + 1)), 8000)
+    assert analysis_spectrogram(mix, CFG).num_frames == frames
+    model = SeparatorModel(num_bins=CFG.num_bins, hidden=8, layers=2, seed=0)
+    shape = (frames, CFG.num_bins)
+    for mask in (None, rng.uniform(0.0, 1.0, shape), np.ones(shape), np.zeros(shape)):
+        vocals, accomp, used = separate(mix, model, CFG, mask=mask)
+        ref_vocals, ref_mask = whole_grid_separate(mix, model, CFG, mask)
+        np.testing.assert_allclose(used, ref_mask, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vocals.samples, ref_vocals, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(accomp.samples, mix.samples - ref_vocals, rtol=0, atol=1e-12)
+    for value in (1.0, 0.0):  # the CLI's ones and zeros modes
+        vocals, _ = separate_blocks(mix, None, CFG, value)
+        ref_vocals, _ = whole_grid_separate(mix, None, CFG, np.full(shape, value))
+        np.testing.assert_allclose(vocals.samples, ref_vocals, rtol=0, atol=1e-12)
+
+
+def test_separate_refuses_a_mask_off_the_analysis_grid(rng):
+    mix = Waveform(rng.standard_normal((1, 1000)), 8000)
+    frames = analysis_spectrogram(mix, CFG).num_frames
+    with pytest.raises(ValueError, match="analysis grid"):
+        separate(mix, None, CFG, mask=np.ones((frames - 1, CFG.num_bins)))
+
+
+def test_blocks_see_every_frame_once_in_order(rng, monkeypatch):
+    monkeypatch.setattr(separation, "_SEP_BLOCK", BLOCK)
+    mix = Waveform(rng.standard_normal((1, 5000)), 8000)
+    seen = []
+    separate_blocks(mix, SeparatorModel(num_bins=CFG.num_bins, hidden=4, layers=1), CFG,
+                    on_block=lambda t0, log_mag, rows: seen.append((t0, log_mag, rows)))
+    grid = log_magnitude(analysis_spectrogram(mix, CFG).magnitude())
+    assert [t0 for t0, _, _ in seen] == list(range(0, grid.shape[0], BLOCK))
+    assert np.array_equal(np.concatenate([log_mag for _, log_mag, _ in seen]), grid)
+    assert all(rows.shape == log_mag.shape for _, log_mag, rows in seen)
 
 
 def test_separate_oracle_mask_tone_vs_noise(rng):
