@@ -30,7 +30,7 @@ import numpy as np
 from . import bss_metrics, midi, nn, notation, synth
 from .audio_io import UnsupportedCodecError, Waveform, WavFormatError, read_wav, resample, write_wav
 from .config import ManifestError, PipelineConfig, load_manifest
-from .dsp import WindowError, num_cqt_frames
+from .dsp import WindowError, check_invertible, num_cqt_frames
 from .midi import SmfParseError
 from .nn.loss import FocalLossParams
 from .pianoroll import FrameTiming, rasterize_notes, roll_to_notes
@@ -171,6 +171,8 @@ def _separate_to_dir(mixture: Waveform, model: SeparatorModel, cfg: PipelineConf
                      out_dir: Path, stem_name: str, mask_mode: str = "model") -> dict[str, Path]:
     """Separate the mixture, writing the mask and stats CSV rows of each
     block of frames as the pass makes them, then the two stems."""
+    # refuse an uninvertible window before any output is opened
+    check_invertible(cfg.stft)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "vocals": out_dir / f"{stem_name}_vocals.wav",

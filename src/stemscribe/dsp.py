@@ -129,6 +129,18 @@ def overlap_add(frames: np.ndarray, hop: int, out: np.ndarray | None = None) -> 
     return out
 
 
+def check_invertible(cfg: StftConfig) -> None:
+    """Raise WindowError unless istft can invert grids of cfg."""
+    win = make_window(cfg.window, cfg.fft_size)
+    # Away from the edges each sample sees the squared windows of one hop
+    # period, taken here from the row that every one of `pieces` frames
+    # reaches; if they leave a gap, frames were lost between hops.
+    pieces = -(-cfg.fft_size // cfg.hop)
+    steady = overlap_add(np.broadcast_to(win**2, (pieces, cfg.fft_size)), cfg.hop)
+    if steady[(pieces - 1) * cfg.hop : pieces * cfg.hop].min() < 1e-10:
+        raise WindowError(f"window {cfg.window!r} with hop {cfg.hop} leaves gaps; cannot invert")
+
+
 def istft(s: ComplexSpectrogram, carry: np.ndarray | None = None) -> Waveform:
     """Weighted overlap-add inverse; exact for unmodified spectrograms
     wherever the squared-window sum is nonzero.
@@ -141,14 +153,8 @@ def istft(s: ComplexSpectrogram, carry: np.ndarray | None = None) -> Waveform:
     next block.  The last fft_size - hop samples of the grid stay there.
     """
     cfg = s.config
+    check_invertible(cfg)
     win = make_window(cfg.window, cfg.fft_size)
-    # Away from the edges each sample sees the squared windows of one hop
-    # period, taken here from the row that every one of `pieces` frames
-    # reaches; if they leave a gap, frames were lost between hops.
-    pieces = -(-cfg.fft_size // cfg.hop)
-    steady = overlap_add(np.broadcast_to(win**2, (pieces, cfg.fft_size)), cfg.hop)
-    if steady[(pieces - 1) * cfg.hop : pieces * cfg.hop].min() < 1e-10:
-        raise WindowError(f"window {cfg.window!r} with hop {cfg.hop} leaves gaps; cannot invert")
     frames = np.fft.irfft(s.bins, n=cfg.fft_size, axis=1)
     frames *= win
     out = np.zeros((s.num_frames - 1) * cfg.hop + cfg.fft_size)

@@ -361,6 +361,16 @@ def test_separate_missing_input_is_invalid(tmp_path, tiny_config):
                      "--out-dir", str(tmp_path), "--config", tiny_config]) == 2
 
 
+def test_separate_refuses_a_gapped_window_before_writing(tmp_path, mixture_wav):
+    # a hann window at hop == fft_size is zero between frames
+    config = tmp_path / "gapped.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "stft": {"fft_size": 128, "hop": 128}}))
+    out = tmp_path / "sep"
+    assert cli.main(["separate", str(mixture_wav), "--out-dir", str(out),
+                     "--config", str(config)]) == 2
+    assert not list(out.glob("*.csv")) and not list(out.glob("*.wav"))
+
+
 def test_separate_not_a_wav_is_invalid(tmp_path, tiny_config):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"not audio at all")

@@ -1,6 +1,5 @@
 """The example scripts run end to end as separate processes."""
 
-import json
 import os
 import subprocess
 import sys
@@ -31,13 +30,9 @@ def test_oracle_bounds_script(tmp_path):
 
 
 def test_separation_memory_script(tmp_path):
-    # blocks of 2048 frames at hop 32 are 8.2 s at 8 kHz: 4 and 8 blocks
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"stft": {"fft_size": 128, "hop": 32},
-                                  "separator": {"hidden": 8, "layers": 1}}))
-    done = run_script("separation_memory.py", "--seconds", "30", "60", "--sample-rate", "8000",
-                      "--config", str(config), cwd=tmp_path)
+    # blocks of 2048 frames at hop 128 are 11.9 s at 22.05 kHz: 1 and 3 blocks
+    done = run_script("separation_memory.py", "--seconds", "10", "30", cwd=tmp_path)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0].startswith("30 s: ru_maxrss ") and lines[1].startswith("60 s: ru_maxrss ")
+    assert lines[0].startswith("10 s: ru_maxrss ") and lines[1].startswith("30 s: ru_maxrss ")
     assert "MB per extra second of audio (limit 2)" in lines[2]
