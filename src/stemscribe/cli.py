@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import bss_metrics, midi, nn, notation, synth
 from .audio_io import UnsupportedCodecError, Waveform, WavFormatError, read_wav, resample, write_wav
-from .config import ManifestError, PipelineConfig, load_manifest
+from .config import AmtSettings, ManifestError, PipelineConfig, SeparatorSettings, load_manifest
 from .dsp import WindowError, check_invertible, num_cqt_frames
 from .midi import SmfParseError
 from .nn.loss import FocalLossParams
@@ -411,17 +412,9 @@ def _overridden(settings, **overrides):
     return dataclasses.replace(settings, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _require_positive(**options: int) -> None:
-    """Refuse a size option below 1, naming it as the command line does."""
-    for name, value in options.items():
-        if value < 1:
-            raise ValueError(f"--{name.replace('_', '-')} must be positive, got {value}")
-
-
 def cmd_train_separator(args) -> int:
     cfg = _load_config(args.config)
     sep = _overridden(cfg.separator, epochs=args.epochs, clip_seconds=args.clip_seconds)
-    _require_positive(sample_rate=args.sample_rate)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -447,8 +440,6 @@ def cmd_train_separator(args) -> int:
 def cmd_train_amt(args) -> int:
     cfg = _load_config(args.config)
     amt = _overridden(cfg.amt, epochs=args.epochs)
-    _require_positive(batch_size=args.batch_size, window=args.window,
-                      hop_frames=args.hop_frames)
     if args.hop_frames > args.window:
         raise ValueError(f"--hop-frames {args.hop_frames} exceeds --window {args.window}: "
                          "the windows would skip frames")
@@ -488,8 +479,60 @@ def cmd_mix(args) -> int:
     return EXIT_OK
 
 
+class UsageError(ValueError):
+    """A command line argparse refuses: a missing or unknown argument, or
+    an option value outside its domain."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Refuse the command line as invalid input: the usage line goes to
+        stderr, and main logs the message and returns EXIT_INVALID_INPUT."""
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _domain(convert, accepts, rule: str, name: str):
+    """An argparse type: the converted text, refused unless `accepts` it.
+    argparse then names the option in its error."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    parse.__name__ = name  # argparse's "invalid <name> value" for text convert refuses
+    return parse
+
+
+# The domains of the numeric options, each declared once, as its type.
+positive_int = _domain(int, lambda v: v > 0, "a positive integer", "positive_int")
+nonnegative_int = _domain(int, lambda v: v >= 0, "a nonnegative integer", "nonnegative_int")
+positive_float = _domain(float, lambda v: 0.0 < v < math.inf, "a positive finite number",
+                         "positive_float")
+nonnegative_float = _domain(float, lambda v: 0.0 <= v < math.inf,
+                            "a nonnegative finite number", "nonnegative_float")
+
+
+def _setting(settings, field: str, convert):
+    """The argparse type of an option that overrides a config field: the
+    settings class's own check on the field is the option's domain."""
+
+    def parse(text: str):
+        value = convert(text)
+        try:
+            dataclasses.replace(settings(), **{field: value})
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        return value
+
+    parse.__name__ = field
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stemscribe",
         description="Separate stems, transcribe to MIDI, and render scores.",
     )
@@ -516,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--musescore", help="explicit path to the MuseScore binary")
-    p.add_argument("--timeout", type=float, default=notation.DEFAULT_TIMEOUT)
+    p.add_argument("--timeout", type=positive_float, default=notation.DEFAULT_TIMEOUT)
     p.add_argument("--config")
     p.set_defaults(func=cmd_render)
 
@@ -527,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amt-checkpoint")
     p.add_argument("--musescore")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=nonnegative_int)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("evaluate", help="score estimates against references")
@@ -539,42 +582,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separator", choices=["model", "irm", "mixture"], default="model",
                    help="estimate source: model, oracle ratio mask, or the mixture itself")
     p.add_argument("--amt-mode", choices=["model", "oracle"], default="model")
-    p.add_argument("--onset-tolerance", type=float, default=0.05)
+    p.add_argument("--onset-tolerance", type=nonnegative_float, default=0.05)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("train-separator", help="fit the mask model")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--manifest")
-    p.add_argument("--synthetic", type=int, default=4,
+    p.add_argument("--synthetic", type=positive_int, default=4,
                    help="number of generated source sets when no manifest is given")
-    p.add_argument("--remix-count", type=int, default=8)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--clip-seconds", type=float)
-    p.add_argument("--sample-rate", type=int, default=8000)
+    p.add_argument("--remix-count", type=nonnegative_int, default=8)
+    p.add_argument("--epochs", type=_setting(SeparatorSettings, "epochs", int))
+    p.add_argument("--lr", type=positive_float, default=1e-3)
+    p.add_argument("--clip-seconds", type=_setting(SeparatorSettings, "clip_seconds", float))
+    p.add_argument("--sample-rate", type=positive_int, default=8000)
     p.add_argument("--config")
     p.set_defaults(func=cmd_train_separator)
 
     p = sub.add_parser("train-amt", help="fit the transcription model")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--synthetic", type=int, default=8)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=10)
-    p.add_argument("--duration", type=float, default=6.0)
-    p.add_argument("--window", type=int, default=128)
-    p.add_argument("--hop-frames", type=int, default=64)
+    p.add_argument("--synthetic", type=nonnegative_int, default=8)
+    p.add_argument("--epochs", type=_setting(AmtSettings, "epochs", int))
+    p.add_argument("--lr", type=positive_float, default=1e-3)
+    p.add_argument("--batch-size", type=positive_int, default=10)
+    p.add_argument("--duration", type=positive_float, default=6.0)
+    p.add_argument("--window", type=positive_int, default=128)
+    p.add_argument("--hop-frames", type=positive_int, default=64)
     p.add_argument("--config")
     p.set_defaults(func=cmd_train_amt)
 
     p = sub.add_parser("mix", help="write remixed mixture/stem WAV sets")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=nonnegative_int, required=True)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--manifest")
-    p.add_argument("--synthetic", type=int, default=4)
-    p.add_argument("--duration", type=float, default=2.0)
-    p.add_argument("--sample-rate", type=int, default=8000)
+    p.add_argument("--synthetic", type=positive_int, default=4)
+    p.add_argument("--duration", type=positive_float, default=2.0)
+    p.add_argument("--sample-rate", type=positive_int, default=8000)
     p.add_argument("--config")
     p.set_defaults(func=cmd_mix)
 
@@ -582,10 +625,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
+        args = build_parser().parse_args(argv)
+        if args.verbose:
+            logging.getLogger().setLevel(logging.DEBUG)
         return args.func(args)
     except (notation.MuseScoreNotFoundError, notation.NotationExportError) as e:
         log.error("%s", e)

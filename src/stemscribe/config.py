@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,8 +28,8 @@ class SeparatorSettings:
     def __post_init__(self):
         if min(self.layers, self.hidden, self.batch_size) <= 0 or self.epochs < 0:
             raise ValueError("separator sizes must be positive, epochs nonnegative")
-        if self.clip_seconds <= 0:
-            raise ValueError("clip_seconds must be positive")
+        if not 0.0 < self.clip_seconds < math.inf:
+            raise ValueError("clip_seconds must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ Every layer keeps one contract:
 An LSTM steps through time only for the h -> h recurrence, one
 (B, H) @ (H, 4H) product per step for the whole batch: its input
 projection and its weight and input gradients are single matrix products
-over all T·B rows. Analytic backward passes are validated against central
+over all T·B rows. A BiLstm steps its two directions in one loop, one
+stacked (2, B, H) @ (2, H, 4H) product per step. Analytic backward passes are validated against central
 finite differences (see gradcheck).
 """
 

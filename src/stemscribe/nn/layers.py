@@ -19,9 +19,15 @@ Conventions:
     of one pass over the whole. Without it the state starts at zero; a
     training forward given one raises ValueError, since backward() assumes
     a zero initial state.
+  * BiLstm steps both directions in one loop, fwd at time s together with
+    bwd at time T-1-s. Its outputs and gradients are bitwise those of its
+    two Lstm children run one after the other, but it calls neither
+    child's forward nor backward.
   * backward() ACCUMULATES parameter gradients, summed over the batch
     (call zero_grads between batches), and returns the gradient w.r.t.
-    the layer input.
+    the layer input. BatchNorm.backward_params accumulates only the
+    parameter gradients, for a model's input norm, whose input gradient
+    nothing reads.
 
 Tensor naming, which is also the checkpoint format:
   * A layer lists its trainable array attributes in PARAMS; the gradient
@@ -176,11 +182,18 @@ class BatchNorm(Layer):
         self._cache = (xhat, inv_std) if training else None
         return self.gamma * xhat + self.beta
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        xhat, inv_std = self._backward_cache()
+    def backward_params(self, grad: np.ndarray) -> None:
+        """Accumulate dgamma and dbeta without the input gradient: the
+        backward of a model's input layer, whose input gradient nothing
+        reads."""
+        xhat, _ = self._backward_cache()
         f = self.gamma.size
         self.dgamma += (grad * xhat).reshape(-1, f).sum(axis=0)
         self.dbeta += grad.reshape(-1, f).sum(axis=0)
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        self.backward_params(grad)
+        xhat, inv_std = self._cache
         dxhat = grad * self.gamma
         n = xhat.shape[0]
         # Each example's statistics depend on all its frames, hence the
@@ -385,20 +398,99 @@ class Lstm(Layer):
 class BiLstm(Layer):
     """Forward and time-reversed LSTM passes over (T, B, input), hidden
     states concatenated, so the output feature size is twice the hidden
-    size."""
+    size.
+
+    The two directions are independent, so one loop steps both: step s
+    advances fwd at time s and bwd at time T-1-s, carrying h and c (dh and
+    dc in backward) as a (2, B, H) stack. Each step is one stacked
+    (2, B, H) @ (2, H, 4H) product and one call per elementwise operation
+    over both directions' (2, B, ·) blocks: half the Python steps of two
+    Lstm loops. The per-step arrays are (T, 2, B, ·), where [s, 1] holds bwd
+    at time T-1-s. Each direction's input projection and weight and input
+    gradients stay one GEMM over its own rows, in the order fwd.forward(x)
+    and bwd.forward(x[::-1]) would sum them, so outputs and gradients are
+    bitwise those of the two Lstm passes. fwd and bwd stay Lstm children,
+    which own the weights and gradient buffers.
+    """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.fwd = Lstm(input_size, hidden_size, rng)
         self.bwd = Lstm(input_size, hidden_size, rng)
         self.children = {"fwd": self.fwd, "bwd": self.bwd}
 
+    def _directions(self, x: np.ndarray):
+        """(layer, its (T·B, input) rows in its own time order) for fwd, then bwd."""
+        rows = x.shape[0] * x.shape[1]
+        return zip((self.fwd, self.bwd), (x.reshape(rows, -1), x[::-1].reshape(rows, -1)))
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        h_f = self.fwd.forward(x, training)
-        h_b = self.bwd.forward(x[::-1], training)[::-1]
-        return np.concatenate([h_f, h_b], axis=-1)
+        n_in = self.fwd.w_x.shape[0]
+        if x.ndim != 3 or x.shape[2] != n_in:
+            raise ValueError(f"expected (T, B, {n_in}) input, got {x.shape}")
+        t_len, batch, _ = x.shape
+        h = self.fwd.hidden_size
+        # Pre-activations of every step; block s becomes the activated gates
+        # [i, f, g, o] of both directions once step s adds its recurrent term.
+        gates = np.empty((t_len, 2, batch, 4 * h))
+        for d, (layer, rows) in enumerate(self._directions(x)):
+            np.add((rows @ layer.w_x).reshape(t_len, batch, 4 * h), layer.b, out=gates[:, d])
+        c, tanh_c, hs = (np.empty((t_len, 2, batch, h)) for _ in range(3))
+        w_h = np.stack([self.fwd.w_h, self.bwd.w_h])
+        h_prev = c_prev = np.zeros((2, batch, h))
+        rec, tanh_g, i_g = (np.empty((2, batch, n)) for n in (4 * h, h, h))
+        gi, gf, gg, go = (gates[..., k * h : (k + 1) * h] for k in range(4))
+        for a, i_t, f_t, g_t, o_t, c_t, tanh_c_t, h_t in zip(gates, gi, gf, gg, go,
+                                                            c, tanh_c, hs):
+            a += np.matmul(h_prev, w_h, out=rec)
+            np.tanh(g_t, out=tanh_g)
+            sigmoid(a, out=a)  # one call for all four gates, then g fixed up
+            np.copyto(g_t, tanh_g)
+            np.multiply(f_t, c_prev, out=c_t)
+            c_t += np.multiply(i_t, tanh_g, out=i_g)
+            np.tanh(c_t, out=tanh_c_t)
+            np.multiply(o_t, tanh_c_t, out=h_t)
+            h_prev, c_prev = h_t, c_t
+        self._cache = (x, gates, c, tanh_c, hs) if training else None
+        return np.concatenate([hs[:, 0], hs[::-1, 1]], axis=-1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        h = self.fwd.hidden_size
-        dx_f = self.fwd.backward(grad[..., :h])
-        dx_b = self.bwd.backward(grad[::-1, ..., h:])[::-1]
-        return dx_f + dx_b
+        x, gates, c, tanh_c, hs = self._backward_cache()
+        t_len, _, batch, h = hs.shape
+        i, f, g, o = (gates[..., k * h : (k + 1) * h] for k in range(4))
+        c_prev = np.zeros_like(c)
+        c_prev[1:] = c[:-1]
+        # Every elementwise derivative at once, as in Lstm.backward. Step s
+        # then scales its block in place, by dc_s for [i, f, g] and by dh_s
+        # for o, which turns the factors into its gate gradients.
+        da = np.empty((t_len, 2, batch, 4, h))
+        da[..., 0, :] = g * i * (1.0 - i)
+        da[..., 1, :] = c_prev * f * (1.0 - f)
+        da[..., 2, :] = i * (1.0 - g**2)
+        da[..., 3, :] = tanh_c * o * (1.0 - o)
+        dc_dh = o * (1.0 - tanh_c**2)
+        grad_steps = np.stack([grad[..., :h], grad[::-1, ..., h:]], axis=1)
+        da_rows = da.reshape(t_len, 2, batch, 4 * h)
+        w_h_t = np.stack([self.fwd.w_h, self.bwd.w_h]).transpose(0, 2, 1)
+        dh, dh_next, dc_next = (np.zeros((2, batch, h)) for _ in range(3))
+        dc_col = np.empty((2, batch, 1, h))  # dc_s, broadcast over the three gates it feeds
+        dc = dc_col[:, :, 0]
+        steps = zip(grad_steps[::-1], dc_dh[::-1], f[::-1], da[::-1, ..., :3, :],
+                    da[::-1, ..., 3, :], da_rows[::-1])
+        for grad_t, dc_dh_t, f_t, da_ifg_t, da_o_t, da_row in steps:
+            np.add(grad_t, dh_next, out=dh)
+            np.multiply(dh, dc_dh_t, out=dc)
+            dc += dc_next
+            da_ifg_t *= dc_col
+            da_o_t *= dh
+            np.multiply(dc, f_t, out=dc_next)
+            np.matmul(da_row, w_h_t, out=dh_next)
+        dx = []
+        for d, (layer, rows) in enumerate(self._directions(x)):
+            da_flat = da_rows[:, d].reshape(t_len * batch, 4 * h)
+            h_prev = np.zeros((t_len, batch, h))
+            h_prev[1:] = hs[:-1, d]
+            layer.dw_x += rows.T @ da_flat
+            layer.dw_h += h_prev.reshape(t_len * batch, h).T @ da_flat
+            layer.db += da_flat.sum(axis=0)
+            dx.append((da_flat @ layer.w_x.T).reshape(t_len, batch, -1))
+        return dx[0] + dx[1][::-1]

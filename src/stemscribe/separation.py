@@ -141,8 +141,10 @@ class SeparatorModel(nn.Layer):
     def backward(self, grad_mask: np.ndarray) -> None:
         """Takes the gradient of the mask forward_mask returned."""
         g = grad_mask[:, None] if grad_mask.ndim == 2 else grad_mask
-        for layer in reversed(self.children.values()):
+        norm, *rest = self.children.values()
+        for layer in reversed(rest):
             g = layer.backward(g)
+        norm.backward_params(g)
 
     def zero_state(self) -> dict[str, np.ndarray]:
         """The (h, c) of every LSTM layer at the start of a grid, for

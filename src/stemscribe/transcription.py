@@ -151,7 +151,7 @@ class AmtModel(nn.Layer):
         g = grad[None] if grad.ndim == 2 else grad
         g = self.blstm.backward(self.head.backward(self.out.backward(g.transpose(1, 0, 2))))
         g = self.conv.backward(self.pool.backward(g.reshape(w, n, c, b).transpose(1, 2, 3, 0)))
-        self.norm.backward(g[:, 0].transpose(2, 0, 1))  # input gradient ends here
+        self.norm.backward_params(g[:, 0].transpose(2, 0, 1))
 
     def predict(self, seg: np.ndarray) -> np.ndarray:
         return self.forward(seg, training=False)

@@ -23,6 +23,7 @@ from stemscribe.midi import read_smf, write_smf
 from stemscribe.pianoroll import NoteEvent
 from stemscribe.separation import SeparatorModel
 from tests.conftest import STUB_FAIL
+from tests.test_nn import two_loop_backward, two_loop_forward
 
 TINY_CONFIG = {
     "stft": {"fft_size": 128, "hop": 32},
@@ -683,6 +684,28 @@ def test_debug_epoch_records_leave_the_loss_csv_and_checkpoint_alone(tmp_path, t
     assert digests[0] == digests[1]
 
 
+def test_train_amt_writes_the_bytes_of_the_two_loop_bilstm(tmp_path, tiny_config, monkeypatch):
+    # The checkpoint stores float32, so the float64 tensors it is written
+    # from are compared too: they show a last-bit difference the file hides.
+    saved = []
+    save = nn.save_checkpoint
+    monkeypatch.setattr(nn, "save_checkpoint", lambda path, tensors: (
+        saved.append({k: v.copy() for k, v in tensors.items()}), save(path, tensors)))
+    argv = ["train-amt", "--config", tiny_config, "--synthetic", "3", "--duration", "1.0",
+            "--window", "16", "--hop-frames", "8", "--batch-size", "2", "--epochs", "3"]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "fused")]) == 0
+    monkeypatch.setattr(nn.BiLstm, "forward", two_loop_forward)
+    monkeypatch.setattr(nn.BiLstm, "backward", two_loop_backward)
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "two_loops")]) == 0
+    for name in ("amt.ssnn", "amt_loss.csv"):
+        assert (tmp_path / "fused" / name).read_bytes() == \
+            (tmp_path / "two_loops" / name).read_bytes(), name
+    fused, two_loops = saved[3], saved[7]  # after the last epoch of each run
+    assert len(saved) == 8 and list(fused) == list(two_loops)
+    for name, tensor in fused.items():
+        assert np.array_equal(tensor, two_loops[name]), name
+
+
 @pytest.mark.parametrize("command", [
     ["train-separator", "--synthetic", "2", "--remix-count", "0", "--clip-seconds", "1.0"],
     ["train-amt", "--synthetic", "0", "--duration", "1.0", "--window", "16",
@@ -740,6 +763,51 @@ def test_training_overrides_obey_the_config_rules(tmp_path, tiny_config, command
                      "--synthetic", "2", *command[1:]]) == 2
     assert "epochs nonnegative" in caplog.text or "clip_seconds must be positive" in caplog.text
     assert not out.exists()
+
+
+# Out-of-domain values of each declared option domain, by the name of its
+# argparse type; a config override's domain is its settings field's check.
+OUT_OF_DOMAIN = {
+    "positive_int": ["0", "-3"],
+    "nonnegative_int": ["-1"],
+    "positive_float": ["0", "-0.001", "nan", "inf"],
+    "nonnegative_float": ["-0.5", "nan", "inf"],
+    "epochs": ["-1"],
+    "clip_seconds": ["0", "nan", "inf"],
+}
+
+
+def typed_options():
+    """(command, option action) of every option of build_parser() with a type."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action) for name, sub in commands.choices.items()
+            for action in sub._actions if action.type is not None]
+
+
+def test_every_numeric_option_declares_its_domain():
+    undeclared = [(name, a.option_strings[0]) for name, a in typed_options()
+                  if a.type.__name__ not in OUT_OF_DOMAIN]
+    assert undeclared == []
+
+
+@pytest.mark.parametrize("command, option, value", [
+    (name, action.option_strings[0], value) for name, action in typed_options()
+    for value in OUT_OF_DOMAIN.get(action.type.__name__, [])
+])
+def test_an_out_of_domain_option_exits_2_naming_it(tmp_path, command, option, value, caplog):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    argv = [command]
+    for action in sub._actions:
+        if not action.option_strings:
+            argv.append(str(tmp_path / "input"))
+        elif action.required and action.option_strings[0] != option:
+            argv += [action.option_strings[0], "1" if action.type else str(tmp_path / "out")]
+    assert cli.main([*argv, option, value]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and f"argument {option}:" in errors[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_clip_seconds_override_sets_the_clip_length(tmp_path, tiny_config, monkeypatch):

@@ -49,7 +49,8 @@ def test_amt_settings_validation(kwargs):
 
 @pytest.mark.parametrize("kwargs", [
     {"layers": 0}, {"hidden": -1}, {"batch_size": 0},
-    {"epochs": -1}, {"clip_seconds": 0.0},
+    {"epochs": -1}, {"clip_seconds": 0.0}, {"clip_seconds": float("nan")},
+    {"clip_seconds": float("inf")},
 ])
 def test_separator_settings_validation(kwargs):
     with pytest.raises(ValueError):

@@ -138,6 +138,19 @@ def test_batch_norm_takes_statistics_per_example():
         np.testing.assert_allclose(batched.state()[name], value, rtol=1e-12)
 
 
+def test_batch_norm_backward_params_accumulates_what_backward_does(rng):
+    bn = nn.BatchNorm(3)
+    x, grad = rng.standard_normal((2, 6, 4, 3))
+    with pytest.raises(RuntimeError, match="training=True"):
+        bn.backward_params(grad)
+    bn.forward(x, training=True)
+    bn.backward(grad)
+    full = bn.dgamma.copy(), bn.dbeta.copy()
+    bn.zero_grads()
+    assert bn.backward_params(grad) is None
+    assert np.array_equal(bn.dgamma, full[0]) and np.array_equal(bn.dbeta, full[1])
+
+
 def test_batch_norm_shape_check():
     with pytest.raises(ValueError):
         nn.BatchNorm(3).forward(np.zeros((4, 1, 2)), training=True)
@@ -270,6 +283,53 @@ def test_lstm_matches_per_step_loop(input_size, hidden, t_len):
     assert_close(lstm.dw_x, dw_x)
     assert_close(lstm.dw_h, dw_h)
     assert_close(lstm.db, db)
+
+
+def two_loop_forward(bi, x, training=False):
+    """BiLstm.forward as two Lstm loops, fwd over x and then bwd over
+    x[::-1]: the reference the fused one-loop BiLstm must equal bitwise."""
+    h_f = bi.fwd.forward(x, training)
+    h_b = bi.bwd.forward(x[::-1], training)[::-1]
+    return np.concatenate([h_f, h_b], axis=-1)
+
+
+def two_loop_backward(bi, grad):
+    """BiLstm.backward after two_loop_forward."""
+    h = bi.fwd.hidden_size
+    dx_f = bi.fwd.backward(grad[..., :h])
+    dx_b = bi.bwd.backward(grad[::-1, ..., h:])[::-1]
+    return dx_f + dx_b
+
+
+@pytest.mark.parametrize("t_len, batch, input_size, hidden", [
+    (1, 1, 3, 2), (7, 2, 5, 3), (128, 4, 168, 16), (512, 3, 336, 64), (9, 1, 4, 5),
+])
+def test_bilstm_is_bitwise_the_two_lstm_loops(t_len, batch, input_size, hidden):
+    rng = np.random.default_rng(t_len + batch)
+    bi = nn.BiLstm(input_size, hidden, rng)
+    x = rng.standard_normal((t_len, batch, input_size))
+    grad = rng.standard_normal((t_len, batch, 2 * hidden))
+    out = bi.forward(x, training=True)
+    dx = bi.backward(grad)
+    grads = {k: g.copy() for k, g in bi.grads().items()}
+    assert len(grads) == 6
+    bi.zero_grads()
+    assert np.array_equal(out, two_loop_forward(bi, x, training=True))
+    assert np.array_equal(dx, two_loop_backward(bi, grad))
+    for name, g in bi.grads().items():
+        assert np.array_equal(grads[name], g), name
+    assert np.array_equal(bi.forward(x), out)  # inference gives the training outputs
+
+
+def test_bilstm_checkpoint_keeps_the_two_loop_tensor_names(tmp_path, rng):
+    bi = nn.BiLstm(4, 3, rng)
+    assert list(bi.state()) == [f"{d}.{p}" for d in ("fwd", "bwd") for p in ("w_x", "w_h", "b")]
+    nn.save_checkpoint(tmp_path / "bi.ssnn", bi.state())
+    loaded = nn.BiLstm(4, 3, np.random.default_rng(99))
+    loaded.load_state(nn.load_checkpoint(tmp_path / "bi.ssnn"))
+    x = rng.standard_normal((6, 2, 4))
+    assert np.array_equal(loaded.forward(x), two_loop_forward(loaded, x))
+    np.testing.assert_allclose(loaded.forward(x), bi.forward(x), atol=1e-6)  # float32 storage
 
 
 def test_bilstm_matches_per_step_loops(rng):
@@ -438,7 +498,7 @@ def test_sigmoid_midpoint_and_saturation():
 
 
 def contract_cases():
-    """(layer, training input, output shape) for each of the six layer types."""
+    """(layer, training input, output shape) for each of the seven layer types."""
     rng = np.random.default_rng(4)
     return {
         "Dense": (nn.Dense(3, 2, rng), rng.standard_normal((4, 1, 3)), (4, 1, 2)),
@@ -447,6 +507,7 @@ def contract_cases():
         "Conv2d": (nn.Conv2d(1, 2, (3, 3), rng), rng.standard_normal((1, 1, 4, 4)), (1, 2, 4, 4)),
         "MaxPool2d": (nn.MaxPool2d((2, 1)), rng.standard_normal((1, 1, 2, 2)), (1, 1, 1, 2)),
         "Lstm": (nn.Lstm(3, 4, rng), rng.standard_normal((5, 1, 3)), (5, 1, 4)),
+        "BiLstm": (nn.BiLstm(3, 2, rng), rng.standard_normal((5, 2, 3)), (5, 2, 4)),
     }
 
 
