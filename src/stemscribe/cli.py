@@ -43,7 +43,6 @@ from .separation import (
     ideal_ratio_mask,
     make_training_clip,
     remix,
-    separate,
     separate_blocks,
     sum_accompaniment,
     train_separator,
@@ -304,8 +303,7 @@ def _estimate_stems(mixture: Waveform, refs: tuple[Waveform, Waveform], mode: st
             analysis_spectrogram(ref_vocals, cfg.stft).magnitude(),
             analysis_spectrogram(ref_accomp, cfg.stft).magnitude(),
         )
-    est_vocals, est_accomp, _ = separate(mixture, model, cfg.stft, mask=forced)
-    return est_vocals, est_accomp
+    return separate_blocks(mixture, model, cfg.stft, mask=forced)
 
 
 def _scores_dict(s: Scores) -> dict:
@@ -412,9 +410,20 @@ def _overridden(settings, **overrides):
     return dataclasses.replace(settings, **{k: v for k, v in overrides.items() if v is not None})
 
 
+def _require_a_sample(seconds: float, seconds_name: str, rate: int, rate_name: str) -> None:
+    """The cross-option rule of a clip made from a duration: at the rate,
+    it rounds to at least one sample, as synth counts them."""
+    if round(seconds * rate) < 1:
+        raise ValueError(f"{seconds_name} {seconds:g} at {rate_name} {rate} makes a clip of "
+                         f"no samples: the shortest clip is one sample, {1 / rate:g} s")
+
+
 def cmd_train_separator(args) -> int:
     cfg = _load_config(args.config)
     sep = _overridden(cfg.separator, epochs=args.epochs, clip_seconds=args.clip_seconds)
+    if not args.manifest:
+        _require_a_sample(sep.clip_seconds, "--clip-seconds" if args.clip_seconds is not None
+                          else "separator.clip_seconds", args.sample_rate, "--sample-rate")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -443,6 +452,7 @@ def cmd_train_amt(args) -> int:
     if args.hop_frames > args.window:
         raise ValueError(f"--hop-frames {args.hop_frames} exceeds --window {args.window}: "
                          "the windows would skip frames")
+    _require_a_sample(args.duration, "--duration", cfg.cqt.sample_rate, "cqt.sample_rate")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -462,6 +472,8 @@ def cmd_train_amt(args) -> int:
 
 def cmd_mix(args) -> int:
     cfg = _load_config(args.config)
+    if not args.manifest:
+        _require_a_sample(args.duration, "--duration", args.sample_rate, "--sample-rate")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.manifest:

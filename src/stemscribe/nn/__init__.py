@@ -2,6 +2,8 @@
 
 Everything runs on float64 numpy arrays, a mini-batch at a time: fit
 stacks each batch and makes one forward and one backward pass for it.
+Nothing here imports scipy: the logistic, layers.sigmoid, is
+0.5 * tanh(0.5 * x) + 0.5 in numpy ufuncs.
 Every layer keeps one contract:
   * one input shape: sequences are time-major (T, B, F) and images
     (B, C, H, W); a single example is the batch of one, and only the
@@ -13,8 +15,8 @@ An LSTM steps through time only for the h -> h recurrence, one
 (B, H) @ (H, 4H) product per step for the whole batch: its input
 projection and its weight and input gradients are single matrix products
 over all T·B rows. A BiLstm steps its two directions in one loop, one
-stacked (2, B, H) @ (2, H, 4H) product per step. Analytic backward passes are validated against central
-finite differences (see gradcheck).
+stacked (2, B, H) @ (2, H, 4H) product per step. Analytic backward
+passes are validated against central finite differences (see gradcheck).
 """
 
 from .layers import (BatchNorm, BiLstm, Conv2d, Dense, Layer, Lstm, MaxPool2d, Sigmoid,

@@ -23,6 +23,9 @@ Conventions:
     bwd at time T-1-s. Its outputs and gradients are bitwise those of its
     two Lstm children run one after the other, but it calls neither
     child's forward nor backward.
+  * Every logistic (Sigmoid and the LSTM gates) is sigmoid(x, out=None),
+    numpy's tanh in four in-place ufunc calls: this module imports numpy
+    only, so a command that never resamples never loads scipy.
   * backward() ACCUMULATES parameter gradients, summed over the batch
     (call zero_grads between batches), and returns the gradient w.r.t.
     the layer input. BatchNorm.backward_params accumulates only the
@@ -41,7 +44,6 @@ Tensor naming, which is also the checkpoint format:
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .checkpoint import restore_params
 
@@ -51,9 +53,20 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-k, k, size=shape)
 
 
-# The logistic function, a ufunc that neither overflows nor loses precision
-# at either end.
-sigmoid = expit
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function of a float array, as 0.5 * tanh(0.5 * x) + 0.5
+    in four in-place ufunc calls; out may alias x.
+
+    tanh saturates instead of overflowing, so no input raises a warning:
+    0 maps to exactly 0.5, +-inf to 1 and 0, and NaN stays NaN. Within
+    2^-51 of scipy.special.expit; results below ~1e-16 lose the relative
+    precision expit keeps, and those below 2^-54 flush to 0.
+    """
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 class Layer:
@@ -364,28 +377,28 @@ class Lstm(Layer):
         c_prev[1:] = c[:-1]
         h_prev = np.zeros_like(hs)
         h_prev[1:] = hs[:-1]
-        # Every elementwise derivative at once: the gate gradients of step t
-        # are dc_t * fac[t, :, :3] for [i, f, g] and dh_t * fac[t, :, 3] for o.
-        fac = np.empty((t_len, batch, 4, h))
-        fac[:, :, 0] = g * i * (1.0 - i)
-        fac[:, :, 1] = c_prev * f * (1.0 - f)
-        fac[:, :, 2] = i * (1.0 - g**2)
-        fac[:, :, 3] = tanh_c * o * (1.0 - o)
-        dc_dh = o * (1.0 - tanh_c**2)
+        # Every elementwise derivative at once. Step t then scales its block
+        # in place, by dc_t for [i, f, g] and by dh_t for o, which turns the
+        # factors into its gate gradients.
         da = np.empty((t_len, batch, 4, h))
+        da[:, :, 0] = g * i * (1.0 - i)
+        da[:, :, 1] = c_prev * f * (1.0 - f)
+        da[:, :, 2] = i * (1.0 - g**2)
+        da[:, :, 3] = tanh_c * o * (1.0 - o)
+        dc_dh = o * (1.0 - tanh_c**2)
         da_rows = da.reshape(t_len, batch, 4 * h)
         w_h_t = self.w_h.T
         dh, dh_next, dc_next = np.empty((batch, h)), np.zeros((batch, h)), np.zeros((batch, h))
         dc_col = np.empty((batch, 1, h))  # dc_t, broadcast over the three gates it feeds
         dc = dc_col[:, 0]
-        steps = zip(grad[::-1], dc_dh[::-1], fac[::-1, :, :3], fac[::-1, :, 3], f[::-1],
-                    da[::-1, :, :3], da[::-1, :, 3], da_rows[::-1])
-        for grad_t, dc_dh_t, fac_ifg_t, fac_o_t, f_t, da_ifg_t, da_o_t, da_row in steps:
+        steps = zip(grad[::-1], dc_dh[::-1], f[::-1], da[::-1, :, :3], da[::-1, :, 3],
+                    da_rows[::-1])
+        for grad_t, dc_dh_t, f_t, da_ifg_t, da_o_t, da_row in steps:
             np.add(grad_t, dh_next, out=dh)
             np.multiply(dh, dc_dh_t, out=dc)
             dc += dc_next
-            np.multiply(fac_ifg_t, dc_col, out=da_ifg_t)
-            np.multiply(fac_o_t, dh, out=da_o_t)
+            da_ifg_t *= dc_col
+            da_o_t *= dh
             np.multiply(dc, f_t, out=dc_next)
             np.dot(da_row, w_h_t, out=dh_next)
         da_flat = da_rows.reshape(t_len * batch, 4 * h)
@@ -459,9 +472,8 @@ class BiLstm(Layer):
         i, f, g, o = (gates[..., k * h : (k + 1) * h] for k in range(4))
         c_prev = np.zeros_like(c)
         c_prev[1:] = c[:-1]
-        # Every elementwise derivative at once, as in Lstm.backward. Step s
-        # then scales its block in place, by dc_s for [i, f, g] and by dh_s
-        # for o, which turns the factors into its gate gradients.
+        # Every elementwise derivative at once, scaled in place per step as
+        # in Lstm.backward.
         da = np.empty((t_len, 2, batch, 4, h))
         da[..., 0, :] = g * i * (1.0 - i)
         da[..., 1, :] = c_prev * f * (1.0 - f)

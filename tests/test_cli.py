@@ -20,7 +20,7 @@ from stemscribe import cli, dsp, nn, separation
 from stemscribe.audio_io import Waveform, read_wav, write_wav
 from stemscribe.config import PipelineConfig
 from stemscribe.midi import read_smf, write_smf
-from stemscribe.pianoroll import NoteEvent
+from stemscribe.pianoroll import NoteEvent, PianoRoll
 from stemscribe.separation import SeparatorModel
 from tests.conftest import STUB_FAIL
 from tests.test_nn import two_loop_backward, two_loop_forward
@@ -51,19 +51,65 @@ def mixture_wav(tmp_path, rng):
     return path
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal takes about a second to import; only resampling needs it
+def run_fresh_python(code: str, *args: str) -> str:
+    """The last line `code` prints in a new interpreter that imports stemscribe
+    from src/; its first line must be the path of the stemscribe.cli it ran."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = ("import sys, stemscribe.cli; "
-            "print(stemscribe.cli.__file__); print('scipy.signal' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    env.pop("MUSESCORE_PATH", None)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    path, loaded = done.stdout.split()
-    assert Path(path).resolve().is_relative_to(src)
-    assert loaded == "False"
+    lines = done.stdout.splitlines()
+    assert Path(lines[0]).resolve().is_relative_to(src)
+    return lines[-1]
+
+
+# The scipy modules the interpreter has loaded, sorted.
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_commands_that_do_not_resample_load_no_scipy(tmp_path, tiny_config):
+    # only resampling needs scipy, and loading scipy.special alone costs ~0.35 s and 25 MB
+    mixture = tmp_path / "mix.wav"
+    t = np.arange(11025) / 22050.0
+    write_wav(Waveform(0.3 * np.sin(2 * np.pi * 440.0 * t)[None, :], 22050), mixture)
+    out = tmp_path / "out"
+    code = f"""
+import json, sys
+import stemscribe.cli as cli
+print(cli.__file__)
+loaded = [{SCIPY_MODULES}]
+mixture, config, out = sys.argv[1:]
+for argv in (["separate", mixture, "--out-dir", out],
+             ["transcribe", mixture, "--out", out + "/mix.mid"],
+             ["pipeline", mixture, "--out-dir", out + "/pipeline"]):
+    assert cli.main([*argv, "--config", config]) == 0, argv
+    loaded.append({SCIPY_MODULES})
+print(json.dumps(loaded))
+"""
+    loaded = json.loads(run_fresh_python(code, str(mixture), tiny_config, str(out)))
+    assert loaded == [[]] * 4  # after the import, then after each command
+    assert (out / "mix_vocals.wav").is_file() and (out / "pipeline" / "mix_vocals.mid").is_file()
+
+
+def test_transcribe_still_resamples_a_16khz_wav(tmp_path, tiny_config):
+    audio = tmp_path / "low.wav"
+    write_wav(Waveform(np.zeros((1, 8000)), 16000), audio)
+    code = f"""
+import json, sys
+import stemscribe.cli as cli
+print(cli.__file__)
+assert cli.main(["transcribe", sys.argv[1], "--out", sys.argv[2], "--config", sys.argv[3]]) == 0
+print(json.dumps({SCIPY_MODULES}))
+"""
+    loaded = json.loads(run_fresh_python(code, str(audio), str(tmp_path / "low.mid"),
+                                         tiny_config))
+    assert "scipy.signal" in loaded
+    cqt = PipelineConfig.load(tiny_config).cqt
+    frames = PianoRoll.load(tmp_path / "low.prol").num_frames
+    assert frames == dsp.num_cqt_frames(11025, cqt) != dsp.num_cqt_frames(8000, cqt)
 
 
 def test_separate_writes_stems_and_audit_files(tmp_path, tiny_config, mixture_wav):
@@ -749,6 +795,32 @@ def test_training_size_options_are_checked_where_they_enter(tmp_path, tiny_confi
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and option in errors[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, options", [
+    (["mix", "--count", "1", "--duration", "1e-6"], ["--duration", "--sample-rate"]),
+    # half a sample at 8 kHz rounds to none, as synth counts samples
+    (["mix", "--count", "1", "--duration", "6.25e-5"], ["--duration", "--sample-rate"]),
+    (["train-separator", "--synthetic", "2", "--clip-seconds", "1e-6"],
+     ["--clip-seconds", "--sample-rate"]),
+    (["train-amt", *AMT_SMALL[:2], "--duration", "1e-6", "--window", "16", "--hop-frames", "8"],
+     ["--duration", "cqt.sample_rate"]),
+], ids=["mix", "mix-half-sample", "train-separator", "train-amt"])
+def test_a_clip_shorter_than_one_sample_is_refused_naming_both_options(tmp_path, tiny_config,
+                                                                      command, options, caplog):
+    out = tmp_path / "t"
+    assert cli.main([command[0], "--out-dir", str(out), "--config", tiny_config,
+                     *command[1:]]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and all(option in errors[0] for option in options), errors
+    assert not out.exists()
+
+
+def test_a_one_sample_clip_is_the_shortest_accepted(tmp_path, tiny_config):
+    out = tmp_path / "m"
+    assert cli.main(["mix", "--out-dir", str(out), "--config", tiny_config, "--count", "1",
+                     "--duration", "1.25e-4"]) == 0
+    assert read_wav(out / "mix_000_mixture.wav").num_samples == 1
 
 
 @pytest.mark.parametrize("command", [

@@ -1,5 +1,6 @@
 import logging
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,63 @@ def test_lstm_matches_per_step_loop(input_size, hidden, t_len):
     assert_close(lstm.db, db)
 
 
+def two_array_lstm_backward(lstm, grad):
+    """Lstm.backward as it was with a factor array `fac` and a separate
+    gate-gradient array `da`: the reference the in-place scaling must
+    equal bitwise. Returns (dx, dw_x, dw_h, db) without touching lstm's
+    gradient buffers."""
+    x, gates, c, tanh_c, hs = lstm._backward_cache()
+    t_len, batch, h = hs.shape
+    i, f, g, o = (gates[..., k * h : (k + 1) * h] for k in range(4))
+    c_prev = np.zeros_like(c)
+    c_prev[1:] = c[:-1]
+    h_prev = np.zeros_like(hs)
+    h_prev[1:] = hs[:-1]
+    fac = np.empty((t_len, batch, 4, h))
+    fac[:, :, 0] = g * i * (1.0 - i)
+    fac[:, :, 1] = c_prev * f * (1.0 - f)
+    fac[:, :, 2] = i * (1.0 - g**2)
+    fac[:, :, 3] = tanh_c * o * (1.0 - o)
+    dc_dh = o * (1.0 - tanh_c**2)
+    da = np.empty((t_len, batch, 4, h))
+    da_rows = da.reshape(t_len, batch, 4 * h)
+    w_h_t = lstm.w_h.T
+    dh, dh_next, dc_next = np.empty((batch, h)), np.zeros((batch, h)), np.zeros((batch, h))
+    dc_col = np.empty((batch, 1, h))
+    dc = dc_col[:, 0]
+    steps = zip(grad[::-1], dc_dh[::-1], fac[::-1, :, :3], fac[::-1, :, 3], f[::-1],
+                da[::-1, :, :3], da[::-1, :, 3], da_rows[::-1])
+    for grad_t, dc_dh_t, fac_ifg_t, fac_o_t, f_t, da_ifg_t, da_o_t, da_row in steps:
+        np.add(grad_t, dh_next, out=dh)
+        np.multiply(dh, dc_dh_t, out=dc)
+        dc += dc_next
+        np.multiply(fac_ifg_t, dc_col, out=da_ifg_t)
+        np.multiply(fac_o_t, dh, out=da_o_t)
+        np.multiply(dc, f_t, out=dc_next)
+        np.dot(da_row, w_h_t, out=dh_next)
+    da_flat = da_rows.reshape(t_len * batch, 4 * h)
+    dw_x = x.reshape(t_len * batch, -1).T @ da_flat
+    dw_h = h_prev.reshape(t_len * batch, h).T @ da_flat
+    db = da_flat.sum(axis=0)
+    return (da_flat @ lstm.w_x.T).reshape(t_len, batch, -1), dw_x, dw_h, db
+
+
+@pytest.mark.parametrize("t_len, batch, input_size, hidden", [
+    (1, 1, 3, 2),
+    (91, 6, 257, 32), (91, 6, 32, 32),  # the train_desk separator's two layers
+])
+def test_lstm_backward_is_bitwise_the_two_array_form(t_len, batch, input_size, hidden):
+    rng = np.random.default_rng(t_len * batch + hidden)
+    lstm = nn.Lstm(input_size, hidden, rng)
+    x = rng.standard_normal((t_len, batch, input_size))
+    grad = rng.standard_normal((t_len, batch, hidden))
+    lstm.forward(x, training=True)
+    want = two_array_lstm_backward(lstm, grad)
+    got = (lstm.backward(grad), lstm.dw_x, lstm.dw_h, lstm.db)
+    for name, a, b in zip(("dx", "dw_x", "dw_h", "db"), got, want):
+        assert np.array_equal(a, b), name
+
+
 def two_loop_forward(bi, x, training=False):
     """BiLstm.forward as two Lstm loops, fwd over x and then bwd over
     x[::-1]: the reference the fused one-loop BiLstm must equal bitwise."""
@@ -495,6 +553,25 @@ def test_sigmoid_midpoint_and_saturation():
     out = s.forward(np.array([-800.0, 800.0]))
     assert np.all(np.isfinite(out))
     assert sigmoid_fn(np.array([0.0]))[0] == 0.5
+
+
+def test_sigmoid_is_within_two_ulps_of_expit():
+    from scipy.special import expit  # the reference only; src/ never imports scipy.special
+
+    extremes = np.array([1e-300, 20.0, 37.0, 709.8, 745.0, 1e3, np.inf])
+    draws = np.random.default_rng(12).normal(0.0, 8.0, 10**6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any warning, not only RuntimeWarning
+        for x in (draws, np.concatenate([extremes, -extremes])):
+            assert np.max(np.abs(sigmoid_fn(x) - expit(x))) <= 2.0**-51
+        nan = sigmoid_fn(np.array([np.nan, 0.0, -0.0]))
+        grid = np.linspace(-800.0, 800.0, 200_001)
+        y = sigmoid_fn(grid)
+        aliased = draws[:1000].copy()
+        assert sigmoid_fn(aliased, out=aliased) is aliased
+    assert np.isnan(nan[0]) and nan[1] == 0.5 and nan[2] == 0.5
+    assert np.all(np.diff(y) >= 0.0) and y[0] == 0.0 and y[-1] == 1.0
+    assert np.array_equal(aliased, sigmoid_fn(draws[:1000]))
 
 
 def contract_cases():
