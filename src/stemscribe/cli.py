@@ -472,6 +472,7 @@ def cmd_train_amt(args) -> int:
 
 def cmd_mix(args) -> int:
     cfg = _load_config(args.config)
+    seed = cfg.seed if args.seed is None else args.seed
     if not args.manifest:
         _require_a_sample(args.duration, "--duration", args.sample_rate, "--sample-rate")
     out_dir = Path(args.out_dir)
@@ -479,9 +480,8 @@ def cmd_mix(args) -> int:
     if args.manifest:
         sets = _manifest_source_sets(args.manifest)
     else:
-        sets = synth.make_source_sets(args.synthetic, args.duration,
-                                      args.sample_rate, args.seed)
-    rng = np.random.default_rng(args.seed)
+        sets = synth.make_source_sets(args.synthetic, args.duration, args.sample_rate, seed)
+    rng = np.random.default_rng(seed)
     for i in range(args.count):
         mixture, targets = remix(sets, rng=rng)
         write_wav(mixture, out_dir / f"mix_{i:03d}_mixture.wav", bit_depth=32)
@@ -625,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mix", help="write remixed mixture/stem WAV sets")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--count", type=nonnegative_int, required=True)
-    p.add_argument("--seed", type=nonnegative_int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, help="default: the config's seed")
     p.add_argument("--manifest")
     p.add_argument("--synthetic", type=positive_int, default=4)
     p.add_argument("--duration", type=positive_float, default=2.0)

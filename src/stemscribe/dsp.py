@@ -1,7 +1,7 @@
 """Time-frequency transforms: STFT, overlap-add inverse, log-magnitude
 scaling, and a constant-Q filterbank computed one octave at a time as a
-real GEMM over blocks of frames, in memory O(audio + block x longest
-kernel).  One overlap_add serves both the iSTFT and the stitching of the
+real GEMM of the signal's hop-long chunks, which copies no frame, in
+memory O(audio).  One overlap_add serves both the iSTFT and the stitching of the
 note model's overlapping window outputs (transcription.py).
 
 Spectrogram layout conventions:
@@ -219,8 +219,9 @@ def cqt_kernels(cfg: CqtConfig) -> list[np.ndarray]:
     return kernels
 
 
-# Frames per CQT GEMM.  One (block, longest kernel) float64 copy is the
-# transform's largest temporary: 28 MB at the default 27.5 Hz bottom bin.
+# Frames per CQT GEMM.  Each octave's product for one block is a
+# (block + m - 1, m x 2g) array, 1.5 MB at the default 27.5 Hz bottom bin
+# (m = 27 hop-long chunks, 2g = 24 columns); nothing else grows with it.
 _CQT_BLOCK = 256
 
 
@@ -229,27 +230,33 @@ def num_cqt_frames(n_samples: int, cfg: CqtConfig) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _octave_bases(cfg: CqtConfig) -> tuple[int, tuple[np.ndarray, ...]]:
-    """The signal padding cqt needs and, per octave, the (n_max, 2g) real
-    basis of its g kernels: real parts in the first g columns, negated
-    imaginary parts in the last g, each kernel zero-padded to the octave's
-    longest, n_max.  Kernel k sits at offset n_max//2 - n_k//2, so it meets
-    exactly the samples hop*t + pad - n_k//2 onward that it would meet
-    alone.  Built once per config and read-only, since every call shares
-    them."""
+def _octave_bases(cfg: CqtConfig) -> tuple[int, tuple[tuple[int, np.ndarray], ...]]:
+    """The left padding cqt needs and, per octave, where its frames start
+    in the padded signal and its (hop, m, 2g) chunk basis.
+
+    An octave's g kernels, zero-padded to its longest, n_max, form an
+    (n_max, 2g) real basis: real parts in the first g columns, negated
+    imaginary parts in the last g.  Kernel k sits at offset
+    n_max//2 - n_k//2, so it meets exactly the samples hop*t + pad - n_k//2
+    onward that it would meet alone.  Zero-padded further to m whole hops,
+    its rows j*hop ... (j+1)*hop are column block [:, j] of the chunk basis.
+    Built once per config and read-only, since every call shares them."""
     kernels = cqt_kernels(cfg)
-    bases = []
+    pad = max(k.size for k in kernels) // 2 + 1
+    octaves = []
     for k0 in range(0, cfg.n_bins, cfg.bins_per_octave):
         group = kernels[k0 : k0 + cfg.bins_per_octave]
         g, n_max = len(group), max(k.size for k in group)
-        basis = np.zeros((n_max, 2 * g))
+        m = -(-n_max // cfg.hop)
+        basis = np.zeros((m * cfg.hop, 2 * g))
         for j, kernel in enumerate(group):
             off = n_max // 2 - kernel.size // 2
             basis[off : off + kernel.size, j] = kernel.real
             basis[off : off + kernel.size, g + j] = -kernel.imag
-        basis.flags.writeable = False
-        bases.append(basis)
-    return max(k.size for k in kernels) // 2 + 1, tuple(bases)
+        chunk_basis = np.ascontiguousarray(basis.reshape(m, cfg.hop, 2 * g).transpose(1, 0, 2))
+        chunk_basis.flags.writeable = False
+        octaves.append((pad - n_max // 2, chunk_basis))
+    return pad, tuple(octaves)
 
 
 def cqt(w: Waveform, cfg: CqtConfig) -> np.ndarray:
@@ -259,25 +266,38 @@ def cqt(w: Waveform, cfg: CqtConfig) -> np.ndarray:
     Bins are taken an octave (bins_per_octave bins) at a time, as in
     Schörkhuber & Klapuri, "Constant-Q transform toolbox for music
     processing" (SMC 2010), but without decimation: each octave's kernels
-    are zero-padded to its longest one, n_max, so that one real GEMM of a
-    (frames, n_max) block against the kernels' stacked real and imaginary
-    parts gives the same inner products as one kernel at a time.  The
-    bases are built once per config (_octave_bases).  Frames go through
-    in blocks of _CQT_BLOCK, so beyond the padded signal the
-    working memory is O(_CQT_BLOCK x longest kernel).
+    are zero-padded to its longest one, so that one real basis of the
+    kernels' stacked real and imaginary parts gives the same inner
+    products as one kernel at a time.  No frame is copied out of the
+    signal.  The padded signal from an octave's first frame on is a
+    contiguous run of hop-long chunks, and frame t is chunks t ... t+m-1,
+    so one GEMM of the chunks with the (hop, m x 2g) chunk basis gives,
+    in column block j of row t + j, the part of frame t's inner products
+    that chunk j holds; a frame's products are the sum of its m blocks.
+    The bases are built once per config (_octave_bases).  Frames go
+    through in blocks of _CQT_BLOCK, so beyond the padded signal and the
+    output the working memory is one block's product.
     """
     x = w.mono_samples()
     if x.size == 0:
         raise ValueError("cannot transform an empty waveform")
-    pad, bases = _octave_bases(cfg)
+    pad, octaves = _octave_bases(cfg)
     n_frames = num_cqt_frames(x.size, cfg)
-    padded = np.pad(x, pad)  # no window reaches more than pad samples past either end
+    hop = cfg.hop
+    # zeros on the right up to the end of every octave's last chunk
+    end = max(start + (n_frames + basis.shape[1] - 1) * hop for start, basis in octaves)
+    padded = np.pad(x, (pad, max(end - pad - x.size, 0)))
     out = np.empty((cfg.n_bins, n_frames))
-    for k0, basis in zip(range(0, cfg.n_bins, cfg.bins_per_octave), bases):
-        n_max, g = basis.shape[0], basis.shape[1] // 2
-        start = pad - n_max // 2
-        frames = sliding_window_view(padded[start:], n_max)[:: cfg.hop][:n_frames]
+    for k0, (start, basis) in zip(range(0, cfg.n_bins, cfg.bins_per_octave), octaves):
+        _, m, g2 = basis.shape
+        g = g2 // 2
+        chunks = padded[start : start + (n_frames + m - 1) * hop].reshape(-1, hop)
+        flat_basis = basis.reshape(hop, m * g2)
         for t0 in range(0, n_frames, _CQT_BLOCK):
-            prod = np.ascontiguousarray(frames[t0 : t0 + _CQT_BLOCK]) @ basis
-            out[k0 : k0 + g, t0 : t0 + _CQT_BLOCK] = np.hypot(prod[:, :g], prod[:, g:]).T
+            n = min(_CQT_BLOCK, n_frames - t0)
+            prod = (chunks[t0 : t0 + n + m - 1] @ flat_basis).reshape(-1, m, g2)
+            acc = prod[:n, 0].copy()
+            for j in range(1, m):
+                acc += prod[j : j + n, j]
+            out[k0 : k0 + g, t0 : t0 + n] = np.hypot(acc[:, :g], acc[:, g:]).T
     return out

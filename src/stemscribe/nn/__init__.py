@@ -15,12 +15,16 @@ An LSTM steps through time only for the h -> h recurrence, one
 (B, H) @ (H, 4H) product per step for the whole batch: its input
 projection and its weight and input gradients are single matrix products
 over all T·B rows. A BiLstm steps its two directions in one loop, one
-stacked (2, B, H) @ (2, H, 4H) product per step. Analytic backward
-passes are validated against central finite differences (see gradcheck).
+stacked (2, B, H) @ (2, H, 4H) product per step. At inference, stacked
+Lstm layers step together through lstm_stack: layer l trails layer l-1
+by a fixed lag, each step is one stacked (L, B, H) @ (L, H, 4H) product,
+and their (h, c) carry over from block to block as one (L, 2, B, H)
+array. Analytic backward passes are validated against central finite
+differences (see gradcheck).
 """
 
 from .layers import (BatchNorm, BiLstm, Conv2d, Dense, Layer, Lstm, MaxPool2d, Sigmoid,
-                     uniform_init)
+                     lstm_stack, uniform_init)
 from .loss import FocalLossParams, focal_loss
 from .optim import Adam, DivergenceError, Sgd, fit
 from .gradcheck import grad_check
@@ -44,6 +48,7 @@ __all__ = [
     "focal_loss",
     "grad_check",
     "load_checkpoint",
+    "lstm_stack",
     "restore_params",
     "save_checkpoint",
     "uniform_init",

@@ -13,12 +13,14 @@ Conventions:
   * forward(x, training=True) keeps in _cache what backward() needs; an
     inference forward keeps nothing and drops any earlier cache. backward()
     without a cache raises RuntimeError (Layer._backward_cache).
-  * Lstm.forward takes an optional inference-only state, a (2, B, hidden)
-    array of the initial (h, c), which it overwrites with the final (h, c):
+  * Lstm.forward starts from zero state, which backward() assumes. At
+    inference a stack of Lstm layers, each reading the hidden states of
+    the one below, runs through lstm_stack, which steps all of them in one
+    loop and calls none of their forwards. It carries an (L, 2, B, hidden)
+    state of every layer's (h, c), overwritten with the final one, so
     consecutive blocks of a sequence passed with one state give the outputs
-    of one pass over the whole. Without it the state starts at zero; a
-    training forward given one raises ValueError, since backward() assumes
-    a zero initial state.
+    of one pass over the whole; its outputs are bitwise those of each
+    layer's forward in turn.
   * BiLstm steps both directions in one loop, fwd at time s together with
     bwd at time T-1-s. Its outputs and gradients are bitwise those of its
     two Lstm children run one after the other, but it calls neither
@@ -307,7 +309,8 @@ class MaxPool2d(Layer):
 
 class Lstm(Layer):
     """Single-direction LSTM over a time-major (T, B, input) batch of
-    sequences, from a zero initial state or, at inference, a carried one.
+    sequences, from a zero initial state.  At inference a stack of Lstm
+    layers runs through lstm_stack instead, which also carries a state.
 
     Gate layout along the 4H axis is [input, forget, cell, output].
 
@@ -331,26 +334,19 @@ class Lstm(Layer):
         self.dw_h = np.zeros_like(self.w_h)
         self.db = np.zeros_like(self.b)
 
-    def forward(self, x: np.ndarray, training: bool = False,
-                state: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n_in = self.w_x.shape[0]
         if x.ndim != 3 or x.shape[2] != n_in:
             raise ValueError(f"expected (T, B, {n_in}) input, got {x.shape}")
         t_len, batch, _ = x.shape
         h = self.hidden_size
-        if state is None:
-            state = np.zeros((2, batch, h))
-        elif training:
-            raise ValueError("a training forward starts from zero state; backward assumes it")
-        elif state.shape != (2, batch, h):
-            raise ValueError(f"expected a (2, {batch}, {h}) state, got {state.shape}")
         # Pre-activations of every step; block t becomes the activated gates
         # [i, f, g, o] once step t adds its recurrent term.
         gates = (x.reshape(t_len * batch, n_in) @ self.w_x + self.b).reshape(t_len, batch, 4 * h)
         c = np.empty((t_len, batch, h))
         tanh_c = np.empty((t_len, batch, h))
         hs = np.empty((t_len, batch, h))
-        h_prev, c_prev = state
+        h_prev = c_prev = np.zeros((batch, h))
         rec, tanh_g, i_g = np.empty((batch, 4 * h)), np.empty((batch, h)), np.empty((batch, h))
         gi, gf, gg, go = (gates[..., k * h : (k + 1) * h] for k in range(4))
         # The (B, ·) blocks of step t in lockstep, all as preallocated views.
@@ -365,7 +361,6 @@ class Lstm(Layer):
             np.tanh(c_t, out=tanh_c_t)
             np.multiply(o_t, tanh_c_t, out=h_t)
             h_prev, c_prev = h_t, c_t
-        state[:] = h_prev, c_prev
         self._cache = (x, gates, c, tanh_c, hs) if training else None
         return hs
 
@@ -406,6 +401,109 @@ class Lstm(Layer):
         self.dw_h += h_prev.reshape(t_len * batch, h).T @ da_flat
         self.db += da_flat.sum(axis=0)
         return (da_flat @ self.w_x.T).reshape(t_len, batch, -1)
+
+
+# Steps by which each layer of lstm_stack trails the one below it, and
+# the most frames of one of its input-projection GEMMs.
+_STACK_LAG = 64
+
+
+def _stack_chunks(t_len: int, lag: int) -> list[tuple[int, int]]:
+    """[a, e) frame ranges of at most lag frames that cover 0 ... t_len.
+    None has a single frame unless t_len is 1: the GEMM of a 1-row matrix
+    need not give the bits of the same row in a taller one, so a 1-frame
+    tail takes the last frame of the range before it (lag >= 3)."""
+    bounds = [*range(0, t_len, lag), t_len]
+    if t_len > 1 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1
+    return list(zip(bounds, bounds[1:]))
+
+
+def lstm_stack(layers: list[Lstm], x: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Inference through stacked Lstm layers, each reading the hidden
+    states of the one below, over a time-major (T, B, input) batch: the
+    last layer's (T, B, H) states, bitwise those of calling each layer's
+    forward in turn.
+
+    state holds every layer's (h, c) as an (L, 2, B, H) array. The pass
+    starts from it and overwrites it with the final one, so consecutive
+    blocks of a sequence passed with one state get the outputs of one
+    pass over the whole.
+
+    All layers step in one loop, as a wavefront (Appleyard, Kočiský &
+    Blunsom 2016): step s advances layer l at time s - l·lag, with
+    lag = min(_STACK_LAG, T), so T + (L-1)·lag steps replace L·T. Each
+    step is one stacked (L, B, H) @ (L, H, 4H) product and one call per
+    elementwise operation over the gate-major (4, L, B, H) block of every
+    layer it advances. A layer's input projection is one GEMM per
+    _stack_chunks range of its input, made at the step that reaches the
+    range, by when the layer below has finished it. So no gates lie more
+    than lag steps ahead, and they live in a ring of lag steps; only h is
+    kept per step, and c in one (L, B, H) buffer.
+    """
+    n_layers, h = len(layers), layers[0].hidden_size
+    n_in = layers[0].w_x.shape[0]
+    if x.ndim != 3 or x.shape[2] != n_in:
+        raise ValueError(f"expected (T, B, {n_in}) input, got {x.shape}")
+    if any(layer.w_x.shape != (h, 4 * h) for layer in layers[1:]):
+        raise ValueError(f"every layer above the first must map {h} states to {h}")
+    t_len, batch, _ = x.shape
+    if state.shape != (n_layers, 2, batch, h):
+        raise ValueError(f"expected a {(n_layers, 2, batch, h)} state, got {state.shape}")
+    for layer in layers:
+        layer._cache = None  # an inference pass, as for every layer's own forward
+    lag = min(_STACK_LAG, t_len)
+    n_steps = t_len + (n_layers - 1) * lag
+    # gates[s % lag, :, l]: layer l's pre-activations, then activated gates
+    # [i, f, g, o], at step s; hs[s + 1, l]: its h after step s, and
+    # hs[l·lag, l] its initial h.
+    gates = np.empty((lag, 4, n_layers, batch, h))
+    hs = np.empty((n_steps + 1, n_layers, batch, h))
+    for l in range(n_layers):
+        hs[l * lag, l] = state[l, 0]
+    c = state[:, 1].copy()
+    w_h = np.stack([layer.w_h for layer in layers])
+    rec = np.empty((n_layers, batch, 4 * h))
+    tanh_g, i_g, tanh_c = (np.empty((n_layers, batch, h)) for _ in range(3))
+    chunk_end = dict(_stack_chunks(t_len, lag))
+    # Between two bounds the same layers advance, within one turn of the
+    # ring; at each, a layer may reach a range it projects.
+    bounds = sorted({t + l * lag for t in (*chunk_end, t_len) for l in range(n_layers)}
+                    | set(range(0, n_steps, lag)))
+    for s0, s1 in zip(bounds, bounds[1:]):
+        for l, layer in enumerate(layers):
+            t0 = s0 - l * lag
+            if t0 in chunk_end:
+                t1 = chunk_end[t0]
+                rows = x[t0:t1] if l == 0 else np.ascontiguousarray(
+                    hs[t0 + (l - 1) * lag + 1 : t1 + (l - 1) * lag + 1, l - 1])
+                pre = rows.reshape((t1 - t0) * batch, -1) @ layer.w_x
+                gates[np.arange(s0, s0 + t1 - t0) % lag, :, l] = (
+                    pre.reshape(t1 - t0, batch, 4, h).transpose(0, 2, 1, 3)
+                    + layer.b.reshape(4, 1, h))
+        lo = next(l for l in range(n_layers) if s0 < t_len + l * lag)
+        hi = max(l for l in range(n_layers) if l * lag <= s0) + 1
+        rec_l, c_l = rec[lo:hi], c[lo:hi]
+        rec_gates = rec_l.reshape(hi - lo, batch, 4, h).transpose(2, 0, 1, 3)
+        w_l, tg, ig, tc = w_h[lo:hi], tanh_g[lo:hi], i_g[lo:hi], tanh_c[lo:hi]
+        ring = slice(s0 % lag, s0 % lag + s1 - s0)
+        steps = zip(gates[ring, :, lo:hi], *(gates[ring, k, lo:hi] for k in range(4)),
+                    hs[s0:s1, lo:hi], hs[s0 + 1 : s1 + 1, lo:hi])
+        for a, i_t, f_t, g_t, o_t, h_prev, h_t in steps:
+            np.matmul(h_prev, w_l, out=rec_l)
+            a += rec_gates
+            np.tanh(g_t, out=tg)
+            sigmoid(a, out=a)  # one call for all four gates, then g fixed up
+            np.copyto(g_t, tg)
+            c_l *= f_t
+            c_l += np.multiply(i_t, tg, out=ig)
+            np.tanh(c_l, out=tc)
+            np.multiply(o_t, tc, out=h_t)
+    for l in range(n_layers):
+        state[l, 0] = hs[t_len + l * lag, l]
+    state[:, 1] = c
+    top = (n_layers - 1) * lag
+    return hs[top + 1 : top + t_len + 1, n_layers - 1].copy()
 
 
 class BiLstm(Layer):

@@ -5,7 +5,7 @@ A mask is a plain (frames, bins) float array in [0, 1] over the
 analysis_spectrogram grid of the mixture. Separation is one pass over
 blocks of _SEP_BLOCK frames of that grid: each block's STFT, its
 log-magnitude grid, the model's mask and the inverse STFT of the masked
-bins, with each LSTM layer's (h, c) and the overlap-add tail carried
+bins, with the LSTM layers' (h, c) and the overlap-add tail carried
 from block to block. Every stage is per frame or causal, so the result
 is the one pass over the whole grid would give, while only the signals
 are held whole. The accompaniment is the mono mixture minus the vocals,
@@ -126,16 +126,25 @@ class SeparatorModel(nn.Layer):
         self.children["out"] = nn.Sigmoid()
 
     def forward_mask(self, log_mag: np.ndarray, training: bool = False,
-                     state: dict[str, np.ndarray] | None = None) -> np.ndarray:
+                     state: np.ndarray | None = None) -> np.ndarray:
         """Masks for a time-major (frames, B, bins) batch of log grids, or
-        for one (frames, bins) grid, which runs as the batch of one.  A
-        state (see predict_mask) holds one LSTM state per layer name."""
+        for one (frames, bins) grid, which runs as the batch of one.
+
+        A training forward runs the LSTM layers one after the other, from
+        zero state, each keeping what backward needs.  At inference they
+        run as one nn.lstm_stack, from state (see zero_state) when given,
+        which is then left holding the final one."""
         h = log_mag[:, None] if log_mag.ndim == 2 else log_mag
-        for name, layer in self.children.items():
-            if state is not None and name in state:
-                h = layer.forward(h, training, state[name])
-            else:
-                h = layer.forward(h, training)
+        norm, *lstms, head, out = self.children.values()
+        h = norm.forward(h, training)
+        if training:
+            if state is not None:
+                raise ValueError("a training forward starts from zero state; backward assumes it")
+            for lstm in lstms:
+                h = lstm.forward(h, training=True)
+        else:
+            h = nn.lstm_stack(lstms, h, self.zero_state(h.shape[1]) if state is None else state)
+        h = out.forward(head.forward(h, training), training)
         return h[:, 0] if log_mag.ndim == 2 else h
 
     def backward(self, grad_mask: np.ndarray) -> None:
@@ -146,18 +155,17 @@ class SeparatorModel(nn.Layer):
             g = layer.backward(g)
         norm.backward_params(g)
 
-    def zero_state(self) -> dict[str, np.ndarray]:
-        """The (h, c) of every LSTM layer at the start of a grid, for
-        predict_mask."""
-        return {name: np.zeros((2, 1, layer.hidden_size))
-                for name, layer in self.children.items() if isinstance(layer, nn.Lstm)}
+    def zero_state(self, batch: int = 1) -> np.ndarray:
+        """The (h, c) of every LSTM layer at the start of a grid, as the
+        (layers, 2, batch, hidden) array nn.lstm_stack carries."""
+        lstms = [layer for layer in self.children.values() if isinstance(layer, nn.Lstm)]
+        return np.zeros((len(lstms), 2, batch, lstms[0].hidden_size))
 
-    def predict_mask(self, log_mag: np.ndarray,
-                     state: dict[str, np.ndarray] | None = None) -> np.ndarray:
+    def predict_mask(self, log_mag: np.ndarray, state: np.ndarray | None = None) -> np.ndarray:
         """Inference mask for a (frames, bins) log_magnitude grid.  Given a
-        state from zero_state(), each LSTM layer starts from its (h, c)
-        there and leaves its final one, so consecutive blocks of a grid get
-        the masks of the whole."""
+        state from zero_state(), the LSTM layers start from it and leave
+        their final (h, c) there, so consecutive blocks of a grid get the
+        masks of the whole."""
         return self.forward_mask(log_mag, state=state)
 
     def loss_and_grad(self, batch: list["TrainingClip"]) -> float:

@@ -816,6 +816,25 @@ def test_a_clip_shorter_than_one_sample_is_refused_naming_both_options(tmp_path,
     assert not out.exists()
 
 
+def test_mix_takes_its_seed_from_the_config_unless_one_is_given(tmp_path):
+    config = tmp_path / "seed5.json"
+    PipelineConfig.from_dict({"seed": 5}).save(config)
+
+    def digests(name, *options):
+        out = tmp_path / name
+        assert cli.main(["mix", "--out-dir", str(out), "--count", "2", "--duration", "0.05",
+                         *options]) == 0
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+    by_config = digests("config", "--config", str(config))
+    assert len(by_config) == 10
+    assert by_config == digests("seed", "--seed", "5")
+    seed_0 = digests("seed0", "--seed", "0")
+    assert by_config != seed_0
+    assert digests("default") == seed_0  # the default config's seed is 0
+    assert digests("override", "--config", str(config), "--seed", "0") == seed_0
+
+
 def test_a_one_sample_clip_is_the_shortest_accepted(tmp_path, tiny_config):
     out = tmp_path / "m"
     assert cli.main(["mix", "--out-dir", str(out), "--config", tiny_config, "--count", "1",

@@ -370,6 +370,7 @@ CQT_CASES = [
     (CqtConfig(n_bins=30), 3 * 22050),  # partial top octave
     (CqtConfig(), 300),                 # shorter than one hop: 1 frame
     (CqtConfig(), 257 * 512),           # 257 frames, one past a full block
+    (CqtConfig(), 256 * 512 + 1),       # 257 frames, the last one sample into its hop
 ]
 
 
@@ -384,37 +385,56 @@ def test_cqt_matches_per_bin_loop(rng, cfg, n_samples):
 @pytest.mark.parametrize("cfg, n_samples", CQT_CASES)
 def test_cqt_right_pad_covers_every_window(rng, monkeypatch, cfg, n_samples):
     # Padding the right end by another hop per frame, as the transform once
-    # did, must change no value: no window reads past the narrow pad.
+    # did, must change no value: no chunk reads past the zeros cqt adds.
     w = Waveform(rng.standard_normal(n_samples)[None, :], cfg.sample_rate)
     out = cqt(w, cfg)
     extra = cfg.hop * num_cqt_frames(n_samples, cfg)
     pad = np.pad
-    monkeypatch.setattr(np, "pad", lambda x, width: pad(x, (width, width + extra)))
+    monkeypatch.setattr(np, "pad", lambda x, width: pad(x, (width[0], width[1] + extra)))
     assert np.array_equal(cqt(w, cfg), out)
 
 
+def test_a_cqt_case_reads_chunks_past_the_symmetric_pad():
+    # The lowest octave's last frame spans m whole hops, which can end
+    # beyond the n_max//2 + 1 zeros a symmetric pad would leave; the
+    # right-pad cases above must include such a frame count.
+    cfg, n_samples = CQT_CASES[-1]
+    pad, octaves = dsp._octave_bases(cfg)
+    n_frames = num_cqt_frames(n_samples, cfg)
+    ends = [start + (n_frames + basis.shape[1] - 1) * cfg.hop for start, basis in octaves]
+    assert max(ends) > n_samples + 2 * pad
+
+
 def rebuilding_cqt(w, cfg):
-    """The transform as it was before its octave bases were cached: every
-    call builds the kernels and the zero-padded bases again."""
+    """The transform with nothing cached: every call builds the kernels,
+    each octave's zero-padded (n_max, 2g) basis and its (hop, m, 2g) chunk
+    layout again, then sums each frame's m chunk products."""
     x = w.mono_samples()
     kernels = cqt_kernels(cfg)
     n_frames = num_cqt_frames(x.size, cfg)
+    hop = cfg.hop
     pad = max(k.size for k in kernels) // 2 + 1
-    padded = np.pad(x, pad)
+    padded = np.pad(x, (pad, pad + hop * (n_frames + 1)))
     out = np.empty((cfg.n_bins, n_frames))
     for k0 in range(0, cfg.n_bins, cfg.bins_per_octave):
         group = kernels[k0 : k0 + cfg.bins_per_octave]
         g, n_max = len(group), max(k.size for k in group)
-        basis = np.zeros((n_max, 2 * g))
+        m = -(-n_max // hop)
+        basis = np.zeros((m * hop, 2 * g))
         for j, kernel in enumerate(group):
             off = n_max // 2 - kernel.size // 2
             basis[off : off + kernel.size, j] = kernel.real
             basis[off : off + kernel.size, g + j] = -kernel.imag
+        chunk_basis = basis.reshape(m, hop, 2 * g).transpose(1, 0, 2).reshape(hop, -1)
         start = pad - n_max // 2
-        frames = sliding_window_view(padded[start:], n_max)[:: cfg.hop][:n_frames]
+        chunks = padded[start : start + (n_frames + m - 1) * hop].reshape(-1, hop)
         for t0 in range(0, n_frames, dsp._CQT_BLOCK):
-            prod = np.ascontiguousarray(frames[t0 : t0 + dsp._CQT_BLOCK]) @ basis
-            out[k0 : k0 + g, t0 : t0 + dsp._CQT_BLOCK] = np.hypot(prod[:, :g], prod[:, g:]).T
+            n = min(dsp._CQT_BLOCK, n_frames - t0)
+            prod = (chunks[t0 : t0 + n + m - 1] @ chunk_basis).reshape(-1, m, 2 * g)
+            acc = prod[:n, 0].copy()
+            for j in range(1, m):
+                acc += prod[j : j + n, j]
+            out[k0 : k0 + g, t0 : t0 + n] = np.hypot(acc[:, :g], acc[:, g:]).T
     return out
 
 
@@ -447,10 +467,12 @@ def test_cqt_builds_its_kernels_once_per_config(rng, monkeypatch):
 
 
 def test_cached_cqt_bases_are_read_only():
-    _, bases = dsp._octave_bases(CqtConfig(n_bins=24, f_min=110.0, sample_rate=8000))
-    for basis in bases:
+    _, octaves = dsp._octave_bases(CqtConfig(n_bins=24, f_min=110.0, sample_rate=8000))
+    for _, basis in octaves:
         with pytest.raises(ValueError):
-            basis[0, 0] = 1.0
+            basis[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            basis.reshape(basis.shape[0], -1)[0, 0] = 1.0  # the GEMM's flat view
 
 
 def test_cqt_memory_grows_with_audio_not_kernel_length(rng):
@@ -468,6 +490,21 @@ def test_cqt_memory_grows_with_audio_not_kernel_length(rng):
             tracemalloc.stop()
 
     assert peak(30) - peak(10) < 64 * 2**20
+
+
+def test_cqt_of_a_song_length_clip_peaks_far_below_a_frame_block_copy(rng):
+    # 60 s at the default config: the padded signal is 10.6 MB and the
+    # output 1.7 MB.  Copying 256 overlapping 13,485-sample frames per
+    # GEMM, as the frame-blocked transform did, peaked at 40.1 MB.
+    cfg = CqtConfig()
+    w = Waveform(rng.standard_normal(60 * cfg.sample_rate)[None, :], cfg.sample_rate)
+    tracemalloc.start()
+    try:
+        cqt(w, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def test_num_cqt_frames_formula():

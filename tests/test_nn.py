@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stemscribe import nn
+from stemscribe.nn.layers import _STACK_LAG, _stack_chunks
 from stemscribe.nn.layers import sigmoid as sigmoid_fn
 
 
@@ -433,34 +434,134 @@ def test_lstm_single_sequence_is_the_batch_of_one(rng):
     assert lstm.forward(x[:, None]).shape == (7, 1, 3)
 
 
+LAG = _STACK_LAG
+
+
+def separator_lstms(n_layers, seed=0):
+    """Lstm layers at the separator's default sizes: 257 bins, hidden 64."""
+    rng = np.random.default_rng(seed)
+    return [nn.Lstm(257 if i == 0 else 64, 64, rng) for i in range(n_layers)]
+
+
+def layer_after_layer(lstms, x):
+    """The reference for lstm_stack: each layer's own forward in turn, from
+    zero state, and the (L, 2, B, H) final (h, c) its cache holds."""
+    final = []
+    for lstm in lstms:
+        x = lstm.forward(x, training=True)
+        _, _, c, _, hs = lstm._cache
+        final.append((hs[-1], c[-1]))
+    return x, np.array(final)
+
+
+@pytest.mark.parametrize("t_len", [1, LAG - 1, LAG, LAG + 1, 2 * LAG + 1, 2048])
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_lstm_stack_is_bitwise_the_layers_one_after_the_other(n_layers, t_len):
+    # Also checks, on the numpy in use, that a GEMM of 2 or more rows gives
+    # the bits of the same rows in a taller one: layers above the first
+    # project their inputs a chunk at a time.
+    lstms = separator_lstms(n_layers)
+    x = np.random.default_rng(t_len).standard_normal((t_len, 1, 257))
+    state = np.zeros((n_layers, 2, 1, 64))
+    out = nn.lstm_stack(lstms, x, state)
+    want, final = layer_after_layer(lstms, x)
+    assert np.array_equal(out, want)
+    assert np.array_equal(state, final)
+
+
 @pytest.mark.parametrize("split", [1, 20, 39])
-def test_lstm_carried_state_joins_two_halves_into_one_pass(rng, split):
-    lstm = nn.Lstm(257, 64, rng)
-    x = rng.standard_normal((40, 2, 257))
-    whole = lstm.forward(x)
-    state = np.zeros((2, 2, 64))
-    halves = [lstm.forward(x[:split], state=state), lstm.forward(x[split:], state=state)]
-    np.testing.assert_allclose(np.concatenate(halves), whole, rtol=0, atol=1e-12)
-    # the state left behind is the last step's (h, c)
-    np.testing.assert_allclose(state[0], whole[-1], rtol=0, atol=1e-12)
+def test_lstm_carried_state_joins_two_halves_into_one_pass(split):
+    lstms = separator_lstms(2, seed=1)
+    x = np.random.default_rng(split).standard_normal((40, 2, 257))
+    state = np.zeros((2, 2, 2, 64))
+    halves = [nn.lstm_stack(lstms, x[:split], state), nn.lstm_stack(lstms, x[split:], state)]
+    want, final = layer_after_layer(lstms, x)
+    assert np.array_equal(np.concatenate(halves), want)
+    assert np.array_equal(state, final)  # the state left is the last step's (h, c)
+
+
+@pytest.mark.parametrize("split", [2, LAG + 1, 1000])
+@pytest.mark.parametrize("n_layers", [2, 3])
+def test_lstm_stack_carried_state_joins_two_blocks_into_one_pass(n_layers, split):
+    lstms = separator_lstms(n_layers, seed=1)
+    x = np.random.default_rng(split).standard_normal((1100, 1, 257))
+    state = np.zeros((n_layers, 2, 1, 64))
+    blocks = [nn.lstm_stack(lstms, x[:split], state), nn.lstm_stack(lstms, x[split:], state)]
+    want, final = layer_after_layer(lstms, x)
+    assert np.array_equal(np.concatenate(blocks), want)
+    assert np.array_equal(state, final)
+
+
+def test_lstm_stack_joins_a_one_frame_block_to_within_rounding(rng):
+    # A 1-frame block at batch 1 is a 1-row input GEMM, which need not give
+    # the bits of the same row in a taller GEMM.
+    lstms = separator_lstms(2, seed=2)
+    x = rng.standard_normal((40, 1, 257))
+    state = np.zeros((2, 2, 1, 64))
+    blocks = [nn.lstm_stack(lstms, x[:1], state), nn.lstm_stack(lstms, x[1:], state)]
+    np.testing.assert_allclose(np.concatenate(blocks), layer_after_layer(lstms, x)[0],
+                               rtol=0, atol=1e-12)
+
+
+class RowCount(np.ndarray):
+    """A weight matrix that records the rows of every matrix multiplied by it."""
+
+    def __rmatmul__(self, other):
+        self.rows.append(other.shape[0])
+        return other @ self.view(np.ndarray)
+
+
+@pytest.mark.parametrize("t_len", [1, 2, LAG + 1, 2 * LAG + 1, 3 * LAG])
+def test_lstm_stack_projects_no_single_row_chunk_of_a_longer_block(t_len):
+    lstms = separator_lstms(3)
+    rows = []
+    for lstm in lstms:
+        lstm.w_x = lstm.w_x.view(RowCount)
+        lstm.w_x.rows = rows
+    nn.lstm_stack(lstms, np.zeros((t_len, 1, 257)), np.zeros((3, 2, 1, 64)))
+    assert sum(rows) == 3 * t_len  # every layer projects each frame once
+    assert all(2 <= r <= LAG for r in rows) or t_len == 1
+
+
+def test_stack_chunks_cover_the_block_in_short_ranges():
+    for t_len in range(1, 3 * LAG + 3):
+        lag = min(LAG, t_len)
+        chunks = _stack_chunks(t_len, lag)
+        assert [a for a, _ in chunks] == [0] + [e for _, e in chunks[:-1]]
+        assert chunks[-1][1] == t_len
+        assert all(e - a <= lag for a, e in chunks)
+        assert all(e - a >= 2 for a, e in chunks) or t_len == 1
 
 
 def test_lstm_state_starts_where_it_is_given(rng):
-    lstm = nn.Lstm(3, 4, rng)
+    lstms = [nn.Lstm(3, 4, rng), nn.Lstm(4, 4, rng)]
     x = rng.standard_normal((5, 1, 3))
-    state = np.zeros((2, 1, 4))
-    lstm.forward(x, state=state)
+    state = np.zeros((2, 2, 1, 4))
+    first = nn.lstm_stack(lstms, x, state)
     carried = state.copy()
-    assert not np.array_equal(lstm.forward(x, state=state), lstm.forward(x))
+    assert not np.array_equal(nn.lstm_stack(lstms, x, state), first)
     assert not np.array_equal(carried, 0.0)
 
 
 def test_lstm_training_forward_refuses_a_state(rng):
-    lstm = nn.Lstm(3, 4, rng)
+    # only the inference stack carries a state; backward assumes zero state
+    from stemscribe.separation import SeparatorModel
+
+    sep = SeparatorModel(num_bins=9, hidden=4, layers=2)
     with pytest.raises(ValueError, match="zero state"):
-        lstm.forward(rng.standard_normal((5, 1, 3)), training=True, state=np.zeros((2, 1, 4)))
-    with pytest.raises(ValueError, match=r"\(2, 1, 4\) state"):
-        lstm.forward(rng.standard_normal((5, 1, 3)), state=np.zeros((2, 4)))
+        sep.forward_mask(rng.standard_normal((5, 9)), training=True, state=sep.zero_state())
+    with pytest.raises(ValueError, match=r"\(2, 2, 1, 4\) state"):
+        nn.lstm_stack([sep.children["lstm0"], sep.children["lstm1"]], rng.standard_normal((5, 1, 9)),
+                      np.zeros((2, 1, 4)))
+
+
+def test_lstm_stack_refuses_an_input_or_layer_of_the_wrong_size(rng):
+    lstms = [nn.Lstm(3, 4, rng), nn.Lstm(4, 4, rng)]
+    state = np.zeros((2, 2, 1, 4))
+    with pytest.raises(ValueError, match=r"\(T, B, 3\)"):
+        nn.lstm_stack(lstms, rng.standard_normal((5, 3)), state)
+    with pytest.raises(ValueError, match="map 4 states to 4"):
+        nn.lstm_stack([lstms[0], nn.Lstm(4, 5, rng)], rng.standard_normal((5, 1, 3)), state)
 
 
 def test_bilstm_batch_matches_single_sequences(rng):
