@@ -1,10 +1,12 @@
 """PCM WAV decode/encode and sample-rate conversion.
 
-Supports RIFF/WAVE containers with 16-bit integer PCM or 32-bit IEEE
-float payloads, little-endian throughout, tagged plainly or as
-WAVE_FORMAT_EXTENSIBLE with the matching sub-format. Integer samples are
-mapped to [-1, 1] on read and quantized back on write, so a read/write
-round trip is exact to within one LSB of the chosen bit depth.
+Reads RIFF/WAVE containers with 8-bit (unsigned, offset 128), 16-, 24-
+or 32-bit integer PCM or 32- or 64-bit IEEE float payloads,
+little-endian throughout, tagged plainly or as WAVE_FORMAT_EXTENSIBLE
+with the matching sub-format. Writes 16-bit PCM or 32-bit float. Integer
+samples are mapped to [-1, 1) on read (divided by 2**(bits-1)) and
+quantized back on write, so a read/write round trip is exact to within
+one LSB of the chosen bit depth.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ class WavFormatError(ValueError):
 
 
 class UnsupportedCodecError(WavFormatError):
-    """Raised for WAVE payloads other than PCM16 or IEEE float32."""
+    """Raised for WAVE payloads other than 8/16/24/32-bit integer PCM or
+    32/64-bit IEEE float."""
 
 
 @dataclass
@@ -71,8 +74,28 @@ class Waveform:
         return self.to_mono().samples[0]
 
 
+def _pcm24(payload: memoryview) -> np.ndarray:
+    """Packed little-endian 24-bit samples: each 3-byte group goes to the
+    top of an int32, whose arithmetic shift right by 8 sign-extends it."""
+    wide = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
+    wide[:, 1:] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
+    return (wide.view("<i4")[:, 0] >> 8) / 2.0**23
+
+
+# (format tag, bits per sample) -> float64 samples of a whole-sample payload
+_DECODERS = {
+    (WAVE_FORMAT_PCM, 8): lambda b: (np.frombuffer(b, dtype=np.uint8) - 128.0) / 128.0,
+    (WAVE_FORMAT_PCM, 16): lambda b: np.frombuffer(b, dtype="<i2") / 2.0**15,
+    (WAVE_FORMAT_PCM, 24): _pcm24,
+    (WAVE_FORMAT_PCM, 32): lambda b: np.frombuffer(b, dtype="<i4") / 2.0**31,
+    (WAVE_FORMAT_IEEE_FLOAT, 32): lambda b: np.frombuffer(b, dtype="<f4").astype(np.float64),
+    (WAVE_FORMAT_IEEE_FLOAT, 64): lambda b: np.frombuffer(b, dtype="<f8").astype(np.float64),
+}
+
+
 def read_wav(path) -> Waveform:
-    """Decode a PCM16 or float32 WAV file.
+    """Decode an integer PCM (8, 16, 24 or 32 bits) or float (32 or 64
+    bits) WAV file.
 
     Raises FileNotFoundError for a missing file, WavFormatError for a
     malformed RIFF container, UnsupportedCodecError for other codecs.
@@ -113,15 +136,13 @@ def read_wav(path) -> Waveform:
     if n_channels < 1:
         raise WavFormatError(f"{path}: invalid channel count {n_channels}")
 
-    if audio_format == WAVE_FORMAT_PCM and bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
-    elif audio_format == WAVE_FORMAT_IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    else:
+    decode = _DECODERS.get((audio_format, bits))
+    if decode is None:
         raise UnsupportedCodecError(
             f"{path}: unsupported codec (format={audio_format}, bits={bits})"
         )
+    width = bits // 8  # a trailing partial sample is dropped, as is a partial frame
+    samples = decode(memoryview(payload)[: len(payload) // width * width])
 
     n_frames = samples.size // n_channels
     samples = samples[: n_frames * n_channels].reshape(n_frames, n_channels).T

@@ -1,4 +1,5 @@
 import struct
+import wave
 
 import numpy as np
 import pytest
@@ -127,13 +128,67 @@ def test_extensible_decodes_like_plain_format(tmp_path, rng, tag, bits, dtype, s
 
 
 def test_extensible_other_subformats_rejected(tmp_path):
-    p = tmp_path / "ext24.wav"
-    p.write_bytes(riff_wave(fmt_chunk(0xFFFE, 2, 24, sub_tag=1), bytes(6 * 10)))
+    p = tmp_path / "ext_float16.wav"
+    p.write_bytes(riff_wave(fmt_chunk(0xFFFE, 2, 16, sub_tag=3), bytes(4 * 10)))
     with pytest.raises(UnsupportedCodecError):
         read_wav(p)
     p.write_bytes(riff_wave(fmt_chunk(0xFFFE, 1, 16, sub_tag=0x55), bytes(2 * 10)))  # MP3 sub-format
     with pytest.raises(UnsupportedCodecError):
         read_wav(p)
+
+
+def pack_codes(bits, codes):
+    """Integer PCM codes packed one sample at a time, the byte-level oracle:
+    8-bit is unsigned (code + 128), 24-bit the low 3 bytes of each int32."""
+    if bits == 8:
+        return bytes(c + 128 for c in codes)
+    if bits == 24:
+        return b"".join(struct.pack("<i", c)[:3] for c in codes)
+    return b"".join(struct.pack({16: "<h", 32: "<i"}[bits], c) for c in codes)
+
+
+@pytest.mark.parametrize("sub_tag", [None, 1], ids=["plain", "extensible"])
+@pytest.mark.parametrize("bits", [8, 16, 24, 32])
+def test_integer_pcm_decodes_every_width_to_its_code_over_full_scale(tmp_path, rng, bits,
+                                                                     sub_tag):
+    top = 2 ** (bits - 1)
+    extremes = [-top, -top + 1, -1, 0, 1, top // 2, top - 1]
+    codes = np.concatenate([extremes, rng.integers(-top, top, 3 * 20 - len(extremes))])
+    tag = 1 if sub_tag is None else 0xFFFE
+    (tmp_path / "pcm.wav").write_bytes(
+        riff_wave(fmt_chunk(tag, 3, bits, sub_tag=sub_tag), pack_codes(bits, codes.tolist())))
+    w = read_wav(tmp_path / "pcm.wav")
+    assert w.samples.shape == (3, 20) and w.sample_rate == 8000
+    assert w.samples.min() == -1.0 and w.samples.max() < 1.0
+    np.testing.assert_array_equal(w.samples * top, codes.reshape(20, 3).T)
+
+
+@pytest.mark.parametrize("sub_tag", [None, 3], ids=["plain", "extensible"])
+def test_float64_decodes_exactly(tmp_path, rng, sub_tag):
+    x = rng.standard_normal((2, 30))
+    tag = 3 if sub_tag is None else 0xFFFE
+    (tmp_path / "f64.wav").write_bytes(
+        riff_wave(fmt_chunk(tag, 2, 64, sub_tag=sub_tag), x.T.astype("<f8").tobytes()))
+    np.testing.assert_array_equal(read_wav(tmp_path / "f64.wav").samples, x)
+
+
+def test_a_24_bit_file_from_the_wave_module_loads(tmp_path):
+    codes = np.array([[-2**23, -300000, -1, 0, 1, 4660, 2**23 - 1],
+                      [5, -5, 2**22, -2**22, 77, -77, 0]])
+    with wave.open(str(tmp_path / "w24.wav"), "wb") as f:
+        f.setnchannels(2)
+        f.setsampwidth(3)
+        f.setframerate(44100)
+        f.writeframes(pack_codes(24, codes.T.ravel().tolist()))
+    w = read_wav(tmp_path / "w24.wav")
+    assert w.sample_rate == 44100
+    np.testing.assert_array_equal(w.samples * 2**23, codes)
+
+
+def test_a_trailing_partial_sample_is_dropped(tmp_path):
+    payload = pack_codes(24, [1000, -1000]) + b"\x01\x02"
+    (tmp_path / "cut.wav").write_bytes(riff_wave(fmt_chunk(1, 1, 24), payload))
+    np.testing.assert_array_equal(read_wav(tmp_path / "cut.wav").samples * 2**23, [[1000, -1000]])
 
 
 def test_missing_file(tmp_path):

@@ -1,10 +1,12 @@
 import argparse
 import collections
 import csv
+import ctypes
 import hashlib
 import json
 import logging
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -750,6 +752,67 @@ def test_train_amt_writes_the_bytes_of_the_two_loop_bilstm(tmp_path, tiny_config
     assert len(saved) == 8 and list(fused) == list(two_loops)
     for name, tensor in fused.items():
         assert np.array_equal(tensor, two_loops[name]), name
+
+
+# Minor page faults of each AmtModel.loss_and_grad call of one train-amt
+# run, at the note model's train_desk sizes, in a new interpreter.
+TRAIN_AMT_FAULTS = """
+import json, resource, sys
+from stemscribe import cli
+from stemscribe.transcription import AmtModel
+print(cli.__file__)
+faults, loss_and_grad = [], AmtModel.loss_and_grad
+def counted(self, batch):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    loss = loss_and_grad(self, batch)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return loss
+AmtModel.loss_and_grad = counted
+assert cli.main(["train-amt", "--out-dir", sys.argv[1], "--config", sys.argv[2],
+                 "--synthetic", "12", "--duration", "3.0", "--epochs", "3", "--window", "128",
+                 "--hop-frames", "64", "--batch-size", "4", "--lr", "5e-3"]) == 0
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap thresholds are pinned under glibc only")
+def test_train_amt_batches_reuse_the_heap_of_the_batch_before(tmp_path):
+    # Under glibc's dynamic thresholds the batches' multi-MB temporaries
+    # (Conv2d's im2col, its gradient copies, the BiLstm step arrays) were
+    # given back after each batch and faulted in again: 1,300-1,800 minor
+    # faults per batch. Pinned by fit, the batches after the first epoch
+    # take 0-50 on average. What is left comes from CPython's small-object
+    # allocator, which maps its own 1 MiB arenas outside malloc: one fresh
+    # arena is up to 256 faults, and the bound leaves room for a few.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"amt": {"conv_channels": 4, "hidden": 16}}))
+    faults = json.loads(run_fresh_python(TRAIN_AMT_FAULTS, str(tmp_path / "out"), str(config)))
+    assert len(faults) == 9  # 3 epochs of 3 batches
+    assert sum(faults[3:]) / 6 < 200, faults
+
+
+@pytest.mark.parametrize("no_mallopt", ["other libc", "no mallopt", "no library"])
+def test_fit_without_mallopt_trains_to_the_pinned_bytes(tmp_path, tiny_config, monkeypatch,
+                                                        no_mallopt):
+    argv = ["train-amt", "--config", tiny_config, "--synthetic", "3", "--duration", "1.0",
+            "--window", "16", "--hop-frames", "8", "--batch-size", "2", "--epochs", "2"]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "pinned")]) == 0
+
+    def no_library(*args, **kwargs):
+        raise OSError("no C library")
+
+    if no_mallopt == "other libc":  # musl, or macOS: mallopt is never looked up
+        monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("", ""))
+        monkeypatch.setattr(ctypes, "CDLL", None)
+    else:
+        monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("glibc", "2.36"))
+        monkeypatch.setattr(ctypes, "CDLL", no_library if no_mallopt == "no library"
+                            else lambda *args, **kwargs: object())
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "unpinned")]) == 0
+    for name in ("amt.ssnn", "amt_loss.csv"):
+        assert (tmp_path / "pinned" / name).read_bytes() == \
+            (tmp_path / "unpinned" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("command", [

@@ -36,3 +36,12 @@ def test_separation_memory_script(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[0].startswith("10 s: ru_maxrss ") and lines[1].startswith("30 s: ru_maxrss ")
     assert "MB per extra second of audio (limit 2)" in lines[2]
+
+
+def test_train_desk_models_script(tmp_path):
+    done = run_script("train_desk_models.py", "--out-dir", "models", "--sep-epochs", "1",
+                      "--amt-epochs", "1", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "models" / "separator.ssnn").exists()
+    assert (tmp_path / "models" / "amt.ssnn").exists()
+    assert any(line.startswith("held-out frame F1: ") for line in done.stdout.splitlines())
