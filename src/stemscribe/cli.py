@@ -171,8 +171,10 @@ def _separate_to_dir(mixture: Waveform, model: SeparatorModel, cfg: PipelineConf
                      out_dir: Path, stem_name: str, mask_mode: str = "model") -> dict[str, Path]:
     """Separate the mixture, writing the mask and stats CSV rows of each
     block of frames as the pass makes them, then the two stems."""
-    # refuse an uninvertible window before any output is opened
+    # refuse an uninvertible window or an empty mixture before any output is opened
     check_invertible(cfg.stft)
+    if mixture.num_samples == 0:
+        raise ValueError(f"mixture {stem_name!r} has no samples: nothing to separate")
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "vocals": out_dir / f"{stem_name}_vocals.wav",
@@ -248,7 +250,6 @@ def cmd_pipeline(args) -> int:
     if args.seed is not None:
         cfg = PipelineConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem_name = Path(args.input).stem
     report = {}
 

@@ -13,11 +13,12 @@ Every layer keeps one contract:
   * forward(x, training=True) keeps what backward needs, an inference
     forward keeps nothing, and backward without a training forward
     raises RuntimeError.
-An LSTM steps through time only for the h -> h recurrence, one
-(B, H) @ (H, 4H) product per step for the whole batch: its input
-projection and its weight and input gradients are single matrix products
-over all T·B rows. A BiLstm steps its two directions in one loop, one
-stacked (2, B, H) @ (2, H, 4H) product per step. At inference, stacked
+An LSTM steps through time only for the h -> h recurrence, for the
+whole batch at once: its input projection and its weight and input
+gradients are single matrix products over all T·B rows. Lstm and BiLstm
+share one recurrence over a leading direction axis, one stacked
+(D, B, H) @ (D, H, 4H) product per step: D = 1 for Lstm, and D = 2 for
+BiLstm, whose two directions step in one loop. At inference, stacked
 Lstm layers step together through lstm_stack: layer l trails layer l-1
 by a fixed lag, each step is one stacked (L, B, H) @ (L, H, 4H) product,
 and their (h, c) carry over from block to block as one (L, 2, B, H)

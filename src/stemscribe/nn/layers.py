@@ -13,18 +13,20 @@ Conventions:
   * forward(x, training=True) keeps in _cache what backward() needs; an
     inference forward keeps nothing and drops any earlier cache. backward()
     without a cache raises RuntimeError (Layer._backward_cache).
-  * Lstm.forward starts from zero state, which backward() assumes. At
-    inference a stack of Lstm layers, each reading the hidden states of
-    the one below, runs through lstm_stack, which steps all of them in one
-    loop and calls none of their forwards. It carries an (L, 2, B, hidden)
-    state of every layer's (h, c), overwritten with the final one, so
-    consecutive blocks of a sequence passed with one state give the outputs
-    of one pass over the whole; its outputs are bitwise those of each
-    layer's forward in turn.
-  * BiLstm steps both directions in one loop, fwd at time s together with
-    bwd at time T-1-s. Its outputs and gradients are bitwise those of its
-    two Lstm children run one after the other, but it calls neither
-    child's forward nor backward.
+  * Lstm and BiLstm step through one recurrence, _recur forward and
+    _recur_backward backward, over (T, D, B, ·) arrays with a leading
+    direction axis: an Lstm is its D = 1 case, a BiLstm its D = 2 case,
+    fwd at time s together with bwd at time T-1-s. Both start from zero
+    state, which backward() assumes. BiLstm's outputs and gradients are
+    bitwise those of its two Lstm children run one after the other, but
+    it calls neither child's forward nor backward.
+  * At inference a stack of Lstm layers, each reading the hidden states
+    of the one below, runs through lstm_stack, which steps all of them in
+    its own loop and calls none of their forwards. It carries an
+    (L, 2, B, hidden) state of every layer's (h, c), overwritten with the
+    final one, so consecutive blocks of a sequence passed with one state
+    give the outputs of one pass over the whole; its outputs are bitwise
+    those of each layer's forward in turn.
   * Every logistic (Sigmoid and the LSTM gates) is sigmoid(x, out=None),
     numpy's tanh in four in-place ufunc calls: this module imports numpy
     only, so a command that never resamples never loads scipy.
@@ -307,6 +309,69 @@ class MaxPool2d(Layer):
         return dx
 
 
+def _recur(gates: np.ndarray, w_h: np.ndarray):
+    """The forward recurrence of D independent directions from zero state,
+    over (T, D, B, 4H) pre-activations and their stacked (D, H, 4H)
+    recurrent weights: step t adds h_(t-1) @ w_h to block t, one stacked
+    (D, B, H) @ (D, H, 4H) product, and turns the block in place into the
+    activated gates [i, f, g, o]. Returns the (T, D, B, H) c, tanh(c) and
+    h of every step."""
+    t_len, n_dir, batch, four_h = gates.shape
+    h = four_h // 4
+    c, tanh_c, hs = (np.empty((t_len, n_dir, batch, h)) for _ in range(3))
+    h_prev = c_prev = np.zeros((n_dir, batch, h))
+    rec, tanh_g, i_g = (np.empty((n_dir, batch, n)) for n in (four_h, h, h))
+    gi, gf, gg, go = (gates[..., k * h : (k + 1) * h] for k in range(4))
+    # The (D, B, ·) blocks of step t in lockstep, all as preallocated views.
+    for a, i_t, f_t, g_t, o_t, c_t, tanh_c_t, h_t in zip(gates, gi, gf, gg, go,
+                                                        c, tanh_c, hs):
+        a += np.matmul(h_prev, w_h, out=rec)
+        np.tanh(g_t, out=tanh_g)
+        sigmoid(a, out=a)  # one call for all four gates, then g fixed up
+        np.copyto(g_t, tanh_g)
+        np.multiply(f_t, c_prev, out=c_t)
+        c_t += np.multiply(i_t, tanh_g, out=i_g)
+        np.tanh(c_t, out=tanh_c_t)
+        np.multiply(o_t, tanh_c_t, out=h_t)
+        h_prev, c_prev = h_t, c_t
+    return c, tanh_c, hs
+
+
+def _recur_backward(grad_steps: np.ndarray, gates: np.ndarray, c: np.ndarray,
+                    tanh_c: np.ndarray, w_h_t: np.ndarray) -> np.ndarray:
+    """The backward recurrence of _recur: the (T, D, B, 4H) gate gradients
+    for (T, D, B, H) output gradients grad_steps, given _recur's activated
+    gates, c and tanh(c) and the stacked (D, 4H, H) transposed w_h."""
+    t_len, n_dir, batch, h = c.shape
+    i, f, g, o = (gates[..., k * h : (k + 1) * h] for k in range(4))
+    c_prev = np.zeros_like(c)
+    c_prev[1:] = c[:-1]
+    # Every elementwise derivative at once. Step t then scales its block
+    # in place, by dc_t for [i, f, g] and by dh_t for o, which turns the
+    # factors into its gate gradients.
+    da = np.empty((t_len, n_dir, batch, 4, h))
+    da[..., 0, :] = g * i * (1.0 - i)
+    da[..., 1, :] = c_prev * f * (1.0 - f)
+    da[..., 2, :] = i * (1.0 - g**2)
+    da[..., 3, :] = tanh_c * o * (1.0 - o)
+    dc_dh = o * (1.0 - tanh_c**2)
+    da_rows = da.reshape(t_len, n_dir, batch, 4 * h)
+    dh, dh_next, dc_next = (np.zeros((n_dir, batch, h)) for _ in range(3))
+    dc_col = np.empty((n_dir, batch, 1, h))  # dc_t, broadcast over the three gates it feeds
+    dc = dc_col[..., 0, :]
+    steps = zip(grad_steps[::-1], dc_dh[::-1], f[::-1], da[::-1, ..., :3, :],
+                da[::-1, ..., 3, :], da_rows[::-1])
+    for grad_t, dc_dh_t, f_t, da_ifg_t, da_o_t, da_row in steps:
+        np.add(grad_t, dh_next, out=dh)
+        np.multiply(dh, dc_dh_t, out=dc)
+        dc += dc_next
+        da_ifg_t *= dc_col
+        da_o_t *= dh
+        np.multiply(dc, f_t, out=dc_next)
+        np.matmul(da_row, w_h_t, out=dh_next)
+    return da_rows
+
+
 class Lstm(Layer):
     """Single-direction LSTM over a time-major (T, B, input) batch of
     sequences, from a zero initial state.  At inference a stack of Lstm
@@ -319,7 +384,8 @@ class Lstm(Layer):
     Recurrent Neural Networks on GPUs" (2016): the input projection is one
     GEMM over the (T·B, input) rows before the loop, and the weight and
     input gradients are GEMMs over the per-step gate gradients after it.
-    Each step is one (B, H) @ (H, 4H) product for the whole batch.
+    The steps are those of _recur and _recur_backward, which BiLstm shares:
+    an Lstm is their one-direction case, D = 1.
     """
 
     PARAMS = ("w_x", "w_h", "b")
@@ -334,73 +400,41 @@ class Lstm(Layer):
         self.dw_h = np.zeros_like(self.w_h)
         self.db = np.zeros_like(self.b)
 
+    def _project(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """out[...] = rows @ w_x + b: the (T, B, 4H) pre-activations of the
+        (T·B, input) rows, one GEMM."""
+        np.add((rows @ self.w_x).reshape(out.shape), self.b, out=out)
+
+    def _accumulate(self, rows: np.ndarray, hs: np.ndarray, da: np.ndarray) -> np.ndarray:
+        """Add the dw_x, dw_h and db of (T, B, 4H) gate gradients da, one
+        GEMM each over the (T·B, input) rows and the (T, B, H) states hs
+        they came from, and return the (T, B, input) input gradient."""
+        t_len, batch, h = hs.shape
+        da_flat = da.reshape(t_len * batch, 4 * h)
+        h_prev = np.zeros((t_len, batch, h))
+        h_prev[1:] = hs[:-1]
+        self.dw_x += rows.T @ da_flat
+        self.dw_h += h_prev.reshape(t_len * batch, h).T @ da_flat
+        self.db += da_flat.sum(axis=0)
+        return (da_flat @ self.w_x.T).reshape(t_len, batch, -1)
+
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n_in = self.w_x.shape[0]
         if x.ndim != 3 or x.shape[2] != n_in:
             raise ValueError(f"expected (T, B, {n_in}) input, got {x.shape}")
         t_len, batch, _ = x.shape
-        h = self.hidden_size
-        # Pre-activations of every step; block t becomes the activated gates
-        # [i, f, g, o] once step t adds its recurrent term.
-        gates = (x.reshape(t_len * batch, n_in) @ self.w_x + self.b).reshape(t_len, batch, 4 * h)
-        c = np.empty((t_len, batch, h))
-        tanh_c = np.empty((t_len, batch, h))
-        hs = np.empty((t_len, batch, h))
-        h_prev = c_prev = np.zeros((batch, h))
-        rec, tanh_g, i_g = np.empty((batch, 4 * h)), np.empty((batch, h)), np.empty((batch, h))
-        gi, gf, gg, go = (gates[..., k * h : (k + 1) * h] for k in range(4))
-        # The (B, ·) blocks of step t in lockstep, all as preallocated views.
-        for a, i_t, f_t, g_t, o_t, c_t, tanh_c_t, h_t in zip(gates, gi, gf, gg, go,
-                                                            c, tanh_c, hs):
-            a += np.dot(h_prev, self.w_h, out=rec)
-            np.tanh(g_t, out=tanh_g)
-            sigmoid(a, out=a)  # one call for all four gates, then g fixed up
-            np.copyto(g_t, tanh_g)
-            np.multiply(f_t, c_prev, out=c_t)
-            c_t += np.multiply(i_t, tanh_g, out=i_g)
-            np.tanh(c_t, out=tanh_c_t)
-            np.multiply(o_t, tanh_c_t, out=h_t)
-            h_prev, c_prev = h_t, c_t
-        self._cache = (x, gates, c, tanh_c, hs) if training else None
+        gates = np.empty((t_len, 1, batch, 4 * self.hidden_size))
+        self._project(x.reshape(t_len * batch, n_in), gates[:, 0])
+        c, tanh_c, hs = (a[:, 0] for a in _recur(gates, self.w_h[None]))
+        self._cache = (x, gates[:, 0], c, tanh_c, hs) if training else None
         return hs
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x, gates, c, tanh_c, hs = self._backward_cache()
-        t_len, batch, h = hs.shape
-        i, f, g, o = (gates[..., k * h : (k + 1) * h] for k in range(4))
-        c_prev = np.zeros_like(c)
-        c_prev[1:] = c[:-1]
-        h_prev = np.zeros_like(hs)
-        h_prev[1:] = hs[:-1]
-        # Every elementwise derivative at once. Step t then scales its block
-        # in place, by dc_t for [i, f, g] and by dh_t for o, which turns the
-        # factors into its gate gradients.
-        da = np.empty((t_len, batch, 4, h))
-        da[:, :, 0] = g * i * (1.0 - i)
-        da[:, :, 1] = c_prev * f * (1.0 - f)
-        da[:, :, 2] = i * (1.0 - g**2)
-        da[:, :, 3] = tanh_c * o * (1.0 - o)
-        dc_dh = o * (1.0 - tanh_c**2)
-        da_rows = da.reshape(t_len, batch, 4 * h)
-        w_h_t = self.w_h.T
-        dh, dh_next, dc_next = np.empty((batch, h)), np.zeros((batch, h)), np.zeros((batch, h))
-        dc_col = np.empty((batch, 1, h))  # dc_t, broadcast over the three gates it feeds
-        dc = dc_col[:, 0]
-        steps = zip(grad[::-1], dc_dh[::-1], f[::-1], da[::-1, :, :3], da[::-1, :, 3],
-                    da_rows[::-1])
-        for grad_t, dc_dh_t, f_t, da_ifg_t, da_o_t, da_row in steps:
-            np.add(grad_t, dh_next, out=dh)
-            np.multiply(dh, dc_dh_t, out=dc)
-            dc += dc_next
-            da_ifg_t *= dc_col
-            da_o_t *= dh
-            np.multiply(dc, f_t, out=dc_next)
-            np.dot(da_row, w_h_t, out=dh_next)
-        da_flat = da_rows.reshape(t_len * batch, 4 * h)
-        self.dw_x += x.reshape(t_len * batch, -1).T @ da_flat
-        self.dw_h += h_prev.reshape(t_len * batch, h).T @ da_flat
-        self.db += da_flat.sum(axis=0)
-        return (da_flat @ self.w_x.T).reshape(t_len, batch, -1)
+        t_len, batch, _ = x.shape
+        da = _recur_backward(grad[:, None], gates[:, None], c[:, None], tanh_c[:, None],
+                             self.w_h.T[None])
+        return self._accumulate(x.reshape(t_len * batch, -1), hs, da[:, 0])
 
 
 # Steps by which each layer of lstm_stack trails the one below it, and
@@ -511,17 +545,16 @@ class BiLstm(Layer):
     states concatenated, so the output feature size is twice the hidden
     size.
 
-    The two directions are independent, so one loop steps both: step s
-    advances fwd at time s and bwd at time T-1-s, carrying h and c (dh and
-    dc in backward) as a (2, B, H) stack. Each step is one stacked
-    (2, B, H) @ (2, H, 4H) product and one call per elementwise operation
-    over both directions' (2, B, ·) blocks: half the Python steps of two
-    Lstm loops. The per-step arrays are (T, 2, B, ·), where [s, 1] holds bwd
-    at time T-1-s. Each direction's input projection and weight and input
-    gradients stay one GEMM over its own rows, in the order fwd.forward(x)
-    and bwd.forward(x[::-1]) would sum them, so outputs and gradients are
-    bitwise those of the two Lstm passes. fwd and bwd stay Lstm children,
-    which own the weights and gradient buffers.
+    The two directions are independent, so one loop steps both: _recur and
+    _recur_backward with D = 2, where step s advances fwd at time s and
+    bwd at time T-1-s, carrying h and c (dh and dc in backward) as a
+    (2, B, H) stack: half the Python steps of two Lstm loops. The per-step
+    arrays are (T, 2, B, ·), where [s, 1] holds bwd at time T-1-s. Each
+    direction's input projection and weight and input gradients stay one
+    GEMM over its own rows (Lstm._project and Lstm._accumulate), in the
+    order fwd.forward(x) and bwd.forward(x[::-1]) would sum them, so
+    outputs and gradients are bitwise those of the two Lstm passes. fwd and
+    bwd stay Lstm children, which own the weights and gradient buffers.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
@@ -539,68 +572,19 @@ class BiLstm(Layer):
         if x.ndim != 3 or x.shape[2] != n_in:
             raise ValueError(f"expected (T, B, {n_in}) input, got {x.shape}")
         t_len, batch, _ = x.shape
-        h = self.fwd.hidden_size
-        # Pre-activations of every step; block s becomes the activated gates
-        # [i, f, g, o] of both directions once step s adds its recurrent term.
-        gates = np.empty((t_len, 2, batch, 4 * h))
+        gates = np.empty((t_len, 2, batch, 4 * self.fwd.hidden_size))
         for d, (layer, rows) in enumerate(self._directions(x)):
-            np.add((rows @ layer.w_x).reshape(t_len, batch, 4 * h), layer.b, out=gates[:, d])
-        c, tanh_c, hs = (np.empty((t_len, 2, batch, h)) for _ in range(3))
-        w_h = np.stack([self.fwd.w_h, self.bwd.w_h])
-        h_prev = c_prev = np.zeros((2, batch, h))
-        rec, tanh_g, i_g = (np.empty((2, batch, n)) for n in (4 * h, h, h))
-        gi, gf, gg, go = (gates[..., k * h : (k + 1) * h] for k in range(4))
-        for a, i_t, f_t, g_t, o_t, c_t, tanh_c_t, h_t in zip(gates, gi, gf, gg, go,
-                                                            c, tanh_c, hs):
-            a += np.matmul(h_prev, w_h, out=rec)
-            np.tanh(g_t, out=tanh_g)
-            sigmoid(a, out=a)  # one call for all four gates, then g fixed up
-            np.copyto(g_t, tanh_g)
-            np.multiply(f_t, c_prev, out=c_t)
-            c_t += np.multiply(i_t, tanh_g, out=i_g)
-            np.tanh(c_t, out=tanh_c_t)
-            np.multiply(o_t, tanh_c_t, out=h_t)
-            h_prev, c_prev = h_t, c_t
+            layer._project(rows, gates[:, d])
+        c, tanh_c, hs = _recur(gates, np.stack([self.fwd.w_h, self.bwd.w_h]))
         self._cache = (x, gates, c, tanh_c, hs) if training else None
         return np.concatenate([hs[:, 0], hs[::-1, 1]], axis=-1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x, gates, c, tanh_c, hs = self._backward_cache()
-        t_len, _, batch, h = hs.shape
-        i, f, g, o = (gates[..., k * h : (k + 1) * h] for k in range(4))
-        c_prev = np.zeros_like(c)
-        c_prev[1:] = c[:-1]
-        # Every elementwise derivative at once, scaled in place per step as
-        # in Lstm.backward.
-        da = np.empty((t_len, 2, batch, 4, h))
-        da[..., 0, :] = g * i * (1.0 - i)
-        da[..., 1, :] = c_prev * f * (1.0 - f)
-        da[..., 2, :] = i * (1.0 - g**2)
-        da[..., 3, :] = tanh_c * o * (1.0 - o)
-        dc_dh = o * (1.0 - tanh_c**2)
+        h = self.fwd.hidden_size
         grad_steps = np.stack([grad[..., :h], grad[::-1, ..., h:]], axis=1)
-        da_rows = da.reshape(t_len, 2, batch, 4 * h)
         w_h_t = np.stack([self.fwd.w_h, self.bwd.w_h]).transpose(0, 2, 1)
-        dh, dh_next, dc_next = (np.zeros((2, batch, h)) for _ in range(3))
-        dc_col = np.empty((2, batch, 1, h))  # dc_s, broadcast over the three gates it feeds
-        dc = dc_col[:, :, 0]
-        steps = zip(grad_steps[::-1], dc_dh[::-1], f[::-1], da[::-1, ..., :3, :],
-                    da[::-1, ..., 3, :], da_rows[::-1])
-        for grad_t, dc_dh_t, f_t, da_ifg_t, da_o_t, da_row in steps:
-            np.add(grad_t, dh_next, out=dh)
-            np.multiply(dh, dc_dh_t, out=dc)
-            dc += dc_next
-            da_ifg_t *= dc_col
-            da_o_t *= dh
-            np.multiply(dc, f_t, out=dc_next)
-            np.matmul(da_row, w_h_t, out=dh_next)
-        dx = []
-        for d, (layer, rows) in enumerate(self._directions(x)):
-            da_flat = da_rows[:, d].reshape(t_len * batch, 4 * h)
-            h_prev = np.zeros((t_len, batch, h))
-            h_prev[1:] = hs[:-1, d]
-            layer.dw_x += rows.T @ da_flat
-            layer.dw_h += h_prev.reshape(t_len * batch, h).T @ da_flat
-            layer.db += da_flat.sum(axis=0)
-            dx.append((da_flat @ layer.w_x.T).reshape(t_len, batch, -1))
-        return dx[0] + dx[1][::-1]
+        da = _recur_backward(grad_steps, gates, c, tanh_c, w_h_t)
+        dx_f, dx_b = (layer._accumulate(rows, hs[:, d], da[:, d])
+                      for d, (layer, rows) in enumerate(self._directions(x)))
+        return dx_f + dx_b[::-1]

@@ -420,6 +420,17 @@ def test_separate_refuses_a_gapped_window_before_writing(tmp_path, mixture_wav):
     assert not list(out.glob("*.csv")) and not list(out.glob("*.wav"))
 
 
+@pytest.mark.parametrize("command", ["separate", "pipeline"])
+def test_a_mixture_with_no_samples_is_refused_before_writing(tmp_path, tiny_config, command,
+                                                             caplog):
+    empty = tmp_path / "empty.wav"
+    write_wav(Waveform(np.zeros((1, 0)), 8000), empty)
+    out = tmp_path / "out"
+    assert cli.main([command, str(empty), "--out-dir", str(out), "--config", tiny_config]) == 2
+    assert "'empty' has no samples" in caplog.text
+    assert not out.exists()
+
+
 def test_separate_not_a_wav_is_invalid(tmp_path, tiny_config):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"not audio at all")

@@ -328,6 +328,46 @@ def two_array_lstm_backward(lstm, grad):
     return (da_flat @ lstm.w_x.T).reshape(t_len, batch, -1), dw_x, dw_h, db
 
 
+def np_dot_lstm_forward(lstm, x):
+    """Lstm.forward as its own one-direction loop, one np.dot of the (B, H)
+    states per step: the reference the stacked np.matmul of the shared
+    recurrence must equal bitwise. Returns (gates, c, tanh_c, hs)."""
+    t_len, batch, n_in = x.shape
+    h = lstm.hidden_size
+    gates = (x.reshape(t_len * batch, n_in) @ lstm.w_x + lstm.b).reshape(t_len, batch, 4 * h)
+    c, tanh_c, hs = (np.empty((t_len, batch, h)) for _ in range(3))
+    h_prev = c_prev = np.zeros((batch, h))
+    rec, tanh_g, i_g = np.empty((batch, 4 * h)), np.empty((batch, h)), np.empty((batch, h))
+    gi, gf, gg, go = (gates[..., k * h : (k + 1) * h] for k in range(4))
+    for a, i_t, f_t, g_t, o_t, c_t, tanh_c_t, h_t in zip(gates, gi, gf, gg, go,
+                                                        c, tanh_c, hs):
+        a += np.dot(h_prev, lstm.w_h, out=rec)
+        np.tanh(g_t, out=tanh_g)
+        sigmoid_fn(a, out=a)
+        np.copyto(g_t, tanh_g)
+        np.multiply(f_t, c_prev, out=c_t)
+        c_t += np.multiply(i_t, tanh_g, out=i_g)
+        np.tanh(c_t, out=tanh_c_t)
+        np.multiply(o_t, tanh_c_t, out=h_t)
+        h_prev, c_prev = h_t, c_t
+    return gates, c, tanh_c, hs
+
+
+@pytest.mark.parametrize("t_len, batch, input_size, hidden", [
+    (1, 1, 3, 2),
+    (91, 6, 257, 32), (91, 6, 32, 32),  # the train_desk separator's two layers
+])
+def test_lstm_forward_is_bitwise_the_np_dot_loop(t_len, batch, input_size, hidden):
+    rng = np.random.default_rng(t_len * batch + hidden)
+    lstm = nn.Lstm(input_size, hidden, rng)
+    x = rng.standard_normal((t_len, batch, input_size))
+    hs = lstm.forward(x, training=True)
+    _, gates, c, tanh_c, _ = lstm._backward_cache()
+    want = np_dot_lstm_forward(lstm, x)
+    for name, a, b in zip(("gates", "c", "tanh_c", "hs"), (gates, c, tanh_c, hs), want):
+        assert np.array_equal(a, b), name
+
+
 @pytest.mark.parametrize("t_len, batch, input_size, hidden", [
     (1, 1, 3, 2),
     (91, 6, 257, 32), (91, 6, 32, 32),  # the train_desk separator's two layers
