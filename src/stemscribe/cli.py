@@ -639,6 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    # so that a command run again in this process reuses the heap of the run before
+    nn.optim._pin_heap_thresholds()
     try:
         args = build_parser().parse_args(argv)
         if args.verbose:

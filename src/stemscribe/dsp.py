@@ -167,8 +167,7 @@ def istft(s: ComplexSpectrogram, carry: np.ndarray | None = None) -> Waveform:
         done = s.num_frames * cfg.hop
         carry[:] = out[done:], norm[done:]
         out, norm = out[:done], norm[:done]
-    nonzero = norm > 1e-12
-    out[nonzero] /= norm[nonzero]
+    np.divide(out, norm, out=out, where=norm > 1e-12)
     return Waveform(out[None, :], s.sample_rate)
 
 

@@ -3,7 +3,8 @@
 Everything runs on float64 numpy arrays, a mini-batch at a time: fit
 stacks each batch and makes one forward and one backward pass for it.
 Under glibc, fit first pins the allocator's mmap and trim thresholds,
-so a batch's multi-MB temporaries reuse the heap of the batch before.
+so a batch's multi-MB temporaries reuse the heap of the batch before;
+every stemscribe command pins them too, before it starts.
 Nothing here imports scipy: the logistic, layers.sigmoid, is
 0.5 * tanh(0.5 * x) + 0.5 in numpy ufuncs.
 Every layer keeps one contract:
@@ -20,10 +21,11 @@ share one recurrence over a leading direction axis, one stacked
 (D, B, H) @ (D, H, 4H) product per step: D = 1 for Lstm, and D = 2 for
 BiLstm, whose two directions step in one loop. At inference, stacked
 Lstm layers step together through lstm_stack: layer l trails layer l-1
-by a fixed lag, each step is one stacked (L, B, H) @ (L, H, 4H) product,
-and their (h, c) carry over from block to block as one (L, 2, B, H)
-array. Analytic backward passes are validated against central finite
-differences (see gradcheck).
+by a fixed lag, each step is one stacked (L, B, H) @ (L, H, 4H) product
+and one tanh over half-scaled i, f and o gate columns, and their (h, c)
+carry over from block to block as one (L, 2, B, H) array. Analytic
+backward passes are validated against central finite differences (see
+gradcheck).
 """
 
 from .layers import (BatchNorm, BiLstm, Conv2d, Dense, Layer, Lstm, MaxPool2d, Sigmoid,

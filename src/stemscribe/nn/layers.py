@@ -27,9 +27,12 @@ Conventions:
     final one, so consecutive blocks of a sequence passed with one state
     give the outputs of one pass over the whole; its outputs are bitwise
     those of each layer's forward in turn.
-  * Every logistic (Sigmoid and the LSTM gates) is sigmoid(x, out=None),
-    numpy's tanh in four in-place ufunc calls: this module imports numpy
-    only, so a command that never resamples never loads scipy.
+  * Every logistic is 0.5·tanh(x/2) + 0.5 in numpy ufuncs: this module
+    imports numpy only, so a command that never resamples never loads
+    scipy. Sigmoid calls sigmoid(x, out=None), four in-place calls.
+    _recur and lstm_stack halve the i, f and o columns of their copy of
+    w_h and of each input projection beforehand, which is exact, so one
+    tanh over the whole gate block also gives tanh(g).
   * backward() ACCUMULATES parameter gradients, summed over the batch
     (call zero_grads between batches), and returns the gradient w.r.t.
     the layer input. BatchNorm.backward_params accumulates only the
@@ -155,7 +158,9 @@ class Sigmoid(Layer):
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         y = self._backward_cache()
-        return grad * y * (1.0 - y)
+        out = grad * y
+        out *= 1.0 - y
+        return out
 
 
 class BatchNorm(Layer):
@@ -187,17 +192,24 @@ class BatchNorm(Layer):
         if x.ndim != 3 or x.shape[2] != f:
             raise ValueError(f"expected (N, B, {f}) input, got {x.shape}")
         if training:
+            # x.var(axis=0) as numpy computes it, from this mean and x - mean,
+            # which xhat then reuses
             mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            xhat = x - mean
+            var = np.multiply(xhat, xhat).sum(axis=0)
+            var /= x.shape[0]
             for m, v in zip(mean, var):
                 self.running_mean += self.momentum * (m - self.running_mean)
                 self.running_var += self.momentum * (v - self.running_var)
         else:
-            mean, var = self.running_mean, self.running_var
+            xhat = x - self.running_mean
+            var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
+        xhat *= inv_std
         self._cache = (xhat, inv_std) if training else None
-        return self.gamma * xhat + self.beta
+        out = self.gamma * xhat
+        out += self.beta
+        return out
 
     def backward_params(self, grad: np.ndarray) -> None:
         """Accumulate dgamma and dbeta without the input gradient: the
@@ -296,7 +308,9 @@ class MaxPool2d(Layer):
         winner = np.zeros(out.shape, dtype=np.min_scalar_type(ph * pw - 1))
         for k, view in enumerate(rest, 1):
             if training:
-                np.copyto(winner, k, where=view > out)
+                # k if this offset beats the running maximum: as k rises, the
+                # largest such k is the last offset to beat it
+                np.maximum(winner, np.greater(view, out) * winner.dtype.type(k), out=winner)
             np.maximum(out, view, out=out)
         self._cache = (winner, x.shape) if training else None
         return out
@@ -304,9 +318,23 @@ class MaxPool2d(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         winner, in_shape = self._backward_cache()
         dx = np.empty(in_shape)
+        bits = np.ascontiguousarray(grad, dtype=np.float64).view(np.int64)
+        keep = np.empty(winner.shape, dtype=np.int64)
         for k, offset in enumerate(self._offsets()):
-            dx[(..., *offset)] = np.where(winner == k, grad, 0.0)
+            # np.where(winner == k, grad, 0.0) without a branch per element:
+            # grad's bits ANDed with all ones where offset k won, else with 0
+            np.equal(winner, k, out=keep)
+            np.negative(keep, out=keep)
+            np.bitwise_and(bits, keep, out=dx[(..., *offset)].view(np.int64))
         return dx
+
+
+# Per gate [i, f, g, o]: the scale of the pre-activations, and with it the
+# affine map that finishes the three logistics 0.5·tanh(a/2) + 0.5 after
+# one tanh over all four gates. x·0.5 is exact in binary floating point,
+# and x·1 + (-0.0) is x, the sign of a zero included.
+_GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5])
+_GATE_SHIFT = np.array([0.5, 0.5, -0.0, 0.5])
 
 
 def _recur(gates: np.ndarray, w_h: np.ndarray):
@@ -314,23 +342,28 @@ def _recur(gates: np.ndarray, w_h: np.ndarray):
     over (T, D, B, 4H) pre-activations and their stacked (D, H, 4H)
     recurrent weights: step t adds h_(t-1) @ w_h to block t, one stacked
     (D, B, H) @ (D, H, 4H) product, and turns the block in place into the
-    activated gates [i, f, g, o]. Returns the (T, D, B, H) c, tanh(c) and
-    h of every step."""
+    activated gates [i, f, g, o]. The i, f and o columns of the block and
+    of a copy of w_h are halved first, so one tanh over the block and one
+    affine map give all four gates. Returns the (T, D, B, H) c, tanh(c)
+    and h of every step."""
     t_len, n_dir, batch, four_h = gates.shape
     h = four_h // 4
+    scale, shift = np.repeat(_GATE_SCALE, h), np.repeat(_GATE_SHIFT, h)
+    gates *= scale
+    w_h = w_h * scale
     c, tanh_c, hs = (np.empty((t_len, n_dir, batch, h)) for _ in range(3))
     h_prev = c_prev = np.zeros((n_dir, batch, h))
-    rec, tanh_g, i_g = (np.empty((n_dir, batch, n)) for n in (four_h, h, h))
+    rec, i_g = np.empty((n_dir, batch, four_h)), np.empty((n_dir, batch, h))
     gi, gf, gg, go = (gates[..., k * h : (k + 1) * h] for k in range(4))
     # The (D, B, ·) blocks of step t in lockstep, all as preallocated views.
     for a, i_t, f_t, g_t, o_t, c_t, tanh_c_t, h_t in zip(gates, gi, gf, gg, go,
                                                         c, tanh_c, hs):
         a += np.matmul(h_prev, w_h, out=rec)
-        np.tanh(g_t, out=tanh_g)
-        sigmoid(a, out=a)  # one call for all four gates, then g fixed up
-        np.copyto(g_t, tanh_g)
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
         np.multiply(f_t, c_prev, out=c_t)
-        c_t += np.multiply(i_t, tanh_g, out=i_g)
+        c_t += np.multiply(i_t, g_t, out=i_g)
         np.tanh(c_t, out=tanh_c_t)
         np.multiply(o_t, tanh_c_t, out=h_t)
         h_prev, c_prev = h_t, c_t
@@ -350,11 +383,17 @@ def _recur_backward(grad_steps: np.ndarray, gates: np.ndarray, c: np.ndarray,
     # in place, by dc_t for [i, f, g] and by dh_t for o, which turns the
     # factors into its gate gradients.
     da = np.empty((t_len, n_dir, batch, 4, h))
-    da[..., 0, :] = g * i * (1.0 - i)
-    da[..., 1, :] = c_prev * f * (1.0 - f)
-    da[..., 2, :] = i * (1.0 - g**2)
-    da[..., 3, :] = tanh_c * o * (1.0 - o)
-    dc_dh = o * (1.0 - tanh_c**2)
+    da_i, da_f, da_g, da_o = (da[..., k, :] for k in range(4))
+    np.multiply(g, i, out=da_i)
+    da_i *= 1.0 - i  # g·i·(1 - i)
+    np.multiply(c_prev, f, out=da_f)
+    da_f *= 1.0 - f  # c_prev·f·(1 - f)
+    np.subtract(1.0, g**2, out=da_g)
+    da_g *= i  # i·(1 - g²)
+    np.multiply(tanh_c, o, out=da_o)
+    da_o *= 1.0 - o  # tanh_c·o·(1 - o)
+    dc_dh = 1.0 - tanh_c**2
+    dc_dh *= o  # o·(1 - tanh_c²)
     da_rows = da.reshape(t_len, n_dir, batch, 4 * h)
     dh, dh_next, dc_next = (np.zeros((n_dir, batch, h)) for _ in range(3))
     dc_col = np.empty((n_dir, batch, 1, h))  # dc_t, broadcast over the three gates it feeds
@@ -467,13 +506,17 @@ def lstm_stack(layers: list[Lstm], x: np.ndarray, state: np.ndarray) -> np.ndarr
     All layers step in one loop, as a wavefront (Appleyard, Kočiský &
     Blunsom 2016): step s advances layer l at time s - l·lag, with
     lag = min(_STACK_LAG, T), so T + (L-1)·lag steps replace L·T. Each
-    step is one stacked (L, B, H) @ (L, H, 4H) product and one call per
-    elementwise operation over the gate-major (4, L, B, H) block of every
-    layer it advances. A layer's input projection is one GEMM per
-    _stack_chunks range of its input, made at the step that reaches the
-    range, by when the layer below has finished it. So no gates lie more
-    than lag steps ahead, and they live in a ring of lag steps; only h is
-    kept per step, and c in one (L, B, H) buffer.
+    step is one stacked (L, B, H) @ (L, H, 4H) product and nine
+    elementwise calls over the gate-major (4, L, B, H) block of every
+    layer it advances. The i, f and o columns of the stacked w_h and rows
+    of each projection are halved, which is exact, so one tanh over the
+    block gives tanh(g) and the tanh(a/2) of the three logistics
+    0.5·tanh(a/2) + 0.5; g is copied beside c, so [i, f]·[g, c] is one
+    product. A layer's input projection is one GEMM per _stack_chunks
+    range of its input, made at the step that reaches the range, by when
+    the layer below has finished it. So no gates lie more than lag steps
+    ahead, and they live in a ring of lag steps; only h is kept per step,
+    and c beside tanh(g) in one (2, L, B, H) buffer.
     """
     n_layers, h = len(layers), layers[0].hidden_size
     n_in = layers[0].w_x.shape[0]
@@ -488,17 +531,21 @@ def lstm_stack(layers: list[Lstm], x: np.ndarray, state: np.ndarray) -> np.ndarr
         layer._cache = None  # an inference pass, as for every layer's own forward
     lag = min(_STACK_LAG, t_len)
     n_steps = t_len + (n_layers - 1) * lag
-    # gates[s % lag, :, l]: layer l's pre-activations, then activated gates
-    # [i, f, g, o], at step s; hs[s + 1, l]: its h after step s, and
-    # hs[l·lag, l] its initial h.
+    # gates[s % lag, :, l]: layer l's pre-activations at step s, the i, f
+    # and o rows halved, then [sigmoid(i), sigmoid(f), -, sigmoid(o)];
+    # hs[s + 1, l]: its h after step s, and hs[l·lag, l] its initial h.
     gates = np.empty((lag, 4, n_layers, batch, h))
     hs = np.empty((n_steps + 1, n_layers, batch, h))
     for l in range(n_layers):
         hs[l * lag, l] = state[l, 0]
-    c = state[:, 1].copy()
-    w_h = np.stack([layer.w_h for layer in layers])
+    # gc[:, l]: layer l's [tanh(g), c] at the step it last advanced, and
+    # ig_fc[:, l] its [i·g, f·c].
+    gc = np.empty((2, n_layers, batch, h))
+    gc[1] = state[:, 1]
+    ig_fc, tanh_c = np.empty_like(gc), np.empty((n_layers, batch, h))
+    half = _GATE_SCALE
+    w_h = np.stack([layer.w_h for layer in layers]) * np.repeat(half, h)
     rec = np.empty((n_layers, batch, 4 * h))
-    tanh_g, i_g, tanh_c = (np.empty((n_layers, batch, h)) for _ in range(3))
     chunk_end = dict(_stack_chunks(t_len, lag))
     # Between two bounds the same layers advance, within one turn of the
     # ring; at each, a layer may reach a range it projects.
@@ -514,28 +561,29 @@ def lstm_stack(layers: list[Lstm], x: np.ndarray, state: np.ndarray) -> np.ndarr
                 pre = rows.reshape((t1 - t0) * batch, -1) @ layer.w_x
                 gates[np.arange(s0, s0 + t1 - t0) % lag, :, l] = (
                     pre.reshape(t1 - t0, batch, 4, h).transpose(0, 2, 1, 3)
-                    + layer.b.reshape(4, 1, h))
+                    + layer.b.reshape(4, 1, h)) * half[:, None, None]
         lo = next(l for l in range(n_layers) if s0 < t_len + l * lag)
         hi = max(l for l in range(n_layers) if l * lag <= s0) + 1
-        rec_l, c_l = rec[lo:hi], c[lo:hi]
+        rec_l, gc_l, prod = rec[lo:hi], gc[:, lo:hi], ig_fc[:, lo:hi]
         rec_gates = rec_l.reshape(hi - lo, batch, 4, h).transpose(2, 0, 1, 3)
-        w_l, tg, ig, tc = w_h[lo:hi], tanh_g[lo:hi], i_g[lo:hi], tanh_c[lo:hi]
+        (g_l, c_l), (ig, fc), w_l, tc = gc_l, prod, w_h[lo:hi], tanh_c[lo:hi]
         ring = slice(s0 % lag, s0 % lag + s1 - s0)
-        steps = zip(gates[ring, :, lo:hi], *(gates[ring, k, lo:hi] for k in range(4)),
-                    hs[s0:s1, lo:hi], hs[s0 + 1 : s1 + 1, lo:hi])
-        for a, i_t, f_t, g_t, o_t, h_prev, h_t in steps:
+        steps = zip(gates[ring, :, lo:hi], gates[ring, :2, lo:hi], gates[ring, 2, lo:hi],
+                    gates[ring, 3, lo:hi], hs[s0:s1, lo:hi], hs[s0 + 1 : s1 + 1, lo:hi])
+        for a, if_t, g_t, o_t, h_prev, h_t in steps:
             np.matmul(h_prev, w_l, out=rec_l)
             a += rec_gates
-            np.tanh(g_t, out=tg)
-            sigmoid(a, out=a)  # one call for all four gates, then g fixed up
-            np.copyto(g_t, tg)
-            c_l *= f_t
-            c_l += np.multiply(i_t, tg, out=ig)
+            np.tanh(a, out=a)
+            np.copyto(g_l, g_t)
+            a *= 0.5
+            a += 0.5
+            np.multiply(if_t, gc_l, out=prod)
+            np.add(ig, fc, out=c_l)  # i·g + f·c, the bits of f·c + i·g
             np.tanh(c_l, out=tc)
             np.multiply(o_t, tc, out=h_t)
     for l in range(n_layers):
         state[l, 0] = hs[t_len + l * lag, l]
-    state[:, 1] = c
+    state[:, 1] = gc[1]
     top = (n_layers - 1) * lag
     return hs[top + 1 : top + t_len + 1, n_layers - 1].copy()
 

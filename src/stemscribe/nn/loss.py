@@ -36,17 +36,30 @@ def focal_loss(
     if y_pred.shape != y_true.shape:
         raise ValueError(f"shape mismatch: {y_pred.shape} vs {y_true.shape}")
     inside = (y_pred > CLIP_EPS) & (y_pred < 1.0 - CLIP_EPS)
-    p = np.clip(y_pred, CLIP_EPS, 1.0 - CLIP_EPS)
-    pt = y_true * p + (1.0 - y_true) * (1.0 - p)
-    one_minus = 1.0 - pt
+    # Each step below is the one of the plain formula, in its order, with
+    # its result written into a buffer it no longer needs: the same bits.
+    p = np.clip(y_pred, CLIP_EPS, 1.0 - CLIP_EPS, out=np.empty(y_pred.shape))
+    pt = np.multiply(y_true, p, out=np.empty(y_pred.shape))
+    np.subtract(1.0, p, out=p)
+    p *= 1.0 - y_true
+    pt += p  # y·p + (1 - y)·(1 - p)
+    # [()] makes a 0-d array the numpy scalar the plain formula's power sees
+    one_minus = np.subtract(1.0, pt, out=p)[()]
     log_pt = np.log(pt)
-    loss = float(np.mean(-params.alpha * one_minus**params.gamma * log_pt))
+    weight = one_minus**params.gamma  # (1 - p_t)^gamma, once for the loss and its gradient
+    terms = np.multiply(-params.alpha, weight, out=np.empty(y_pred.shape))
+    terms *= log_pt
+    loss = float(np.mean(terms))
     if params.gamma > 0.0:
-        dpt = params.alpha * (
-            params.gamma * one_minus ** (params.gamma - 1.0) * log_pt
-            - one_minus**params.gamma / pt
-        )
+        dpt = np.multiply(params.gamma, one_minus ** (params.gamma - 1.0), out=terms)
+        dpt *= log_pt
+        dpt -= weight / pt
+        dpt *= params.alpha
     else:
-        dpt = -params.alpha / pt
-    grad = dpt * (2.0 * y_true - 1.0) * inside / y_pred.size
-    return loss, grad
+        dpt = np.divide(-params.alpha, pt, out=terms)
+    sign = np.multiply(2.0, y_true, out=pt)
+    sign -= 1.0
+    dpt *= sign
+    dpt *= inside
+    dpt /= y_pred.size
+    return loss, dpt

@@ -50,15 +50,27 @@ class Adam:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
+        bias1, bias2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
         for name, p in params.items():
             g = grads[name]
             m = self._m.setdefault(name, np.zeros_like(p))
             v = self._v.setdefault(name, np.zeros_like(p))
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # m += (1 - beta1)·(g - m); v += (1 - beta2)·(g² - v);
+            # p -= lr·m̂ / (sqrt(v̂) + eps), each step in its order, in two buffers
+            step = np.subtract(g, m)
+            step *= 1.0 - self.beta1
+            m += step
+            np.multiply(g, g, out=step)
+            step -= v
+            step *= 1.0 - self.beta2
+            v += step
+            denom = np.divide(v, bias2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, bias1, out=step)
+            step *= self.lr
+            step /= denom
+            p -= step
 
 
 # glibc's ceiling for its dynamic mmap threshold on 64-bit hosts
@@ -73,8 +85,11 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, <malloc.h>
 def _pin_heap_thresholds() -> None:
     """Fix glibc's mmap and trim thresholds, so that a batch's multi-MB
     temporaries reuse the heap the batch before gave back instead of being
-    unmapped or trimmed and faulted in again. A no-op on other C libraries
-    (musl's mallopt does nothing, macOS has none)."""
+    unmapped or trimmed and faulted in again. fit calls it, and cli.main
+    for every command, so that a command run again in one process (a
+    separation or a pipeline per input) reuses the heap of the run
+    before. A no-op on other C libraries (musl's mallopt does nothing,
+    macOS has none)."""
     if platform.libc_ver()[0] != "glibc":
         return
     try:
@@ -105,6 +120,7 @@ def fit(model, examples, optimizer, epochs: int, batch_size: int = 1,
     if rng is None:
         rng = np.random.default_rng(0)
     _pin_heap_thresholds()
+    debug = log.isEnabledFor(logging.DEBUG)  # the gradient norms feed only the debug line
     trace: list[float] = []
     for epoch in range(epochs):
         started = time.perf_counter()
@@ -118,7 +134,8 @@ def fit(model, examples, optimizer, epochs: int, batch_size: int = 1,
             grads = model.grads()
             for g in grads.values():
                 g /= len(batch)
-            grad_norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
+            if debug:
+                grad_norms.append(math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
             optimizer.step(model.params(), grads)
         mean_loss = total / n
         if not math.isfinite(mean_loss):
@@ -126,6 +143,7 @@ def fit(model, examples, optimizer, epochs: int, batch_size: int = 1,
         trace.append(mean_loss)
         if epoch_callback is not None:
             epoch_callback(epoch, mean_loss)
-        log.debug("epoch %d: loss %.6f, %.3f s, mean gradient norm %.6g", epoch, mean_loss,
-                  time.perf_counter() - started, sum(grad_norms) / len(grad_norms))
+        if debug:
+            log.debug("epoch %d: loss %.6f, %.3f s, mean gradient norm %.6g", epoch, mean_loss,
+                      time.perf_counter() - started, sum(grad_norms) / len(grad_norms))
     return trace

@@ -141,7 +141,9 @@ class AmtModel(nn.Layer):
                               training)
         n, c, b, w = x.shape
         self._cache = x.shape if training else None
-        x = self.blstm.forward(x.transpose(3, 0, 1, 2).reshape(w, n, c * b), training)
+        # one contiguous copy for BiLstm, which reads it in both time orders
+        seq = np.ascontiguousarray(x.transpose(3, 0, 1, 2)).reshape(w, n, c * b)
+        x = self.blstm.forward(seq, training)
         probs = self.out.forward(self.head.forward(x, training), training).transpose(1, 0, 2)
         return probs if seg.ndim == 3 else probs[0]
 

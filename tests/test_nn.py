@@ -140,6 +140,31 @@ def test_batch_norm_takes_statistics_per_example():
         np.testing.assert_allclose(batched.state()[name], value, rtol=1e-12)
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "amt"])
+def test_batch_norm_is_numpy_mean_and_var_bitwise(layout):
+    # "amt": the strided (W, B, bins) view of (B, bins, W) windows AmtModel passes
+    rng = np.random.default_rng(4)
+    if layout == "amt":
+        x = (rng.standard_normal((3, 12, 40)) * 3.0 + 1.0).transpose(2, 0, 1)
+    else:
+        x = rng.standard_normal((40, 3, 12)) * 3.0 + 1.0
+    bn = nn.BatchNorm(12)
+    bn.gamma[:], bn.beta[:] = np.linspace(0.5, 2.0, 12), np.linspace(-1.0, 1.0, 12)
+    out = bn.forward(x, training=True)
+    mean, var = x.mean(axis=0), x.var(axis=0)
+    want = bn.gamma * ((x - mean) * (1.0 / np.sqrt(var + bn.eps))) + bn.beta
+    assert out.tobytes() == want.tobytes()
+    running_mean, running_var = np.zeros(12), np.ones(12)
+    for m, v in zip(mean, var):
+        running_mean += 0.1 * (m - running_mean)
+        running_var += 0.1 * (v - running_var)
+    assert np.array_equal(bn.running_mean, running_mean)
+    assert np.array_equal(bn.running_var, running_var)
+    inv_std = 1.0 / np.sqrt(running_var + bn.eps)
+    want = bn.gamma * ((x - running_mean) * inv_std) + bn.beta
+    assert bn.forward(x).tobytes() == want.tobytes()
+
+
 def test_batch_norm_backward_params_accumulates_what_backward_does(rng):
     bn = nn.BatchNorm(3)
     x, grad = rng.standard_normal((2, 6, 4, 3))
@@ -509,6 +534,22 @@ def test_lstm_stack_is_bitwise_the_layers_one_after_the_other(n_layers, t_len):
     assert np.array_equal(state, final)
 
 
+@pytest.mark.parametrize("batch, scale", [(3, 1.0), (1, 1e3), (3, 1e3)])
+@pytest.mark.parametrize("n_layers", [1, 3])
+def test_lstm_stack_halved_gates_keep_the_bits_of_the_layers(n_layers, batch, scale):
+    # lstm_stack halves the i, f and o columns of w_h and rows of each
+    # projection, where each layer's forward halves their sums inside
+    # sigmoid. Scaled by 1e3, the pre-activations saturate tanh and the
+    # logistics at their limits.
+    lstms = separator_lstms(n_layers)
+    x = scale * np.random.default_rng(batch).standard_normal((2 * LAG + 1, batch, 257))
+    state = np.zeros((n_layers, 2, batch, 64))
+    out = nn.lstm_stack(lstms, x, state)
+    want, final = layer_after_layer(lstms, x)
+    assert np.array_equal(out, want)
+    assert np.array_equal(state, final)
+
+
 @pytest.mark.parametrize("split", [1, 20, 39])
 def test_lstm_carried_state_joins_two_halves_into_one_pass(split):
     lstms = separator_lstms(2, seed=1)
@@ -686,6 +727,20 @@ def test_maxpool_matches_argmax_pooling_with_exact_ties(pool, shape):
     single = nn.MaxPool2d(pool)
     assert np.array_equal(single.forward(x[0], training=True), out[0])
     assert np.array_equal(single.backward(grad[0]), dx[0])
+
+
+def test_maxpool_gradient_keeps_signed_zeros_and_non_finite_values():
+    # the winner gets grad's exact bits, every other cell +0.0
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((2, 3, 8, 6))
+    grad = rng.standard_normal((2, 3, 4, 6))
+    grad.flat[::5], grad.flat[1::7], grad.flat[2::11] = -0.0, np.nan, -np.inf
+    layer = nn.MaxPool2d((2, 1))
+    layer.forward(x, training=True)
+    for g in (grad, np.asfortranarray(grad)):
+        dx = layer.backward(g)
+        for b in range(x.shape[0]):
+            assert dx[b].tobytes() == argmax_maxpool(x[b], grad[b], (2, 1))[1].tobytes()
 
 
 def test_sigmoid_midpoint_and_saturation():
@@ -874,6 +929,35 @@ def test_focal_gradient_matches_finite_differences(rng):
         assert abs(grad[i] - numeric) / max(abs(numeric), 1e-6) < 1e-5
 
 
+def plain_focal_loss(y_pred, y_true, alpha, gamma):
+    """focal_loss as the formula reads, one temporary per operation."""
+    inside = (y_pred > 1e-7) & (y_pred < 1.0 - 1e-7)
+    p = np.clip(y_pred, 1e-7, 1.0 - 1e-7)
+    pt = y_true * p + (1.0 - y_true) * (1.0 - p)
+    one_minus = 1.0 - pt
+    log_pt = np.log(pt)
+    loss = float(np.mean(-alpha * one_minus**gamma * log_pt))
+    if gamma > 0.0:
+        dpt = alpha * (gamma * one_minus ** (gamma - 1.0) * log_pt - one_minus**gamma / pt)
+    else:
+        dpt = -alpha / pt
+    return loss, dpt * (2.0 * y_true - 1.0) * inside / y_pred.size
+
+
+@pytest.mark.parametrize("shape", [(16, 88), (5,), ()])
+@pytest.mark.parametrize("alpha, gamma", [(0.35, 3.0), (1.0, 0.0), (0.5, 1.5)])
+def test_focal_is_the_plain_formula_bitwise(shape, alpha, gamma):
+    rng = np.random.default_rng(len(shape))
+    y_pred = rng.uniform(0.0, 1.0, shape)
+    y_pred = np.where(rng.uniform(0.0, 1.0, shape) < 0.1, 1.0, y_pred)  # clipped cells
+    y_true = (rng.uniform(0.0, 1.0, shape) < 0.2).astype(float)
+    loss, grad = nn.focal_loss(y_pred, y_true, nn.FocalLossParams(alpha, gamma))
+    want_loss, want_grad = plain_focal_loss(y_pred, y_true, alpha, gamma)
+    assert loss == want_loss
+    assert np.shape(grad) == np.shape(want_grad)
+    assert np.asarray(grad).tobytes() == np.asarray(want_grad).tobytes()
+
+
 def test_focal_params_validated():
     with pytest.raises(ValueError):
         nn.FocalLossParams(alpha=0.0)
@@ -932,6 +1016,24 @@ def test_adam_first_step_is_signed_learning_rate():
     model = Quadratic(w0=5.0)
     nn.fit(model, [0], nn.Adam(lr=0.01), epochs=1)
     assert model.w[0] == pytest.approx(5.0 - 0.01, abs=1e-6)
+
+
+def test_adam_step_is_the_plain_update_bitwise():
+    rng = np.random.default_rng(9)
+    params = {"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3)}
+    want = {k: v.copy() for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v2 = {k: np.zeros_like(v) for k, v in params.items()}
+    adam = nn.Adam(lr=5e-3)
+    for t in range(1, 21):
+        grads = {k: rng.standard_normal(v.shape) * 10.0 ** -t for k, v in params.items()}
+        adam.step(params, grads)
+        for k, g in grads.items():
+            m[k] += (1.0 - 0.9) * (g - m[k])
+            v2[k] += (1.0 - 0.999) * (g * g - v2[k])
+            m_hat, v_hat = m[k] / (1.0 - 0.9**t), v2[k] / (1.0 - 0.999**t)
+            want[k] -= 5e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert all(params[k].tobytes() == want[k].tobytes() for k in params)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
