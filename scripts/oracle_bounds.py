@@ -11,9 +11,8 @@ from stemscribe import synth
 from stemscribe.audio_io import Waveform
 from stemscribe.bss_metrics import evaluate_pair
 from stemscribe.dsp import StftConfig
-from stemscribe.separation import (SeparatorModel, analysis_spectrogram,
-                                   ideal_ratio_mask, mixture_of, separate,
-                                   sum_accompaniment)
+from stemscribe.separation import (analysis_spectrogram, ideal_ratio_mask, mixture_of,
+                                   separate_blocks, sum_accompaniment)
 
 COLUMNS = ("snr", "snri", "si_sdr", "si_sdri", "si_sir", "si_sar")
 
@@ -32,7 +31,6 @@ def main():
     args = ap.parse_args()
 
     cfg = StftConfig()
-    model = SeparatorModel(num_bins=cfg.num_bins, hidden=8, layers=1, seed=0)
 
     print(f"{'':20s}" + "".join(f"{k:>10s}" for k in COLUMNS))
     for i in range(args.tracks):
@@ -46,7 +44,7 @@ def main():
             analysis_spectrogram(vocals, cfg).magnitude(),
             analysis_spectrogram(accomp, cfg).magnitude(),
         )
-        est_v, _, _ = separate(mix, model, cfg, mask=irm)
+        est_v, _ = separate_blocks(mix, None, cfg, mask=irm)
 
         print(f"track {i} (vocals reference)")
         row("ideal ratio mask", evaluate_pair(mix, vocals, est_v,

@@ -17,7 +17,6 @@ clamped to +/-300 dB in reports, with the affected field names flagged.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -142,9 +141,6 @@ class MetricReport:
 
     def to_dict(self) -> dict[str, float]:
         return {key: getattr(self, key) for key in REPORT_KEYS}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def improvements(mixture, ref, est) -> tuple[float, float, float]:

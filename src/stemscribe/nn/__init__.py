@@ -9,8 +9,8 @@ Nothing here imports scipy: the logistic, layers.sigmoid, is
 0.5 * tanh(0.5 * x) + 0.5 in numpy ufuncs.
 Every layer keeps one contract:
   * one input shape: sequences are time-major (T, B, F) and images
-    (B, C, H, W); a single example is the batch of one, and only the
-    model entry points accept it unbatched;
+    (B, C, H, W); a single example is the batch of one, and only
+    SeparatorModel.predict_mask takes an unbatched grid;
   * forward(x, training=True) keeps what backward needs, an inference
     forward keeps nothing, and backward without a training forward
     raises RuntimeError.

@@ -6,7 +6,8 @@ Conventions:
     contiguous (B, features) block: Lstm, BiLstm and BatchNorm take only
     these. Conv2d takes only (B, C, H, W) images. Dense, Sigmoid and
     MaxPool2d act on trailing axes and take any leading ones. A single
-    example is a batch of one; the models, not the layers, add that axis.
+    example is a batch of one; only SeparatorModel.predict_mask takes an
+    unbatched grid, and adds that axis itself.
   * Weight products are single GEMMs over the 2-D (T·B, features) view;
     BatchNorm takes its statistics per example, over axis 0 (time), so an
     example's outputs do not depend on the rest of its batch.

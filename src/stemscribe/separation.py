@@ -127,16 +127,15 @@ class SeparatorModel(nn.Layer):
 
     def forward_mask(self, log_mag: np.ndarray, training: bool = False,
                      state: np.ndarray | None = None) -> np.ndarray:
-        """Masks for a time-major (frames, B, bins) batch of log grids, or
-        for one (frames, bins) grid, which runs as the batch of one.
+        """(frames, B, bins) masks for a time-major (frames, B, bins) batch
+        of log grids.
 
         A training forward runs the LSTM layers one after the other, from
         zero state, each keeping what backward needs.  At inference they
         run as one nn.lstm_stack, from state (see zero_state) when given,
         which is then left holding the final one."""
-        h = log_mag[:, None] if log_mag.ndim == 2 else log_mag
         norm, *lstms, head, out = self.children.values()
-        h = norm.forward(h, training)
+        h = norm.forward(log_mag, training)
         if training:
             if state is not None:
                 raise ValueError("a training forward starts from zero state; backward assumes it")
@@ -144,16 +143,14 @@ class SeparatorModel(nn.Layer):
                 h = lstm.forward(h, training=True)
         else:
             h = nn.lstm_stack(lstms, h, self.zero_state(h.shape[1]) if state is None else state)
-        h = out.forward(head.forward(h, training), training)
-        return h[:, 0] if log_mag.ndim == 2 else h
+        return out.forward(head.forward(h, training), training)
 
     def backward(self, grad_mask: np.ndarray) -> None:
         """Takes the gradient of the mask forward_mask returned."""
-        g = grad_mask[:, None] if grad_mask.ndim == 2 else grad_mask
         norm, *rest = self.children.values()
         for layer in reversed(rest):
-            g = layer.backward(g)
-        norm.backward_params(g)
+            grad_mask = layer.backward(grad_mask)
+        norm.backward_params(grad_mask)
 
     def zero_state(self, batch: int = 1) -> np.ndarray:
         """The (h, c) of every LSTM layer at the start of a grid, as the
@@ -166,7 +163,7 @@ class SeparatorModel(nn.Layer):
         state from zero_state(), the LSTM layers start from it and leave
         their final (h, c) there, so consecutive blocks of a grid get the
         masks of the whole."""
-        return self.forward_mask(log_mag, state=state)
+        return self.forward_mask(log_mag[:, None], state=state)[:, 0]
 
     def loss_and_grad(self, batch: list["TrainingClip"]) -> float:
         """Summed L1 spectrogram-magnitude loss of equal-length clips on
@@ -214,7 +211,7 @@ def analysis_spectrogram(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
     frame amplifies the inconsistency by orders of magnitude.  Padding
     keeps every real sample in the flat interior; callers trim
     [fft_size : fft_size + n] after inversion.  Any mask handed to
-    separate() must be built against this grid.
+    separate_blocks must be built against this grid.
     """
     x = np.pad(w.to_mono().samples[0], (cfg.fft_size, cfg.fft_size))
     return stft(Waveform(x[None, :], w.sample_rate), cfg)
@@ -269,18 +266,10 @@ def separate_blocks(mixture: Waveform, model: SeparatorModel | None, stft_cfg: S
             Waveform(accomp[None, :], mixture.sample_rate))
 
 
-def separate(mixture: Waveform, model: SeparatorModel | None, stft_cfg: StftConfig,
-             mask: np.ndarray | None = None) -> tuple[Waveform, Waveform, np.ndarray]:
-    """Mask the mixture spectrogram and invert the vocals.
-
-    Returns (vocals, accompaniment, mask); the accompaniment is the exact
-    complement mixture - vocals.  A caller-supplied mask overrides the
-    model (oracle or debug paths; model may then be None) and must match
-    the analysis_spectrogram grid of the mixture.
-    """
-    if mask is not None:
-        vocals, accomp = separate_blocks(mixture, model, stft_cfg, mask)
-        return vocals, accomp, mask
+def separate(mixture: Waveform, model: SeparatorModel,
+             stft_cfg: StftConfig) -> tuple[Waveform, Waveform, np.ndarray]:
+    """(vocals, accompaniment, mask) of the mixture under the model; the
+    accompaniment is the exact complement mixture - vocals."""
     blocks = []
     vocals, accomp = separate_blocks(mixture, model, stft_cfg,
                                      on_block=lambda t0, log_mag, rows: blocks.append(rows))

@@ -130,13 +130,10 @@ class AmtModel(nn.Layer):
         self.loss_params = FocalLossParams()
 
     def forward(self, seg: np.ndarray, training: bool = False) -> np.ndarray:
-        """(B, bins, W) windows -> (B, W, keys) probabilities; one (bins, W)
-        window -> (W, keys)."""
-        x = seg[None] if seg.ndim == 2 else seg
-        if x.ndim != 3 or x.shape[1] != self.cfg.n_bins:
-            raise ValueError(f"expected (B, {self.cfg.n_bins}, W) or ({self.cfg.n_bins}, W) "
-                             f"features, got {seg.shape}")
-        x = self.norm.forward(x.transpose(2, 0, 1), training)  # stats per window and bin
+        """(B, bins, W) windows -> (B, W, keys) probabilities."""
+        if seg.ndim != 3 or seg.shape[1] != self.cfg.n_bins:
+            raise ValueError(f"expected (B, {self.cfg.n_bins}, W) features, got {seg.shape}")
+        x = self.norm.forward(seg.transpose(2, 0, 1), training)  # stats per window and bin
         x = self.pool.forward(self.conv.forward(x.transpose(1, 2, 0)[:, None], training),
                               training)
         n, c, b, w = x.shape
@@ -144,14 +141,12 @@ class AmtModel(nn.Layer):
         # one contiguous copy for BiLstm, which reads it in both time orders
         seq = np.ascontiguousarray(x.transpose(3, 0, 1, 2)).reshape(w, n, c * b)
         x = self.blstm.forward(seq, training)
-        probs = self.out.forward(self.head.forward(x, training), training).transpose(1, 0, 2)
-        return probs if seg.ndim == 3 else probs[0]
+        return self.out.forward(self.head.forward(x, training), training).transpose(1, 0, 2)
 
     def backward(self, grad: np.ndarray) -> None:
         """Takes the gradient of the probabilities forward returned."""
         n, c, b, w = self._backward_cache()
-        g = grad[None] if grad.ndim == 2 else grad
-        g = self.blstm.backward(self.head.backward(self.out.backward(g.transpose(1, 0, 2))))
+        g = self.blstm.backward(self.head.backward(self.out.backward(grad.transpose(1, 0, 2))))
         g = self.conv.backward(self.pool.backward(g.reshape(w, n, c, b).transpose(1, 2, 3, 0)))
         self.norm.backward_params(g[:, 0].transpose(2, 0, 1))
 
@@ -218,13 +213,13 @@ def _scores_from_counts(tp: int, fp: int, fn: int) -> Scores:
 
 
 def frame_metrics(pred: PianoRoll, truth: PianoRoll) -> Scores:
-    """Cell-wise precision/recall/F1 restricted to frames where either
-    roll has any active key; all-silent frames do not inflate the scores."""
+    """Cell-wise precision/recall/F1 over all (key, frame) cells.  A cell
+    silent in both rolls counts toward none of tp, fp and fn, so silent
+    frames, however many, leave every score as it is."""
     if pred.grid.shape != truth.grid.shape:
         raise ValueError(f"shape mismatch: {pred.grid.shape} vs {truth.grid.shape}")
-    active = (pred.grid.any(axis=0)) | (truth.grid.any(axis=0))
-    p = pred.grid[:, active].astype(bool)
-    t = truth.grid[:, active].astype(bool)
+    p = pred.grid.astype(bool)
+    t = truth.grid.astype(bool)
     tp = int(np.sum(p & t))
     fp = int(np.sum(p & ~t))
     fn = int(np.sum(~p & t))

@@ -136,7 +136,7 @@ def test_improvements_perfect_estimate_hits_clamp(ref, rng):
 def test_report_keys_and_json(ref, rng):
     mixture = ref + 0.5 * rng.standard_normal(ref.size)
     report = evaluate_pair(mixture, ref, mixture)
-    d = json.loads(report.to_json())
+    d = json.loads(json.dumps(report.to_dict()))
     assert tuple(sorted(d)) == tuple(sorted(REPORT_KEYS))
     assert all(isinstance(v, float) for v in d.values())
     assert all(abs(v) <= DB_CLAMP for v in d.values())

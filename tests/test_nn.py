@@ -630,7 +630,7 @@ def test_lstm_training_forward_refuses_a_state(rng):
 
     sep = SeparatorModel(num_bins=9, hidden=4, layers=2)
     with pytest.raises(ValueError, match="zero state"):
-        sep.forward_mask(rng.standard_normal((5, 9)), training=True, state=sep.zero_state())
+        sep.forward_mask(rng.standard_normal((5, 1, 9)), training=True, state=sep.zero_state())
     with pytest.raises(ValueError, match=r"\(2, 2, 1, 4\) state"):
         nn.lstm_stack([sep.children["lstm0"], sep.children["lstm1"]], rng.standard_normal((5, 1, 9)),
                       np.zeros((2, 1, 4)))

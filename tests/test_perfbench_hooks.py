@@ -31,7 +31,7 @@ def test_benchmark_hooks_install_trace_and_unpatch(monkeypatch):
     layers.install(tracer)
     try:
         model = SeparatorModel(num_bins=5, hidden=3, layers=1)
-        model.forward_mask(np.zeros((4, 5)), training=True)  # inference skips Lstm.forward
+        model.forward_mask(np.zeros((4, 1, 5)), training=True)  # inference skips Lstm.forward
     finally:
         tracer.unpatch()
     names = {span[2] for span in tracer.spans}

@@ -16,13 +16,6 @@ def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
 
 
-def test_demo_pipeline_script(tmp_path, no_musescore):
-    done = run_script("demo_pipeline.py", "--out-dir", "tmp", cwd=tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert (tmp_path / "tmp" / "vocals.mid").exists()
-    assert "stems sum back to the mixture within" in done.stdout
-
-
 def test_oracle_bounds_script(tmp_path):
     done = run_script("oracle_bounds.py", "--tracks", "1", cwd=tmp_path)
     assert done.returncode == 0, done.stderr

@@ -143,7 +143,7 @@ def test_model_loss_matches_direct_formula(rng):
         vocal_mag=rng.uniform(0.0, 1.0, (6, 5)),
         accomp_mag=rng.uniform(0.0, 1.0, (6, 5)),
     )
-    mask = model.forward_mask(clip.log_mag, training=True)
+    mask = model.forward_mask(clip.log_mag[:, None], training=True)[:, 0]
     expected = (np.abs(mask * clip.mix_mag - clip.vocal_mag).mean()
                 + np.abs((1 - mask) * clip.mix_mag - clip.accomp_mag).mean())
     model.zero_grads()
@@ -155,7 +155,7 @@ def test_model_loss_zero_when_mask_is_exact(rng):
     model = SeparatorModel(num_bins=5, hidden=4, layers=1, seed=0)
     log_mag = rng.standard_normal((4, 5))
     mix = rng.uniform(0.5, 1.0, (4, 5))
-    mask = model.forward_mask(log_mag, training=True)  # batch-stat path
+    mask = model.forward_mask(log_mag[:, None], training=True)[:, 0]  # batch-stat path
     clip = TrainingClip(log_mag, mix, mask * mix, (1 - mask) * mix)
     model.zero_grads()
     assert model.loss_and_grad([clip]) == pytest.approx(0.0, abs=1e-12)
@@ -185,11 +185,11 @@ def per_clip_loss_and_grad(model, clip):
     """The per-clip SeparatorModel.loss_and_grad that the batched one
     replaced, kept as the reference: adds into the gradient buffers and
     returns the loss."""
-    mask = model.forward_mask(clip.log_mag, training=True)
+    mask = model.forward_mask(clip.log_mag[:, None], training=True)[:, 0]
     d_vocal = mask * clip.mix_mag - clip.vocal_mag
     d_accomp = (1.0 - mask) * clip.mix_mag - clip.accomp_mag
     loss = float(np.abs(d_vocal).mean() + np.abs(d_accomp).mean())
-    model.backward((np.sign(d_vocal) - np.sign(d_accomp)) * clip.mix_mag / d_vocal.size)
+    model.backward(((np.sign(d_vocal) - np.sign(d_accomp)) * clip.mix_mag / d_vocal.size)[:, None])
     return loss
 
 
@@ -230,7 +230,8 @@ def test_clips_of_very_different_scale_get_their_solo_masks():
     model = SeparatorModel(num_bins=257, hidden=32, layers=2, seed=2)
     together = model.forward_mask(np.stack([quiet.log_mag, loud], axis=1), training=True)
     for b, log_mag in enumerate((quiet.log_mag, loud)):
-        np.testing.assert_allclose(together[:, b], model.forward_mask(log_mag, training=True),
+        np.testing.assert_allclose(together[:, b],
+                                   model.forward_mask(log_mag[:, None], training=True)[:, 0],
                                    rtol=1e-10, atol=1e-12)
 
 
@@ -268,10 +269,10 @@ def test_separate_forced_masks(rng):
     mix = Waveform(x[None, :], 8000)
     model = SeparatorModel(num_bins=CFG.num_bins, hidden=4, layers=1, seed=0)
     shape = analysis_spectrogram(mix, CFG).bins.shape
-    vocals, accomp, _ = separate(mix, model, CFG, mask=np.ones(shape))
+    vocals, accomp = separate_blocks(mix, model, CFG, mask=np.ones(shape))
     assert np.abs(vocals.samples[0] - x).max() < 1e-9
     assert np.abs(accomp.samples).max() < 1e-9
-    vocals, accomp, _ = separate(mix, model, CFG, mask=np.zeros(shape))
+    vocals, accomp = separate_blocks(mix, model, CFG, mask=np.zeros(shape))
     assert np.abs(vocals.samples).max() < 1e-9
 
 
@@ -284,6 +285,14 @@ def test_separate_model_stems_recombine(rng):
     resid = vocals.samples + accomp.samples - mix.to_mono().samples
     rel = np.linalg.norm(resid) / np.linalg.norm(mix.samples)
     assert rel < 1e-6
+
+
+def separate_or_force(mix, model, mask):
+    """(vocals, accompaniment, mask used): separate() under the model, or
+    separate_blocks under a forced mask."""
+    if mask is None:
+        return separate(mix, model, CFG)
+    return (*separate_blocks(mix, model, CFG, mask), mask)
 
 
 def two_istft_separate(mix, mask, cfg):
@@ -301,7 +310,7 @@ def test_accompaniment_matches_the_inverted_complementary_mask(rng, channels):
     model = SeparatorModel(num_bins=CFG.num_bins, hidden=4, layers=1, seed=0)
     shape = analysis_spectrogram(mix, CFG).bins.shape
     for mask in (None, rng.random(shape)):
-        vocals, accomp, used = separate(mix, model, CFG, mask=mask)
+        vocals, accomp, used = separate_or_force(mix, model, mask)
         ref_vocals, ref_accomp = two_istft_separate(mix, used, CFG)
         assert np.array_equal(vocals.samples, ref_vocals)
         assert np.abs(accomp.samples - ref_accomp).max() < 1e-12
@@ -336,7 +345,7 @@ def test_blocked_separation_matches_the_whole_grid(rng, monkeypatch, block, fram
     model = SeparatorModel(num_bins=CFG.num_bins, hidden=8, layers=2, seed=0)
     shape = (frames, CFG.num_bins)
     for mask in (None, rng.uniform(0.0, 1.0, shape), np.ones(shape), np.zeros(shape)):
-        vocals, accomp, used = separate(mix, model, CFG, mask=mask)
+        vocals, accomp, used = separate_or_force(mix, model, mask)
         ref_vocals, ref_mask = whole_grid_separate(mix, model, CFG, mask)
         np.testing.assert_allclose(used, ref_mask, rtol=0, atol=1e-12)
         np.testing.assert_allclose(vocals.samples, ref_vocals, rtol=0, atol=1e-12)
@@ -351,7 +360,7 @@ def test_separate_refuses_a_mask_off_the_analysis_grid(rng):
     mix = Waveform(rng.standard_normal((1, 1000)), 8000)
     frames = analysis_spectrogram(mix, CFG).num_frames
     with pytest.raises(ValueError, match="analysis grid"):
-        separate(mix, None, CFG, mask=np.ones((frames - 1, CFG.num_bins)))
+        separate_blocks(mix, None, CFG, mask=np.ones((frames - 1, CFG.num_bins)))
 
 
 def test_blocks_see_every_frame_once_in_order(rng, monkeypatch):
@@ -379,7 +388,7 @@ def test_separate_oracle_mask_tone_vs_noise(rng):
         analysis_spectrogram(noise, CFG).magnitude(),
     )
     model = SeparatorModel(num_bins=CFG.num_bins, hidden=4, layers=1, seed=0)
-    est, _, _ = separate(mix, model, CFG, mask=irm)
+    est, _ = separate_blocks(mix, model, CFG, mask=irm)
     assert si_sdr(tone, est) > 10.0
 
 

@@ -214,14 +214,26 @@ TINY = AmtConfig(n_bins=6, conv_channels=2, pool_freq=2, hidden=3, n_keys=5)
 
 def test_model_outputs_probabilities():
     model = AmtModel(TINY, seed=0)
-    probs = model.predict(np.random.default_rng(1).standard_normal((6, 9)))
+    probs = model.predict(np.random.default_rng(1).standard_normal((6, 9))[None])[0]
     assert probs.shape == (9, 5)
     assert ((probs > 0.0) & (probs < 1.0)).all()
 
 
 def test_model_rejects_wrong_bin_count():
-    with pytest.raises(ValueError):
-        AmtModel(TINY).predict(np.zeros((7, 9)))
+    with pytest.raises(ValueError, match=r"expected \(B, 6, W\) features, got \(1, 7, 9\)"):
+        AmtModel(TINY).predict(np.zeros((1, 7, 9)))
+
+
+def test_models_refuse_an_unbatched_input():
+    # one window or grid is the batch of one; only predict_mask adds that axis
+    from stemscribe.separation import SeparatorModel
+
+    with pytest.raises(ValueError, match=r"expected \(B, 6, W\) features, got \(6, 9\)"):
+        AmtModel(TINY).forward(np.zeros((6, 9)))
+    separator = SeparatorModel(num_bins=5, hidden=3, layers=1)
+    with pytest.raises(ValueError, match=r"expected \(N, B, 5\) input, got \(4, 5\)"):
+        separator.forward_mask(np.zeros((4, 5)))
+    assert separator.predict_mask(np.zeros((4, 5))).shape == (4, 5)
 
 
 def test_config_validation():
@@ -309,17 +321,18 @@ def test_windows_of_very_different_scale_get_their_solo_outputs():
     model = AmtModel(DESK, seed=2)
     together = model.forward(np.stack([quiet.features, loud.features]), training=True)
     for probs, ex in zip(together, (quiet, loud)):
-        np.testing.assert_allclose(probs, model.forward(ex.features, training=True),
+        np.testing.assert_allclose(probs, model.forward(ex.features[None], training=True)[0],
                                    rtol=1e-10, atol=1e-12)
     inference = model.predict(np.stack([quiet.features, loud.features]))
     for probs, ex in zip(inference, (quiet, loud)):
-        np.testing.assert_allclose(probs, model.predict(ex.features), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(probs, model.predict(ex.features[None])[0], rtol=1e-10,
+                                   atol=1e-12)
 
 
 def test_model_state_round_trip(tmp_path):
     from stemscribe.nn import load_checkpoint, save_checkpoint
     model = AmtModel(TINY, seed=4)
-    x = np.random.default_rng(5).standard_normal((6, 8))
+    x = np.random.default_rng(5).standard_normal((6, 8))[None]
     before = model.predict(x)
     path = tmp_path / "amt.ckpt"
     save_checkpoint(path, model.state())
