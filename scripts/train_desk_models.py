@@ -1,68 +1,23 @@
 """Train both desk-scale models on synthetic audio and report progress.
 
-The separator learns soft masks from remixed stem sets; the transcriber
-learns piano-key activations from rendered tone clips. Both runs finish
-in well under ten minutes on a laptop CPU.
+Writes the desk config to <out-dir>/desk_config.json, then runs
+`stemscribe train-separator` (remixed stem sets at 8 kHz) and
+`stemscribe train-amt` (rendered tone clips) with it, each of which writes
+its checkpoint and loss CSV to <out-dir>. Last, it prints the frame F1 of
+the trained transcriber on held-out tone clips. Both runs finish in well
+under ten minutes on a laptop CPU.
 
     python scripts/train_desk_models.py --out-dir /tmp/desk_models
 """
 
 import argparse
-import time
+import sys
 from pathlib import Path
 
-import numpy as np
-
-from stemscribe import nn, synth
-from stemscribe.dsp import CqtConfig, StftConfig
-from stemscribe.nn.loss import FocalLossParams
+from stemscribe import cli, synth
+from stemscribe.config import PipelineConfig
 from stemscribe.pianoroll import FrameTiming, rasterize_notes
-from stemscribe.separation import (SeparatorModel, make_training_clip, remix,
-                                   sum_accompaniment, train_separator)
-from stemscribe.transcription import (AmtConfig, AmtModel, build_training_pair,
-                                      frame_metrics, train_amt, transcribe_waveform)
-
-
-def run_separator(out: Path, epochs: int, seed: int):
-    cfg = StftConfig()
-    sets = synth.make_source_sets(4, 1.5, 8000, seed=seed)
-    rng = np.random.default_rng(seed)
-    clips = []
-    for _ in range(6):
-        mixture, targets = remix(sets, rng=rng)
-        clips.append(make_training_clip(
-            mixture, targets.vocals, sum_accompaniment(targets), cfg))
-    model = SeparatorModel(num_bins=cfg.num_bins, hidden=32, layers=2, seed=seed)
-    t0 = time.time()
-    trace = train_separator(clips, model, epochs=epochs, lr=1e-3,
-                            batch_size=10, seed=seed)
-    nn.save_checkpoint(out / "separator.ssnn", model.state())
-    print(f"separator: loss {trace[0]:.4f} -> {trace[-1]:.4f} "
-          f"({epochs} epochs, {time.time() - t0:.1f} s)")
-
-
-def run_amt(out: Path, epochs: int, seed: int):
-    cqt_cfg = CqtConfig()
-    train_clips = synth.make_tone_clips(12, 3.0, cqt_cfg.sample_rate, seed=seed)
-    test_clips = synth.make_tone_clips(4, 3.0, cqt_cfg.sample_rate, seed=seed + 100)
-    pairs = [build_training_pair(audio, notes, cqt_cfg, duration=3.0,
-                                 window=128, hop_frames=64)
-             for audio, notes in train_clips]
-    model = AmtModel(AmtConfig(conv_channels=4, hidden=16), seed=seed)
-    t0 = time.time()
-    trace = train_amt(pairs, model, epochs=epochs, loss=FocalLossParams(),
-                      lr=5e-3, batch_size=4, seed=seed)
-    nn.save_checkpoint(out / "amt.ssnn", model.state())
-    print(f"amt: loss {trace[0]:.6f} -> {trace[-1]:.6f} "
-          f"({epochs} epochs, {time.time() - t0:.1f} s)")
-
-    timing = FrameTiming(cqt_cfg.hop, cqt_cfg.sample_rate)
-    scores = []
-    for audio, notes in test_clips:
-        pred = transcribe_waveform(audio, model, cqt_cfg, window=128, hop_frames=64)
-        truth = rasterize_notes(notes, timing, pred.num_frames)
-        scores.append(frame_metrics(pred, truth).f1)
-    print("held-out frame F1:", " ".join(f"{s:.4f}" for s in scores))
+from stemscribe.transcription import frame_metrics, transcribe_waveform
 
 
 def main():
@@ -75,8 +30,28 @@ def main():
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    run_separator(out, args.sep_epochs, args.seed)
-    run_amt(out, args.amt_epochs, args.seed)
+    cfg = PipelineConfig.from_dict({"seed": args.seed,
+                                    "separator": {"hidden": 32, "layers": 2},
+                                    "amt": {"conv_channels": 4, "hidden": 16}})
+    config = out / "desk_config.json"
+    cfg.save(config)
+    common = ["--out-dir", str(out), "--config", str(config)]
+    for argv in (["train-separator", *common, "--epochs", str(args.sep_epochs),
+                  "--synthetic", "4", "--clip-seconds", "1.5", "--sample-rate", "8000",
+                  "--remix-count", "6", "--lr", "1e-3"],
+                 ["train-amt", *common, "--epochs", str(args.amt_epochs),
+                  "--synthetic", "12", "--duration", "3.0", "--window", "128",
+                  "--hop-frames", "64", "--batch-size", "4", "--lr", "5e-3"]):
+        if code := cli.main(argv):
+            sys.exit(code)
+
+    model = cli._amt_model(cfg, str(out / "amt.ssnn"))
+    timing = FrameTiming(cfg.cqt.hop, cfg.cqt.sample_rate)
+    scores = []
+    for audio, notes in synth.make_tone_clips(4, 3.0, cfg.cqt.sample_rate, seed=args.seed + 100):
+        pred = transcribe_waveform(audio, model, cfg.cqt, window=128, hop_frames=64)
+        scores.append(frame_metrics(pred, rasterize_notes(notes, timing, pred.num_frames)).f1)
+    print("held-out frame F1:", " ".join(f"{s:.4f}" for s in scores))
 
 
 if __name__ == "__main__":

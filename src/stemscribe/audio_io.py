@@ -184,11 +184,17 @@ def write_wav(w: Waveform, path, bit_depth: int = 16) -> int:
     return clipped
 
 
+def resampled_length(n: int, source_rate: int, target_rate: int) -> int:
+    """Samples in n samples at source_rate resampled to target_rate:
+    round(n * target_rate / source_rate)."""
+    return int(round(n * target_rate / source_rate))
+
+
 def resample(w: Waveform, target_rate: int) -> Waveform:
     """Polyphase windowed-sinc resampling (Kaiser window).
 
-    Output length is round(n * target_rate / source_rate); equal rates
-    return the input unchanged.
+    Output length is resampled_length(n, source_rate, target_rate); equal
+    rates return the input unchanged.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
@@ -197,7 +203,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     from scipy.signal import resample_poly  # imported here: scipy.signal takes ~1 s to load
 
     ratio = Fraction(target_rate, w.sample_rate)
-    out_len = int(round(w.num_samples * target_rate / w.sample_rate))
+    out_len = resampled_length(w.num_samples, w.sample_rate, target_rate)
     out = resample_poly(
         w.samples, ratio.numerator, ratio.denominator, axis=1, window=("kaiser", 8.0)
     )

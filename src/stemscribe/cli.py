@@ -7,7 +7,8 @@ deterministic under a fixed config seed. Intermediate artifacts (mask
 CSV, spectrogram stats, roll binaries, loss traces) are always written
 so each stage can be audited after the fact.
 
-The mask CSV has one row per STFT frame and one field per frequency bin:
+The mask CSV has one row per STFT frame and one field per frequency bin,
+each value in [0, 1] (a mask with any other value is refused, exit 2):
 each field is `%.6f`, fields are separated by `,` and every row ends in
 `\\n`, the bytes np.savetxt(path, mask, fmt="%.6f", delimiter=",") writes.
 The spectrogram stats CSV has a `frame,mean_db,max_db` header, then one
@@ -18,10 +19,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import json
 import logging
 import math
+import platform
 import sys
 from functools import partial
 from pathlib import Path
@@ -29,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bss_metrics, midi, nn, notation, synth
-from .audio_io import UnsupportedCodecError, Waveform, WavFormatError, read_wav, resample, write_wav
+from .audio_io import (UnsupportedCodecError, Waveform, WavFormatError, read_wav,
+                       resampled_length, write_wav)
 from .config import AmtSettings, ManifestError, PipelineConfig, SeparatorSettings, load_manifest
 from .dsp import WindowError, check_invertible, num_cqt_frames
 from .midi import SmfParseError
@@ -137,12 +141,13 @@ def _write_mask_csv(mask: np.ndarray, f) -> None:
     """The bytes np.savetxt(f, mask, fmt="%.6f", delimiter=",") writes to
     the binary file f, formatted _MASK_CSV_BLOCK rows at a time.  Rows of a
     grid written in consecutive calls get the bytes of one.  A grid with a
-    value outside [0, 1] or a -0.0 ("-0.000000"), which only a diverged
-    checkpoint gives, goes through np.savetxt itself."""
+    NaN, a value outside [0, 1] or a -0.0, which only a diverged checkpoint
+    gives, raises ValueError before any of its rows is written."""
     mask = np.asarray(mask, dtype=np.float64)
-    if not np.all((mask >= 0.0) & (mask <= 1.0)) or np.signbit(mask).any():
-        np.savetxt(f, mask, fmt="%.6f", delimiter=",")
-        return
+    bad = ~((mask >= 0.0) & (mask <= 1.0)) | np.signbit(mask)
+    if bad.any():
+        raise ValueError(f"mask {f.name}: {np.count_nonzero(bad)} values NaN, outside [0, 1] "
+                         f"or -0.0, the first {mask[bad][0]}; the separator has diverged")
     for r0 in range(0, mask.shape[0], _MASK_CSV_BLOCK):
         f.write(_mask_csv_bytes(mask[r0 : r0 + _MASK_CSV_BLOCK]))
 
@@ -351,7 +356,8 @@ def cmd_evaluate(args) -> int:
             if args.amt_mode == "oracle":
                 # metric plumbing check: the prediction is the truth, on the
                 # frame grid the note model would have produced
-                n = resample(mixture, cfg.cqt.sample_rate).num_samples
+                n = resampled_length(mixture.num_samples, mixture.sample_rate,
+                                     cfg.cqt.sample_rate)
                 pred = truth = rasterize_notes(ref_notes, timing, num_cqt_frames(n, cfg.cqt))
             else:
                 pred = transcribe_waveform(mixture, amt_model, cfg.cqt)
@@ -637,10 +643,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's ceiling for its dynamic mmap threshold on 64-bit hosts
+# (DEFAULT_MMAP_THRESHOLD_MAX), and the trim threshold at twice that, the
+# ratio its dynamic rule keeps. Pinned, they hold from a command's start
+# whatever the process allocated before.
+_MMAP_THRESHOLD = 32 * 1024 * 1024
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, <malloc.h>
+
+
+def _pin_heap_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for the rest of the process,
+    so that multi-MB temporaries (a training batch's, a separation
+    block's) reuse the heap their predecessors gave back instead of being
+    unmapped or trimmed and faulted in again, and a command run again in
+    one process reuses the heap of the run before. A no-op on other C
+    libraries (musl's mallopt does nothing, macOS has none)."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    # so that a command run again in this process reuses the heap of the run before
-    nn.optim._pin_heap_thresholds()
+    _pin_heap_thresholds()
     try:
         args = build_parser().parse_args(argv)
         if args.verbose:

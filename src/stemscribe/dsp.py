@@ -275,8 +275,12 @@ def cqt(w: Waveform, cfg: CqtConfig) -> np.ndarray:
     that chunk j holds; a frame's products are the sum of its m blocks.
     The bases are built once per config (_octave_bases).  Frames go
     through in blocks of _CQT_BLOCK, so beyond the padded signal and the
-    output the working memory is one block's product.
+    output the working memory is one block's product.  A waveform at a
+    rate other than cfg.sample_rate raises ValueError: resample it first.
     """
+    if w.sample_rate != cfg.sample_rate:
+        raise ValueError(f"waveform at {w.sample_rate} Hz, CQT kernels at {cfg.sample_rate} Hz: "
+                         "resample the waveform to the CQT rate first")
     x = w.mono_samples()
     if x.size == 0:
         raise ValueError("cannot transform an empty waveform")

@@ -2,9 +2,9 @@
 
 Everything runs on float64 numpy arrays, a mini-batch at a time: fit
 stacks each batch and makes one forward and one backward pass for it.
-Under glibc, fit first pins the allocator's mmap and trim thresholds,
-so a batch's multi-MB temporaries reuse the heap of the batch before;
-every stemscribe command pins them too, before it starts.
+Nothing here changes process-wide allocator settings: under glibc,
+cli.main pins the mmap and trim thresholds for every stemscribe command,
+so a batch's multi-MB temporaries reuse the heap of the batch before.
 Nothing here imports scipy: the logistic, layers.sigmoid, is
 0.5 * tanh(0.5 * x) + 0.5 in numpy ufuncs.
 Every layer keeps one contract:

@@ -9,10 +9,8 @@ update the params() arrays in place.
 
 from __future__ import annotations
 
-import ctypes
 import logging
 import math
-import platform
 import time
 
 import numpy as np
@@ -73,35 +71,6 @@ class Adam:
             p -= step
 
 
-# glibc's ceiling for its dynamic mmap threshold on 64-bit hosts
-# (DEFAULT_MMAP_THRESHOLD_MAX), and the trim threshold at twice that, the
-# ratio its dynamic rule keeps. Pinned, they hold from the first batch
-# whatever the process allocated before.
-_MMAP_THRESHOLD = 32 * 1024 * 1024
-_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, <malloc.h>
-
-
-def _pin_heap_thresholds() -> None:
-    """Fix glibc's mmap and trim thresholds, so that a batch's multi-MB
-    temporaries reuse the heap the batch before gave back instead of being
-    unmapped or trimmed and faulted in again. fit calls it, and cli.main
-    for every command, so that a command run again in one process (a
-    separation or a pipeline per input) reuses the heap of the run
-    before. A no-op on other C libraries (musl's mallopt does nothing,
-    macOS has none)."""
-    if platform.libc_ver()[0] != "glibc":
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-
-
 def fit(model, examples, optimizer, epochs: int, batch_size: int = 1,
         rng: np.random.Generator | None = None, epoch_callback=None) -> list[float]:
     """Mini-batch training: one loss_and_grad call per batch of examples,
@@ -111,15 +80,14 @@ def fit(model, examples, optimizer, epochs: int, batch_size: int = 1,
     example list and DivergenceError with the offending epoch index if the
     loss goes non-finite. Each epoch's loss, wall time and mean global
     gradient L2 norm (of the batch-averaged gradients) are logged at debug
-    level. Before the first batch, fit pins glibc's heap thresholds for the
-    rest of the process (_pin_heap_thresholds); this changes no value.
+    level. fit leaves the process's allocator settings alone: cli.main pins
+    glibc's heap thresholds for every stemscribe command.
     """
     n = len(examples)
     if not n:
         raise ValueError("fit needs at least one training example; the example list is empty")
     if rng is None:
         rng = np.random.default_rng(0)
-    _pin_heap_thresholds()
     debug = log.isEnabledFor(logging.DEBUG)  # the gradient norms feed only the debug line
     trace: list[float] = []
     for epoch in range(epochs):

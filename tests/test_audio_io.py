@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stemscribe.audio_io import (UnsupportedCodecError, Waveform, WavFormatError,
-                                 read_wav, resample, write_wav)
+                                 read_wav, resample, resampled_length, write_wav)
 
 LSB16 = 2.0**-15
 
@@ -219,6 +219,14 @@ def test_resample_identity():
 def test_resample_length():
     w = Waveform(np.zeros((1, 44100)), 44100)
     assert resample(w, 22050).num_samples == 22050
+
+
+@pytest.mark.parametrize("n, source, target", [(8000, 8000, 22050), (7919, 8000, 22050),
+                                               (1, 44100, 22050), (12345, 22050, 16000),
+                                               (0, 16000, 22050), (999, 22050, 22050)])
+def test_resampled_length_is_the_length_resample_gives(n, source, target):
+    w = Waveform(np.zeros((1, n)), source)
+    assert resampled_length(n, source, target) == resample(w, target).num_samples
 
 
 def test_resample_preserves_tone():

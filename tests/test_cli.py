@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import platform
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from stemscribe import cli, dsp, nn, separation
+from stemscribe import audio_io, cli, dsp, nn, separation
 from stemscribe.audio_io import Waveform, read_wav, write_wav
 from stemscribe.config import PipelineConfig
 from stemscribe.midi import read_smf, write_smf
@@ -301,10 +302,8 @@ SPECIAL = np.array([0.0, 1.0, 5e-7, 1.5e-6, 0.1234565, 0.9999995, 1e-300,
 
 
 @pytest.mark.parametrize("values", [HALFWAY, SPECIAL], ids=["halfway", "special"])
-def test_mask_csv_rounds_like_percent_format(tmp_path, values, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(np, "savetxt", None)  # none of these may need the fallback
-        mask_csv(values[:, None], tmp_path / "m.csv")
+def test_mask_csv_rounds_like_percent_format(tmp_path, values):
+    mask_csv(values[:, None], tmp_path / "m.csv")
     assert (tmp_path / "m.csv").read_bytes() == b"".join(b"%.6f\n" % v for v in values)
     for grid in (values[None, :], np.tile(values, (3, 2))):
         assert_same_bytes(mask_csv, savetxt_mask_csv, grid, tmp_path)
@@ -324,14 +323,26 @@ def test_mask_csv_shapes_match_savetxt(tmp_path, shape):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-9, 1 + 1e-9, -0.0])
-def test_mask_csv_outside_the_unit_interval_goes_through_savetxt(tmp_path, bad, monkeypatch):
-    def no_blocks(block):
-        raise AssertionError("a grid outside [0, 1] reached the block formatter")
+def test_mask_csv_outside_the_unit_interval_is_refused_before_any_row(tmp_path, bad):
+    grid = mask_grid(2 * cli._MASK_CSV_BLOCK, 6, "uniform", 1)
+    grid[-17, 3] = bad  # in the last block of rows
+    with pytest.raises(ValueError, match=r"mask .*m\.csv: 1 values NaN, outside \[0, 1\]"):
+        mask_csv(grid, tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_bytes() == b""
 
-    monkeypatch.setattr(cli, "_mask_csv_bytes", no_blocks)
-    grid = mask_grid(40, 6, "uniform", 1)
-    grid[17, 3] = bad
-    assert_same_bytes(mask_csv, savetxt_mask_csv, grid, tmp_path)
+
+def test_separate_with_a_diverged_checkpoint_exits_2_naming_the_mask(tmp_path, tiny_config,
+                                                                     mixture_wav, caplog):
+    cfg = PipelineConfig.load(tiny_config)
+    model = cli._separator_model(cfg, None)
+    state = model.state()
+    state["head.b"] = np.full_like(state["head.b"], np.nan)
+    nn.save_checkpoint(tmp_path / "nan.ssnn", state)
+    out = tmp_path / "out"
+    assert cli.main(["separate", str(mixture_wav), "--out-dir", str(out), "--config",
+                     tiny_config, "--checkpoint", str(tmp_path / "nan.ssnn")]) == 2
+    assert f"mask {out / 'mixture_mask.csv'}: " in caplog.text
+    assert (out / "mixture_mask.csv").read_bytes() == b""
 
 
 def test_stats_csv_keeps_the_sign_of_a_mean_that_rounds_to_zero(tmp_path):
@@ -342,9 +353,7 @@ def test_stats_csv_keeps_the_sign_of_a_mean_that_rounds_to_zero(tmp_path):
 
 
 def test_csv_rows_written_block_by_block_equal_one_write(tmp_path):
-    # a middle block outside [0, 1] goes through np.savetxt on its own
     mask = mask_grid(300, 7, "logistic", 3)
-    mask[120, 2] = 1.5
     log_mag = np.random.default_rng(3).normal(-20.0, 30.0, (300, 7))
     with open(tmp_path / "mask.csv", "wb") as m, open(tmp_path / "stats.csv", "w",
                                                        newline="") as st_file:
@@ -512,6 +521,17 @@ def test_every_command_takes_config():
         assert "--config" in sub._option_string_actions, name
 
 
+def test_every_readme_command_line_parses():
+    # each `stemscribe ...` line of README.md's code blocks, so that a
+    # renamed or re-typed option fails here before a reader meets it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line.strip() for block in readme.split("```")[1::2]
+             for line in block.splitlines() if line.strip().startswith("stemscribe ")]
+    commands = {cli.build_parser().parse_args(shlex.split(line)[1:]).command for line in lines}
+    assert commands == {"separate", "transcribe", "render", "pipeline", "evaluate",
+                        "train-separator", "train-amt", "mix"}, lines
+
+
 def test_render_without_binary_is_missing_dependency(midi_file, tmp_path, no_musescore):
     assert cli.main(["render", str(midi_file), str(tmp_path / "o.pdf")]) == 3
 
@@ -626,6 +646,34 @@ def test_evaluate_oracle_amt_mode_never_runs_the_note_model(tmp_path, tiny_confi
                      "--separator", "mixture", "--amt-mode", "oracle"]) == 0
     amt = json.loads((out / "amt_metrics.json").read_text())
     assert amt["mix"]["frame"]["f1"] == amt["mix"]["onset"]["f1"] == 1.0
+
+
+def test_evaluate_oracle_amt_mode_never_resamples(tmp_path, tiny_config, eval_manifest,
+                                                 monkeypatch):
+    # the oracle grid has the frames of the mixture resampled to the CQT
+    # rate, counted without resampling it: the bytes of the resampling run
+    cfg = PipelineConfig.load(tiny_config)
+    mixture = read_wav(eval_manifest.parent / "mix.wav")
+    n = audio_io.resample(mixture, cfg.cqt.sample_rate).num_samples
+    assert mixture.sample_rate != cfg.cqt.sample_rate
+    _, notes = read_smf(eval_manifest.parent / "ref.mid")
+    truth = cli.rasterize_notes(notes, cli.FrameTiming(cfg.cqt.hop, cfg.cqt.sample_rate),
+                                dsp.num_cqt_frames(n, cfg.cqt))
+    expected = {"mix": {"frame": cli._scores_dict(cli.frame_metrics(truth, truth)),
+                        "onset": cli._scores_dict(cli.onset_metrics(truth, truth,
+                                                                    tolerance=0.05))}}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle mode resampled the mixture")
+
+    monkeypatch.setattr(audio_io, "resample", refuse)
+    monkeypatch.setattr(cli, "resample", refuse, raising=False)
+    out = tmp_path / "eval_oracle"
+    assert cli.main(["evaluate", "--manifest", str(eval_manifest),
+                     "--out-dir", str(out), "--config", tiny_config,
+                     "--separator", "mixture", "--amt-mode", "oracle"]) == 0
+    assert (out / "amt_metrics.json").read_text() == json.dumps(expected, indent=2,
+                                                                sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("entries", [["mixture.wav"], [5],
@@ -792,10 +840,11 @@ def test_train_amt_batches_reuse_the_heap_of_the_batch_before(tmp_path):
     # Under glibc's dynamic thresholds the batches' multi-MB temporaries
     # (Conv2d's im2col, its gradient copies, the BiLstm step arrays) were
     # given back after each batch and faulted in again: 1,300-1,800 minor
-    # faults per batch. Pinned by fit, the batches after the first epoch
-    # take 0-50 on average. What is left comes from CPython's small-object
-    # allocator, which maps its own 1 MiB arenas outside malloc: one fresh
-    # arena is up to 256 faults, and the bound leaves room for a few.
+    # faults per batch. Pinned by cli.main, the batches after the first
+    # epoch take 0-50 on average. What is left comes from CPython's
+    # small-object allocator, which maps its own 1 MiB arenas outside
+    # malloc: one fresh arena is up to 256 faults, and the bound leaves
+    # room for a few.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"amt": {"conv_channels": 4, "hidden": 16}}))
     faults = json.loads(run_fresh_python(TRAIN_AMT_FAULTS, str(tmp_path / "out"), str(config)))

@@ -331,6 +331,12 @@ def test_cqt_zero_signal():
     assert not cqt(Waveform(np.zeros((1, 4000)), cfg.sample_rate), cfg).any()
 
 
+def test_cqt_refuses_a_waveform_at_another_rate():
+    cfg = CqtConfig(n_bins=24)
+    with pytest.raises(ValueError, match="waveform at 8000 Hz, CQT kernels at 22050 Hz"):
+        cqt(Waveform(np.zeros((1, 4000)), 8000), cfg)
+
+
 def test_cqt_matches_direct_inner_products(rng):
     # Sliding-window implementation against a literal per-frame dot product.
     cfg = CqtConfig(n_bins=24, f_min=110.0, hop=256, sample_rate=8000)

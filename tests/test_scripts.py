@@ -35,6 +35,7 @@ def test_train_desk_models_script(tmp_path):
     done = run_script("train_desk_models.py", "--out-dir", "models", "--sep-epochs", "1",
                       "--amt-epochs", "1", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "models" / "separator.ssnn").exists()
-    assert (tmp_path / "models" / "amt.ssnn").exists()
+    for name in ("desk_config.json", "separator.ssnn", "separator_loss.csv", "amt.ssnn",
+                 "amt_loss.csv"):
+        assert (tmp_path / "models" / name).exists(), name
     assert any(line.startswith("held-out frame F1: ") for line in done.stdout.splitlines())
