@@ -11,8 +11,7 @@ from stemscribe import synth
 from stemscribe.audio_io import Waveform
 from stemscribe.bss_metrics import evaluate_pair
 from stemscribe.dsp import StftConfig
-from stemscribe.separation import (analysis_spectrogram, ideal_ratio_mask, mixture_of,
-                                   separate_blocks, sum_accompaniment)
+from stemscribe.separation import mixture_of, oracle_masks, separate_blocks, sum_accompaniment
 
 COLUMNS = ("snr", "snri", "si_sdr", "si_sdri", "si_sir", "si_sar")
 
@@ -40,11 +39,7 @@ def main():
         accomp = sum_accompaniment(sources)
         mix = mixture_of(sources)
 
-        irm = ideal_ratio_mask(
-            analysis_spectrogram(vocals, cfg).magnitude(),
-            analysis_spectrogram(accomp, cfg).magnitude(),
-        )
-        est_v, _ = separate_blocks(mix, None, cfg, mask=irm)
+        est_v, _ = separate_blocks(mix, oracle_masks(mix, vocals, accomp, cfg), cfg)
 
         print(f"track {i} (vocals reference)")
         row("ideal ratio mask", evaluate_pair(mix, vocals, est_v,

@@ -143,24 +143,21 @@ class MetricReport:
         return {key: getattr(self, key) for key in REPORT_KEYS}
 
 
+# the metrics reported with their improvement over the mixture as estimate
+_IMPROVED = {"snr": snr, "sd_sdr": sd_sdr, "si_sdr": si_sdr}
+
+
 def improvements(mixture, ref, est) -> tuple[float, float, float]:
     """(snri, sd_sdri, si_sdri): each metric minus its mixture-as-estimate
     baseline, unclamped."""
-    return (
-        _diff(snr(ref, est), snr(ref, mixture)),
-        _diff(sd_sdr(ref, est), sd_sdr(ref, mixture)),
-        _diff(si_sdr(ref, est), si_sdr(ref, mixture)),
-    )
+    return tuple(_diff(metric(ref, est), metric(ref, mixture)) for metric in _IMPROVED.values())
 
 
 def evaluate_pair(mixture, ref, est, other_references=()) -> MetricReport:
-    raw = {
-        "snr": snr(ref, est),
-        "sd_sdr": sd_sdr(ref, est),
-        "si_sdr": si_sdr(ref, est),
-        "srr": srr(ref, est),
-    }
+    raw = {name: metric(ref, est) for name, metric in _IMPROVED.items()}
+    raw.update({name + "i": _diff(raw[name], metric(ref, mixture))
+                for name, metric in _IMPROVED.items()})
+    raw["srr"] = srr(ref, est)
     raw["si_sir"], raw["si_sar"] = si_sir_sar(ref, est, other_references)
-    raw["snri"], raw["sd_sdri"], raw["si_sdri"] = improvements(mixture, ref, est)
     clamped = frozenset(k for k, v in raw.items() if abs(v) > DB_CLAMP)
     return MetricReport(clamped=clamped, **{k: clamp_db(v) for k, v in raw.items()})

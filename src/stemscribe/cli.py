@@ -41,11 +41,11 @@ from .nn.loss import FocalLossParams
 from .pianoroll import FrameTiming, rasterize_notes, roll_to_notes
 from .separation import (
     STEM_NAMES,
+    MaskSource,
     SeparatorModel,
     SourceSet,
-    analysis_spectrogram,
-    ideal_ratio_mask,
     make_training_clip,
+    oracle_masks,
     remix,
     separate_blocks,
     sum_accompaniment,
@@ -172,10 +172,10 @@ def _write_loss_csv(trace: list[float], path: Path) -> None:
             writer.writerow([epoch, f"{loss:.8f}"])
 
 
-def _separate_to_dir(mixture: Waveform, model: SeparatorModel, cfg: PipelineConfig,
-                     out_dir: Path, stem_name: str, mask_mode: str = "model") -> dict[str, Path]:
-    """Separate the mixture, writing the mask and stats CSV rows of each
-    block of frames as the pass makes them, then the two stems."""
+def _separate_to_dir(mixture: Waveform, masks: MaskSource, cfg: PipelineConfig,
+                     out_dir: Path, stem_name: str) -> dict[str, Path]:
+    """Separate the mixture under the mask source, writing the mask and
+    stats CSV rows of each block as the pass makes them, then the stems."""
     # refuse an uninvertible window or an empty mixture before any output is opened
     check_invertible(cfg.stft)
     if mixture.num_samples == 0:
@@ -187,7 +187,6 @@ def _separate_to_dir(mixture: Waveform, model: SeparatorModel, cfg: PipelineConf
         "mask": out_dir / f"{stem_name}_mask.csv",
         "stats": out_dir / f"{stem_name}_spectrogram_stats.csv",
     }
-    mask = {"model": None, "ones": 1.0, "zeros": 0.0}[mask_mode]
     with open(paths["mask"], "wb") as mask_csv, \
             open(paths["stats"], "w", newline="") as stats_csv:
 
@@ -195,7 +194,7 @@ def _separate_to_dir(mixture: Waveform, model: SeparatorModel, cfg: PipelineConf
             _write_mask_csv(rows, mask_csv)
             _write_stats_csv(log_mag, stats_csv, first_frame)
 
-        vocals, accomp = separate_blocks(mixture, model, cfg.stft, mask, write_rows)
+        vocals, accomp = separate_blocks(mixture, masks, cfg.stft, write_rows)
     for name, stem in (("vocals", vocals), ("accompaniment", accomp)):
         clipped = write_wav(stem, paths[name])
         if clipped:
@@ -207,9 +206,11 @@ def _separate_to_dir(mixture: Waveform, model: SeparatorModel, cfg: PipelineConf
 def cmd_separate(args) -> int:
     cfg = _load_config(args.config)
     mixture = read_wav(args.input)
-    model = _separator_model(cfg, args.checkpoint)
-    paths = _separate_to_dir(mixture, model, cfg, Path(args.out_dir),
-                             Path(args.input).stem, args.mask_mode)
+    if args.mask_mode == "model":
+        masks = _separator_model(cfg, args.checkpoint).masks()
+    else:  # a constant mask, which reads no checkpoint
+        masks = lambda t0, log_mag: np.full_like(log_mag, float(args.mask_mode == "ones"))
+    paths = _separate_to_dir(mixture, masks, cfg, Path(args.out_dir), Path(args.input).stem)
     print(f"wrote {paths['vocals']} and {paths['accompaniment']}")
     return EXIT_OK
 
@@ -260,7 +261,7 @@ def cmd_pipeline(args) -> int:
 
     mixture = read_wav(args.input)
     sep_model = _separator_model(cfg, args.sep_checkpoint)
-    paths = _separate_to_dir(mixture, sep_model, cfg, out_dir, stem_name)
+    paths = _separate_to_dir(mixture, sep_model.masks(), cfg, out_dir, stem_name)
     report["separate"] = {"status": "ok", "vocals": str(paths["vocals"]),
                           "accompaniment": str(paths["accompaniment"])}
 
@@ -298,20 +299,6 @@ def _reference_stems(entry) -> tuple[Waveform, Waveform] | None:
     return ref_vocals, ref_accomp
 
 
-def _estimate_stems(mixture: Waveform, refs: tuple[Waveform, Waveform], mode: str,
-                    model: SeparatorModel, cfg: PipelineConfig) -> tuple[Waveform, Waveform]:
-    if mode == "mixture":
-        return mixture, mixture
-    forced = None
-    if mode == "irm":
-        ref_vocals, ref_accomp = refs
-        forced = ideal_ratio_mask(
-            analysis_spectrogram(ref_vocals, cfg.stft).magnitude(),
-            analysis_spectrogram(ref_accomp, cfg.stft).magnitude(),
-        )
-    return separate_blocks(mixture, model, cfg.stft, mask=forced)
-
-
 def _scores_dict(s: Scores) -> dict:
     """The three scores plus the sorted names of those reported as 0
     because their denominator was empty."""
@@ -323,8 +310,8 @@ def cmd_evaluate(args) -> int:
     manifest = load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sep_model = _separator_model(cfg, args.sep_checkpoint)
-    amt_model = _amt_model(cfg, args.amt_checkpoint)
+    sep_model = _separator_model(cfg, args.sep_checkpoint) if args.separator == "model" else None
+    amt_model = _amt_model(cfg, args.amt_checkpoint) if args.amt_mode == "model" else None
 
     separation_report = {}
     amt_report = {}
@@ -333,9 +320,13 @@ def cmd_evaluate(args) -> int:
         mixture = read_wav(entry.mixture)
         refs = _reference_stems(entry)
         if refs is not None:
-            est_vocals, est_accomp = _estimate_stems(mixture, refs, args.separator,
-                                                     sep_model, cfg)
             ref_vocals, ref_accomp = refs
+            if args.separator == "mixture":
+                est_vocals = est_accomp = mixture
+            else:  # the oracle source's padded references go with the call
+                est_vocals, est_accomp = separate_blocks(
+                    mixture, sep_model.masks() if args.separator == "model"
+                    else oracle_masks(mixture, ref_vocals, ref_accomp, cfg.stft), cfg.stft)
             n = min(ref_vocals.num_samples, est_vocals.num_samples)
 
             def flat(w: Waveform) -> np.ndarray:

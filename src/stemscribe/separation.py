@@ -4,14 +4,14 @@ and the LSTM mask-estimator model.
 A mask is a plain (frames, bins) float array in [0, 1] over the
 analysis_spectrogram grid of the mixture. Separation is one pass over
 blocks of _SEP_BLOCK frames of that grid: each block's STFT, its
-log-magnitude grid, the model's mask and the inverse STFT of the masked
-bins, with the LSTM layers' (h, c) and the overlap-add tail carried
-from block to block. Every stage is per frame or causal, so the result
-is the one pass over the whole grid would give, while only the signals
-are held whole. The accompaniment is the mono mixture minus the vocals,
-so the two estimated stems add back to the mixture by construction; it
-equals the inverse STFT of the complementary mask 1 - m to rounding
-error.
+log-magnitude grid, its rows from a mask source (the model, the oracle
+or a constant) and the inverse STFT of the masked bins, with the LSTM
+layers' (h, c) and the overlap-add tail carried from block to block.
+Every stage is per frame or causal, so the result is the one pass over
+the whole grid would give, while only the signals are held whole. The
+accompaniment is the mono mixture minus the vocals, so the two stems
+add back to the mixture by construction; it equals the inverse STFT of
+the complementary mask 1 - m to rounding error.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ GAIN_LOW, GAIN_HIGH = 0.5, 1.25
 # and hop 128.  Its grids (frames, bins, masks, inverse frames) peak near
 # 35 MB at the default config, whatever the length of the audio.
 _SEP_BLOCK = 2048
+
+# masks(first_frame, log_mag) -> the mask rows of a block's frames
+MaskSource = Callable[[int, np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -159,11 +162,15 @@ class SeparatorModel(nn.Layer):
         return np.zeros((len(lstms), 2, batch, lstms[0].hidden_size))
 
     def predict_mask(self, log_mag: np.ndarray, state: np.ndarray | None = None) -> np.ndarray:
-        """Inference mask for a (frames, bins) log_magnitude grid.  Given a
-        state from zero_state(), the LSTM layers start from it and leave
-        their final (h, c) there, so consecutive blocks of a grid get the
-        masks of the whole."""
+        """Inference mask for a (frames, bins) log_magnitude grid, from state
+        (see forward_mask) when given."""
         return self.forward_mask(log_mag[:, None], state=state)[:, 0]
+
+    def masks(self) -> MaskSource:
+        """Mask source: predict_mask of each block from the (h, c) the
+        block before it left, so a grid's blocks in order get its masks."""
+        state = self.zero_state()
+        return lambda first_frame, log_mag: self.predict_mask(log_mag, state)
 
     def loss_and_grad(self, batch: list["TrainingClip"]) -> float:
         """Summed L1 spectrogram-magnitude loss of equal-length clips on
@@ -203,6 +210,18 @@ def make_training_clip(mixture: Waveform, vocals: Waveform, accompaniment: Wavef
     )
 
 
+def _padded(w: Waveform, cfg: StftConfig) -> Waveform:
+    """The mono signal with one FFT length of zeros on each side."""
+    return Waveform(np.pad(w.to_mono().samples, ((0, 0), (cfg.fft_size,) * 2)), w.sample_rate)
+
+
+def _block_stft(x: Waveform, t0: int, t1: int, cfg: StftConfig) -> ComplexSpectrogram:
+    """Frames t0..t1-1 of the STFT of x, bitwise those rows of the whole:
+    the last one is zero-padded as in the whole grid."""
+    block = x.samples[:, t0 * cfg.hop : (t1 - 1) * cfg.hop + cfg.fft_size]
+    return stft(Waveform(block, x.sample_rate), cfg)
+
+
 def analysis_spectrogram(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
     """STFT of the signal with one FFT length of zeros on each side.
 
@@ -210,51 +229,54 @@ def analysis_spectrogram(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
     divisor is tiny at the tapered ends, so inverting a masked edge
     frame amplifies the inconsistency by orders of magnitude.  Padding
     keeps every real sample in the flat interior; callers trim
-    [fft_size : fft_size + n] after inversion.  Any mask handed to
-    separate_blocks must be built against this grid.
+    [fft_size : fft_size + n] after inversion.  The rows every mask
+    source gives separate_blocks are rows of this grid.
     """
-    x = np.pad(w.to_mono().samples[0], (cfg.fft_size, cfg.fft_size))
-    return stft(Waveform(x[None, :], w.sample_rate), cfg)
+    return stft(_padded(w, cfg), cfg)
 
 
-def separate_blocks(mixture: Waveform, model: SeparatorModel | None, stft_cfg: StftConfig,
-                    mask: np.ndarray | float | None = None,
+def oracle_masks(mixture: Waveform, target: Waveform, residual: Waveform,
+                 cfg: StftConfig) -> MaskSource:
+    """Mask source of ideal_ratio_mask over the references' analysis grid
+    magnitudes, one block at a time.  Refuses a grid not the mixture's."""
+    grids = [(num_stft_frames(w.num_samples + 2 * cfg.fft_size, cfg), cfg.num_bins)
+             for w in (mixture, target, residual)]
+    for grid in grids[1:]:
+        if grid != grids[0]:
+            raise ValueError(f"reference grid {grid} does not match the analysis grid {grids[0]}")
+    refs = [_padded(w, cfg) for w in (target, residual)]
+    return lambda t0, log_mag: ideal_ratio_mask(
+        *(_block_stft(x, t0, t0 + len(log_mag), cfg).magnitude() for x in refs))
+
+
+def separate_blocks(mixture: Waveform, masks: MaskSource, stft_cfg: StftConfig,
                     on_block: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
                     ) -> tuple[Waveform, Waveform]:
     """(vocals, accompaniment) of the mixture in one pass over blocks of
     _SEP_BLOCK frames of its analysis_spectrogram grid.
 
-    Each block is transformed, masked and inverted in turn; the model's
-    LSTM state and the inverse's overlap-add tail carry over to the next,
-    so the stems are those of the whole grid at once.  A caller-supplied
-    mask, a (frames, bins) grid or one value for every cell, overrides the
-    model (which may then be None).  on_block(first_frame, log_mag, mask)
-    sees each block's log-magnitude rows and mask rows in frame order.
+    Each block is transformed, masked by the rows masks(first_frame,
+    log_mag) returns for it, and inverted; the inverse's overlap-add tail
+    carries over to the next, so the stems are those of the whole grid at
+    once.  on_block(first_frame, log_mag, rows) sees each block's
+    log-magnitude rows and mask rows in frame order.
     """
     cfg = stft_cfg
-    mono = mixture.to_mono().samples[0]
-    x = np.pad(mono, (cfg.fft_size, cfg.fft_size))
-    n_frames = num_stft_frames(x.size, cfg)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.ndim == 0:
-            mask = np.broadcast_to(mask, (n_frames, cfg.num_bins))
-        elif mask.shape != (n_frames, cfg.num_bins):
-            raise ValueError(f"mask shape {mask.shape} does not match the analysis grid "
-                             f"{(n_frames, cfg.num_bins)}")
-    state = model.zero_state() if mask is None else None
+    x = _padded(mixture, cfg)
+    mono = x.samples[0, cfg.fft_size : x.num_samples - cfg.fft_size]
+    n_frames = num_stft_frames(x.num_samples, cfg)
     # The inverse from x[0] on.  The last frame starts no earlier than
     # mono's end, so the n_frames * hop samples the blocks finish cover it.
     inverse = np.empty(n_frames * cfg.hop)
     carry = np.zeros((2, cfg.fft_size - cfg.hop))
     for t0 in range(0, n_frames, _SEP_BLOCK):
         t1 = min(t0 + _SEP_BLOCK, n_frames)
-        # frames t0..t1-1, the last one zero-padded as in the whole grid
-        block = x[t0 * cfg.hop : (t1 - 1) * cfg.hop + cfg.fft_size]
-        spec = stft(Waveform(block[None, :], mixture.sample_rate), cfg)
-        log_mag = (log_magnitude(spec.magnitude())
-                   if mask is None or on_block is not None else None)
-        rows = model.predict_mask(log_mag, state) if mask is None else mask[t0:t1]
+        spec = _block_stft(x, t0, t1, cfg)
+        log_mag = log_magnitude(spec.magnitude())
+        rows = masks(t0, log_mag)
+        if rows.shape != log_mag.shape:
+            raise ValueError(f"mask rows {rows.shape} of frames {t0}..{t1 - 1} do not match "
+                             f"the analysis grid {(n_frames, cfg.num_bins)}")
         if on_block is not None:
             on_block(t0, log_mag, rows)
         spec = apply_mask(rows, spec)
@@ -271,7 +293,7 @@ def separate(mixture: Waveform, model: SeparatorModel,
     """(vocals, accompaniment, mask) of the mixture under the model; the
     accompaniment is the exact complement mixture - vocals."""
     blocks = []
-    vocals, accomp = separate_blocks(mixture, model, stft_cfg,
+    vocals, accomp = separate_blocks(mixture, model.masks(), stft_cfg,
                                      on_block=lambda t0, log_mag, rows: blocks.append(rows))
     return vocals, accomp, np.concatenate(blocks)
 

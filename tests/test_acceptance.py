@@ -20,8 +20,7 @@ from stemscribe.notation import (MuseScoreNotFoundError, NotationJob,
 from stemscribe.pianoroll import (FrameTiming, NoteEvent, PianoRoll, empty_roll,
                                   notes_to_roll, rasterize_notes, roll_to_notes)
 from stemscribe.separation import (SeparatorModel, TrainingClip, apply_mask,
-                                   analysis_spectrogram, ideal_ratio_mask,
-                                   make_training_clip, remix, separate_blocks,
+                                   make_training_clip, oracle_masks, remix, separate_blocks,
                                    sum_accompaniment, train_separator)
 from stemscribe.transcription import (AmtConfig, AmtExample, AmtModel, f1_from,
                                       frame_metrics, segment, train_amt,
@@ -79,9 +78,7 @@ def _tone_and_noise():
 def test_04_oracle_mask_separation_beats_ten_db():
     ref_v, ref_a, mix = _tone_and_noise()
     cfg = StftConfig()
-    irm = ideal_ratio_mask(analysis_spectrogram(ref_v, cfg).magnitude(),
-                           analysis_spectrogram(ref_a, cfg).magnitude())
-    est_v, _ = separate_blocks(mix, None, cfg, mask=irm)
+    est_v, _ = separate_blocks(mix, oracle_masks(mix, ref_v, ref_a, cfg), cfg)
     snri, _, si_sdri = improvements(mix.samples[0], ref_v.samples[0], est_v.samples[0])
     base = improvements(mix.samples[0], ref_v.samples[0], mix.samples[0])
     ok = si_sdri > 10.0 and snri > 10.0 and base == (0.0, 0.0, 0.0)

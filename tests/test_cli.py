@@ -406,12 +406,32 @@ def test_separation_memory_grows_with_the_audio_not_the_grids(tmp_path, tiny_con
         mixture = Waveform(0.1 * rng.standard_normal((1, blocks * per_block)), 8000)
         tracemalloc.start()
         try:
-            cli._separate_to_dir(mixture, model, cfg, tmp_path / str(blocks), "m")
+            cli._separate_to_dir(mixture, model.masks(), cfg, tmp_path / str(blocks), "m")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     assert peak(8) - peak(4) < 6 * 8 * 4 * per_block
+
+
+@pytest.fixture
+def swapped_checkpoints(tmp_path, tiny_config):
+    """Each model's fresh checkpoint under the other's name: loading either
+    into the model its name suggests fails."""
+    cfg = PipelineConfig.load(tiny_config)
+    nn.save_checkpoint(tmp_path / "separator.ssnn", cli._amt_model(cfg, None).state())
+    nn.save_checkpoint(tmp_path / "amt.ssnn", cli._separator_model(cfg, None).state())
+    return {"--sep-checkpoint": str(tmp_path / "separator.ssnn"),
+            "--amt-checkpoint": str(tmp_path / "amt.ssnn")}
+
+
+@pytest.mark.parametrize("mask_mode, code", [("ones", 0), ("zeros", 0), ("model", 2)])
+def test_separate_reads_the_checkpoint_only_under_the_model_mask(tmp_path, tiny_config,
+                                                                 mixture_wav, swapped_checkpoints,
+                                                                 mask_mode, code):
+    assert cli.main(["separate", str(mixture_wav), "--out-dir", str(tmp_path / "o"),
+                     "--config", tiny_config, "--mask-mode", mask_mode,
+                     "--checkpoint", swapped_checkpoints["--sep-checkpoint"]]) == code
 
 
 def test_separate_missing_input_is_invalid(tmp_path, tiny_config):
@@ -674,6 +694,71 @@ def test_evaluate_oracle_amt_mode_never_resamples(tmp_path, tiny_config, eval_ma
                      "--separator", "mixture", "--amt-mode", "oracle"]) == 0
     assert (out / "amt_metrics.json").read_text() == json.dumps(expected, indent=2,
                                                                 sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("separator, amt_mode, checkpoints, code", [
+    ("mixture", "oracle", ["--sep-checkpoint"], 0),
+    ("irm", "oracle", ["--sep-checkpoint", "--amt-checkpoint"], 0),
+    ("model", "oracle", ["--sep-checkpoint"], 2),
+    ("mixture", "model", ["--amt-checkpoint"], 2),
+])
+def test_evaluate_reads_a_checkpoint_only_under_the_mode_that_runs_its_model(
+        tmp_path, tiny_config, eval_manifest, swapped_checkpoints, separator, amt_mode,
+        checkpoints, code):
+    argv = ["evaluate", "--manifest", str(eval_manifest), "--out-dir", str(tmp_path / "e"),
+            "--config", tiny_config, "--separator", separator, "--amt-mode", amt_mode]
+    for option in checkpoints:
+        argv += [option, swapped_checkpoints[option]]
+    assert cli.main(argv) == code
+
+
+def test_evaluate_irm_refuses_a_reference_off_the_analysis_grid(tmp_path, tiny_config,
+                                                               eval_manifest, caplog):
+    # one hop more of each reference is one more frame than the mixture's grid has
+    hop = PipelineConfig.load(tiny_config).stft.hop
+    for name in ("vocals.wav", "accomp.wav"):
+        stem = read_wav(eval_manifest.parent / name)
+        longer = Waveform(np.pad(stem.samples, ((0, 0), (0, hop))), stem.sample_rate)
+        write_wav(longer, eval_manifest.parent / name, bit_depth=32)
+    assert cli.main(["evaluate", "--manifest", str(eval_manifest), "--out-dir",
+                     str(tmp_path / "e"), "--config", tiny_config,
+                     "--separator", "irm", "--amt-mode", "oracle"]) == 2
+    assert "analysis grid" in caplog.text
+
+
+def test_evaluate_irm_memory_grows_with_the_audio_not_the_grids(tmp_path, tiny_config,
+                                                                monkeypatch):
+    # From 4 to 8 blocks of SMALL_BLOCK frames the signals grow by 8192
+    # samples.  Building the oracle mask block by block, evaluate --separator
+    # irm holds about 11 float64 copies of them at its peak, in the metric
+    # suite, as --separator model does; the two whole reference grids, their
+    # magnitudes and the mask it replaced held some 15.
+    monkeypatch.setattr(separation, "_SEP_BLOCK", SMALL_BLOCK)
+    per_block = SMALL_BLOCK * PipelineConfig.load(tiny_config).stft.hop
+    rng = np.random.default_rng(0)
+
+    def peak(blocks):
+        track = tmp_path / str(blocks)
+        track.mkdir()
+        vocals = 0.3 * rng.standard_normal(blocks * per_block)
+        accomp = 0.1 * rng.standard_normal(vocals.size)
+        for name, x in (("vocals", vocals), ("accomp", accomp), ("mix", vocals + accomp)):
+            write_wav(Waveform(x[None, :], 8000), track / f"{name}.wav", bit_depth=32)
+        manifest = track / "tracks.json"
+        manifest.write_text(json.dumps([{
+            "mixture": "mix.wav",
+            "stems": {"vocals": "vocals.wav", "accompaniment": "accomp.wav"},
+        }]))
+        argv = ["evaluate", "--manifest", str(manifest), "--out-dir", str(track / "e"),
+                "--config", tiny_config, "--separator", "irm", "--amt-mode", "oracle"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) - peak(4) < 13 * 8 * 4 * per_block
 
 
 @pytest.mark.parametrize("entries", [["mixture.wav"], [5],

@@ -9,8 +9,9 @@ from stemscribe.bss_metrics import si_sdr
 from stemscribe.dsp import StftConfig, istft, log_magnitude, stft
 from stemscribe.separation import (SeparatorModel, SourceSet, TrainingClip,
                                    analysis_spectrogram, apply_mask, ideal_ratio_mask,
-                                   make_training_clip, mixture_of, remix, separate,
-                                   separate_blocks, sum_accompaniment, train_separator)
+                                   make_training_clip, mixture_of, oracle_masks, remix,
+                                   separate, separate_blocks, sum_accompaniment,
+                                   train_separator)
 
 CFG = StftConfig()
 
@@ -256,6 +257,11 @@ def test_load_state_rejects_checkpoint_of_a_deeper_stack(tmp_path):
 
 # -------------------------------------------------------------- separate
 
+def grid_masks(mask):
+    """Mask source of the rows of a whole (frames, bins) mask."""
+    return lambda first_frame, log_mag: mask[first_frame : first_frame + log_mag.shape[0]]
+
+
 def test_analysis_spectrogram_pads_and_inverts_exactly(rng):
     x = rng.standard_normal(3000)
     w = Waveform(x[None, :], 8000)
@@ -268,10 +274,10 @@ def test_separate_forced_masks(rng):
     x = rng.standard_normal(4000)
     mix = Waveform(x[None, :], 8000)
     shape = analysis_spectrogram(mix, CFG).bins.shape
-    vocals, accomp = separate_blocks(mix, None, CFG, mask=np.ones(shape))
+    vocals, accomp = separate_blocks(mix, grid_masks(np.ones(shape)), CFG)
     assert np.abs(vocals.samples[0] - x).max() < 1e-9
     assert np.abs(accomp.samples).max() < 1e-9
-    vocals, accomp = separate_blocks(mix, None, CFG, mask=np.zeros(shape))
+    vocals, accomp = separate_blocks(mix, grid_masks(np.zeros(shape)), CFG)
     assert np.abs(vocals.samples).max() < 1e-9
 
 
@@ -288,10 +294,10 @@ def test_separate_model_stems_recombine(rng):
 
 def separate_or_force(mix, model, mask):
     """(vocals, accompaniment, mask used): separate() under the model, or
-    separate_blocks with no model under a forced mask."""
+    separate_blocks under the rows of a forced mask."""
     if mask is None:
         return separate(mix, model, CFG)
-    return (*separate_blocks(mix, None, CFG, mask), mask)
+    return (*separate_blocks(mix, grid_masks(mask), CFG), mask)
 
 
 def two_istft_separate(mix, mask, cfg):
@@ -350,23 +356,34 @@ def test_blocked_separation_matches_the_whole_grid(rng, monkeypatch, block, fram
         np.testing.assert_allclose(vocals.samples, ref_vocals, rtol=0, atol=1e-12)
         np.testing.assert_allclose(accomp.samples, mix.samples - ref_vocals, rtol=0, atol=1e-12)
     for value in (1.0, 0.0):  # the CLI's ones and zeros modes
-        vocals, _ = separate_blocks(mix, None, CFG, value)
+        vocals, _ = separate_blocks(mix, lambda t0, log_mag: np.full(log_mag.shape, value), CFG)
         ref_vocals, _ = whole_grid_separate(mix, None, CFG, np.full(shape, value))
         np.testing.assert_allclose(vocals.samples, ref_vocals, rtol=0, atol=1e-12)
+    # the oracle source: the ideal ratio mask of two references, built per block
+    target = Waveform(rng.standard_normal(mix.samples.shape), 8000)
+    residual = Waveform(rng.standard_normal(mix.samples.shape), 8000)
+    irm = ideal_ratio_mask(analysis_spectrogram(target, CFG).magnitude(),
+                           analysis_spectrogram(residual, CFG).magnitude())
+    blocks = []
+    vocals, _ = separate_blocks(mix, oracle_masks(mix, target, residual, CFG), CFG,
+                                on_block=lambda t0, log_mag, rows: blocks.append(rows))
+    assert np.array_equal(np.concatenate(blocks), irm)
+    ref_vocals, _ = whole_grid_separate(mix, None, CFG, irm)
+    np.testing.assert_allclose(vocals.samples, ref_vocals, rtol=0, atol=1e-12)
 
 
 def test_separate_refuses_a_mask_off_the_analysis_grid(rng):
     mix = Waveform(rng.standard_normal((1, 1000)), 8000)
     frames = analysis_spectrogram(mix, CFG).num_frames
     with pytest.raises(ValueError, match="analysis grid"):
-        separate_blocks(mix, None, CFG, mask=np.ones((frames - 1, CFG.num_bins)))
+        separate_blocks(mix, grid_masks(np.ones((frames - 1, CFG.num_bins))), CFG)
 
 
 def test_blocks_see_every_frame_once_in_order(rng, monkeypatch):
     monkeypatch.setattr(separation, "_SEP_BLOCK", BLOCK)
     mix = Waveform(rng.standard_normal((1, 5000)), 8000)
     seen = []
-    separate_blocks(mix, SeparatorModel(num_bins=CFG.num_bins, hidden=4, layers=1), CFG,
+    separate_blocks(mix, SeparatorModel(num_bins=CFG.num_bins, hidden=4, layers=1).masks(), CFG,
                     on_block=lambda t0, log_mag, rows: seen.append((t0, log_mag, rows)))
     grid = log_magnitude(analysis_spectrogram(mix, CFG).magnitude())
     assert [t0 for t0, _, _ in seen] == list(range(0, grid.shape[0], BLOCK))
@@ -382,11 +399,7 @@ def test_separate_oracle_mask_tone_vs_noise(rng):
     tone = Waveform((0.4 * np.sin(2 * np.pi * 440 * t))[None, :], sr)
     noise = Waveform((0.2 * rng.standard_normal(t.size))[None, :], sr)
     mix = Waveform(tone.samples + noise.samples, sr)
-    irm = ideal_ratio_mask(
-        analysis_spectrogram(tone, CFG).magnitude(),
-        analysis_spectrogram(noise, CFG).magnitude(),
-    )
-    est, _ = separate_blocks(mix, None, CFG, mask=irm)
+    est, _ = separate_blocks(mix, oracle_masks(mix, tone, noise, CFG), CFG)
     assert si_sdr(tone, est) > 10.0
 
 
