@@ -12,8 +12,9 @@ Every layer keeps one contract:
     (B, C, H, W); a single example is the batch of one, and only
     SeparatorModel.predict_mask takes an unbatched grid;
   * forward(x, training=True) keeps what backward needs, an inference
-    forward keeps nothing, and backward without a training forward
-    raises RuntimeError.
+    forward keeps nothing, and backward without a training forward, or
+    before the first zero_grads() creates the gradient buffers, raises
+    RuntimeError.
 An LSTM steps through time only for the h -> h recurrence, for the
 whole batch at once: its input projection and its weight and input
 gradients are single matrix products over all T·B rows. Lstm and BiLstm
@@ -28,8 +29,7 @@ backward passes are validated against central finite differences (see
 gradcheck).
 """
 
-from .layers import (BatchNorm, BiLstm, Conv2d, Dense, Layer, Lstm, MaxPool2d, Sigmoid,
-                     lstm_stack, uniform_init)
+from .layers import BatchNorm, BiLstm, Conv2d, Dense, Layer, Lstm, MaxPool2d, Sigmoid, lstm_stack
 from .loss import FocalLossParams, focal_loss
 from .optim import Adam, DivergenceError, Sgd, fit
 from .gradcheck import grad_check
@@ -56,5 +56,4 @@ __all__ = [
     "lstm_stack",
     "restore_params",
     "save_checkpoint",
-    "uniform_init",
 ]

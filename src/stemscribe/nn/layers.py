@@ -34,15 +34,15 @@ Conventions:
     _recur and lstm_stack halve the i, f and o columns of their copy of
     w_h and of each input projection beforehand, which is exact, so one
     tanh over the whole gate block also gives tanh(g).
-  * backward() ACCUMULATES parameter gradients, summed over the batch
-    (call zero_grads between batches), and returns the gradient w.r.t.
-    the layer input. BatchNorm.backward_params accumulates only the
-    parameter gradients, for a model's input norm, whose input gradient
-    nothing reads.
+  * backward() ACCUMULATES parameter gradients, summed over the batch,
+    into buffers that zero_grads() creates at its first call and zeroes
+    after, and returns the gradient w.r.t. the layer input.
+    BatchNorm.backward_params accumulates only the parameter gradients,
+    for a model's input norm, whose input gradient nothing reads.
 
 Tensor naming, which is also the checkpoint format:
   * A layer lists its trainable array attributes in PARAMS; the gradient
-    buffer of parameter "w" is the attribute "dw".
+    buffer of parameter "w" is the attribute "dw", made by zero_grads().
   * A layer with named children in its `children` dict reports each
     child tensor as "<child>.<name>", in child order, recursively.
   * state() is params() followed by the running statistics listed in
@@ -86,12 +86,15 @@ class Layer:
     STATS: tuple[str, ...] = ()
     children: dict[str, "Layer"] = {}  # containers assign their own in __init__
     _cache = None  # what backward needs, set only by a training forward
+    _has_grads = False  # set by zero_grads(), which creates the gradient buffers
 
     def _backward_cache(self):
-        """The cache of the last forward, which must have been a training one."""
+        """The cache of the last training forward, once zero_grads() has run."""
         if self._cache is None:
             raise RuntimeError(
                 f"{type(self).__name__}.backward needs a preceding forward(x, training=True)")
+        if not self._has_grads:
+            raise RuntimeError(f"{type(self).__name__}.backward needs zero_grads() first")
         return self._cache
 
     def _collect(self, kind: str, attr_prefix: str = "") -> dict[str, np.ndarray]:
@@ -106,12 +109,19 @@ class Layer:
         return self._collect("PARAMS")
 
     def grads(self) -> dict[str, np.ndarray]:
-        """Gradient buffers under the names of their parameters."""
+        """Gradient buffers under the names of their parameters, once zero_grads() has run."""
         return self._collect("PARAMS", "d")
 
     def zero_grads(self) -> None:
-        for g in self.grads().values():
-            g[...] = 0.0
+        """Zero this layer's gradient buffers and its children's. The first
+        call creates them, and nothing else does: inference holds none."""
+        for name in self.PARAMS:
+            if not hasattr(self, "d" + name):
+                setattr(self, "d" + name, np.empty_like(getattr(self, name)))
+            getattr(self, "d" + name)[...] = 0.0
+        for child in self.children.values():
+            child.zero_grads()
+        self._has_grads = True
 
     def state(self) -> dict[str, np.ndarray]:
         """Parameters, then running statistics: the checkpoint tensors."""
@@ -133,8 +143,6 @@ class Dense(Layer):
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.w = uniform_init(rng, (in_features, out_features), in_features)
         self.b = uniform_init(rng, (out_features,), in_features)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if x.shape[-1] != self.w.shape[0]:
@@ -164,29 +172,26 @@ class Sigmoid(Layer):
         return out
 
 
+_BN_EPS = 1e-10  # BatchNorm's variance floor: non-degenerate columns normalize to variance 1 ± 1e-5
+_BN_MOMENTUM = 0.1  # the step of BatchNorm's running statistics, once per example
+
+
 class BatchNorm(Layer):
     """Per-feature normalization over axis 0 of (N, B, F) input.
 
     Training statistics are taken over the N frames of each of the B
     examples, never across the batch, and the running statistics move
     once per example, in batch order.
-
-    eps is small enough that normalized batch variance lands within 1e-5
-    of unity for any non-degenerate feature column.
     """
 
     PARAMS = ("gamma", "beta")
     STATS = ("running_mean", "running_var")
 
-    def __init__(self, num_features: int, eps: float = 1e-10, momentum: float = 0.1):
+    def __init__(self, num_features: int):
         self.gamma = np.ones(num_features)
         self.beta = np.zeros(num_features)
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
-        self.eps = eps
-        self.momentum = momentum
-        self.dgamma = np.zeros_like(self.gamma)
-        self.dbeta = np.zeros_like(self.beta)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         f = self.gamma.size
@@ -200,12 +205,12 @@ class BatchNorm(Layer):
             var = np.multiply(xhat, xhat).sum(axis=0)
             var /= x.shape[0]
             for m, v in zip(mean, var):
-                self.running_mean += self.momentum * (m - self.running_mean)
-                self.running_var += self.momentum * (v - self.running_var)
+                self.running_mean += _BN_MOMENTUM * (m - self.running_mean)
+                self.running_var += _BN_MOMENTUM * (v - self.running_var)
         else:
             xhat = x - self.running_mean
             var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + _BN_EPS)
         xhat *= inv_std
         self._cache = (xhat, inv_std) if training else None
         out = self.gamma * xhat
@@ -248,8 +253,6 @@ class Conv2d(Layer):
         fan_in = in_channels * kh * kw
         self.w = uniform_init(rng, (out_channels, in_channels, kh, kw), fan_in)
         self.b = uniform_init(rng, (out_channels,), fan_in)
-        self.dw = np.zeros_like(self.w)
-        self.db = np.zeros_like(self.b)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         c_out, c_in, kh, kw = self.w.shape
@@ -436,9 +439,6 @@ class Lstm(Layer):
         self.w_x = uniform_init(rng, (input_size, 4 * h), input_size)
         self.w_h = uniform_init(rng, (h, 4 * h), h)
         self.b = uniform_init(rng, (4 * h,), input_size)
-        self.dw_x = np.zeros_like(self.w_x)
-        self.dw_h = np.zeros_like(self.w_h)
-        self.db = np.zeros_like(self.b)
 
     def _project(self, rows: np.ndarray, out: np.ndarray) -> None:
         """out[...] = rows @ w_x + b: the (T, B, 4H) pre-activations of the

@@ -2,9 +2,9 @@
 
 A trainable model has params(), grads() and zero_grads() as an nn.Layer
 does, plus loss_and_grad(batch) -> float: given a list of examples, it
-adds their gradients into the buffers, in one forward and one backward
-pass for the whole batch, and returns their summed loss. Optimizers
-update the params() arrays in place.
+adds their gradients into the buffers its first zero_grads() created, in
+one forward and one backward pass for the whole batch, and returns their
+summed loss. Optimizers update the params() arrays in place.
 """
 
 from __future__ import annotations

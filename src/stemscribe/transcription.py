@@ -125,8 +125,8 @@ class AmtModel(nn.Layer):
         self.blstm = nn.BiLstm(cfg.seq_features, cfg.hidden, rng)
         self.head = nn.Dense(2 * cfg.hidden, cfg.n_keys, rng)
         self.out = nn.Sigmoid()
-        self.children = {"norm": self.norm, "conv": self.conv, "blstm": self.blstm,
-                         "head": self.head}
+        self.children = {"norm": self.norm, "conv": self.conv, "pool": self.pool,
+                         "blstm": self.blstm, "head": self.head, "out": self.out}
         self.loss_params = FocalLossParams()
 
     def forward(self, seg: np.ndarray, training: bool = False) -> np.ndarray:

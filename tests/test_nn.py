@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stemscribe import nn
-from stemscribe.nn.layers import _STACK_LAG, _stack_chunks
+from stemscribe.nn.layers import _BN_EPS, _STACK_LAG, _stack_chunks
 from stemscribe.nn.layers import sigmoid as sigmoid_fn
 
 
@@ -126,9 +126,11 @@ def test_batch_norm_takes_statistics_per_example():
     x = np.stack([x0, 1e3 * x0 + 50.0], axis=1)  # (T, B, F)
     grad = rng.standard_normal(x.shape)
     batched = nn.BatchNorm(4)
+    batched.zero_grads()
     out = batched.forward(x, training=True)
     dx = batched.backward(grad)
     solo = nn.BatchNorm(4)
+    solo.zero_grads()
     for b in range(2):
         one = slice(b, b + 1)
         np.testing.assert_allclose(out[:, one], solo.forward(x[:, one], training=True),
@@ -152,7 +154,7 @@ def test_batch_norm_is_numpy_mean_and_var_bitwise(layout):
     bn.gamma[:], bn.beta[:] = np.linspace(0.5, 2.0, 12), np.linspace(-1.0, 1.0, 12)
     out = bn.forward(x, training=True)
     mean, var = x.mean(axis=0), x.var(axis=0)
-    want = bn.gamma * ((x - mean) * (1.0 / np.sqrt(var + bn.eps))) + bn.beta
+    want = bn.gamma * ((x - mean) * (1.0 / np.sqrt(var + _BN_EPS))) + bn.beta
     assert out.tobytes() == want.tobytes()
     running_mean, running_var = np.zeros(12), np.ones(12)
     for m, v in zip(mean, var):
@@ -160,13 +162,14 @@ def test_batch_norm_is_numpy_mean_and_var_bitwise(layout):
         running_var += 0.1 * (v - running_var)
     assert np.array_equal(bn.running_mean, running_mean)
     assert np.array_equal(bn.running_var, running_var)
-    inv_std = 1.0 / np.sqrt(running_var + bn.eps)
+    inv_std = 1.0 / np.sqrt(running_var + _BN_EPS)
     want = bn.gamma * ((x - running_mean) * inv_std) + bn.beta
     assert bn.forward(x).tobytes() == want.tobytes()
 
 
 def test_batch_norm_backward_params_accumulates_what_backward_does(rng):
     bn = nn.BatchNorm(3)
+    bn.zero_grads()
     x, grad = rng.standard_normal((2, 6, 4, 3))
     with pytest.raises(RuntimeError, match="training=True"):
         bn.backward_params(grad)
@@ -302,6 +305,7 @@ def assert_close(actual, expected):
 def test_lstm_matches_per_step_loop(input_size, hidden, t_len):
     rng = np.random.default_rng(input_size + hidden + t_len)
     lstm = nn.Lstm(input_size, hidden, rng)
+    lstm.zero_grads()
     x = rng.standard_normal((t_len, input_size))
     grad = rng.standard_normal((t_len, hidden))
     hs, dx, dw_x, dw_h, db = loop_lstm(lstm, x, grad)
@@ -385,6 +389,7 @@ def np_dot_lstm_forward(lstm, x):
 def test_lstm_forward_is_bitwise_the_np_dot_loop(t_len, batch, input_size, hidden):
     rng = np.random.default_rng(t_len * batch + hidden)
     lstm = nn.Lstm(input_size, hidden, rng)
+    lstm.zero_grads()
     x = rng.standard_normal((t_len, batch, input_size))
     hs = lstm.forward(x, training=True)
     _, gates, c, tanh_c, _ = lstm._backward_cache()
@@ -400,6 +405,7 @@ def test_lstm_forward_is_bitwise_the_np_dot_loop(t_len, batch, input_size, hidde
 def test_lstm_backward_is_bitwise_the_two_array_form(t_len, batch, input_size, hidden):
     rng = np.random.default_rng(t_len * batch + hidden)
     lstm = nn.Lstm(input_size, hidden, rng)
+    lstm.zero_grads()
     x = rng.standard_normal((t_len, batch, input_size))
     grad = rng.standard_normal((t_len, batch, hidden))
     lstm.forward(x, training=True)
@@ -431,6 +437,7 @@ def two_loop_backward(bi, grad):
 def test_bilstm_is_bitwise_the_two_lstm_loops(t_len, batch, input_size, hidden):
     rng = np.random.default_rng(t_len + batch)
     bi = nn.BiLstm(input_size, hidden, rng)
+    bi.zero_grads()
     x = rng.standard_normal((t_len, batch, input_size))
     grad = rng.standard_normal((t_len, batch, 2 * hidden))
     out = bi.forward(x, training=True)
@@ -458,6 +465,7 @@ def test_bilstm_checkpoint_keeps_the_two_loop_tensor_names(tmp_path, rng):
 
 def test_bilstm_matches_per_step_loops(rng):
     bi = nn.BiLstm(6, 5, rng)
+    bi.zero_grads()
     x = rng.standard_normal((9, 6))
     grad = rng.standard_normal((9, 10))
     hs_f, dx_f, *grads_f = loop_lstm(bi.fwd, x, grad[:, :5])
@@ -475,6 +483,7 @@ def test_bilstm_matches_per_step_loops(rng):
 def test_lstm_batch_matches_per_sequence_loops(input_size, hidden, t_len, batch):
     rng = np.random.default_rng(input_size + batch)
     lstm = nn.Lstm(input_size, hidden, rng)
+    lstm.zero_grads()
     x = rng.standard_normal((t_len, batch, input_size))
     grad = rng.standard_normal((t_len, batch, hidden))
     hs = lstm.forward(x, training=True)
@@ -647,6 +656,7 @@ def test_lstm_stack_refuses_an_input_or_layer_of_the_wrong_size(rng):
 
 def test_bilstm_batch_matches_single_sequences(rng):
     bi = nn.BiLstm(6, 5, rng)
+    bi.zero_grads()
     x = rng.standard_normal((9, 3, 6))
     grad = rng.standard_normal((9, 3, 10))
     out = bi.forward(x, training=True)
@@ -717,6 +727,7 @@ def test_maxpool_matches_argmax_pooling_with_exact_ties(pool, shape):
     pooled_shape = (*shape[:2], shape[2] // pool[0], shape[3] // pool[1])
     grad = rng.standard_normal(pooled_shape)
     layer = nn.MaxPool2d(pool)
+    layer.zero_grads()
     out = layer.forward(x, training=True)
     dx = layer.backward(grad)
     for b in range(shape[0]):
@@ -725,6 +736,7 @@ def test_maxpool_matches_argmax_pooling_with_exact_ties(pool, shape):
         assert np.array_equal(dx[b], want_dx)
     # one image is the B = 1 case
     single = nn.MaxPool2d(pool)
+    single.zero_grads()
     assert np.array_equal(single.forward(x[0], training=True), out[0])
     assert np.array_equal(single.backward(grad[0]), dx[0])
 
@@ -736,6 +748,7 @@ def test_maxpool_gradient_keeps_signed_zeros_and_non_finite_values():
     grad = rng.standard_normal((2, 3, 4, 6))
     grad.flat[::5], grad.flat[1::7], grad.flat[2::11] = -0.0, np.nan, -np.inf
     layer = nn.MaxPool2d((2, 1))
+    layer.zero_grads()
     layer.forward(x, training=True)
     for g in (grad, np.asfortranarray(grad)):
         dx = layer.backward(g)
@@ -791,6 +804,9 @@ def test_inference_forward_keeps_no_backward_cache(name):
                                            r"forward\(x, training=True\)$"):
         layer.backward(np.ones(out_shape))  # no forward at all
     layer.forward(x, training=True)
+    with pytest.raises(RuntimeError, match=rf"^{name}\.backward needs zero_grads\(\) first"):
+        layer.backward(np.ones(out_shape))  # no gradient buffers yet
+    layer.zero_grads()
     layer.backward(np.ones(out_shape))
     layer.forward(x, training=False)  # drops the training cache too
     assert layer._cache is None
@@ -800,8 +816,8 @@ def test_inference_forward_keeps_no_backward_cache(name):
 
 def held_activations(model):
     """Attribute paths of every ndarray a model's layers hold beyond their
-    parameters, gradient buffers and running statistics."""
-    own = {id(a) for a in (*model.state().values(), *model.grads().values())}
+    parameters and running statistics: gradient buffers count too."""
+    own = {id(a) for a in model.state().values()}
     found = []
 
     def walk(obj, path):
@@ -822,21 +838,37 @@ def held_activations(model):
     return found
 
 
-def test_inference_leaves_no_activations_behind(rng):
+def test_inference_leaves_no_activations_behind(rng, tmp_path):
+    from stemscribe import cli
+    from stemscribe.config import PipelineConfig
     from stemscribe.separation import SeparatorModel
     from stemscribe.transcription import AmtConfig, AmtModel
 
     sep = SeparatorModel(num_bins=9, hidden=4, layers=2)
     sep.forward_mask(rng.standard_normal((12, 2, 9)), training=True)
     assert held_activations(sep)  # training keeps what backward needs
+    with pytest.raises(RuntimeError, match=r"needs zero_grads\(\) first"):
+        sep.backward(np.ones((12, 2, 9)))  # no gradient buffers yet
     sep.predict_mask(rng.standard_normal((12, 9)))
     assert held_activations(sep) == []
     amt = AmtModel(AmtConfig(n_bins=6, conv_channels=2, hidden=3, n_keys=5))
     windows = rng.standard_normal((3, 6, 8))
     amt.forward(windows, training=True)
     assert held_activations(amt)
+    with pytest.raises(RuntimeError, match=r"^AmtModel\.backward needs zero_grads\(\) first"):
+        amt.backward(np.ones((3, 8, 5)))
     amt.predict(windows)
     assert held_activations(amt) == []
+    # the models inference builds hold weights only, fresh or loaded
+    cfg, path = PipelineConfig(), tmp_path / "model.ssnn"
+    for build in (cli._amt_model, cli._separator_model):
+        fresh = build(cfg, None)
+        assert held_activations(fresh) == []
+        nn.save_checkpoint(path, fresh.state())
+        loaded = build(cfg, str(path))
+        assert held_activations(loaded) == []
+        loaded.zero_grads()  # training's first step creates the gradient buffers
+        assert held_activations(loaded)
 
 
 def test_dense_is_time_distributed(rng):
@@ -850,6 +882,7 @@ def test_dense_is_time_distributed(rng):
 
 def test_conv_batch_matches_single_images(rng):
     conv = nn.Conv2d(2, 3, (3, 3), rng)
+    conv.zero_grads()
     x = rng.standard_normal((4, 2, 6, 5))
     grad = rng.standard_normal((4, 3, 6, 5))
     out = conv.forward(x, training=True)
