@@ -6,11 +6,14 @@ little-endian throughout, tagged plainly or as WAVE_FORMAT_EXTENSIBLE
 with the matching sub-format. Writes 16-bit PCM or 32-bit float. Integer
 samples are mapped to [-1, 1) on read (divided by 2**(bits-1)) and
 quantized back on write, so a read/write round trip is exact to within
-one LSB of the chosen bit depth.
+one LSB of the chosen bit depth. A data chunk that ends before its
+declared size, as a streaming writer leaves it, loads the frames present
+with a warning that counts the missing ones.
 """
 
 from __future__ import annotations
 
+import logging
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +27,8 @@ WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # Bytes 2..15 of every standard sub-format GUID; bytes 0..1 hold the plain
 # format tag (KSDATAFORMAT_SUBTYPE_PCM is 00000001-0000-0010-8000-00aa00389b71).
 _SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+log = logging.getLogger(__name__)
 
 
 class WavFormatError(ValueError):
@@ -124,7 +129,7 @@ def read_wav(path) -> Waveform:
                 if guid[2:] == _SUBFORMAT_GUID_TAIL:
                     fmt[0] = struct.unpack_from("<H", guid)[0]
         elif chunk_id == b"data":
-            payload = body
+            payload, declared = body, chunk_size
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
     if fmt is None:
@@ -145,6 +150,9 @@ def read_wav(path) -> Waveform:
     samples = decode(memoryview(payload)[: len(payload) // width * width])
 
     n_frames = samples.size // n_channels
+    if len(payload) < declared:
+        log.warning("%s: truncated data chunk, %d frames declared, %d present",
+                    path, declared // (width * n_channels), n_frames)
     samples = samples[: n_frames * n_channels].reshape(n_frames, n_channels).T
     return Waveform(samples, sample_rate)
 

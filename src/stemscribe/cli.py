@@ -26,7 +26,6 @@ import logging
 import math
 import platform
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -49,16 +48,15 @@ from .separation import (
     remix,
     separate_blocks,
     sum_accompaniment,
-    train_separator,
 )
 from .transcription import (
     AmtConfig,
     AmtModel,
     Scores,
     build_training_pair,
+    examples_from_pair,
     frame_metrics,
     onset_metrics,
-    train_amt,
     transcribe_waveform,
 )
 
@@ -93,6 +91,7 @@ def _amt_model(cfg: PipelineConfig, checkpoint: str | None) -> AmtModel:
             conv_channels=cfg.amt.conv_channels,
             hidden=cfg.amt.hidden,
             threshold=cfg.amt.threshold,
+            loss=FocalLossParams(cfg.amt.alpha, cfg.amt.gamma),
         ),
         seed=cfg.seed,
     )
@@ -382,10 +381,21 @@ def _manifest_source_sets(path) -> list[SourceSet]:
     return sets
 
 
-def _train_and_save(model: nn.Layer, out_dir: Path, name: str, examples: list, train) -> int:
-    """Run train(epoch_callback=...) on the examples, checkpointing the
-    model to <name>.ssnn before the first epoch and after each one, then
-    write <name>_loss.csv.  No examples, no checkpoint."""
+def _remixes(manifest: str | None, count: int, synthetic: int, seconds: float,
+             sample_rate: int, seed: int):
+    """count (mixture, targets) remixes of the manifest's source sets, or else
+    of synthetic generated ones: the sets load now, each remix as it is taken."""
+    sets = (_manifest_source_sets(manifest) if manifest
+            else synth.make_source_sets(synthetic, seconds, sample_rate, seed))
+    rng = np.random.default_rng(seed)
+    return (remix(sets, rng=rng) for _ in range(count))
+
+
+def _train_and_save(model: nn.Layer, examples: list, out_dir: Path, name: str, *,
+                    epochs: int, lr: float, batch_size: int, seed: int) -> int:
+    """Fit the model to the examples with nn.fit and Adam, checkpointing it
+    to <name>.ssnn before the first epoch and after each one, then write
+    <name>_loss.csv.  No examples, no checkpoint."""
     if not examples:
         raise ValueError(f"no {name} training examples: the example list is empty")
     ck_path = out_dir / f"{name}.ssnn"
@@ -394,7 +404,8 @@ def _train_and_save(model: nn.Layer, out_dir: Path, name: str, examples: list, t
     def save_epoch(epoch: int, loss: float) -> None:
         nn.save_checkpoint(ck_path, model.state())
 
-    trace = train(epoch_callback=save_epoch)
+    trace = nn.fit(model, examples, nn.Adam(lr=lr), epochs=epochs, batch_size=batch_size,
+                   rng=np.random.default_rng(seed), epoch_callback=save_epoch)
     _write_loss_csv(trace, out_dir / f"{name}_loss.csv")
     if trace:
         print(f"trained {len(trace)} epochs, loss {trace[0]:.6f} -> {trace[-1]:.6f}")
@@ -424,24 +435,12 @@ def cmd_train_separator(args) -> int:
                           else "separator.clip_seconds", args.sample_rate, "--sample-rate")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.manifest:
-        sets = _manifest_source_sets(args.manifest)
-    else:
-        sets = synth.make_source_sets(args.synthetic, sep.clip_seconds, args.sample_rate,
-                                      cfg.seed)
-
-    rng = np.random.default_rng(cfg.seed)
-    clips = []
-    for _ in range(args.remix_count):
-        mixture, targets = remix(sets, rng=rng)
-        clips.append(make_training_clip(mixture, targets.vocals,
-                                        sum_accompaniment(targets), cfg.stft))
-
-    model = _separator_model(cfg, None)
-    return _train_and_save(model, out_dir, "separator", clips, partial(
-        train_separator, clips, model, epochs=sep.epochs, lr=args.lr,
-        batch_size=sep.batch_size, seed=cfg.seed))
+    clips = [make_training_clip(mixture, targets.vocals, sum_accompaniment(targets), cfg.stft)
+             for mixture, targets in _remixes(args.manifest, args.remix_count, args.synthetic,
+                                              sep.clip_seconds, args.sample_rate, cfg.seed)]
+    return _train_and_save(_separator_model(cfg, None), clips, out_dir, "separator",
+                           epochs=sep.epochs, lr=args.lr, batch_size=sep.batch_size,
+                           seed=cfg.seed)
 
 
 def cmd_train_amt(args) -> int:
@@ -456,16 +455,12 @@ def cmd_train_amt(args) -> int:
 
     clips = synth.make_tone_clips(args.synthetic, args.duration,
                                   cfg.cqt.sample_rate, cfg.seed)
-    pairs = [
-        build_training_pair(audio, notes, cfg.cqt, duration=args.duration,
-                            window=args.window, hop_frames=args.hop_frames)
-        for audio, notes in clips
-    ]
-    model = _amt_model(cfg, None)
-    return _train_and_save(model, out_dir, "amt", pairs, partial(
-        train_amt, pairs, model, epochs=amt.epochs,
-        loss=FocalLossParams(amt.alpha, amt.gamma),
-        lr=args.lr, batch_size=args.batch_size, seed=cfg.seed))
+    examples = [ex for audio, notes in clips for ex in examples_from_pair(*build_training_pair(
+        audio, notes, cfg.cqt, duration=args.duration, window=args.window,
+        hop_frames=args.hop_frames))]
+    return _train_and_save(_amt_model(cfg, None), examples, out_dir, "amt",
+                           epochs=amt.epochs, lr=args.lr, batch_size=args.batch_size,
+                           seed=cfg.seed)
 
 
 def cmd_mix(args) -> int:
@@ -475,13 +470,8 @@ def cmd_mix(args) -> int:
         _require_a_sample(args.duration, "--duration", args.sample_rate, "--sample-rate")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.manifest:
-        sets = _manifest_source_sets(args.manifest)
-    else:
-        sets = synth.make_source_sets(args.synthetic, args.duration, args.sample_rate, seed)
-    rng = np.random.default_rng(seed)
-    for i in range(args.count):
-        mixture, targets = remix(sets, rng=rng)
+    for i, (mixture, targets) in enumerate(_remixes(args.manifest, args.count, args.synthetic,
+                                                    args.duration, args.sample_rate, seed)):
         write_wav(mixture, out_dir / f"mix_{i:03d}_mixture.wav", bit_depth=32)
         for stem_name, stem in targets.stems().items():
             write_wav(stem, out_dir / f"mix_{i:03d}_{stem_name}.wav", bit_depth=32)

@@ -54,7 +54,6 @@ class AmtSettings:
 
 @dataclass(frozen=True)
 class PathSettings:
-    work_dir: str = "work"
     musescore: str | None = None
 
 

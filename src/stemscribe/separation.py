@@ -296,18 +296,3 @@ def separate(mixture: Waveform, model: SeparatorModel,
     vocals, accomp = separate_blocks(mixture, model.masks(), stft_cfg,
                                      on_block=lambda t0, log_mag, rows: blocks.append(rows))
     return vocals, accomp, np.concatenate(blocks)
-
-
-def train_separator(clips: list[TrainingClip], model: SeparatorModel, epochs: int,
-                    lr: float = 1e-3, batch_size: int = 10, seed: int = 0,
-                    epoch_callback=None) -> list[float]:
-    """Adam over the L1 magnitude loss; returns the per-epoch loss trace."""
-    return nn.fit(
-        model,
-        clips,
-        nn.Adam(lr=lr),
-        epochs=epochs,
-        batch_size=batch_size,
-        rng=np.random.default_rng(seed),
-        epoch_callback=epoch_callback,
-    )

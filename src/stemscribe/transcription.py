@@ -1,5 +1,6 @@
-"""Piano transcription: feature windowing, the conv/BiLSTM note model,
-focal-loss training, probability stitching, and frame/onset scoring.
+"""Piano transcription: feature windowing, the conv/BiLSTM note model
+and its focal loss, training examples, probability stitching, and
+frame/onset scoring. cli._train_and_save fits the model with nn.fit.
 
 The feature pipeline is log-scaled constant-Q magnitudes at 22050 Hz with
 a 512-sample hop, cut into 512-frame windows that overlap by half. One
@@ -86,6 +87,7 @@ class AmtConfig:
     hidden: int = 64
     n_keys: int = N_KEYS
     threshold: float = 0.5
+    loss: FocalLossParams = FocalLossParams()
 
     def __post_init__(self):
         if self.n_bins % self.pool_freq:
@@ -127,7 +129,6 @@ class AmtModel(nn.Layer):
         self.out = nn.Sigmoid()
         self.children = {"norm": self.norm, "conv": self.conv, "pool": self.pool,
                          "blstm": self.blstm, "head": self.head, "out": self.out}
-        self.loss_params = FocalLossParams()
 
     def forward(self, seg: np.ndarray, training: bool = False) -> np.ndarray:
         """(B, bins, W) windows -> (B, W, keys) probabilities."""
@@ -157,7 +158,7 @@ class AmtModel(nn.Layer):
         """Summed focal loss of equal-width windows, each averaged over its
         own cells, in one forward and one backward pass."""
         probs = self.forward(np.stack([ex.features for ex in batch]), training=True)
-        losses, grads = zip(*(focal_loss(p, ex.targets, self.loss_params)
+        losses, grads = zip(*(focal_loss(p, ex.targets, self.cfg.loss)
                               for p, ex in zip(probs, batch)))
         self.backward(np.stack(grads))
         return float(sum(losses))
@@ -291,23 +292,6 @@ def examples_from_pair(segmented: SegmentedFeatures, roll: PianoRoll) -> list[Am
     targets = _windows(roll.grid, segmented.window, segmented.hop_frames)
     return [AmtExample(seg, target.T.astype(np.float64))
             for seg, target in zip(segmented.segments, targets)]
-
-
-def train_amt(pairs, model: AmtModel, epochs: int,
-              loss: FocalLossParams = FocalLossParams(), lr: float = 1e-3,
-              batch_size: int = 10, seed: int = 0, epoch_callback=None) -> list[float]:
-    """Adam over focal loss on all windows of all pairs; per-epoch trace."""
-    model.loss_params = loss
-    examples = [ex for segmented, roll in pairs for ex in examples_from_pair(segmented, roll)]
-    return nn.fit(
-        model,
-        examples,
-        nn.Adam(lr=lr),
-        epochs=epochs,
-        batch_size=batch_size,
-        rng=np.random.default_rng(seed),
-        epoch_callback=epoch_callback,
-    )
 
 
 def transcribe_waveform(audio: Waveform, model: AmtModel,

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from stemscribe import cli, synth
+from stemscribe import cli, nn, synth
 from stemscribe.audio_io import Waveform, write_wav
 from stemscribe.bss_metrics import improvements, sd_sdr, si_sdr, snr
 from stemscribe.dsp import LogMagParams, StftConfig, istft, log_magnitude, stft
@@ -21,10 +21,9 @@ from stemscribe.pianoroll import (FrameTiming, NoteEvent, PianoRoll, empty_roll,
                                   notes_to_roll, rasterize_notes, roll_to_notes)
 from stemscribe.separation import (SeparatorModel, TrainingClip, apply_mask,
                                    make_training_clip, oracle_masks, remix, separate_blocks,
-                                   sum_accompaniment, train_separator)
-from stemscribe.transcription import (AmtConfig, AmtExample, AmtModel, f1_from,
-                                      frame_metrics, segment, train_amt,
-                                      transcribe_waveform)
+                                   sum_accompaniment)
+from stemscribe.transcription import (AmtConfig, AmtExample, AmtModel, examples_from_pair,
+                                      f1_from, frame_metrics, segment, transcribe_waveform)
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -206,9 +205,11 @@ def test_12_desk_scale_training_reaches_targets():
     train_clips = synth.make_tone_clips(12, 3.0, 22050, 0)
     test_clips = synth.make_tone_clips(4, 3.0, 22050, 100)
     pairs = [synth_pair(audio, notes) for audio, notes in train_clips]
-    amt = AmtModel(AmtConfig(conv_channels=4, hidden=16), seed=0)
-    train_amt(pairs, amt, epochs=100, loss=FocalLossParams(0.35, 3.0),
-              lr=5e-3, batch_size=4, seed=0)
+    amt = AmtModel(AmtConfig(conv_channels=4, hidden=16, loss=FocalLossParams(0.35, 3.0)),
+                   seed=0)
+    examples = [ex for pair in pairs for ex in examples_from_pair(*pair)]
+    nn.fit(amt, examples, nn.Adam(lr=5e-3), epochs=100, batch_size=4,
+           rng=np.random.default_rng(0))
     timing = FrameTiming(512, 22050)
     scores = []
     for audio, notes in test_clips:
@@ -227,7 +228,8 @@ def test_12_desk_scale_training_reaches_targets():
         clips.append(make_training_clip(mixture, targets.vocals,
                                         sum_accompaniment(targets), StftConfig()))
     sep = SeparatorModel(num_bins=257, hidden=32, layers=2, seed=0)
-    trace = train_separator(clips, sep, epochs=50, lr=1e-3, batch_size=10, seed=0)
+    trace = nn.fit(sep, clips, nn.Adam(lr=1e-3), epochs=50, batch_size=10,
+                   rng=np.random.default_rng(0))
     ratio = trace[-1] / trace[0]
     sep_time = time.perf_counter() - t0
 

@@ -191,6 +191,23 @@ def test_a_trailing_partial_sample_is_dropped(tmp_path):
     np.testing.assert_array_equal(read_wav(tmp_path / "cut.wav").samples * 2**23, [[1000, -1000]])
 
 
+@pytest.mark.parametrize("cut_bytes, present", [(0, 1000), (600, 700)])
+def test_only_a_truncated_data_chunk_warns(tmp_path, caplog, cut_bytes, present):
+    # the header declares 1,000 frames; cut_bytes are cut off the end, and
+    # the frames present still load
+    path = tmp_path / "cut.wav"
+    pcm16_file(path, list(range(1000)))
+    path.write_bytes(path.read_bytes()[: -cut_bytes or None])
+    with caplog.at_level("WARNING", logger="stemscribe.audio_io"):
+        assert read_wav(path).num_samples == present
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    if cut_bytes:
+        assert len(warnings) == 1
+        assert str(path) in warnings[0] and "1000 frames declared, 700 present" in warnings[0]
+    else:
+        assert warnings == []
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_wav(tmp_path / "nope.wav")

@@ -23,6 +23,7 @@ from stemscribe import audio_io, cli, dsp, nn, separation
 from stemscribe.audio_io import Waveform, read_wav, write_wav
 from stemscribe.config import PipelineConfig
 from stemscribe.midi import read_smf, write_smf
+from stemscribe.nn.loss import FocalLossParams
 from stemscribe.pianoroll import NoteEvent, PianoRoll
 from stemscribe.separation import SeparatorModel
 from tests.conftest import STUB_FAIL
@@ -478,7 +479,8 @@ def test_transcribe_writes_parseable_midi_and_roll(tmp_path, tiny_config):
     assert out.with_suffix(".prol").exists()
 
 
-@pytest.mark.parametrize("raw", [{"stft": {"fft_sise": 256}}, [1, 2]])
+@pytest.mark.parametrize("raw", [{"stft": {"fft_sise": 256}}, [1, 2],
+                                 {"paths": {"work_dir": "work"}}])
 def test_bad_config_is_invalid(tmp_path, mixture_wav, raw):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(raw))
@@ -1162,11 +1164,30 @@ def test_clip_seconds_override_sets_the_clip_length(tmp_path, tiny_config, monke
     assert seen == [0.5]
 
 
+def test_the_config_focal_parameters_reach_the_note_model():
+    cfg = PipelineConfig.from_dict({"amt": {"alpha": 0.25, "gamma": 1.5}})
+    assert cli._amt_model(cfg, None).cfg.loss == FocalLossParams(cfg.amt.alpha, cfg.amt.gamma)
+
+
+def test_train_amt_trains_with_the_config_gamma(tmp_path):
+    traces = []
+    for gamma in (3.0, 1.0):
+        config = tmp_path / f"gamma{gamma}.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "amt": {**TINY_CONFIG["amt"],
+                                                              "gamma": gamma}}))
+        out = tmp_path / f"out{gamma}"
+        assert cli.main(["train-amt", "--out-dir", str(out), "--config", str(config),
+                         "--epochs", "2", "--synthetic", "2", "--duration", "1.0",
+                         "--window", "16", "--hop-frames", "8", "--batch-size", "2"]) == 0
+        traces.append((out / "amt_loss.csv").read_text())
+    assert traces[0] != traces[1]
+
+
 def test_divergence_exits_four(tmp_path, tiny_config, monkeypatch):
     def blow_up(*args, **kwargs):
         raise nn.DivergenceError(0, float("inf"))
 
-    monkeypatch.setattr(cli, "train_separator", blow_up)
+    monkeypatch.setattr(nn, "fit", blow_up)
     code = cli.main(["train-separator", "--out-dir", str(tmp_path / "t"),
                      "--config", tiny_config, "--epochs", "1", "--synthetic", "2",
                      "--remix-count", "2", "--clip-seconds", "1.0"])

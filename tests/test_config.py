@@ -17,7 +17,7 @@ def test_defaults():
 
 def test_dict_round_trip():
     cfg = PipelineConfig(seed=7, separator=SeparatorSettings(hidden=32, epochs=10),
-                         amt=AmtSettings(gamma=2.0), paths=PathSettings(work_dir="/tmp/x"))
+                         amt=AmtSettings(gamma=2.0), paths=PathSettings(musescore="/tmp/x"))
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -67,6 +67,7 @@ def test_separator_settings_validation(kwargs):
     ({"stft": {"hop": "a"}}, "key stft.hop must"),
     ({"amt": {"threshold": "0.5"}}, "key amt.threshold must"),
     ({"paths": {"musescore": 3}}, "key paths.musescore must"),
+    ({"paths": {"work_dir": "work"}}, "work_dir"),
 ])
 def test_from_dict_rejects_bad_keys_and_types(raw, named):
     with pytest.raises(ValueError, match=named):

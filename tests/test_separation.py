@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stemscribe import separation, synth
+from stemscribe import nn, separation, synth
 from stemscribe.audio_io import Waveform
 from stemscribe.bss_metrics import si_sdr
 from stemscribe.dsp import StftConfig, istft, log_magnitude, stft
 from stemscribe.separation import (SeparatorModel, SourceSet, TrainingClip,
                                    analysis_spectrogram, apply_mask, ideal_ratio_mask,
                                    make_training_clip, mixture_of, oracle_masks, remix,
-                                   separate, separate_blocks, sum_accompaniment,
-                                   train_separator)
+                                   separate, separate_blocks, sum_accompaniment)
 
 CFG = StftConfig()
 
@@ -163,7 +162,6 @@ def test_model_loss_zero_when_mask_is_exact(rng):
 
 
 def test_model_gradients(rng):
-    from stemscribe import nn
     model = SeparatorModel(num_bins=5, hidden=4, layers=2, seed=0)
     mix = rng.uniform(0.2, 1.0, (6, 5))
     vocal = rng.uniform(0, 1, (6, 5)) * mix
@@ -172,7 +170,6 @@ def test_model_gradients(rng):
 
 
 def test_model_gradients_on_a_batch(rng):
-    from stemscribe import nn
     model = SeparatorModel(num_bins=5, hidden=4, layers=2, seed=0)
     batch = []
     for scale in (1.0, 50.0):
@@ -237,7 +234,6 @@ def test_clips_of_very_different_scale_get_their_solo_masks():
 
 
 def test_state_roundtrip(tmp_path):
-    from stemscribe import nn
     model = SeparatorModel(num_bins=CFG.num_bins, hidden=4, layers=1, seed=1)
     nn.save_checkpoint(tmp_path / "m.ssnn", model.state())
     clone = SeparatorModel(num_bins=CFG.num_bins, hidden=4, layers=1, seed=99)
@@ -247,7 +243,6 @@ def test_state_roundtrip(tmp_path):
 
 
 def test_load_state_rejects_checkpoint_of_a_deeper_stack(tmp_path):
-    from stemscribe import nn
     deep = SeparatorModel(num_bins=CFG.num_bins, hidden=4, layers=2, seed=1)
     nn.save_checkpoint(tmp_path / "m.ssnn", deep.state())
     shallow = SeparatorModel(num_bins=CFG.num_bins, hidden=4, layers=1, seed=1)
@@ -422,7 +417,8 @@ def test_train_separator_reduces_loss():
         clips.append(make_training_clip(
             mixture, targets.vocals, sum_accompaniment(targets), CFG))
     model = SeparatorModel(num_bins=CFG.num_bins, hidden=8, layers=1, seed=0)
-    trace = train_separator(clips, model, epochs=5, lr=1e-3, batch_size=4, seed=0)
+    trace = nn.fit(model, clips, nn.Adam(lr=1e-3), epochs=5, batch_size=4,
+                   rng=np.random.default_rng(0))
     assert len(trace) == 5
     assert trace[-1] < trace[0]
     assert all(np.isfinite(v) for v in trace)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stemscribe import nn
 from stemscribe.audio_io import Waveform
 from stemscribe.dsp import CqtConfig, num_cqt_frames
 from stemscribe.nn import grad_check
@@ -12,8 +13,7 @@ from stemscribe.transcription import (AmtConfig, AmtExample, AmtModel,
                                       SegmentedFeatures, build_training_pair,
                                       examples_from_pair, f1_from,
                                       frame_metrics, onset_metrics, segment,
-                                      stitch_and_threshold, train_amt,
-                                      transcribe_waveform)
+                                      stitch_and_threshold, transcribe_waveform)
 
 TIMING = FrameTiming(512, 22050)
 
@@ -269,7 +269,7 @@ def per_example_loss_and_grad(model, ex):
     c, b, w = pooled.shape
     seq = pooled.transpose(2, 0, 1).reshape(w, 1, c * b)
     probs = model.out.forward(model.head.forward(model.blstm.forward(seq, True), True), True)
-    loss, grad = focal_loss(probs[:, 0], ex.targets, model.loss_params)
+    loss, grad = focal_loss(probs[:, 0], ex.targets, model.cfg.loss)
     g = model.blstm.backward(model.head.backward(model.out.backward(grad[:, None])))
     g = model.conv.backward(model.pool.backward(g.reshape(w, c, b).transpose(1, 2, 0)[None]))
     model.norm.backward(g[0, 0].T[:, None])
@@ -502,14 +502,15 @@ def test_transcribe_waveform_matches_source_frame_count(rng):
 
 
 def test_train_amt_loss_decreases(rng):
-    cfg = AmtConfig(n_bins=6, conv_channels=2, pool_freq=2, hidden=4)
+    cfg = AmtConfig(n_bins=6, conv_channels=2, pool_freq=2, hidden=4,
+                    loss=FocalLossParams(alpha=0.35, gamma=2.0))
     model = AmtModel(cfg, seed=0)
     feats = rng.standard_normal((6, 12))
     segs = segment(feats, window=6, hop=3)
     roll = empty_roll(12, TIMING)
     roll.grid[39, 2:9] = 1
-    trace = train_amt([(segs, roll)], model, epochs=5,
-                      loss=FocalLossParams(alpha=0.35, gamma=2.0), lr=5e-3)
+    trace = nn.fit(model, examples_from_pair(segs, roll), nn.Adam(lr=5e-3), epochs=5,
+                   batch_size=10, rng=np.random.default_rng(0))
     assert len(trace) == 5
     assert all(np.isfinite(trace))
     assert trace[-1] < trace[0]
