@@ -33,7 +33,7 @@ import numpy as np
 from . import bss_metrics, midi, nn, notation, synth
 from .audio_io import (UnsupportedCodecError, Waveform, WavFormatError, read_wav,
                        resampled_length, write_wav)
-from .config import AmtSettings, ManifestError, PipelineConfig, SeparatorSettings, load_manifest
+from .config import ManifestError, PipelineConfig, load_manifest
 from .dsp import WindowError, check_invertible, num_cqt_frames
 from .midi import SmfParseError
 from .nn.loss import FocalLossParams
@@ -253,7 +253,7 @@ def cmd_render(args) -> int:
 def cmd_pipeline(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
-        cfg = PipelineConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     out_dir = Path(args.out_dir)
     stem_name = Path(args.input).stem
     report = {}
@@ -413,12 +413,6 @@ def _train_and_save(model: nn.Layer, examples: list, out_dir: Path, name: str, *
     return EXIT_OK
 
 
-def _overridden(settings, **overrides):
-    """The settings with each override that was given (not None) applied;
-    the settings' own __post_init__ validates the result."""
-    return dataclasses.replace(settings, **{k: v for k, v in overrides.items() if v is not None})
-
-
 def _require_a_sample(seconds: float, seconds_name: str, rate: int, rate_name: str) -> None:
     """The cross-option rule of a clip made from a duration: at the rate,
     it rounds to at least one sample, as synth counts them."""
@@ -429,23 +423,20 @@ def _require_a_sample(seconds: float, seconds_name: str, rate: int, rate_name: s
 
 def cmd_train_separator(args) -> int:
     cfg = _load_config(args.config)
-    sep = _overridden(cfg.separator, epochs=args.epochs, clip_seconds=args.clip_seconds)
     if not args.manifest:
-        _require_a_sample(sep.clip_seconds, "--clip-seconds" if args.clip_seconds is not None
-                          else "separator.clip_seconds", args.sample_rate, "--sample-rate")
+        _require_a_sample(args.clip_seconds, "--clip-seconds", args.sample_rate, "--sample-rate")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     clips = [make_training_clip(mixture, targets.vocals, sum_accompaniment(targets), cfg.stft)
              for mixture, targets in _remixes(args.manifest, args.remix_count, args.synthetic,
-                                              sep.clip_seconds, args.sample_rate, cfg.seed)]
+                                              args.clip_seconds, args.sample_rate, cfg.seed)]
     return _train_and_save(_separator_model(cfg, None), clips, out_dir, "separator",
-                           epochs=sep.epochs, lr=args.lr, batch_size=sep.batch_size,
+                           epochs=args.epochs, lr=args.lr, batch_size=args.batch_size,
                            seed=cfg.seed)
 
 
 def cmd_train_amt(args) -> int:
     cfg = _load_config(args.config)
-    amt = _overridden(cfg.amt, epochs=args.epochs)
     if args.hop_frames > args.window:
         raise ValueError(f"--hop-frames {args.hop_frames} exceeds --window {args.window}: "
                          "the windows would skip frames")
@@ -459,7 +450,7 @@ def cmd_train_amt(args) -> int:
         audio, notes, cfg.cqt, duration=args.duration, window=args.window,
         hop_frames=args.hop_frames))]
     return _train_and_save(_amt_model(cfg, None), examples, out_dir, "amt",
-                           epochs=amt.epochs, lr=args.lr, batch_size=args.batch_size,
+                           epochs=args.epochs, lr=args.lr, batch_size=args.batch_size,
                            seed=cfg.seed)
 
 
@@ -513,22 +504,6 @@ positive_float = _domain(float, lambda v: 0.0 < v < math.inf, "a positive finite
                          "positive_float")
 nonnegative_float = _domain(float, lambda v: 0.0 <= v < math.inf,
                             "a nonnegative finite number", "nonnegative_float")
-
-
-def _setting(settings, field: str, convert):
-    """The argparse type of an option that overrides a config field: the
-    settings class's own check on the field is the option's domain."""
-
-    def parse(text: str):
-        value = convert(text)
-        try:
-            dataclasses.replace(settings(), **{field: value})
-        except ValueError as e:
-            raise argparse.ArgumentTypeError(str(e)) from None
-        return value
-
-    parse.__name__ = field
-    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -591,9 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synthetic", type=positive_int, default=4,
                    help="number of generated source sets when no manifest is given")
     p.add_argument("--remix-count", type=nonnegative_int, default=8)
-    p.add_argument("--epochs", type=_setting(SeparatorSettings, "epochs", int))
+    p.add_argument("--epochs", type=nonnegative_int, default=200)
     p.add_argument("--lr", type=positive_float, default=1e-3)
-    p.add_argument("--clip-seconds", type=_setting(SeparatorSettings, "clip_seconds", float))
+    p.add_argument("--batch-size", type=positive_int, default=10)
+    p.add_argument("--clip-seconds", type=positive_float, default=7.0)
     p.add_argument("--sample-rate", type=positive_int, default=8000)
     p.add_argument("--config")
     p.set_defaults(func=cmd_train_separator)
@@ -601,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-amt", help="fit the transcription model")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--synthetic", type=nonnegative_int, default=8)
-    p.add_argument("--epochs", type=_setting(AmtSettings, "epochs", int))
+    p.add_argument("--epochs", type=nonnegative_int, default=100)
     p.add_argument("--lr", type=positive_float, default=1e-3)
     p.add_argument("--batch-size", type=positive_int, default=10)
     p.add_argument("--duration", type=positive_float, default=6.0)
@@ -666,8 +642,8 @@ def main(argv=None) -> int:
     except nn.DivergenceError as e:
         log.error("%s", e)
         return EXIT_DIVERGED
-    except (WavFormatError, UnsupportedCodecError, SmfParseError, ManifestError,
-            WindowError, FileNotFoundError, NotADirectoryError, ValueError) as e:
+    except (WavFormatError, UnsupportedCodecError, SmfParseError, ManifestError, WindowError,
+            FileNotFoundError, NotADirectoryError, IsADirectoryError, ValueError) as e:
         log.error("%s", e)
         return EXIT_INVALID_INPUT
 

@@ -1,35 +1,31 @@
 """Run configuration and dataset manifests.
 
-One JSON document drives a whole run; the command line only overrides
-individual leaves. Keys match field names exactly so a saved config loads
-back equal to the original.
+A config describes the models, not a training run: their sizes, the note
+model's threshold and focal loss, the STFT and CQT front ends, the seed and
+paths. Epochs, batch size and clip length are command-line options. Keys
+match field names exactly so a saved config loads back equal to the original.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dsp import CqtConfig, StftConfig
+from .nn.loss import FocalLossParams
 
 
 @dataclass(frozen=True)
 class SeparatorSettings:
     layers: int = 2
     hidden: int = 64
-    epochs: int = 200
-    batch_size: int = 10
-    clip_seconds: float = 7.0
 
     def __post_init__(self):
-        if min(self.layers, self.hidden, self.batch_size) <= 0 or self.epochs < 0:
-            raise ValueError("separator sizes must be positive, epochs nonnegative")
-        if not 0.0 < self.clip_seconds < math.inf:
-            raise ValueError("clip_seconds must be positive and finite")
+        if min(self.layers, self.hidden) <= 0:
+            raise ValueError("separator sizes must be positive")
 
 
 @dataclass(frozen=True)
@@ -39,17 +35,13 @@ class AmtSettings:
     threshold: float = 0.5
     alpha: float = 0.35
     gamma: float = 3.0
-    epochs: int = 100
 
     def __post_init__(self):
-        if min(self.conv_channels, self.hidden) <= 0 or self.epochs < 0:
-            raise ValueError("model sizes must be positive, epochs nonnegative")
+        if min(self.conv_channels, self.hidden) <= 0:
+            raise ValueError("model sizes must be positive")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold {self.threshold} outside (0, 1)")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha {self.alpha} outside (0, 1)")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma {self.gamma} must be nonnegative")
+        FocalLossParams(self.alpha, self.gamma)  # its rule for alpha and gamma
 
 
 @dataclass(frozen=True)
@@ -65,6 +57,10 @@ class PipelineConfig:
     amt: AmtSettings = field(default_factory=AmtSettings)
     paths: PathSettings = field(default_factory=PathSettings)
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"config key seed must be nonnegative, got {self.seed}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

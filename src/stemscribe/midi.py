@@ -119,6 +119,8 @@ def _parse_track(data: bytes) -> list[tuple[int, bytes]]:
                 raise SmfParseError(f"data byte {status:#x} with no running status")
             status = running_status
         if status == META:
+            if pos >= len(data):
+                raise SmfParseError("truncated meta event")
             meta_type = data[pos]
             length, pos = decode_vlq(data, pos + 1)
             body = data[pos : pos + length]

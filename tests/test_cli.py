@@ -32,9 +32,8 @@ from tests.test_nn import two_loop_backward, two_loop_forward
 TINY_CONFIG = {
     "stft": {"fft_size": 128, "hop": 32},
     "cqt": {"n_bins": 24, "f_min": 110.0},
-    "separator": {"hidden": 8, "layers": 1, "batch_size": 4, "epochs": 1,
-                  "clip_seconds": 1.0},
-    "amt": {"conv_channels": 2, "hidden": 4, "epochs": 1},
+    "separator": {"hidden": 8, "layers": 1},
+    "amt": {"conv_channels": 2, "hidden": 4},
     "seed": 0,
 }
 
@@ -479,8 +478,11 @@ def test_transcribe_writes_parseable_midi_and_roll(tmp_path, tiny_config):
     assert out.with_suffix(".prol").exists()
 
 
+# The last four are training-run values, which only the command line sets.
 @pytest.mark.parametrize("raw", [{"stft": {"fft_sise": 256}}, [1, 2],
-                                 {"paths": {"work_dir": "work"}}])
+                                 {"paths": {"work_dir": "work"}},
+                                 {"separator": {"epochs": 1}}, {"separator": {"batch_size": 4}},
+                                 {"separator": {"clip_seconds": 1.0}}, {"amt": {"epochs": 1}}])
 def test_bad_config_is_invalid(tmp_path, mixture_wav, raw):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(raw))
@@ -554,6 +556,16 @@ def test_every_readme_command_line_parses():
                         "train-separator", "train-amt", "mix"}, lines
 
 
+def test_the_readme_config_example_loads():
+    # README.md's JSON blocks that are objects are run configs (a list is a manifest)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [json.loads(block.removeprefix("json")) for block in readme.split("```")[1::2]
+              if block.startswith("json")]
+    configs = [b for b in blocks if isinstance(b, dict)]
+    assert len(configs) == 1
+    assert PipelineConfig.from_dict(configs[0]) == PipelineConfig()
+
+
 def test_render_without_binary_is_missing_dependency(midi_file, tmp_path, no_musescore):
     assert cli.main(["render", str(midi_file), str(tmp_path / "o.pdf")]) == 3
 
@@ -563,6 +575,32 @@ def test_render_rejects_malformed_midi_before_spawning(tmp_path, make_stub):
     bad.write_bytes(b"MThd but not really")
     assert cli.main(["render", str(bad), str(tmp_path / "o.pdf"),
                      "--musescore", str(make_stub())]) == 2
+
+
+def test_render_refuses_a_track_ending_in_a_bare_meta_status(tmp_path, make_stub, caplog):
+    # format 0, one track, 480 ticks per quarter; the track body is 00 FF
+    bad = tmp_path / "bad.mid"
+    bad.write_bytes(b"MThd" + (6).to_bytes(4, "big") + bytes([0, 0, 0, 1, 1, 0xE0])
+                    + b"MTrk" + (2).to_bytes(4, "big") + b"\x00\xff")
+    assert cli.main(["render", str(bad), str(tmp_path / "o.pdf"),
+                     "--musescore", str(make_stub())]) == 2
+    assert "truncated meta event" in caplog.text
+    assert not (tmp_path / "o.pdf").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["transcribe", "{dir}", "--out", "{out}/x.mid"],
+    ["separate", "{wav}", "--out-dir", "{out}", "--checkpoint", "{dir}"],
+    ["render", "{dir}", "{out}/o.pdf"],
+], ids=["transcribe-input", "separate-checkpoint", "render-input"])
+def test_a_directory_in_place_of_an_input_file_is_invalid(tmp_path, tiny_config, mixture_wav,
+                                                          command, caplog):
+    paths = {"dir": tmp_path / "a_dir", "out": tmp_path / "out", "wav": mixture_wav}
+    paths["dir"].mkdir()
+    argv = [arg.format(**paths) for arg in command]
+    assert cli.main([*argv, "--config", tiny_config]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "a_dir" in errors[0], errors
 
 
 # -------------------------------------------------------------- pipeline
@@ -1089,29 +1127,12 @@ def test_a_one_sample_clip_is_the_shortest_accepted(tmp_path, tiny_config):
     assert read_wav(out / "mix_000_mixture.wav").num_samples == 1
 
 
-@pytest.mark.parametrize("command", [
-    ["train-separator", "--epochs", "-1", "--clip-seconds", "1.0"],
-    ["train-separator", "--epochs", "1", "--clip-seconds", "0"],
-    ["train-separator", "--epochs", "1", "--clip-seconds", "-2.5"],
-    ["train-amt", "--epochs", "-1"],
-])
-def test_training_overrides_obey_the_config_rules(tmp_path, tiny_config, command, caplog):
-    out = tmp_path / "t"
-    assert cli.main([command[0], "--out-dir", str(out), "--config", tiny_config,
-                     "--synthetic", "2", *command[1:]]) == 2
-    assert "epochs nonnegative" in caplog.text or "clip_seconds must be positive" in caplog.text
-    assert not out.exists()
-
-
-# Out-of-domain values of each declared option domain, by the name of its
-# argparse type; a config override's domain is its settings field's check.
+# Out-of-domain values of each declared option domain, by the name of its argparse type.
 OUT_OF_DOMAIN = {
     "positive_int": ["0", "-3"],
     "nonnegative_int": ["-1"],
     "positive_float": ["0", "-0.001", "nan", "inf"],
     "nonnegative_float": ["-0.5", "nan", "inf"],
-    "epochs": ["-1"],
-    "clip_seconds": ["0", "nan", "inf"],
 }
 
 
@@ -1162,6 +1183,35 @@ def test_clip_seconds_override_sets_the_clip_length(tmp_path, tiny_config, monke
                      tiny_config, "--epochs", "0", "--synthetic", "2", "--remix-count", "1",
                      "--clip-seconds", "0.5"]) == 0
     assert seen == [0.5]
+
+
+@pytest.mark.parametrize("options, batch_size", [([], 10), (["--batch-size", "3"], 3)])
+def test_train_separator_batch_size_is_its_option(tmp_path, tiny_config, monkeypatch,
+                                                  options, batch_size):
+    seen = []
+    fit = nn.fit
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["batch_size"])
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "fit", spy)
+    assert cli.main(["train-separator", "--out-dir", str(tmp_path / "t"), "--config",
+                     tiny_config, "--epochs", "0", "--synthetic", "2", "--remix-count", "1",
+                     "--clip-seconds", "0.5", *options]) == 0
+    assert seen == [batch_size]
+
+
+def test_a_negative_config_seed_is_refused_before_any_output(tmp_path, caplog):
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "seed": -1}))
+    out = tmp_path / "t"
+    assert cli.main(["train-amt", "--out-dir", str(out), "--config", str(config),
+                     "--epochs", "1", "--synthetic", "2", "--duration", "1.0",
+                     "--window", "16", "--hop-frames", "8"]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "seed" in errors[0], errors
+    assert not out.exists()
 
 
 def test_the_config_focal_parameters_reach_the_note_model():

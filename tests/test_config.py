@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from stemscribe import cli
 from stemscribe.config import (AmtSettings, ManifestError, PathSettings,
                                PipelineConfig, SeparatorSettings, load_manifest)
+from stemscribe.nn.loss import FocalLossParams
 
 
 def test_defaults():
@@ -16,7 +18,7 @@ def test_defaults():
 
 
 def test_dict_round_trip():
-    cfg = PipelineConfig(seed=7, separator=SeparatorSettings(hidden=32, epochs=10),
+    cfg = PipelineConfig(seed=7, separator=SeparatorSettings(hidden=32, layers=3),
                          amt=AmtSettings(gamma=2.0), paths=PathSettings(musescore="/tmp/x"))
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
 
@@ -38,19 +40,23 @@ def test_partial_dict_keeps_defaults():
 
 @pytest.mark.parametrize("kwargs", [
     {"threshold": 0.0}, {"threshold": 1.0},
-    {"alpha": 0.0}, {"alpha": 1.0},
+    {"alpha": 0.0}, {"alpha": 1.5},
     {"gamma": -0.5},
-    {"hidden": 0}, {"conv_channels": -2}, {"epochs": -1},
+    {"hidden": 0}, {"conv_channels": -2}, {"threshold": float("nan")},
 ])
 def test_amt_settings_validation(kwargs):
     with pytest.raises(ValueError):
         AmtSettings(**kwargs)
 
 
+def test_amt_alpha_of_one_loads_as_the_focal_loss_admits_it():
+    # the loss takes alpha in (0, 1]; with gamma 0, alpha 1 is exact BCE
+    cfg = PipelineConfig.from_dict({"amt": {"alpha": 1.0}})
+    assert cli._amt_model(cfg, None).cfg.loss == FocalLossParams(1.0, cfg.amt.gamma)
+
+
 @pytest.mark.parametrize("kwargs", [
-    {"layers": 0}, {"hidden": -1}, {"batch_size": 0},
-    {"epochs": -1}, {"clip_seconds": 0.0}, {"clip_seconds": float("nan")},
-    {"clip_seconds": float("inf")},
+    {"layers": 0}, {"hidden": -1}, {"hidden": 0}, {"layers": -1},
 ])
 def test_separator_settings_validation(kwargs):
     with pytest.raises(ValueError):
@@ -68,6 +74,7 @@ def test_separator_settings_validation(kwargs):
     ({"amt": {"threshold": "0.5"}}, "key amt.threshold must"),
     ({"paths": {"musescore": 3}}, "key paths.musescore must"),
     ({"paths": {"work_dir": "work"}}, "work_dir"),
+    ({"seed": -1}, "key seed must be nonnegative"),
 ])
 def test_from_dict_rejects_bad_keys_and_types(raw, named):
     with pytest.raises(ValueError, match=named):

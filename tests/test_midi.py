@@ -187,6 +187,11 @@ def test_truncated_track_chunk_rejected():
         parse_smf(data[:-4])
 
 
+def test_meta_status_without_a_type_byte_rejected():
+    with pytest.raises(SmfParseError, match="truncated meta event"):
+        parse_smf(smf_bytes(b"\x00\xff"))
+
+
 def test_dangling_note_on_names_pitch_and_tick():
     body = b"\x0a\x90\x3c\x64" b"\x00\xff\x2f\x00"
     with pytest.raises(SmfParseError, match=r"pitch 60.*tick 10"):
