@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bss_metrics, midi, nn, notation, synth
-from .audio_io import (UnsupportedCodecError, Waveform, WavFormatError, read_wav,
-                       resampled_length, write_wav)
+from .audio_io import (UnsupportedCodecError, Waveform, WavFormatError, WavReader, WavWriter,
+                       read_wav, resampled_length, write_wav)
 from .config import ManifestError, PipelineConfig, load_manifest
 from .dsp import WindowError, check_invertible, num_cqt_frames
 from .midi import SmfParseError
@@ -41,6 +41,7 @@ from .pianoroll import FrameTiming, rasterize_notes, roll_to_notes
 from .separation import (
     STEM_NAMES,
     MaskSource,
+    SampleSource,
     SeparatorModel,
     SourceSet,
     make_training_clip,
@@ -171,10 +172,11 @@ def _write_loss_csv(trace: list[float], path: Path) -> None:
             writer.writerow([epoch, f"{loss:.8f}"])
 
 
-def _separate_to_dir(mixture: Waveform, masks: MaskSource, cfg: PipelineConfig,
+def _separate_to_dir(mixture: SampleSource, masks: MaskSource, cfg: PipelineConfig,
                      out_dir: Path, stem_name: str) -> dict[str, Path]:
     """Separate the mixture under the mask source, writing the mask and
-    stats CSV rows of each block as the pass makes them, then the stems."""
+    stats CSV rows and the stem samples of each block as the pass makes
+    them."""
     # refuse an uninvertible window or an empty mixture before any output is opened
     check_invertible(cfg.stft)
     if mixture.num_samples == 0:
@@ -186,30 +188,42 @@ def _separate_to_dir(mixture: Waveform, masks: MaskSource, cfg: PipelineConfig,
         "mask": out_dir / f"{stem_name}_mask.csv",
         "stats": out_dir / f"{stem_name}_spectrogram_stats.csv",
     }
-    with open(paths["mask"], "wb") as mask_csv, \
-            open(paths["stats"], "w", newline="") as stats_csv:
+    rate, n = mixture.sample_rate, mixture.num_samples
+    try:
+        with open(paths["mask"], "wb") as mask_csv, \
+                open(paths["stats"], "w", newline="") as stats_csv, \
+                WavWriter(paths["vocals"], rate, 1, n) as vocals_wav, \
+                WavWriter(paths["accompaniment"], rate, 1, n) as accomp_wav:
 
-        def write_rows(first_frame: int, log_mag: np.ndarray, rows: np.ndarray) -> None:
-            _write_mask_csv(rows, mask_csv)
-            _write_stats_csv(log_mag, stats_csv, first_frame)
+            def write_rows(first_frame: int, log_mag: np.ndarray, rows: np.ndarray) -> None:
+                _write_mask_csv(rows, mask_csv)
+                _write_stats_csv(log_mag, stats_csv, first_frame)
 
-        vocals, accomp = separate_blocks(mixture, masks, cfg.stft, write_rows)
-    for name, stem in (("vocals", vocals), ("accompaniment", accomp)):
-        clipped = write_wav(stem, paths[name])
-        if clipped:
+            def write_stems(first_sample: int, vocals: np.ndarray, accomp: np.ndarray) -> None:
+                vocals_wav.write(vocals[None, :])
+                accomp_wav.write(accomp[None, :])
+
+            separate_blocks(mixture, masks, cfg.stft, write_rows, write_stems)
+    except BaseException:
+        # a stem cut short would declare frames it does not hold
+        for name in ("vocals", "accompaniment"):
+            paths[name].unlink(missing_ok=True)
+        raise
+    for name, wav in (("vocals", vocals_wav), ("accompaniment", accomp_wav)):
+        if wav.clipped:
             log.warning("%s stem: %d samples clipped to the PCM16 range in %s",
-                        name, clipped, paths[name])
+                        name, wav.clipped, paths[name])
     return paths
 
 
 def cmd_separate(args) -> int:
     cfg = _load_config(args.config)
-    mixture = read_wav(args.input)
-    if args.mask_mode == "model":
-        masks = _separator_model(cfg, args.checkpoint).masks()
-    else:  # a constant mask, which reads no checkpoint
-        masks = lambda t0, log_mag: np.full_like(log_mag, float(args.mask_mode == "ones"))
-    paths = _separate_to_dir(mixture, masks, cfg, Path(args.out_dir), Path(args.input).stem)
+    with WavReader(args.input) as mixture:
+        if args.mask_mode == "model":
+            masks = _separator_model(cfg, args.checkpoint).masks()
+        else:  # a constant mask, which reads no checkpoint
+            masks = lambda t0, log_mag: np.full_like(log_mag, float(args.mask_mode == "ones"))
+        paths = _separate_to_dir(mixture, masks, cfg, Path(args.out_dir), Path(args.input).stem)
     print(f"wrote {paths['vocals']} and {paths['accompaniment']}")
     return EXIT_OK
 
@@ -258,9 +272,9 @@ def cmd_pipeline(args) -> int:
     stem_name = Path(args.input).stem
     report = {}
 
-    mixture = read_wav(args.input)
-    sep_model = _separator_model(cfg, args.sep_checkpoint)
-    paths = _separate_to_dir(mixture, sep_model.masks(), cfg, out_dir, stem_name)
+    with WavReader(args.input) as mixture:
+        sep_model = _separator_model(cfg, args.sep_checkpoint)
+        paths = _separate_to_dir(mixture, sep_model.masks(), cfg, out_dir, stem_name)
     report["separate"] = {"status": "ok", "vocals": str(paths["vocals"]),
                           "accompaniment": str(paths["accompaniment"])}
 

@@ -188,9 +188,11 @@ class CqtConfig:
     sample_rate: int = 22050
 
     def __post_init__(self):
-        if self.n_bins <= 0 or self.bins_per_octave <= 0 or self.f_min <= 0 or self.hop <= 0:
+        if min(self.n_bins, self.bins_per_octave, self.hop) <= 0:
             raise ValueError("CQT parameters must be positive")
-        if self.max_frequency() >= self.sample_rate / 2:
+        if not self.f_min > 0:  # a NaN fails this test, as it must
+            raise ValueError(f"f_min must be positive, got {self.f_min}")
+        if not self.max_frequency() < self.sample_rate / 2:
             raise ValueError(
                 f"top bin {self.max_frequency():.1f} Hz reaches Nyquist "
                 f"({self.sample_rate / 2:.1f} Hz)"

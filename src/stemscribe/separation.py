@@ -3,15 +3,18 @@ and the LSTM mask-estimator model.
 
 A mask is a plain (frames, bins) float array in [0, 1] over the
 analysis_spectrogram grid of the mixture. Separation is one pass over
-blocks of _SEP_BLOCK frames of that grid: each block's STFT, its
+blocks of _SEP_BLOCK frames of that grid: each block's samples, read
+from the mixture (a WAV file or a Waveform), its STFT, its
 log-magnitude grid, its rows from a mask source (the model, the oracle
 or a constant) and the inverse STFT of the masked bins, with the LSTM
 layers' (h, c) and the overlap-add tail carried from block to block.
-Every stage is per frame or causal, so the result is the one pass over
-the whole grid would give, while only the signals are held whole. The
-accompaniment is the mono mixture minus the vocals, so the two stems
-add back to the mixture by construction; it equals the inverse STFT of
-the complementary mask 1 - m to rounding error.
+Each block's stem samples go on as it completes them, so a separation
+from file to file holds no signal whole, and its memory does not grow
+with the audio. Every stage is per frame or causal, so the result is
+the one pass over the whole grid would give. The accompaniment is the
+mono mixture minus the vocals, so the two stems add back to the mixture
+by construction; it equals the inverse STFT of the complementary mask
+1 - m to rounding error.
 """
 
 from __future__ import annotations
@@ -22,20 +25,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .audio_io import Waveform
+from .audio_io import Waveform, WavReader
 from .dsp import ComplexSpectrogram, StftConfig, istft, log_magnitude, num_stft_frames, stft
 
 STEM_NAMES = ("vocals", "bass", "drums", "other")
 
 GAIN_LOW, GAIN_HIGH = 0.5, 1.25
 
-# Analysis frames per separation block: 11.9 s at the default 22.05 kHz
-# and hop 128.  Its grids (frames, bins, masks, inverse frames) peak near
-# 35 MB at the default config, whatever the length of the audio.
-_SEP_BLOCK = 2048
+# Analysis frames per separation block: 5.9 s at the default 22.05 kHz
+# and hop 128.  Its grids (frames, bins, masks, inverse frames) peak at
+# 16 MB under tracemalloc at the default config, whatever the length of
+# the audio (32 MB at 2048 frames).  A multiple of nn.layers._STACK_LAG,
+# so nn.lstm_stack projects the frames of every block in the chunks of a
+# pass over the whole grid.  At 512 frames the separate_10s benchmark
+# peaked 12 MB lower, but its ops took 4 % longer.
+_SEP_BLOCK = 1024
+
+# Where separate_blocks reads the mixture: read(start, stop) gives the
+# samples [start, stop) of every channel.
+SampleSource = Waveform | WavReader
 
 # masks(first_frame, log_mag) -> the mask rows of a block's frames
 MaskSource = Callable[[int, np.ndarray], np.ndarray]
+
+# sink(first_sample, vocals, accompaniment): the stems' samples from
+# first_sample on
+StemSink = Callable[[int, np.ndarray, np.ndarray], None]
 
 
 @dataclass
@@ -210,16 +225,21 @@ def make_training_clip(mixture: Waveform, vocals: Waveform, accompaniment: Wavef
     )
 
 
-def _padded(w: Waveform, cfg: StftConfig) -> Waveform:
-    """The mono signal with one FFT length of zeros on each side."""
-    return Waveform(np.pad(w.to_mono().samples, ((0, 0), (cfg.fft_size,) * 2)), w.sample_rate)
+def _grid_frames(num_samples: int, cfg: StftConfig) -> int:
+    """Frames of the analysis grid of a signal of num_samples samples."""
+    return num_stft_frames(num_samples + 2 * cfg.fft_size, cfg)
 
 
-def _block_stft(x: Waveform, t0: int, t1: int, cfg: StftConfig) -> ComplexSpectrogram:
-    """Frames t0..t1-1 of the STFT of x, bitwise those rows of the whole:
-    the last one is zero-padded as in the whole grid."""
-    block = x.samples[:, t0 * cfg.hop : (t1 - 1) * cfg.hop + cfg.fft_size]
-    return stft(Waveform(block, x.sample_rate), cfg)
+def _padded_block(source: SampleSource, t0: int, t1: int, cfg: StftConfig) -> Waveform:
+    """The samples that frames t0..t1-1 of the analysis grid cover: the
+    source's channel mean with one FFT length of zeros on each side, read
+    from the source for these frames alone."""
+    a, b = t0 * cfg.hop - cfg.fft_size, (t1 - 1) * cfg.hop  # in source samples
+    lo = max(a, 0)
+    hi = max(min(b, source.num_samples), lo)
+    x = source.read(lo, hi)
+    mono = x[0] if x.shape[0] == 1 else x.mean(axis=0)
+    return Waveform(np.pad(mono, (lo - a, b - hi))[None, :], source.sample_rate)
 
 
 def analysis_spectrogram(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
@@ -232,46 +252,51 @@ def analysis_spectrogram(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
     [fft_size : fft_size + n] after inversion.  The rows every mask
     source gives separate_blocks are rows of this grid.
     """
-    return stft(_padded(w, cfg), cfg)
+    return stft(_padded_block(w, 0, _grid_frames(w.num_samples, cfg), cfg), cfg)
 
 
 def oracle_masks(mixture: Waveform, target: Waveform, residual: Waveform,
                  cfg: StftConfig) -> MaskSource:
     """Mask source of ideal_ratio_mask over the references' analysis grid
     magnitudes, one block at a time.  Refuses a grid not the mixture's."""
-    grids = [(num_stft_frames(w.num_samples + 2 * cfg.fft_size, cfg), cfg.num_bins)
-             for w in (mixture, target, residual)]
+    grids = [(_grid_frames(w.num_samples, cfg), cfg.num_bins) for w in (mixture, target, residual)]
     for grid in grids[1:]:
         if grid != grids[0]:
             raise ValueError(f"reference grid {grid} does not match the analysis grid {grids[0]}")
-    refs = [_padded(w, cfg) for w in (target, residual)]
     return lambda t0, log_mag: ideal_ratio_mask(
-        *(_block_stft(x, t0, t0 + len(log_mag), cfg).magnitude() for x in refs))
+        *(stft(_padded_block(w, t0, t0 + len(log_mag), cfg), cfg).magnitude()
+          for w in (target, residual)))
 
 
-def separate_blocks(mixture: Waveform, masks: MaskSource, stft_cfg: StftConfig,
+def separate_blocks(mixture: SampleSource, masks: MaskSource, stft_cfg: StftConfig,
                     on_block: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-                    ) -> tuple[Waveform, Waveform]:
+                    sink: StemSink | None = None) -> tuple[Waveform, Waveform] | None:
     """(vocals, accompaniment) of the mixture in one pass over blocks of
     _SEP_BLOCK frames of its analysis_spectrogram grid.
 
-    Each block is transformed, masked by the rows masks(first_frame,
-    log_mag) returns for it, and inverted; the inverse's overlap-add tail
-    carries over to the next, so the stems are those of the whole grid at
-    once.  on_block(first_frame, log_mag, rows) sees each block's
-    log-magnitude rows and mask rows in frame order.
+    Each block's samples are read from the mixture, transformed, masked
+    by the rows masks(first_frame, log_mag) returns for it, and inverted;
+    the inverse's overlap-add tail carries over to the next, so the stems
+    are those of the whole grid at once.  on_block(first_frame, log_mag,
+    rows) sees each block's log-magnitude rows and mask rows in frame
+    order.  Given a sink, the pass hands it the stem samples each block
+    completes, in order, and returns None; else it returns the stems.
     """
     cfg = stft_cfg
-    x = _padded(mixture, cfg)
-    mono = x.samples[0, cfg.fft_size : x.num_samples - cfg.fft_size]
-    n_frames = num_stft_frames(x.num_samples, cfg)
-    # The inverse from x[0] on.  The last frame starts no earlier than
-    # mono's end, so the n_frames * hop samples the blocks finish cover it.
-    inverse = np.empty(n_frames * cfg.hop)
+    n = mixture.num_samples
+    n_frames = _grid_frames(n, cfg)
+    collect = sink is None
+    if collect:
+        stems = np.empty((2, n))
+
+        def sink(first: int, vocals: np.ndarray, accomp: np.ndarray) -> None:
+            stems[:, first : first + vocals.size] = vocals, accomp
+
     carry = np.zeros((2, cfg.fft_size - cfg.hop))
     for t0 in range(0, n_frames, _SEP_BLOCK):
         t1 = min(t0 + _SEP_BLOCK, n_frames)
-        spec = _block_stft(x, t0, t1, cfg)
+        x = _padded_block(mixture, t0, t1, cfg)
+        spec = stft(x, cfg)
         log_mag = log_magnitude(spec.magnitude())
         rows = masks(t0, log_mag)
         if rows.shape != log_mag.shape:
@@ -281,11 +306,18 @@ def separate_blocks(mixture: Waveform, masks: MaskSource, stft_cfg: StftConfig,
             on_block(t0, log_mag, rows)
         spec = apply_mask(rows, spec)
         log_mag = rows = None  # the inverse needs only the masked bins
-        inverse[t0 * cfg.hop : t1 * cfg.hop] = istft(spec, carry).samples[0]
-    vocals = inverse[cfg.fft_size : cfg.fft_size + mono.size]
-    accomp = mono - vocals
-    return (Waveform(vocals[None, :], mixture.sample_rate),
-            Waveform(accomp[None, :], mixture.sample_rate))
+        # The inverse of this block's frames x hop samples from x's first,
+        # trimmed to the mixture's; the last frame starts no earlier than
+        # the mixture's end, so the blocks cover all of it.
+        inverse = istft(spec, carry).samples[0]
+        first = t0 * cfg.hop - cfg.fft_size
+        lo, hi = max(-first, 0), max(min(n - first, inverse.size), 0)
+        vocals = inverse[lo:hi]
+        sink(first + lo, vocals, x.samples[0, lo:hi] - vocals)
+    if collect:
+        return (Waveform(stems[:1], mixture.sample_rate),
+                Waveform(stems[1:], mixture.sample_rate))
+    return None
 
 
 def separate(mixture: Waveform, model: SeparatorModel,

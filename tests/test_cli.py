@@ -27,6 +27,7 @@ from stemscribe.nn.loss import FocalLossParams
 from stemscribe.pianoroll import NoteEvent, PianoRoll
 from stemscribe.separation import SeparatorModel
 from tests.conftest import STUB_FAIL
+from tests.test_audio_io import fmt_chunk, pack_codes, riff_wave
 from tests.test_nn import two_loop_backward, two_loop_forward
 
 TINY_CONFIG = {
@@ -343,6 +344,22 @@ def test_separate_with_a_diverged_checkpoint_exits_2_naming_the_mask(tmp_path, t
                      tiny_config, "--checkpoint", str(tmp_path / "nan.ssnn")]) == 2
     assert f"mask {out / 'mixture_mask.csv'}: " in caplog.text
     assert (out / "mixture_mask.csv").read_bytes() == b""
+    # the stems are written block by block, and a pass cut short leaves none
+    assert not list(out.glob("*.wav"))
+
+
+def test_a_pass_failing_after_its_first_block_leaves_no_stem(tmp_path, tiny_config,
+                                                            mixture_wav, monkeypatch):
+    # the first block's stem samples are written before the second block's
+    # mask is refused; the stems go with the failure, the CSVs keep a block
+    monkeypatch.setattr(separation, "_SEP_BLOCK", SMALL_BLOCK)
+    masks = lambda t0, log_mag: np.full_like(log_mag, np.nan if t0 else 1.0)
+    out = tmp_path / "out"
+    with audio_io.WavReader(mixture_wav) as mixture, \
+            pytest.raises(ValueError, match="the separator has diverged"):
+        cli._separate_to_dir(mixture, masks, PipelineConfig.load(tiny_config), out, "m")
+    assert not list(out.glob("*.wav"))
+    assert len((out / "m_mask.csv").read_text().splitlines()) == SMALL_BLOCK
 
 
 def test_stats_csv_keeps_the_sign_of_a_mean_that_rounds_to_zero(tmp_path):
@@ -393,9 +410,10 @@ def test_separate_audit_csvs_keep_their_bytes(tmp_path, tiny_config, mixture_wav
 def test_separation_memory_grows_with_the_audio_not_the_grids(tmp_path, tiny_config,
                                                               monkeypatch):
     # From 4 to 8 blocks of SMALL_BLOCK frames the signals grow by 8192
-    # samples.  The padded input, the two stems and write_wav's PCM16
-    # temporaries stay within a few float64 copies of them; whole
-    # (frames x bins) grids would add some 20 copies (64 kB each).
+    # samples.  Read from the file and written to the stems one block at a
+    # time, they add less than one float64 copy of them; the whole padded
+    # input, stems and write_wav temporaries held 6, and whole
+    # (frames x bins) grids would add some 20 (64 kB each).
     cfg = PipelineConfig.load(tiny_config)
     model = cli._separator_model(cfg, None)
     monkeypatch.setattr(separation, "_SEP_BLOCK", SMALL_BLOCK)
@@ -403,15 +421,17 @@ def test_separation_memory_grows_with_the_audio_not_the_grids(tmp_path, tiny_con
     rng = np.random.default_rng(0)
 
     def peak(blocks):
-        mixture = Waveform(0.1 * rng.standard_normal((1, blocks * per_block)), 8000)
+        path = tmp_path / f"m{blocks}.wav"
+        write_wav(Waveform(0.1 * rng.standard_normal((1, blocks * per_block)), 8000), path)
         tracemalloc.start()
         try:
-            cli._separate_to_dir(mixture, model.masks(), cfg, tmp_path / str(blocks), "m")
+            with audio_io.WavReader(path) as mixture:
+                cli._separate_to_dir(mixture, model.masks(), cfg, tmp_path / str(blocks), "m")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(8) - peak(4) < 6 * 8 * 4 * per_block
+    assert peak(8) - peak(4) < 8 * 4 * per_block
 
 
 @pytest.fixture
@@ -458,6 +478,75 @@ def test_a_mixture_with_no_samples_is_refused_before_writing(tmp_path, tiny_conf
     assert cli.main([command, str(empty), "--out-dir", str(out), "--config", tiny_config]) == 2
     assert "'empty' has no samples" in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["separate", "pipeline"])
+def test_a_non_finite_sample_in_a_float_wav_is_refused_before_any_output(
+        tmp_path, tiny_config, monkeypatch, caplog, command):
+    # the reader scans a float payload block by block when it opens the
+    # file; the NaN sits in the last block of the scan and of the pass
+    monkeypatch.setattr(separation, "_SEP_BLOCK", SMALL_BLOCK)
+    monkeypatch.setattr(audio_io, "_SCAN_FRAMES", 1000)
+    x = 0.1 * np.random.default_rng(2).standard_normal((1, 8000))
+    x[0, -3] = np.nan
+    with audio_io.WavWriter(tmp_path / "nan.wav", 8000, 1, x.shape[1], bit_depth=32) as f:
+        f.write(x)
+    out = tmp_path / "out"
+    assert cli.main([command, str(tmp_path / "nan.wav"), "--out-dir", str(out),
+                     "--config", tiny_config]) == 2
+    assert f"{tmp_path / 'nan.wav'}: samples contain NaN or Inf" in caplog.text
+    assert not out.exists()
+
+
+def test_separate_refuses_a_sample_rate_of_zero(tmp_path, tiny_config, mixture_wav, caplog):
+    data = bytearray(mixture_wav.read_bytes())
+    data[24:28] = bytes(4)  # the fmt chunk's sample rate
+    (tmp_path / "rate0.wav").write_bytes(data)
+    out = tmp_path / "out"
+    assert cli.main(["separate", str(tmp_path / "rate0.wav"), "--out-dir", str(out),
+                     "--config", tiny_config]) == 2
+    assert "invalid sample rate 0" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["stereo", "pcm8", "pcm24", "float32", "extensible",
+                                  "truncated"])
+def test_file_to_file_stems_equal_read_wav_then_separation_in_memory(tmp_path, tiny_config,
+                                                                    monkeypatch, caplog, case):
+    # separate reads the input and writes the stems one block at a time;
+    # its stems have the bytes of the whole file read, separated in
+    # memory and written whole, for every layout the reader decodes
+    monkeypatch.setattr(separation, "_SEP_BLOCK", SMALL_BLOCK)
+    channels = 2 if case in ("stereo", "extensible") else 1
+    tag, bits, sub_tag = {"stereo": (1, 16, None), "pcm8": (1, 8, None),
+                          "pcm24": (1, 24, None), "float32": (3, 32, None),
+                          "extensible": (0xFFFE, 24, 1), "truncated": (1, 16, None)}[case]
+    x = np.clip(0.3 * np.random.default_rng(3).standard_normal((channels, 8000)), -1, 1)
+    if tag == 3:
+        payload = x.T.astype("<f4").tobytes()
+    else:
+        top = 2 ** (bits - 1)
+        codes = np.clip(np.round(x * top), -top, top - 1).astype(int)
+        payload = pack_codes(bits, codes.T.ravel().tolist())
+    data = riff_wave(fmt_chunk(tag, channels, bits, sub_tag=sub_tag), payload)
+    path = tmp_path / "in.wav"
+    path.write_bytes(data[:-1001] if case == "truncated" else data)
+
+    out = tmp_path / "out"
+    assert cli.main(["separate", str(path), "--out-dir", str(out), "--config", tiny_config]) == 0
+    cfg = PipelineConfig.load(tiny_config)
+    mixture = read_wav(path)
+    stems = separation.separate_blocks(mixture, cli._separator_model(cfg, None).masks(), cfg.stft)
+    for name, stem in zip(("vocals", "accompaniment"), stems):
+        write_wav(stem, tmp_path / f"{name}.wav")
+        assert (out / f"in_{name}.wav").read_bytes() == (tmp_path / f"{name}.wav").read_bytes()
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    if case == "truncated":  # 1001 bytes are 500.5 frames: the partial one is dropped
+        assert warnings == [f"{path}: truncated data chunk, 8000 frames declared, "
+                            "7499 present"] * 2
+        assert mixture.num_samples == 7499
+    else:
+        assert warnings == [] and mixture.samples.shape == (channels, 8000)
 
 
 def test_separate_not_a_wav_is_invalid(tmp_path, tiny_config):
@@ -1231,6 +1320,21 @@ def test_train_amt_trains_with_the_config_gamma(tmp_path):
                          "--window", "16", "--hop-frames", "8", "--batch-size", "2"]) == 0
         traces.append((out / "amt_loss.csv").read_text())
     assert traces[0] != traces[1]
+
+
+def test_train_amt_refuses_a_nan_gamma_naming_it_before_any_output(tmp_path, caplog):
+    # a NaN focal-loss gamma is a config error, not a training divergence
+    config = tmp_path / "nan_gamma.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "amt": {**TINY_CONFIG["amt"],
+                                                          "gamma": float("nan")}}))
+    assert "NaN" in config.read_text()
+    out = tmp_path / "out"
+    assert cli.main(["train-amt", "--out-dir", str(out), "--config", str(config),
+                     "--epochs", "1", "--synthetic", "2", "--duration", "1.0",
+                     "--window", "16", "--hop-frames", "8"]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "gamma must be nonnegative and finite, got nan" in errors[0]
+    assert not out.exists()
 
 
 def test_divergence_exits_four(tmp_path, tiny_config, monkeypatch):

@@ -75,6 +75,10 @@ def test_separator_settings_validation(kwargs):
     ({"paths": {"musescore": 3}}, "key paths.musescore must"),
     ({"paths": {"work_dir": "work"}}, "work_dir"),
     ({"seed": -1}, "key seed must be nonnegative"),
+    # a NaN fails every range check, and gamma must be finite
+    ({"amt": {"gamma": float("nan")}}, "gamma must be nonnegative and finite, got nan"),
+    ({"amt": {"gamma": float("inf")}}, "gamma must be nonnegative and finite, got inf"),
+    ({"cqt": {"f_min": float("nan")}}, "f_min must be positive, got nan"),
 ])
 def test_from_dict_rejects_bad_keys_and_types(raw, named):
     with pytest.raises(ValueError, match=named):

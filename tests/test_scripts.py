@@ -23,12 +23,13 @@ def test_oracle_bounds_script(tmp_path):
 
 
 def test_separation_memory_script(tmp_path):
-    # blocks of 2048 frames at hop 128 are 11.9 s at 22.05 kHz: 1 and 3 blocks
-    done = run_script("separation_memory.py", "--seconds", "10", "30", cwd=tmp_path)
+    # blocks of 1024 frames at hop 128 are 5.9 s at 22.05 kHz: both lengths
+    # hold full blocks (3 and 11), so neither peak is that of a shorter grid
+    done = run_script("separation_memory.py", "--seconds", "12", "60", cwd=tmp_path)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0].startswith("10 s: ru_maxrss ") and lines[1].startswith("30 s: ru_maxrss ")
-    assert "MB per extra second of audio (limit 2)" in lines[2]
+    assert lines[0].startswith("12 s: ru_maxrss ") and lines[1].startswith("60 s: ru_maxrss ")
+    assert "MB per extra second of audio (limit 0.1)" in lines[2]
 
 
 def test_train_desk_models_script(tmp_path):
