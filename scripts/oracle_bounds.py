@@ -8,7 +8,6 @@ row the zero-effort baseline (all improvement columns exactly 0 there).
 import argparse
 
 from stemscribe import synth
-from stemscribe.audio_io import Waveform
 from stemscribe.bss_metrics import evaluate_pair
 from stemscribe.dsp import StftConfig
 from stemscribe.separation import mixture_of, oracle_masks, separate_blocks, sum_accompaniment
@@ -44,7 +43,7 @@ def main():
         print(f"track {i} (vocals reference)")
         row("ideal ratio mask", evaluate_pair(mix, vocals, est_v,
                                               other_references=(accomp,)))
-        row("mixture baseline", evaluate_pair(mix, vocals, mix.to_mono(),
+        row("mixture baseline", evaluate_pair(mix, vocals, mix.mono_samples(),
                                               other_references=(accomp,)))
 
 

@@ -77,20 +77,20 @@ class Waveform:
     def duration(self) -> float:
         return self.num_samples / self.sample_rate
 
-    def to_mono(self) -> "Waveform":
-        """Downmix by channel mean. Identity for mono input."""
-        if self.channels == 1:
-            return self
-        return Waveform(self.samples.mean(axis=0, keepdims=True), self.sample_rate)
-
     def mono_samples(self) -> np.ndarray:
-        """1-D view of the channel-mean signal."""
-        return self.to_mono().samples[0]
+        """The 1-D downmix of the samples."""
+        return downmix(self.samples)
 
     def read(self, start: int, stop: int) -> np.ndarray:
         """Samples [start, stop) of every channel, as WavReader.read gives
         a file's: a Waveform is a sample source too."""
         return self.samples[:, start:stop]
+
+
+def downmix(samples: np.ndarray) -> np.ndarray:
+    """The 1-D mono signal of (channels, n) samples, which every transform
+    takes: their channel mean, a view when there is one channel."""
+    return samples[0] if samples.shape[0] == 1 else samples.mean(axis=0)
 
 
 def _pcm24(payload: memoryview) -> np.ndarray:

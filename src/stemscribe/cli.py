@@ -139,15 +139,9 @@ def _mask_csv_bytes(block: np.ndarray) -> bytes:
 
 def _write_mask_csv(mask: np.ndarray, f) -> None:
     """The bytes np.savetxt(f, mask, fmt="%.6f", delimiter=",") writes to
-    the binary file f, formatted _MASK_CSV_BLOCK rows at a time.  Rows of a
-    grid written in consecutive calls get the bytes of one.  A grid with a
-    NaN, a value outside [0, 1] or a -0.0, which only a diverged checkpoint
-    gives, raises ValueError before any of its rows is written."""
-    mask = np.asarray(mask, dtype=np.float64)
-    bad = ~((mask >= 0.0) & (mask <= 1.0)) | np.signbit(mask)
-    if bad.any():
-        raise ValueError(f"mask {f.name}: {np.count_nonzero(bad)} values NaN, outside [0, 1] "
-                         f"or -0.0, the first {mask[bad][0]}; the separator has diverged")
+    the binary file f for a grid that separate_blocks admits, formatted
+    _MASK_CSV_BLOCK rows at a time.  Rows of a grid written in consecutive
+    calls get the bytes of one."""
     for r0 in range(0, mask.shape[0], _MASK_CSV_BLOCK):
         f.write(_mask_csv_bytes(mask[r0 : r0 + _MASK_CSV_BLOCK]))
 
@@ -343,7 +337,7 @@ def cmd_evaluate(args) -> int:
             n = min(ref_vocals.num_samples, est_vocals.num_samples)
 
             def flat(w: Waveform) -> np.ndarray:
-                return w.to_mono().samples[0, :n]
+                return w.mono_samples()[:n]
 
             def metrics(ref: Waveform, est: Waveform, other: Waveform) -> dict:
                 r = bss_metrics.evaluate_pair(flat(mixture), flat(ref), flat(est),

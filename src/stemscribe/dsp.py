@@ -4,8 +4,9 @@ real GEMM of the signal's hop-long chunks, which copies no frame, in
 memory O(audio).  One overlap_add serves both the iSTFT and the stitching of the
 note model's overlapping window outputs (transcription.py).
 
-Spectrogram layout conventions:
-  * STFT grids are (frames, bins) with bins = fft_size // 2 + 1.
+Layout conventions; every transform takes arrays, none a Waveform:
+  * Signals are 1-D float arrays of mono samples at the config's rate.
+  * STFT grids are (frames, bins) complex128 with bins = fft_size // 2 + 1.
   * CQT grids are (bins, frames), one row per log-spaced bin.
 """
 
@@ -16,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-
-from .audio_io import Waveform
 
 
 class WindowError(ValueError):
@@ -49,31 +48,6 @@ class StftConfig:
         return self.fft_size // 2 + 1
 
 
-@dataclass
-class ComplexSpectrogram:
-    """(frames, bins) complex STFT grid plus the analysis parameters."""
-
-    bins: np.ndarray
-    config: StftConfig
-    sample_rate: int
-
-    def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=np.complex128)
-        if self.bins.ndim != 2 or self.bins.shape[1] != self.config.num_bins:
-            raise ValueError(
-                f"expected (frames, {self.config.num_bins}) grid, got {self.bins.shape}"
-            )
-        if not np.all(np.isfinite(self.bins)):
-            raise ValueError("spectrogram contains NaN or Inf")
-
-    @property
-    def num_frames(self) -> int:
-        return self.bins.shape[0]
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.bins)
-
-
 @dataclass(frozen=True)
 class LogMagParams:
     a_min: float = 1e-10
@@ -90,17 +64,17 @@ def num_stft_frames(n_samples: int, cfg: StftConfig) -> int:
     return 1 + int(np.ceil((n_samples - cfg.fft_size) / cfg.hop))
 
 
-def stft(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
-    """Windowed rFFT over sliding frames; the last frame is zero-padded."""
-    x = w.mono_samples()
-    if x.size == 0:
-        raise ValueError("cannot transform an empty waveform")
+def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """(frames, bins) grid of the windowed rFFT over sliding frames of the
+    1-D samples x; the last frame is zero-padded."""
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"expected a non-empty 1-D signal, got shape {x.shape}")
     n_frames = num_stft_frames(x.size, cfg)
     padded_len = (n_frames - 1) * cfg.hop + cfg.fft_size
     x = np.pad(x, (0, padded_len - x.size))
     window = make_window(cfg.window, cfg.fft_size)
     frames = sliding_window_view(x, cfg.fft_size)[:: cfg.hop] * window
-    return ComplexSpectrogram(np.fft.rfft(frames, axis=1), cfg, w.sample_rate)
+    return np.fft.rfft(frames, axis=1)
 
 
 def overlap_add(frames: np.ndarray, hop: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -141,9 +115,10 @@ def check_invertible(cfg: StftConfig) -> None:
         raise WindowError(f"window {cfg.window!r} with hop {cfg.hop} leaves gaps; cannot invert")
 
 
-def istft(s: ComplexSpectrogram, carry: np.ndarray | None = None) -> Waveform:
-    """Weighted overlap-add inverse; exact for unmodified spectrograms
-    wherever the squared-window sum is nonzero.
+def istft(bins: np.ndarray, cfg: StftConfig, carry: np.ndarray | None = None) -> np.ndarray:
+    """1-D samples of the weighted overlap-add inverse of a (frames, bins)
+    grid of cfg; exact for unmodified grids wherever the squared-window
+    sum is nonzero.  A grid of another width raises ValueError.
 
     A long grid can go through in consecutive blocks of frames, with the
     bits of one call: give every block the same carry, a (2, fft_size - hop)
@@ -152,23 +127,24 @@ def istft(s: ComplexSpectrogram, carry: np.ndarray | None = None) -> Waveform:
     of the frame sum and of the squared-window sum in the carry for the
     next block.  The last fft_size - hop samples of the grid stay there.
     """
-    cfg = s.config
+    if bins.ndim != 2 or bins.shape[1] != cfg.num_bins:
+        raise ValueError(f"expected (frames, {cfg.num_bins}) grid, got {bins.shape}")
     check_invertible(cfg)
     win = make_window(cfg.window, cfg.fft_size)
-    frames = np.fft.irfft(s.bins, n=cfg.fft_size, axis=1)
+    frames = np.fft.irfft(bins, n=cfg.fft_size, axis=1)
     frames *= win
-    out = np.zeros((s.num_frames - 1) * cfg.hop + cfg.fft_size)
+    out = np.zeros((len(bins) - 1) * cfg.hop + cfg.fft_size)
     norm = np.zeros_like(out)
     if carry is not None:
         out[: carry.shape[1]], norm[: carry.shape[1]] = carry
     overlap_add(np.broadcast_to(win**2, frames.shape), cfg.hop, norm)
     overlap_add(frames, cfg.hop, out)
     if carry is not None:
-        done = s.num_frames * cfg.hop
+        done = len(bins) * cfg.hop
         carry[:] = out[done:], norm[done:]
         out, norm = out[:done], norm[:done]
     np.divide(out, norm, out=out, where=norm > 1e-12)
-    return Waveform(out[None, :], s.sample_rate)
+    return out
 
 
 def log_magnitude(magnitudes: np.ndarray, params: LogMagParams = LogMagParams()) -> np.ndarray:
@@ -260,9 +236,9 @@ def _octave_bases(cfg: CqtConfig) -> tuple[int, tuple[tuple[int, np.ndarray], ..
     return pad, tuple(octaves)
 
 
-def cqt(w: Waveform, cfg: CqtConfig) -> np.ndarray:
-    """Constant-Q magnitudes, shape (n_bins, frames), frames centered at
-    multiples of the hop.
+def cqt(x: np.ndarray, cfg: CqtConfig) -> np.ndarray:
+    """Constant-Q magnitudes of the 1-D samples x at cfg.sample_rate,
+    shape (n_bins, frames), frames centered at multiples of the hop.
 
     Bins are taken an octave (bins_per_octave bins) at a time, as in
     Schörkhuber & Klapuri, "Constant-Q transform toolbox for music
@@ -277,15 +253,10 @@ def cqt(w: Waveform, cfg: CqtConfig) -> np.ndarray:
     that chunk j holds; a frame's products are the sum of its m blocks.
     The bases are built once per config (_octave_bases).  Frames go
     through in blocks of _CQT_BLOCK, so beyond the padded signal and the
-    output the working memory is one block's product.  A waveform at a
-    rate other than cfg.sample_rate raises ValueError: resample it first.
+    output the working memory is one block's product.
     """
-    if w.sample_rate != cfg.sample_rate:
-        raise ValueError(f"waveform at {w.sample_rate} Hz, CQT kernels at {cfg.sample_rate} Hz: "
-                         "resample the waveform to the CQT rate first")
-    x = w.mono_samples()
-    if x.size == 0:
-        raise ValueError("cannot transform an empty waveform")
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"expected a non-empty 1-D signal, got shape {x.shape}")
     pad, octaves = _octave_bases(cfg)
     n_frames = num_cqt_frames(x.size, cfg)
     hop = cfg.hop

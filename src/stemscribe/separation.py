@@ -4,10 +4,10 @@ and the LSTM mask-estimator model.
 A mask is a plain (frames, bins) float array in [0, 1] over the
 analysis_spectrogram grid of the mixture. Separation is one pass over
 blocks of _SEP_BLOCK frames of that grid: each block's samples, read
-from the mixture (a WAV file or a Waveform), its STFT, its
-log-magnitude grid, its rows from a mask source (the model, the oracle
-or a constant) and the inverse STFT of the masked bins, with the LSTM
-layers' (h, c) and the overlap-add tail carried from block to block.
+from the mixture (a WAV file or a Waveform) and downmixed, its STFT,
+its log-magnitude grid, its rows from a mask source (the model, the
+oracle or a constant) and the inverse STFT of the masked bins, with the
+LSTM layers' (h, c) and the overlap-add tail carried from block to block.
 Each block's stem samples go on as it completes them, so a separation
 from file to file holds no signal whole, and its memory does not grow
 with the audio. Every stage is per frame or causal, so the result is
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .audio_io import Waveform, WavReader
-from .dsp import ComplexSpectrogram, StftConfig, istft, log_magnitude, num_stft_frames, stft
+from .audio_io import Waveform, WavReader, downmix
+from .dsp import StftConfig, istft, log_magnitude, num_stft_frames, stft
 
 STEM_NAMES = ("vocals", "bass", "drums", "other")
 
@@ -110,12 +110,12 @@ def remix(sets: list[SourceSet], gains: dict[str, float] | None = None,
     return mixture_of(targets), targets
 
 
-def apply_mask(mask: np.ndarray, s: ComplexSpectrogram) -> ComplexSpectrogram:
+def apply_mask(mask: np.ndarray, bins: np.ndarray) -> np.ndarray:
     """Elementwise scaling of the complex bins; phase is untouched."""
     mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != s.bins.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match spectrogram {s.bins.shape}")
-    return ComplexSpectrogram(mask * s.bins, s.config, s.sample_rate)
+    if mask.shape != bins.shape:
+        raise ValueError(f"mask shape {mask.shape} does not match spectrogram {bins.shape}")
+    return mask * bins
 
 
 def ideal_ratio_mask(target: np.ndarray, residual: np.ndarray) -> np.ndarray:
@@ -216,12 +216,12 @@ class TrainingClip:
 
 def make_training_clip(mixture: Waveform, vocals: Waveform, accompaniment: Waveform,
                        cfg: StftConfig) -> TrainingClip:
-    mix_mag = stft(mixture, cfg).magnitude()
+    mix_mag = np.abs(stft(mixture.mono_samples(), cfg))
     return TrainingClip(
         log_mag=log_magnitude(mix_mag),
         mix_mag=mix_mag,
-        vocal_mag=stft(vocals, cfg).magnitude(),
-        accomp_mag=stft(accompaniment, cfg).magnitude(),
+        vocal_mag=np.abs(stft(vocals.mono_samples(), cfg)),
+        accomp_mag=np.abs(stft(accompaniment.mono_samples(), cfg)),
     )
 
 
@@ -230,20 +230,19 @@ def _grid_frames(num_samples: int, cfg: StftConfig) -> int:
     return num_stft_frames(num_samples + 2 * cfg.fft_size, cfg)
 
 
-def _padded_block(source: SampleSource, t0: int, t1: int, cfg: StftConfig) -> Waveform:
-    """The samples that frames t0..t1-1 of the analysis grid cover: the
-    source's channel mean with one FFT length of zeros on each side, read
+def _padded_block(source: SampleSource, t0: int, t1: int, cfg: StftConfig) -> np.ndarray:
+    """The 1-D samples that frames t0..t1-1 of the analysis grid cover:
+    the source's downmix with one FFT length of zeros on each side, read
     from the source for these frames alone."""
     a, b = t0 * cfg.hop - cfg.fft_size, (t1 - 1) * cfg.hop  # in source samples
     lo = max(a, 0)
     hi = max(min(b, source.num_samples), lo)
-    x = source.read(lo, hi)
-    mono = x[0] if x.shape[0] == 1 else x.mean(axis=0)
-    return Waveform(np.pad(mono, (lo - a, b - hi))[None, :], source.sample_rate)
+    return np.pad(downmix(source.read(lo, hi)), (lo - a, b - hi))
 
 
-def analysis_spectrogram(w: Waveform, cfg: StftConfig) -> ComplexSpectrogram:
-    """STFT of the signal with one FFT length of zeros on each side.
+def analysis_spectrogram(w: Waveform, cfg: StftConfig) -> np.ndarray:
+    """(frames, bins) STFT of the signal with one FFT length of zeros on
+    each side.
 
     Masking makes the spectrogram inconsistent, and the overlap-add
     divisor is tiny at the tapered ends, so inverting a masked edge
@@ -264,7 +263,7 @@ def oracle_masks(mixture: Waveform, target: Waveform, residual: Waveform,
         if grid != grids[0]:
             raise ValueError(f"reference grid {grid} does not match the analysis grid {grids[0]}")
     return lambda t0, log_mag: ideal_ratio_mask(
-        *(stft(_padded_block(w, t0, t0 + len(log_mag), cfg), cfg).magnitude()
+        *(np.abs(stft(_padded_block(w, t0, t0 + len(log_mag), cfg), cfg))
           for w in (target, residual)))
 
 
@@ -277,10 +276,13 @@ def separate_blocks(mixture: SampleSource, masks: MaskSource, stft_cfg: StftConf
     Each block's samples are read from the mixture, transformed, masked
     by the rows masks(first_frame, log_mag) returns for it, and inverted;
     the inverse's overlap-add tail carries over to the next, so the stems
-    are those of the whole grid at once.  on_block(first_frame, log_mag,
-    rows) sees each block's log-magnitude rows and mask rows in frame
-    order.  Given a sink, the pass hands it the stem samples each block
-    completes, in order, and returns None; else it returns the stems.
+    are those of the whole grid at once.  Rows off the block's grid, or
+    holding a NaN, a value outside [0, 1] or a -0.0, which only a diverged
+    separator gives, raise ValueError before on_block sees them.
+    on_block(first_frame, log_mag, rows) sees each block's log-magnitude
+    rows and mask rows in frame order.  Given a sink, the pass hands it
+    the stem samples each block completes, in order, and returns None;
+    else it returns the stems.
     """
     cfg = stft_cfg
     n = mixture.num_samples
@@ -296,24 +298,30 @@ def separate_blocks(mixture: SampleSource, masks: MaskSource, stft_cfg: StftConf
     for t0 in range(0, n_frames, _SEP_BLOCK):
         t1 = min(t0 + _SEP_BLOCK, n_frames)
         x = _padded_block(mixture, t0, t1, cfg)
-        spec = stft(x, cfg)
-        log_mag = log_magnitude(spec.magnitude())
+        bins = stft(x, cfg)
+        log_mag = log_magnitude(np.abs(bins))
         rows = masks(t0, log_mag)
         if rows.shape != log_mag.shape:
             raise ValueError(f"mask rows {rows.shape} of frames {t0}..{t1 - 1} do not match "
                              f"the analysis grid {(n_frames, cfg.num_bins)}")
+        bad = ~((rows >= 0.0) & (rows <= 1.0)) | np.signbit(rows)
+        if bad.any():
+            raise ValueError(f"mask rows of frames {t0}..{t1 - 1}: {np.count_nonzero(bad)} values "
+                             f"NaN, outside [0, 1] or -0.0, the first {rows[bad][0]}; "
+                             "the separator has diverged")
+        bad = None  # not held through on_block: that raised a 60 s separate's peak RSS 0.6 MB
         if on_block is not None:
             on_block(t0, log_mag, rows)
-        spec = apply_mask(rows, spec)
+        bins = apply_mask(rows, bins)
         log_mag = rows = None  # the inverse needs only the masked bins
         # The inverse of this block's frames x hop samples from x's first,
         # trimmed to the mixture's; the last frame starts no earlier than
         # the mixture's end, so the blocks cover all of it.
-        inverse = istft(spec, carry).samples[0]
+        inverse = istft(bins, cfg, carry)
         first = t0 * cfg.hop - cfg.fft_size
         lo, hi = max(-first, 0), max(min(n - first, inverse.size), 0)
         vocals = inverse[lo:hi]
-        sink(first + lo, vocals, x.samples[0, lo:hi] - vocals)
+        sink(first + lo, vocals, x[lo:hi] - vocals)
     if collect:
         return (Waveform(stems[:1], mixture.sample_rate),
                 Waveform(stems[1:], mixture.sample_rate))

@@ -265,7 +265,7 @@ def _features(audio: Waveform, cqt_cfg: CqtConfig, num_samples: int | None = Non
     x = audio.mono_samples()
     if num_samples is not None:
         x = np.pad(x[:num_samples], (0, max(0, num_samples - x.size)))
-    return log_magnitude(cqt(Waveform(x[None, :], cqt_cfg.sample_rate), cqt_cfg))
+    return log_magnitude(cqt(x, cqt_cfg))
 
 
 def build_training_pair(audio: Waveform, notes, cqt_cfg: CqtConfig = CqtConfig(),

@@ -35,7 +35,7 @@ def test_01_stft_istft_round_trip_under_a_second():
     x = np.random.default_rng(0).standard_normal(22050)
     cfg = StftConfig(fft_size=512, hop=128, window="hann")
     t0 = time.perf_counter()
-    back = istft(stft(Waveform(x[None, :], 22050), cfg)).samples[0]
+    back = istft(stft(x, cfg), cfg)
     elapsed = time.perf_counter() - t0
     lo, hi = cfg.fft_size, x.size - cfg.fft_size
     err = np.linalg.norm(back[lo:hi] - x[lo:hi]) / np.linalg.norm(x[lo:hi])
@@ -52,15 +52,12 @@ def test_02_log_magnitude_reference_points():
 
 
 def test_03_complementary_masks_reconstruct():
-    from stemscribe.dsp import ComplexSpectrogram
     rng = np.random.default_rng(1)
-    cfg = StftConfig(fft_size=64, hop=16)
     worst = 0.0
     for _ in range(100):
         grid = rng.standard_normal((12, 33)) + 1j * rng.standard_normal((12, 33))
-        spec = ComplexSpectrogram(grid, cfg, 8000)
         mask = rng.random((12, 33))
-        total = apply_mask(mask, spec).bins + apply_mask(1.0 - mask, spec).bins
+        total = apply_mask(mask, grid) + apply_mask(1.0 - mask, grid)
         worst = max(worst, float(np.max(np.abs(total - grid))))
     _verdict(3, "complementary masks sum to identity", worst < 1e-9,
              f"worst abs err {worst:.2e}")

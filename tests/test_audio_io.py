@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stemscribe.audio_io import (UnsupportedCodecError, Waveform, WavFormatError,
+from stemscribe.audio_io import (UnsupportedCodecError, Waveform, WavFormatError, downmix,
                                  read_wav, resample, resampled_length, write_wav)
 
 LSB16 = 2.0**-15
@@ -220,11 +220,12 @@ def test_waveform_validation():
         Waveform(np.array([[np.nan]]), 8000)
 
 
-def test_to_mono_is_channel_mean():
+def test_downmix_is_channel_mean():
     w = Waveform(np.array([[1.0, 0.0], [0.0, 1.0]]), 8000)
-    assert np.array_equal(w.to_mono().samples, [[0.5, 0.5]])
+    assert np.array_equal(downmix(w.samples), [0.5, 0.5])
+    assert np.array_equal(w.mono_samples(), [0.5, 0.5])
     mono = Waveform(np.array([[1.0, 2.0]]), 8000)
-    assert mono.to_mono() is mono
+    assert np.shares_memory(mono.mono_samples(), mono.samples)  # a view of the one channel
 
 
 def test_resample_identity():

@@ -143,12 +143,12 @@ def analysis_grid(wav_path, config_path):
 
 def test_separate_runs_one_analysis_stft(tmp_path, tiny_config, mixture_wav, monkeypatch):
     # every frame of the analysis grid is transformed exactly once, in order
-    grid = analysis_grid(mixture_wav, tiny_config).bins
+    grid = analysis_grid(mixture_wav, tiny_config)
     blocks = []
 
     def keeping_stft(*args, **kwargs):
         spec = stft(*args, **kwargs)
-        blocks.append(spec.bins)
+        blocks.append(spec)
         return spec
 
     stft = separation.stft
@@ -166,7 +166,7 @@ def test_separation_is_one_pass(tmp_path, tiny_config, mixture_wav, monkeypatch,
     # log-magnitude grid (model input and stats CSV) and once through the
     # inverse STFT, whatever the blocks; the accompaniment needs no second
     # inverse.  The note model's one log grid of the vocals is separate.
-    n_frames = analysis_grid(mixture_wav, tiny_config).num_frames
+    n_frames = len(analysis_grid(mixture_wav, tiny_config))
     frames = collections.Counter()
     calls = collections.Counter()
 
@@ -178,8 +178,8 @@ def test_separation_is_one_pass(tmp_path, tiny_config, mixture_wav, monkeypatch,
             return result
         return wrapper
 
-    frames_of = {"stft": lambda w, spec: spec.num_frames,
-                 "istft": lambda spec, w: spec.num_frames,
+    frames_of = {"stft": lambda x, spec: len(spec),
+                 "istft": lambda spec, x: len(spec),
                  "log_magnitude": lambda grid, out: grid.shape[0]}
     originals = {name: getattr(dsp, name) for name in frames_of}
     for mod_name, mod in list(sys.modules.items()):
@@ -324,25 +324,41 @@ def test_mask_csv_shapes_match_savetxt(tmp_path, shape):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-9, 1 + 1e-9, -0.0])
-def test_mask_csv_outside_the_unit_interval_is_refused_before_any_row(tmp_path, bad):
-    grid = mask_grid(2 * cli._MASK_CSV_BLOCK, 6, "uniform", 1)
-    grid[-17, 3] = bad  # in the last block of rows
-    with pytest.raises(ValueError, match=r"mask .*m\.csv: 1 values NaN, outside \[0, 1\]"):
-        mask_csv(grid, tmp_path / "m.csv")
-    assert (tmp_path / "m.csv").read_bytes() == b""
+def test_mask_csv_outside_the_unit_interval_is_refused_before_any_row(tmp_path, tiny_config,
+                                                                     mixture_wav, bad):
+    # separate_blocks refuses the mask rows of a block before the CSV
+    # writer sees them; here the grid is one block
+    n_frames = len(analysis_grid(mixture_wav, tiny_config))
+
+    def masks(t0, log_mag):
+        grid = mask_grid(*log_mag.shape, "uniform", 1)
+        grid[-17, 3] = bad
+        return grid
+
+    out = tmp_path / "out"
+    with audio_io.WavReader(mixture_wav) as mixture, pytest.raises(
+            ValueError, match=rf"mask rows of frames 0\.\.{n_frames - 1}: 1 values NaN, "
+                              r"outside \[0, 1\] or -0\.0, .*the separator has diverged"):
+        cli._separate_to_dir(mixture, masks, PipelineConfig.load(tiny_config), out, "m")
+    assert (out / "m_mask.csv").read_bytes() == b""
+
+
+def diverged_checkpoint(tmp_path, tiny_config) -> str:
+    """A separator checkpoint whose head bias is NaN, so every mask value is."""
+    state = cli._separator_model(PipelineConfig.load(tiny_config), None).state()
+    state["head.b"] = np.full_like(state["head.b"], np.nan)
+    nn.save_checkpoint(tmp_path / "nan.ssnn", state)
+    return str(tmp_path / "nan.ssnn")
 
 
 def test_separate_with_a_diverged_checkpoint_exits_2_naming_the_mask(tmp_path, tiny_config,
                                                                      mixture_wav, caplog):
-    cfg = PipelineConfig.load(tiny_config)
-    model = cli._separator_model(cfg, None)
-    state = model.state()
-    state["head.b"] = np.full_like(state["head.b"], np.nan)
-    nn.save_checkpoint(tmp_path / "nan.ssnn", state)
     out = tmp_path / "out"
     assert cli.main(["separate", str(mixture_wav), "--out-dir", str(out), "--config",
-                     tiny_config, "--checkpoint", str(tmp_path / "nan.ssnn")]) == 2
-    assert f"mask {out / 'mixture_mask.csv'}: " in caplog.text
+                     tiny_config, "--checkpoint", diverged_checkpoint(tmp_path, tiny_config)]) == 2
+    n_frames = len(analysis_grid(mixture_wav, tiny_config))
+    assert f"mask rows of frames 0..{n_frames - 1}: " in caplog.text
+    assert "the separator has diverged" in caplog.text
     assert (out / "mixture_mask.csv").read_bytes() == b""
     # the stems are written block by block, and a pass cut short leaves none
     assert not list(out.glob("*.wav"))
@@ -389,7 +405,7 @@ def test_separate_audit_csvs_keep_their_bytes(tmp_path, tiny_config, mixture_wav
                                               mask_mode):
     # in one block or several, the streamed CSVs have the bytes of the
     # reference writers applied to the whole-grid log magnitudes and mask
-    log_mag = dsp.log_magnitude(analysis_grid(mixture_wav, tiny_config).magnitude())
+    log_mag = dsp.log_magnitude(np.abs(analysis_grid(mixture_wav, tiny_config)))
     if mask_mode == "model":
         cfg = PipelineConfig.load(tiny_config)
         mask = cli._separator_model(cfg, None).predict_mask(log_mag)
@@ -839,6 +855,16 @@ def test_evaluate_reads_a_checkpoint_only_under_the_mode_that_runs_its_model(
     for option in checkpoints:
         argv += [option, swapped_checkpoints[option]]
     assert cli.main(argv) == code
+
+
+def test_evaluate_with_a_diverged_checkpoint_exits_2(tmp_path, tiny_config, eval_manifest,
+                                                     caplog):
+    # the mask check of separate_blocks guards evaluate, which writes no mask CSV
+    assert cli.main(["evaluate", "--manifest", str(eval_manifest), "--out-dir",
+                     str(tmp_path / "e"), "--config", tiny_config, "--separator", "model",
+                     "--amt-mode", "oracle",
+                     "--sep-checkpoint", diverged_checkpoint(tmp_path, tiny_config)]) == 2
+    assert "the separator has diverged" in caplog.text
 
 
 def test_evaluate_irm_refuses_a_reference_off_the_analysis_grid(tmp_path, tiny_config,
