@@ -101,10 +101,6 @@ def _amt_model(cfg: PipelineConfig, checkpoint: str | None) -> AmtModel:
     return model
 
 
-# Mask rows per formatted block: its temporaries stay a few MB whatever the
-# audio length.
-_MASK_CSV_BLOCK = 1024
-
 # A mask value in [0, 1] prints as the 8 bytes d.dddddd of q = rint(m * 1e6).
 # With q = 1000 a + b, bytes 0-4 ("d.ddd") are those of the little-endian
 # word _HEAD[a] and bytes 5-7 those of _TAIL[b], so one OR gives the field.
@@ -116,16 +112,18 @@ _TAIL = np.array([int.from_bytes(b"\0" * 5 + b"%03d" % b, "little") for b in ran
 _FIELD = np.dtype([("num", "<u8"), ("sep", "u1")])
 
 
-def _mask_csv_bytes(block: np.ndarray) -> bytes:
-    """Rows of a float64 grid with every value in [0, 1] and no -0.0, as
-    np.savetxt(fmt="%.6f", delimiter=",") writes them.  A field whose
-    m * 1e6 lies within 1e-6 of a .5 boundary, where the rounded product
-    could round the other way from the exact value, is formatted by "%.6f"
-    itself, which rounds the exact value half to even."""
-    scaled = block * 1e6
+def _write_mask_csv(mask: np.ndarray, f) -> None:
+    """The bytes np.savetxt(f, mask, fmt="%.6f", delimiter=",") writes to
+    the binary file f for a float64 grid with every value in [0, 1] and no
+    -0.0, the rows separate_blocks admits.  Rows of a grid written in
+    consecutive calls get the bytes of one.  A field whose m * 1e6 lies
+    within 1e-6 of a .5 boundary, where the rounded product could round
+    the other way from the exact value, is formatted by "%.6f" itself,
+    which rounds the exact value half to even."""
+    scaled = mask * 1e6
     q = np.rint(scaled)
     a, b = np.divmod(q.astype(np.int32), 1000)
-    out = np.empty(block.shape, _FIELD)
+    out = np.empty(mask.shape, _FIELD)
     num = _HEAD[a]
     num |= _TAIL[b]
     out["num"] = num
@@ -133,17 +131,8 @@ def _mask_csv_bytes(block: np.ndarray) -> bytes:
     out["sep"][:, -1] = ord("\n")
     scaled -= q
     for i, j in zip(*np.nonzero(np.abs(scaled, out=scaled) > 0.5 - 1e-6)):
-        out["num"][i, j] = int.from_bytes(b"%.6f" % block[i, j], "little")
-    return out.tobytes()
-
-
-def _write_mask_csv(mask: np.ndarray, f) -> None:
-    """The bytes np.savetxt(f, mask, fmt="%.6f", delimiter=",") writes to
-    the binary file f for a grid that separate_blocks admits, formatted
-    _MASK_CSV_BLOCK rows at a time.  Rows of a grid written in consecutive
-    calls get the bytes of one."""
-    for r0 in range(0, mask.shape[0], _MASK_CSV_BLOCK):
-        f.write(_mask_csv_bytes(mask[r0 : r0 + _MASK_CSV_BLOCK]))
+        out["num"][i, j] = int.from_bytes(b"%.6f" % mask[i, j], "little")
+    f.write(out)
 
 
 def _write_stats_csv(log_mag: np.ndarray, f, first_frame: int = 0) -> None:

@@ -29,7 +29,8 @@ backward passes are validated against central finite differences (see
 gradcheck).
 """
 
-from .layers import BatchNorm, BiLstm, Conv2d, Dense, Layer, Lstm, MaxPool2d, Sigmoid, lstm_stack
+from .layers import (BatchNorm, BiLstm, Conv2d, Dense, Layer, Lstm, MaxPool2d, Sigmoid, lstm_stack,
+                     stack_dense)
 from .loss import FocalLossParams, focal_loss
 from .optim import Adam, DivergenceError, Sgd, fit
 from .gradcheck import grad_check
@@ -56,4 +57,5 @@ __all__ = [
     "lstm_stack",
     "restore_params",
     "save_checkpoint",
+    "stack_dense",
 ]

@@ -27,7 +27,8 @@ Conventions:
     (L, 2, B, hidden) state of every layer's (h, c), overwritten with the
     final one, so consecutive blocks of a sequence passed with one state
     give the outputs of one pass over the whole; its outputs are bitwise
-    those of each layer's forward in turn.
+    those of each layer's forward in turn. stack_dense projects its output
+    through a Dense head in the same chunks of frames as its input GEMMs.
   * Every logistic is 0.5·tanh(x/2) + 0.5 in numpy ufuncs: this module
     imports numpy only, so a command that never resamples never loads
     scipy. Sigmoid calls sigmoid(x, out=None), four in-place calls.
@@ -587,6 +588,21 @@ def lstm_stack(layers: list[Lstm], x: np.ndarray, state: np.ndarray) -> np.ndarr
     state[:, 1] = gc[1]
     top = (n_layers - 1) * lag
     return hs[top + 1 : top + t_len + 1, n_layers - 1].copy()
+
+
+def stack_dense(layer: Dense, x: np.ndarray) -> np.ndarray:
+    """Inference Dense.forward of lstm_stack's (T, B, in) output, with one
+    GEMM per _stack_chunks range of frames, as lstm_stack projects its
+    inputs. A GEMM gives a row bits that depend on its row count, so blocks
+    of a sequence whose ranges are those of the whole get the rows of one
+    pass over the whole, bitwise."""
+    t_len, batch, n_in = x.shape
+    layer._cache = None
+    out = np.empty((t_len, batch, layer.w.shape[1]))
+    for a, e in _stack_chunks(t_len, min(_STACK_LAG, t_len)):
+        np.matmul(x[a:e].reshape(-1, n_in), layer.w, out=out[a:e].reshape(-1, out.shape[2]))
+    out += layer.b
+    return out
 
 
 class BiLstm(Layer):

@@ -10,11 +10,13 @@ oracle or a constant) and the inverse STFT of the masked bins, with the
 LSTM layers' (h, c) and the overlap-add tail carried from block to block.
 Each block's stem samples go on as it completes them, so a separation
 from file to file holds no signal whole, and its memory does not grow
-with the audio. Every stage is per frame or causal, so the result is
-the one pass over the whole grid would give. The accompaniment is the
-mono mixture minus the vocals, so the two stems add back to the mixture
-by construction; it equals the inverse STFT of the complementary mask
-1 - m to rounding error.
+with the audio. Every stage is per frame or causal, and every matrix
+product of the model runs over the row ranges of a pass over the whole
+grid, so the masks and stems are bitwise those of that pass at any
+_SEP_BLOCK that is a multiple of nn.layers._STACK_LAG. The
+accompaniment is the mono mixture minus the vocals, so the two stems add
+back to the mixture by construction; it equals the inverse STFT of the
+complementary mask 1 - m to rounding error.
 """
 
 from __future__ import annotations
@@ -32,14 +34,14 @@ STEM_NAMES = ("vocals", "bass", "drums", "other")
 
 GAIN_LOW, GAIN_HIGH = 0.5, 1.25
 
-# Analysis frames per separation block: 5.9 s at the default 22.05 kHz
+# Analysis frames per separation block: 3.0 s at the default 22.05 kHz
 # and hop 128.  Its grids (frames, bins, masks, inverse frames) peak at
-# 16 MB under tracemalloc at the default config, whatever the length of
-# the audio (32 MB at 2048 frames).  A multiple of nn.layers._STACK_LAG,
-# so nn.lstm_stack projects the frames of every block in the chunks of a
-# pass over the whole grid.  At 512 frames the separate_10s benchmark
-# peaked 12 MB lower, but its ops took 4 % longer.
-_SEP_BLOCK = 1024
+# 8 MB under tracemalloc at the default config, whatever the length of
+# the audio (16 MB at 1024 frames, 32 MB at 2048).  A multiple of
+# nn.layers._STACK_LAG, so nn.lstm_stack and nn.stack_dense project the
+# frames of every block in the chunks of a pass over the whole grid, and
+# the masks and stems do not depend on it.
+_SEP_BLOCK = 512
 
 # Where separate_blocks reads the mixture: read(start, stop) gives the
 # samples [start, stop) of every channel.
@@ -151,7 +153,9 @@ class SeparatorModel(nn.Layer):
         A training forward runs the LSTM layers one after the other, from
         zero state, each keeping what backward needs.  At inference they
         run as one nn.lstm_stack, from state (see zero_state) when given,
-        which is then left holding the final one."""
+        which is then left holding the final one, and the head projects
+        in lstm_stack's chunks of frames (nn.stack_dense), so a frame's
+        mask does not depend on the block of the grid it is passed in."""
         norm, *lstms, head, out = self.children.values()
         h = norm.forward(log_mag, training)
         if training:
@@ -159,9 +163,11 @@ class SeparatorModel(nn.Layer):
                 raise ValueError("a training forward starts from zero state; backward assumes it")
             for lstm in lstms:
                 h = lstm.forward(h, training=True)
+            h = head.forward(h, training=True)
         else:
             h = nn.lstm_stack(lstms, h, self.zero_state(h.shape[1]) if state is None else state)
-        return out.forward(head.forward(h, training), training)
+            h = nn.stack_dense(head, h)
+        return out.forward(h, training)
 
     def backward(self, grad_mask: np.ndarray) -> None:
         """Takes the gradient of the mask forward_mask returned."""
@@ -271,7 +277,8 @@ def separate_blocks(mixture: SampleSource, masks: MaskSource, stft_cfg: StftConf
                     on_block: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
                     sink: StemSink | None = None) -> tuple[Waveform, Waveform] | None:
     """(vocals, accompaniment) of the mixture in one pass over blocks of
-    _SEP_BLOCK frames of its analysis_spectrogram grid.
+    _SEP_BLOCK frames of its analysis_spectrogram grid; a lone last frame
+    joins the block before it.
 
     Each block's samples are read from the mixture, transformed, masked
     by the rows masks(first_frame, log_mag) returns for it, and inverted;
@@ -295,8 +302,12 @@ def separate_blocks(mixture: SampleSource, masks: MaskSource, stft_cfg: StftConf
             stems[:, first : first + vocals.size] = vocals, accomp
 
     carry = np.zeros((2, cfg.fft_size - cfg.hop))
-    for t0 in range(0, n_frames, _SEP_BLOCK):
-        t1 = min(t0 + _SEP_BLOCK, n_frames)
+    bounds = [*range(0, n_frames, _SEP_BLOCK), n_frames]
+    if bounds[-1] - bounds[-2] == 1:
+        # a lone last frame joins the block before it: the model's GEMM of
+        # a 1-row block need not give that row the bits of a taller one
+        del bounds[-2]
+    for t0, t1 in zip(bounds, bounds[1:]):
         x = _padded_block(mixture, t0, t1, cfg)
         bins = stft(x, cfg)
         log_mag = log_magnitude(np.abs(bins))

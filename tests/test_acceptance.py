@@ -17,8 +17,8 @@ from stemscribe.nn import grad_check
 from stemscribe.nn.loss import FocalLossParams, focal_loss
 from stemscribe.notation import (MuseScoreNotFoundError, NotationJob,
                                  build_command, resolve_executable)
-from stemscribe.pianoroll import (FrameTiming, NoteEvent, PianoRoll, empty_roll,
-                                  notes_to_roll, rasterize_notes, roll_to_notes)
+from stemscribe.pianoroll import (FrameTiming, NoteEvent, PianoRoll, notes_to_roll,
+                                  rasterize_notes, roll_to_notes)
 from stemscribe.separation import (SeparatorModel, TrainingClip, apply_mask,
                                    make_training_clip, oracle_masks, remix, separate_blocks,
                                    sum_accompaniment)

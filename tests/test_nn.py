@@ -623,6 +623,16 @@ def test_stack_chunks_cover_the_block_in_short_ranges():
         assert all(e - a >= 2 for a, e in chunks) or t_len == 1
 
 
+@pytest.mark.parametrize("batch", [1, 2])
+def test_stack_dense_gives_a_block_of_whole_chunks_the_bits_of_the_whole(rng, batch):
+    head = nn.Dense(64, 257, rng)
+    x = rng.standard_normal((3 * LAG + 9, batch, 64))
+    whole = nn.stack_dense(head, x)
+    np.testing.assert_allclose(whole, head.forward(x), rtol=0, atol=1e-12)
+    for a, e in [(0, LAG), (LAG, 3 * LAG), (2 * LAG, 3 * LAG + 9)]:
+        assert np.array_equal(nn.stack_dense(head, x[a:e]), whole[a:e])
+
+
 def test_lstm_state_starts_where_it_is_given(rng):
     lstms = [nn.Lstm(3, 4, rng), nn.Lstm(4, 4, rng)]
     x = rng.standard_normal((5, 1, 3))

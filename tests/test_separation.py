@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from stemscribe import nn, separation, synth
 from stemscribe.audio_io import Waveform
 from stemscribe.bss_metrics import si_sdr
-from stemscribe.dsp import StftConfig, istft, log_magnitude, stft
+from stemscribe.dsp import StftConfig, istft, log_magnitude
 from stemscribe.separation import (SeparatorModel, SourceSet, TrainingClip,
                                    analysis_spectrogram, apply_mask, ideal_ratio_mask,
                                    make_training_clip, mixture_of, oracle_masks, remix,
@@ -88,8 +88,9 @@ def test_remix_empty_rejected():
 # ----------------------------------------------------------------- masks
 
 def random_spec(rng, frames=6):
-    z = rng.standard_normal((frames, CFG.num_bins)) + 1j * rng.standard_normal((frames, CFG.num_bins))
-    return stft(rng.standard_normal(1000), CFG)
+    """A random complex (frames, bins) grid."""
+    shape = (frames, CFG.num_bins)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_apply_mask_identity_and_zero(rng):
@@ -365,6 +366,35 @@ def test_blocked_separation_matches_the_whole_grid(rng, monkeypatch, block, fram
     assert np.array_equal(np.concatenate(blocks), irm)
     ref_vocals, _ = whole_grid_separate(mix, None, CFG, irm)
     np.testing.assert_allclose(vocals.samples, ref_vocals, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("frames", [
+    1025,  # the last block of 64, 512 and 1024 frames would hold 1 frame
+    1089,  # the last block of 512 and 1024 frames holds 65 frames, of 64 one
+    2053,
+])
+def test_blocked_separation_is_bitwise_the_whole_grid(rng, monkeypatch, frames):
+    # blocks of multiples of nn.layers._STACK_LAG frames, and one block of
+    # any size holding the whole grid, at the default separator sizes
+    mix = Waveform(rng.standard_normal((1, (frames - 2) * CFG.hop - CFG.fft_size + 1)), 22050)
+    assert len(analysis_spectrogram(mix, CFG)) == frames
+    model = SeparatorModel(num_bins=CFG.num_bins, hidden=64, layers=2, seed=0)
+    ref_vocals, ref_mask = whole_grid_separate(mix, model, CFG)
+    for block in (64, 512, 1024, 3000):
+        monkeypatch.setattr(separation, "_SEP_BLOCK", block)
+        vocals, accomp, mask = separate(mix, model, CFG)
+        assert np.array_equal(mask, ref_mask), block
+        assert np.array_equal(vocals.samples, ref_vocals), block
+        assert np.array_equal(accomp.samples, mix.samples - ref_vocals), block
+
+
+def test_a_lone_last_frame_joins_the_block_before_it(rng, monkeypatch):
+    monkeypatch.setattr(separation, "_SEP_BLOCK", BLOCK)
+    mix = Waveform(rng.standard_normal((1, (2 * BLOCK - 1) * CFG.hop - CFG.fft_size + 1)), 8000)
+    seen = []
+    separate_blocks(mix, grid_masks(np.ones((2 * BLOCK + 1, CFG.num_bins))), CFG,
+                    on_block=lambda t0, log_mag, rows: seen.append((t0, len(rows))))
+    assert seen == [(0, BLOCK), (BLOCK, BLOCK + 1)]
 
 
 def test_separate_refuses_a_mask_off_the_analysis_grid(rng):
