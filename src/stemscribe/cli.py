@@ -279,15 +279,26 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _reference_stems(entry) -> tuple[Waveform, Waveform] | None:
-    """(vocals, accompaniment) references from a manifest entry, if present."""
+def _reference_stems(entry, mixture: Waveform) -> tuple[Waveform, Waveform] | None:
+    """(vocals, accompaniment) references from a manifest entry, if present.
+    The metrics compare signals sample by sample, so a stem read here
+    whose sample rate or length is not the mixture's raises ValueError."""
     if not entry.stems or "vocals" not in entry.stems:
         return None
-    ref_vocals = read_wav(entry.stems["vocals"])
+
+    def read(path) -> Waveform:
+        stem = read_wav(path)
+        if (stem.sample_rate, stem.num_samples) != (mixture.sample_rate, mixture.num_samples):
+            raise ValueError(
+                f"reference {path} has {stem.num_samples} samples at {stem.sample_rate} Hz, "
+                f"the mixture {entry.mixture} {mixture.num_samples} at {mixture.sample_rate} Hz")
+        return stem
+
+    ref_vocals = read(entry.stems["vocals"])
     if "accompaniment" in entry.stems:
-        ref_accomp = read_wav(entry.stems["accompaniment"])
+        ref_accomp = read(entry.stems["accompaniment"])
     else:
-        rest = [read_wav(p) for name, p in sorted(entry.stems.items()) if name != "vocals"]
+        rest = [read(p) for name, p in sorted(entry.stems.items()) if name != "vocals"]
         if not rest:
             return None
         total = np.sum([w.samples for w in rest], axis=0)
@@ -314,7 +325,7 @@ def cmd_evaluate(args) -> int:
     for entry in manifest:
         name = Path(entry.mixture).stem
         mixture = read_wav(entry.mixture)
-        refs = _reference_stems(entry)
+        refs = _reference_stems(entry, mixture)
         if refs is not None:
             ref_vocals, ref_accomp = refs
             if args.separator == "mixture":
@@ -323,14 +334,11 @@ def cmd_evaluate(args) -> int:
                 est_vocals, est_accomp = separate_blocks(
                     mixture, sep_model.masks() if args.separator == "model"
                     else oracle_masks(mixture, ref_vocals, ref_accomp, cfg.stft), cfg.stft)
-            n = min(ref_vocals.num_samples, est_vocals.num_samples)
-
-            def flat(w: Waveform) -> np.ndarray:
-                return w.mono_samples()[:n]
 
             def metrics(ref: Waveform, est: Waveform, other: Waveform) -> dict:
-                r = bss_metrics.evaluate_pair(flat(mixture), flat(ref), flat(est),
-                                              other_references=[flat(other)])
+                r = bss_metrics.evaluate_pair(mixture.mono_samples(), ref.mono_samples(),
+                                              est.mono_samples(),
+                                              other_references=[other.mono_samples()])
                 return {**r.to_dict(), "clamped": sorted(r.clamped)}
 
             separation_report[name] = {

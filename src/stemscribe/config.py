@@ -2,8 +2,9 @@
 
 A config describes the models, not a training run: their sizes, the note
 model's threshold and focal loss, the STFT and CQT front ends, the seed and
-paths. Epochs, batch size and clip length are command-line options. Keys
-match field names exactly so a saved config loads back equal to the original.
+paths. Epochs, batch size and clip length are command-line options, and the
+STFT window, always the periodic Hann, is no key. Keys match field names
+exactly so a saved config loads back equal to the original.
 """
 
 from __future__ import annotations

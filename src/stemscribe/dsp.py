@@ -8,6 +8,8 @@ Layout conventions; every transform takes arrays, none a Waveform:
   * Signals are 1-D float arrays of mono samples at the config's rate.
   * STFT grids are (frames, bins) complex128 with bins = fft_size // 2 + 1.
   * CQT grids are (bins, frames), one row per log-spaced bin.
+  * Every window, of STFT frames and CQT kernels alike, is the periodic
+    Hann of make_window.
 """
 
 from __future__ import annotations
@@ -23,39 +25,24 @@ class WindowError(ValueError):
     """Window/hop pair unusable for analysis or reconstruction."""
 
 
-def make_window(name: str, length: int) -> np.ndarray:
-    if name == "hann":
-        # Periodic Hann; sums to a constant at hop = length / 4.
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
-    if name == "rectangular":
-        return np.ones(length)
-    raise WindowError(f"unknown window {name!r}")
+def make_window(length: int) -> np.ndarray:
+    """The periodic Hann window of the STFT and of every CQT kernel; its
+    squares sum to a constant at hop = length / 4."""
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
 
 
 @dataclass(frozen=True)
 class StftConfig:
     fft_size: int = 512
     hop: int = 128
-    window: str = "hann"
 
     def __post_init__(self):
         if not 0 < self.hop <= self.fft_size:
             raise ValueError(f"need 0 < hop <= fft_size, got hop={self.hop}, fft_size={self.fft_size}")
-        make_window(self.window, self.fft_size)
 
     @property
     def num_bins(self) -> int:
         return self.fft_size // 2 + 1
-
-
-@dataclass(frozen=True)
-class LogMagParams:
-    a_min: float = 1e-10
-    ref: float = 1.0
-
-    def __post_init__(self):
-        if self.a_min <= 0 or self.ref <= 0:
-            raise ValueError("a_min and ref must be positive")
 
 
 def num_stft_frames(n_samples: int, cfg: StftConfig) -> int:
@@ -72,7 +59,7 @@ def stft(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     n_frames = num_stft_frames(x.size, cfg)
     padded_len = (n_frames - 1) * cfg.hop + cfg.fft_size
     x = np.pad(x, (0, padded_len - x.size))
-    window = make_window(cfg.window, cfg.fft_size)
+    window = make_window(cfg.fft_size)
     frames = sliding_window_view(x, cfg.fft_size)[:: cfg.hop] * window
     return np.fft.rfft(frames, axis=1)
 
@@ -105,14 +92,15 @@ def overlap_add(frames: np.ndarray, hop: int, out: np.ndarray | None = None) -> 
 
 def check_invertible(cfg: StftConfig) -> None:
     """Raise WindowError unless istft can invert grids of cfg."""
-    win = make_window(cfg.window, cfg.fft_size)
+    win = make_window(cfg.fft_size)
     # Away from the edges each sample sees the squared windows of one hop
     # period, taken here from the row that every one of `pieces` frames
     # reaches; if they leave a gap, frames were lost between hops.
     pieces = -(-cfg.fft_size // cfg.hop)
     steady = overlap_add(np.broadcast_to(win**2, (pieces, cfg.fft_size)), cfg.hop)
     if steady[(pieces - 1) * cfg.hop : pieces * cfg.hop].min() < 1e-10:
-        raise WindowError(f"window {cfg.window!r} with hop {cfg.hop} leaves gaps; cannot invert")
+        raise WindowError(f"hop {cfg.hop} leaves gaps between Hann windows of {cfg.fft_size}; "
+                          "cannot invert")
 
 
 def istft(bins: np.ndarray, cfg: StftConfig, carry: np.ndarray | None = None) -> np.ndarray:
@@ -130,7 +118,7 @@ def istft(bins: np.ndarray, cfg: StftConfig, carry: np.ndarray | None = None) ->
     if bins.ndim != 2 or bins.shape[1] != cfg.num_bins:
         raise ValueError(f"expected (frames, {cfg.num_bins}) grid, got {bins.shape}")
     check_invertible(cfg)
-    win = make_window(cfg.window, cfg.fft_size)
+    win = make_window(cfg.fft_size)
     frames = np.fft.irfft(bins, n=cfg.fft_size, axis=1)
     frames *= win
     out = np.zeros((len(bins) - 1) * cfg.hop + cfg.fft_size)
@@ -147,12 +135,11 @@ def istft(bins: np.ndarray, cfg: StftConfig, carry: np.ndarray | None = None) ->
     return out
 
 
-def log_magnitude(magnitudes: np.ndarray, params: LogMagParams = LogMagParams()) -> np.ndarray:
-    """Decibel scaling of a magnitude grid, floored at a_min for stability."""
+def log_magnitude(magnitudes: np.ndarray) -> np.ndarray:
+    """Decibels of a magnitude grid, 10 log10(m²), with the power floored
+    at 1e-10 (-100 dB) for stability."""
     s = np.asarray(magnitudes, dtype=np.float64)
-    power = np.maximum(s**2, params.a_min)
-    ref = max(params.a_min, params.ref**2)
-    return 10.0 * (np.log10(power) - np.log10(ref))
+    return 10.0 * np.log10(np.maximum(s**2, 1e-10))
 
 
 @dataclass(frozen=True)
@@ -189,7 +176,7 @@ def cqt_kernels(cfg: CqtConfig) -> list[np.ndarray]:
     for k in range(cfg.n_bins):
         f_k = cfg.center_frequency(k)
         n_k = int(np.ceil(q * cfg.sample_rate / f_k))
-        win = make_window("hann", n_k)
+        win = make_window(n_k)
         t = np.arange(n_k) - (n_k - 1) / 2.0
         kernel = win * np.exp(-2j * np.pi * f_k * t / cfg.sample_rate)
         kernels.append(kernel / win.sum())

@@ -68,19 +68,20 @@ def seconds_to_ticks(seconds: float, division: int, tempo: int) -> int:
     return int(round(seconds * division * 1e6 / tempo))
 
 
-def render_smf(notes, division: int = DEFAULT_DIVISION, tempo: int = DEFAULT_TEMPO) -> bytes:
-    """Serialize note events to format-0 SMF bytes."""
+def render_smf(notes) -> bytes:
+    """Serialize note events to format-0 SMF bytes at DEFAULT_DIVISION
+    ticks per quarter note and DEFAULT_TEMPO."""
     events = []  # (tick, order, message); offs sort before ons at equal ticks
     for note in notes:
-        on = seconds_to_ticks(note.start, division, tempo)
-        off = seconds_to_ticks(note.end, division, tempo)
+        on = seconds_to_ticks(note.start, DEFAULT_DIVISION, DEFAULT_TEMPO)
+        off = seconds_to_ticks(note.end, DEFAULT_DIVISION, DEFAULT_TEMPO)
         events.append((on, 1, bytes([NOTE_ON, note.pitch, note.velocity])))
         events.append((off, 0, bytes([NOTE_OFF, note.pitch, 0])))
     events.sort()
 
     track = bytearray()
     track += encode_vlq(0)
-    track += bytes([META, META_TEMPO, 3]) + tempo.to_bytes(3, "big")
+    track += bytes([META, META_TEMPO, 3]) + DEFAULT_TEMPO.to_bytes(3, "big")
     prev_tick = 0
     for tick, _, message in events:
         track += encode_vlq(tick - prev_tick)
@@ -88,12 +89,12 @@ def render_smf(notes, division: int = DEFAULT_DIVISION, tempo: int = DEFAULT_TEM
         prev_tick = tick
     track += encode_vlq(0) + bytes([META, META_END_OF_TRACK, 0])
 
-    header = HEADER_MAGIC + struct.pack(">IHHH", 6, 0, 1, division)
+    header = HEADER_MAGIC + struct.pack(">IHHH", 6, 0, 1, DEFAULT_DIVISION)
     return header + TRACK_MAGIC + struct.pack(">I", len(track)) + bytes(track)
 
 
-def write_smf(notes, path, division: int = DEFAULT_DIVISION, tempo: int = DEFAULT_TEMPO) -> int:
-    data = render_smf(notes, division, tempo)
+def write_smf(notes, path) -> int:
+    data = render_smf(notes)
     Path(path).write_bytes(data)
     return len(data)
 

@@ -32,7 +32,7 @@ gradcheck).
 from .layers import (BatchNorm, BiLstm, Conv2d, Dense, Layer, Lstm, MaxPool2d, Sigmoid, lstm_stack,
                      stack_dense)
 from .loss import FocalLossParams, focal_loss
-from .optim import Adam, DivergenceError, Sgd, fit
+from .optim import Adam, DivergenceError, fit
 from .gradcheck import grad_check
 from .checkpoint import CheckpointError, load_checkpoint, restore_params, save_checkpoint
 
@@ -48,7 +48,6 @@ __all__ = [
     "Layer",
     "Lstm",
     "MaxPool2d",
-    "Sgd",
     "Sigmoid",
     "fit",
     "focal_loss",

@@ -4,7 +4,8 @@ A trainable model has params(), grads() and zero_grads() as an nn.Layer
 does, plus loss_and_grad(batch) -> float: given a list of examples, it
 adds their gradients into the buffers its first zero_grads() created, in
 one forward and one backward pass for the whole batch, and returns their
-summed loss. Optimizers update the params() arrays in place.
+summed loss. Adam, the one optimizer, updates the params() arrays in
+place; of its settings only the learning rate is a parameter.
 """
 
 from __future__ import annotations
@@ -26,45 +27,38 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
 
 
-class Sgd:
-    def __init__(self, lr: float = 1e-2):
-        self.lr = lr
-
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        for name, p in params.items():
-            p -= self.lr * grads[name]
+# Adam's moment decay rates and denominator offset, the defaults of Kingma
+# & Ba, "Adam: A Method for Stochastic Optimization" (ICLR 2015).
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        bias1, bias2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        bias1, bias2 = 1.0 - _BETA1**self.t, 1.0 - _BETA2**self.t
         for name, p in params.items():
             g = grads[name]
-            m = self._m.setdefault(name, np.zeros_like(p))
-            v = self._v.setdefault(name, np.zeros_like(p))
+            if name not in self._m:
+                self._m[name], self._v[name] = np.zeros_like(p), np.zeros_like(p)
+            m, v = self._m[name], self._v[name]
             # m += (1 - beta1)·(g - m); v += (1 - beta2)·(g² - v);
             # p -= lr·m̂ / (sqrt(v̂) + eps), each step in its order, in two buffers
             step = np.subtract(g, m)
-            step *= 1.0 - self.beta1
+            step *= 1.0 - _BETA1
             m += step
             np.multiply(g, g, out=step)
             step -= v
-            step *= 1.0 - self.beta2
+            step *= 1.0 - _BETA2
             v += step
             denom = np.divide(v, bias2)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += _EPS
             np.divide(m, bias1, out=step)
             step *= self.lr
             step /= denom

@@ -95,10 +95,6 @@ class PianoRoll:
         return cls(bits[: rows * cols].reshape(rows, cols), frame_time)
 
 
-def empty_roll(num_frames: int, timing: FrameTiming = FrameTiming()) -> PianoRoll:
-    return PianoRoll(np.zeros((N_KEYS, num_frames), dtype=np.uint8), timing.time_per_frame)
-
-
 def _check_piano_pitch(pitch: int) -> None:
     if not LOWEST_PITCH <= pitch <= HIGHEST_PITCH:
         raise ValueError(f"pitch {pitch} outside piano range {LOWEST_PITCH}..{HIGHEST_PITCH}")
@@ -113,16 +109,16 @@ def active_runs(row: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def roll_to_notes(roll: PianoRoll, timing: FrameTiming | None = None,
-                  velocity: int = DEFAULT_VELOCITY) -> list[NoteEvent]:
+def roll_to_notes(roll: PianoRoll) -> list[NoteEvent]:
     """Group each run of active frames [a..b] into a note spanning
-    [a * dt, (b + 1) * dt), ordered by start time then pitch."""
-    dt = timing.time_per_frame if timing is not None else roll.frame_time
+    [a * dt, (b + 1) * dt), dt the roll's frame time, at DEFAULT_VELOCITY,
+    ordered by start time then pitch."""
+    dt = roll.frame_time
     notes = []
     for row_index in range(N_KEYS):
         pitch = row_index + LOWEST_PITCH
         for first, last in active_runs(roll.grid[row_index]):
-            notes.append(NoteEvent(pitch, first * dt, (last + 1) * dt, velocity))
+            notes.append(NoteEvent(pitch, first * dt, (last + 1) * dt))
     notes.sort(key=lambda n: (n.start, n.pitch))
     return notes
 

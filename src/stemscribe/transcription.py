@@ -27,7 +27,8 @@ from .pianoroll import N_KEYS, FrameTiming, PianoRoll, active_runs, rasterize_no
 
 SEGMENT_WINDOW = 512
 SEGMENT_HOP = 256
-DEFAULT_CLIP_SECONDS = 180.0
+# The factor the note model's max pooling divides the bins by.
+_POOL_FREQ = 2
 # Windows per forward pass at inference. A default-size window in flight
 # holds ~10 MB of activations; up to 3 at once leave the peak RSS of
 # transcribing a 180 s clip where one at a time puts it.
@@ -82,23 +83,21 @@ def segment(features: np.ndarray, window: int = SEGMENT_WINDOW,
 class AmtConfig:
     n_bins: int = 84
     conv_channels: int = 16
-    kernel: tuple[int, int] = (3, 3)
-    pool_freq: int = 2
     hidden: int = 64
     n_keys: int = N_KEYS
     threshold: float = 0.5
     loss: FocalLossParams = FocalLossParams()
 
     def __post_init__(self):
-        if self.n_bins % self.pool_freq:
-            raise ValueError(f"pool_freq {self.pool_freq} must divide n_bins {self.n_bins}")
+        if self.n_bins % _POOL_FREQ:
+            raise ValueError(f"pooling by {_POOL_FREQ} must divide n_bins {self.n_bins}")
         if not 0.0 <= self.threshold < 1.0:
             raise ValueError(f"threshold {self.threshold} out of range")
 
     @property
     def seq_features(self) -> int:
         """Feature width per frame after pooling and the time-major reshape."""
-        return self.conv_channels * (self.n_bins // self.pool_freq)
+        return self.conv_channels * (self.n_bins // _POOL_FREQ)
 
 
 @dataclass
@@ -122,8 +121,8 @@ class AmtModel(nn.Layer):
         rng = np.random.default_rng(seed)
         self.cfg = cfg
         self.norm = nn.BatchNorm(cfg.n_bins)
-        self.conv = nn.Conv2d(1, cfg.conv_channels, cfg.kernel, rng)
-        self.pool = nn.MaxPool2d((cfg.pool_freq, 1))
+        self.conv = nn.Conv2d(1, cfg.conv_channels, (3, 3), rng)
+        self.pool = nn.MaxPool2d((_POOL_FREQ, 1))
         self.blstm = nn.BiLstm(cfg.seq_features, cfg.hidden, rng)
         self.head = nn.Dense(2 * cfg.hidden, cfg.n_keys, rng)
         self.out = nn.Sigmoid()
@@ -268,9 +267,8 @@ def _features(audio: Waveform, cqt_cfg: CqtConfig, num_samples: int | None = Non
     return log_magnitude(cqt(x, cqt_cfg))
 
 
-def build_training_pair(audio: Waveform, notes, cqt_cfg: CqtConfig = CqtConfig(),
-                        duration: float = DEFAULT_CLIP_SECONDS,
-                        window: int = SEGMENT_WINDOW,
+def build_training_pair(audio: Waveform, notes, cqt_cfg: CqtConfig = CqtConfig(), *,
+                        duration: float, window: int = SEGMENT_WINDOW,
                         hop_frames: int = SEGMENT_HOP) -> tuple[SegmentedFeatures, PianoRoll]:
     """Aligned (features, target roll) for one clip.
 

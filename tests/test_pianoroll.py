@@ -3,11 +3,15 @@ import pytest
 
 from stemscribe.pianoroll import (DEFAULT_VELOCITY, N_KEYS, ROLL_MAGIC,
                                   FrameTiming, NoteEvent, PianoRoll,
-                                  active_runs, empty_roll, notes_to_roll,
-                                  rasterize_notes, roll_to_notes)
+                                  active_runs, notes_to_roll, rasterize_notes,
+                                  roll_to_notes)
 
 TIMING = FrameTiming(hop_length=512, sample_rate=22050)
 DT = TIMING.time_per_frame
+
+
+def silent_roll(frames, timing=TIMING):
+    return PianoRoll(np.zeros((N_KEYS, frames), dtype=np.uint8), timing.time_per_frame)
 
 
 def random_roll(seed, frames=60, density=0.08):
@@ -44,7 +48,7 @@ def test_roll_validation():
         PianoRoll(np.full((N_KEYS, 4), 2), DT)
     with pytest.raises(ValueError):
         PianoRoll(np.zeros((N_KEYS, 4)), 0.0)
-    assert empty_roll(7).num_frames == 7
+    assert silent_roll(7).num_frames == 7
 
 
 # ----------------------------------------------------------- active_runs
@@ -70,9 +74,9 @@ def test_active_runs_match_transition_scan():
 # --------------------------------------------------------- notes <-> roll
 
 def test_single_run_becomes_note_with_half_open_span():
-    roll = empty_roll(30, TIMING)
+    roll = silent_roll(30)
     roll.grid[39, 10:21] = 1  # row 39 -> pitch 60, frames 10..20
-    (note,) = roll_to_notes(roll, TIMING)
+    (note,) = roll_to_notes(roll)
     assert note.pitch == 60
     assert note.start == pytest.approx(10 * DT)
     assert note.end == pytest.approx(21 * DT)
@@ -80,7 +84,7 @@ def test_single_run_becomes_note_with_half_open_span():
 
 
 def test_empty_roll_yields_no_notes():
-    assert roll_to_notes(empty_roll(25, TIMING), TIMING) == []
+    assert roll_to_notes(silent_roll(25)) == []
 
 
 def test_one_frame_note_spans_single_frame():
@@ -92,7 +96,7 @@ def test_one_frame_note_spans_single_frame():
 @pytest.mark.parametrize("seed", range(100))
 def test_roll_notes_roll_identity(seed):
     roll = random_roll(seed)
-    notes = roll_to_notes(roll, TIMING)
+    notes = roll_to_notes(roll)
     back = notes_to_roll(notes, TIMING, roll.num_frames)
     np.testing.assert_array_equal(back.grid, roll.grid)
 
@@ -106,7 +110,7 @@ def test_overlapping_notes_union():
 
 
 def test_roll_uses_own_frame_time_when_timing_omitted():
-    roll = empty_roll(10, FrameTiming(100, 1000))
+    roll = silent_roll(10, FrameTiming(100, 1000))
     roll.grid[39, 2:4] = 1
     (note,) = roll_to_notes(roll)
     assert note.start == pytest.approx(0.2)

@@ -404,6 +404,15 @@ def test_separate_refuses_a_mask_off_the_analysis_grid(rng):
         separate_blocks(mix, grid_masks(np.ones((frames - 1, CFG.num_bins))), CFG)
 
 
+def test_oracle_masks_refuse_a_reference_off_the_analysis_grid(rng):
+    # one hop more of a reference is one more frame than the mixture's grid has
+    mix = Waveform(rng.standard_normal((1, 1000)), 8000)
+    longer = Waveform(rng.standard_normal((1, 1000 + CFG.hop)), 8000)
+    for target, residual in ((longer, mix), (mix, longer)):
+        with pytest.raises(ValueError, match="analysis grid"):
+            oracle_masks(mix, target, residual, CFG)
+
+
 def test_blocks_see_every_frame_once_in_order(rng, monkeypatch):
     monkeypatch.setattr(separation, "_SEP_BLOCK", BLOCK)
     mix = Waveform(rng.standard_normal((1, 5000)), 8000)

@@ -8,7 +8,7 @@ from stemscribe.audio_io import Waveform
 from stemscribe.dsp import CqtConfig, num_cqt_frames
 from stemscribe.nn import grad_check
 from stemscribe.nn.loss import FocalLossParams, focal_loss
-from stemscribe.pianoroll import FrameTiming, N_KEYS, NoteEvent, PianoRoll, empty_roll
+from stemscribe.pianoroll import FrameTiming, N_KEYS, NoteEvent, PianoRoll
 from stemscribe.transcription import (AmtConfig, AmtExample, AmtModel,
                                       SegmentedFeatures, build_training_pair,
                                       examples_from_pair, f1_from,
@@ -16,6 +16,10 @@ from stemscribe.transcription import (AmtConfig, AmtExample, AmtModel,
                                       stitch_and_threshold, transcribe_waveform)
 
 TIMING = FrameTiming(512, 22050)
+
+
+def silent_roll(frames, timing=TIMING):
+    return PianoRoll(np.zeros((N_KEYS, frames), dtype=np.uint8), timing.time_per_frame)
 
 
 # --------------------------------------------------------------- segment
@@ -204,12 +208,12 @@ def test_stitch_matches_the_window_loop(grid, threshold, quantized):
 def test_examples_reject_a_roll_of_another_length(rng):
     segs = segment(rng.standard_normal((6, 20)), window=8, hop=4)
     with pytest.raises(ValueError, match="roll has 19 frames"):
-        examples_from_pair(segs, empty_roll(19, TIMING))
+        examples_from_pair(segs, silent_roll(19))
 
 
 # ----------------------------------------------------------------- model
 
-TINY = AmtConfig(n_bins=6, conv_channels=2, pool_freq=2, hidden=3, n_keys=5)
+TINY = AmtConfig(n_bins=6, conv_channels=2, hidden=3, n_keys=5)
 
 
 def test_model_outputs_probabilities():
@@ -238,7 +242,7 @@ def test_models_refuse_an_unbatched_input():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        AmtConfig(n_bins=5, pool_freq=2)
+        AmtConfig(n_bins=5)
     with pytest.raises(ValueError):
         AmtConfig(threshold=1.0)
     assert TINY.seq_features == 2 * 3
@@ -351,7 +355,7 @@ def test_f1_reference_points():
 
 
 def roll_with(pitch_frames, frames=30):
-    roll = empty_roll(frames, TIMING)
+    roll = silent_roll(frames)
     for pitch, span in pitch_frames:
         roll.grid[pitch - 21, span] = 1
     return roll
@@ -384,7 +388,7 @@ def test_frame_metrics_silent_frames_do_not_dilute():
 
 def test_frame_metrics_empty_prediction_flags_precision():
     truth = roll_with([(60, slice(0, 5))])
-    s = frame_metrics(empty_roll(30, TIMING), truth)
+    s = frame_metrics(silent_roll(30), truth)
     assert s.recall == 0.0 and s.precision == 0.0 and s.f1 == 0.0
     assert "precision" in s.undefined and "f1" in s.undefined
 
@@ -397,7 +401,7 @@ def test_frame_metrics_swap_exchanges_precision_and_recall():
 
 def test_frame_metrics_shape_mismatch():
     with pytest.raises(ValueError):
-        frame_metrics(empty_roll(10, TIMING), empty_roll(11, TIMING))
+        frame_metrics(silent_roll(10), silent_roll(11))
 
 
 def test_onset_metrics_identical_rolls():
@@ -429,8 +433,8 @@ def test_onset_metrics_greedy_matches_each_onset_once():
 
 
 def test_onset_metrics_rejects_timing_mismatch():
-    a = empty_roll(10, FrameTiming(512, 22050))
-    b = empty_roll(10, FrameTiming(256, 22050))
+    a = silent_roll(10, FrameTiming(512, 22050))
+    b = silent_roll(10, FrameTiming(256, 22050))
     with pytest.raises(ValueError):
         onset_metrics(a, b)
 
@@ -469,7 +473,7 @@ def test_build_training_pair_pads_short_audio_to_duration():
 def test_examples_align_targets_to_windows(rng):
     feats = rng.standard_normal((6, 20))
     segs = segment(feats, window=8, hop=4)
-    roll = empty_roll(20, TIMING)
+    roll = silent_roll(20)
     roll.grid[39, 18:20] = 1
     examples = examples_from_pair(segs, roll)
     assert len(examples) == len(segs.segments)
@@ -484,7 +488,7 @@ def test_examples_zero_pad_roll_tail(rng):
     # a sub-window clip pads features to one window; targets must follow
     feats = rng.standard_normal((6, 10))
     segs = segment(feats, window=16, hop=8)
-    roll = empty_roll(10, TIMING)
+    roll = silent_roll(10)
     roll.grid[39, :] = 1
     (example,) = examples_from_pair(segs, roll)
     assert example.targets.shape == (16, N_KEYS)
@@ -494,7 +498,7 @@ def test_examples_zero_pad_roll_tail(rng):
 
 def test_transcribe_waveform_matches_source_frame_count(rng):
     audio = Waveform(rng.standard_normal((1, 6615)) * 0.1, 22050)
-    cfg = AmtConfig(n_bins=84, conv_channels=2, pool_freq=2, hidden=4)
+    cfg = AmtConfig(n_bins=84, conv_channels=2, hidden=4)
     model = AmtModel(cfg, seed=0)
     roll = transcribe_waveform(audio, model, window=8, hop_frames=4)
     assert roll.num_frames == num_cqt_frames(6615, CQT_SMALL)
@@ -502,12 +506,12 @@ def test_transcribe_waveform_matches_source_frame_count(rng):
 
 
 def test_train_amt_loss_decreases(rng):
-    cfg = AmtConfig(n_bins=6, conv_channels=2, pool_freq=2, hidden=4,
+    cfg = AmtConfig(n_bins=6, conv_channels=2, hidden=4,
                     loss=FocalLossParams(alpha=0.35, gamma=2.0))
     model = AmtModel(cfg, seed=0)
     feats = rng.standard_normal((6, 12))
     segs = segment(feats, window=6, hop=3)
-    roll = empty_roll(12, TIMING)
+    roll = silent_roll(12)
     roll.grid[39, 2:9] = 1
     trace = nn.fit(model, examples_from_pair(segs, roll), nn.Adam(lr=5e-3), epochs=5,
                    batch_size=10, rng=np.random.default_rng(0))
