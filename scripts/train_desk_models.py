@@ -16,7 +16,7 @@ from pathlib import Path
 
 from stemscribe import cli, synth
 from stemscribe.config import PipelineConfig
-from stemscribe.pianoroll import FrameTiming, rasterize_notes
+from stemscribe.pianoroll import rasterize_notes
 from stemscribe.transcription import frame_metrics, transcribe_waveform
 
 
@@ -46,11 +46,11 @@ def main():
             sys.exit(code)
 
     model = cli._amt_model(cfg, str(out / "amt.ssnn"))
-    timing = FrameTiming(cfg.cqt.hop, cfg.cqt.sample_rate)
     scores = []
     for audio, notes in synth.make_tone_clips(4, 3.0, cfg.cqt.sample_rate, seed=args.seed + 100):
         pred = transcribe_waveform(audio, model, cfg.cqt, window=128, hop_frames=64)
-        scores.append(frame_metrics(pred, rasterize_notes(notes, timing, pred.num_frames)).f1)
+        truth = rasterize_notes(notes, cfg.cqt.frame_time, pred.num_frames)
+        scores.append(frame_metrics(pred, truth).f1)
     print("held-out frame F1:", " ".join(f"{s:.4f}" for s in scores))
 
 

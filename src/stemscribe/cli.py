@@ -36,8 +36,7 @@ from .audio_io import (UnsupportedCodecError, Waveform, WavFormatError, WavReade
 from .config import ManifestError, PipelineConfig, load_manifest
 from .dsp import WindowError, check_invertible, num_cqt_frames
 from .midi import SmfParseError
-from .nn.loss import FocalLossParams
-from .pianoroll import FrameTiming, rasterize_notes, roll_to_notes
+from .pianoroll import rasterize_notes, roll_to_notes
 from .separation import (
     STEM_NAMES,
     MaskSource,
@@ -51,7 +50,6 @@ from .separation import (
     sum_accompaniment,
 )
 from .transcription import (
-    AmtConfig,
     AmtModel,
     Scores,
     build_training_pair,
@@ -86,16 +84,7 @@ def _separator_model(cfg: PipelineConfig, checkpoint: str | None) -> SeparatorMo
 
 
 def _amt_model(cfg: PipelineConfig, checkpoint: str | None) -> AmtModel:
-    model = AmtModel(
-        AmtConfig(
-            n_bins=cfg.cqt.n_bins,
-            conv_channels=cfg.amt.conv_channels,
-            hidden=cfg.amt.hidden,
-            threshold=cfg.amt.threshold,
-            loss=FocalLossParams(cfg.amt.alpha, cfg.amt.gamma),
-        ),
-        seed=cfg.seed,
-    )
+    model = AmtModel(cfg.amt, seed=cfg.seed, n_bins=cfg.cqt.n_bins)
     if checkpoint:
         model.load_state(nn.load_checkpoint(checkpoint))
     return model
@@ -258,17 +247,18 @@ def cmd_pipeline(args) -> int:
     with WavReader(args.input) as mixture:
         sep_model = _separator_model(cfg, args.sep_checkpoint)
         paths = _separate_to_dir(mixture, sep_model.masks(), cfg, out_dir, stem_name)
-    report["separate"] = {"status": "ok", "vocals": str(paths["vocals"]),
-                          "accompaniment": str(paths["accompaniment"])}
+    # artifacts by their names in out_dir, so the report is the same wherever the run is
+    report["separate"] = {"status": "ok", "vocals": paths["vocals"].name,
+                          "accompaniment": paths["accompaniment"].name}
 
     amt_model = _amt_model(cfg, args.amt_checkpoint)
     vocals = read_wav(paths["vocals"])
     mid_path = _transcribe_to_file(vocals, amt_model, cfg, out_dir / f"{stem_name}_vocals.mid")
-    report["transcribe"] = {"status": "ok", "midi": str(mid_path)}
+    report["transcribe"] = {"status": "ok", "midi": mid_path.name}
 
     try:
         pdf = _render(mid_path, mid_path.with_suffix(".pdf"), args.musescore or cfg.paths.musescore)
-        report["render"] = {"status": "ok", "pdf": str(pdf)}
+        report["render"] = {"status": "ok", "pdf": pdf.name}
     except (notation.MuseScoreNotFoundError, notation.NotationExportError) as e:
         # Score rendering is optional: stems and MIDI already exist.
         log.warning("skipping score render: %s", e)
@@ -347,16 +337,16 @@ def cmd_evaluate(args) -> int:
             }
         if entry.midi is not None:
             _, ref_notes = midi.read_smf(entry.midi)
-            timing = FrameTiming(cfg.cqt.hop, cfg.cqt.sample_rate)
             if args.amt_mode == "oracle":
                 # metric plumbing check: the prediction is the truth, on the
                 # frame grid the note model would have produced
                 n = resampled_length(mixture.num_samples, mixture.sample_rate,
                                      cfg.cqt.sample_rate)
-                pred = truth = rasterize_notes(ref_notes, timing, num_cqt_frames(n, cfg.cqt))
+                pred = truth = rasterize_notes(ref_notes, cfg.cqt.frame_time,
+                                               num_cqt_frames(n, cfg.cqt))
             else:
                 pred = transcribe_waveform(mixture, amt_model, cfg.cqt)
-                truth = rasterize_notes(ref_notes, timing, pred.num_frames)
+                truth = rasterize_notes(ref_notes, cfg.cqt.frame_time, pred.num_frames)
             amt_report[name] = {
                 "frame": _scores_dict(frame_metrics(pred, truth)),
                 "onset": _scores_dict(onset_metrics(pred, truth,

@@ -2,9 +2,11 @@
 
 A config describes the models, not a training run: their sizes, the note
 model's threshold and focal loss, the STFT and CQT front ends, the seed and
-paths. Epochs, batch size and clip length are command-line options, and the
-STFT window, always the periodic Hann, is no key. Keys match field names
-exactly so a saved config loads back equal to the original.
+paths. The ``amt`` section is the note model's own config,
+transcription.AmtConfig, which checks its values itself. Epochs, batch
+size and clip length are command-line options, and the STFT window,
+always the periodic Hann, is no key. Keys match field names exactly so a
+saved config loads back equal to the original.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dsp import CqtConfig, StftConfig
-from .nn.loss import FocalLossParams
+from .transcription import AmtConfig
 
 
 @dataclass(frozen=True)
@@ -30,22 +32,6 @@ class SeparatorSettings:
 
 
 @dataclass(frozen=True)
-class AmtSettings:
-    conv_channels: int = 16
-    hidden: int = 64
-    threshold: float = 0.5
-    alpha: float = 0.35
-    gamma: float = 3.0
-
-    def __post_init__(self):
-        if min(self.conv_channels, self.hidden) <= 0:
-            raise ValueError("model sizes must be positive")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold {self.threshold} outside (0, 1)")
-        FocalLossParams(self.alpha, self.gamma)  # its rule for alpha and gamma
-
-
-@dataclass(frozen=True)
 class PathSettings:
     musescore: str | None = None
 
@@ -55,7 +41,7 @@ class PipelineConfig:
     stft: StftConfig = field(default_factory=StftConfig)
     cqt: CqtConfig = field(default_factory=CqtConfig)
     separator: SeparatorSettings = field(default_factory=SeparatorSettings)
-    amt: AmtSettings = field(default_factory=AmtSettings)
+    amt: AmtConfig = field(default_factory=AmtConfig)
     paths: PathSettings = field(default_factory=PathSettings)
     seed: int = 0
 

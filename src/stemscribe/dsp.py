@@ -167,6 +167,11 @@ class CqtConfig:
     def max_frequency(self) -> float:
         return self.center_frequency(self.n_bins - 1)
 
+    @property
+    def frame_time(self) -> float:
+        """Seconds per frame: the hop at the sample rate."""
+        return self.hop / self.sample_rate
+
 
 def cqt_kernels(cfg: CqtConfig) -> list[np.ndarray]:
     """One complex kernel per bin, Hann-windowed and L1-normalized, with

@@ -26,12 +26,13 @@ by a fixed lag, each step is one stacked (L, B, H) @ (L, H, 4H) product
 and one tanh over half-scaled i, f and o gate columns, and their (h, c)
 carry over from block to block as one (L, 2, B, H) array. Analytic
 backward passes are validated against central finite differences (see
-gradcheck).
+gradcheck). focal_loss takes alpha and gamma as plain numbers; the note
+model's config, transcription.AmtConfig, holds and checks them.
 """
 
 from .layers import (BatchNorm, BiLstm, Conv2d, Dense, Layer, Lstm, MaxPool2d, Sigmoid, lstm_stack,
                      stack_dense)
-from .loss import FocalLossParams, focal_loss
+from .loss import focal_loss
 from .optim import Adam, DivergenceError, fit
 from .gradcheck import grad_check
 from .checkpoint import CheckpointError, load_checkpoint, restore_params, save_checkpoint
@@ -44,7 +45,6 @@ __all__ = [
     "Conv2d",
     "Dense",
     "DivergenceError",
-    "FocalLossParams",
     "Layer",
     "Lstm",
     "MaxPool2d",

@@ -1,7 +1,8 @@
 """Binary piano rolls, note events, and the conversions between them.
 
-Rolls are (88, frames) 0/1 grids, row r holding MIDI pitch r + 21, with a
-fixed time-per-frame. Two rasterization rules coexist:
+Rolls are (88, frames) 0/1 grids, row r holding MIDI pitch r + 21, each
+with its frame period, frame_time seconds; the note model's is
+dsp.CqtConfig.frame_time. Two rasterization rules coexist:
 
   * notes_to_roll: frame t is active iff t * dt lies in [start, end);
     the exact inverse of roll_to_notes, used for round-trip checks.
@@ -24,20 +25,6 @@ HIGHEST_PITCH = LOWEST_PITCH + N_KEYS - 1
 ROLL_MAGIC = b"PROL"
 
 DEFAULT_VELOCITY = 100
-
-
-@dataclass(frozen=True)
-class FrameTiming:
-    hop_length: int = 512
-    sample_rate: int = 22050
-
-    def __post_init__(self):
-        if self.hop_length <= 0 or self.sample_rate <= 0:
-            raise ValueError("hop_length and sample_rate must be positive")
-
-    @property
-    def time_per_frame(self) -> float:
-        return self.hop_length / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -123,28 +110,27 @@ def roll_to_notes(roll: PianoRoll) -> list[NoteEvent]:
     return notes
 
 
-def notes_to_roll(notes, timing: FrameTiming, total_frames: int) -> PianoRoll:
-    """Exact inverse of roll_to_notes: frame t active iff t*dt in [start, end)."""
-    dt = timing.time_per_frame
+def notes_to_roll(notes, frame_time: float, total_frames: int) -> PianoRoll:
+    """Exact inverse of roll_to_notes: frame t active iff t * frame_time
+    lies in [start, end)."""
     grid = np.zeros((N_KEYS, total_frames), dtype=np.uint8)
-    times = np.arange(total_frames) * dt
+    times = np.arange(total_frames) * frame_time
     for note in notes:
         _check_piano_pitch(note.pitch)
         grid[note.pitch - LOWEST_PITCH] |= (times >= note.start) & (times < note.end)
-    return PianoRoll(grid, dt)
+    return PianoRoll(grid, frame_time)
 
 
-def rasterize_notes(notes, timing: FrameTiming, total_frames: int) -> PianoRoll:
-    """Snap note edges to the nearest frame (half rounds up) and activate
-    the inclusive frame span, clipped to the grid."""
-    dt = timing.time_per_frame
+def rasterize_notes(notes, frame_time: float, total_frames: int) -> PianoRoll:
+    """Snap note edges to the nearest frame of frame_time seconds (half
+    rounds up) and activate the inclusive frame span, clipped to the grid."""
     grid = np.zeros((N_KEYS, total_frames), dtype=np.uint8)
     for note in notes:
         _check_piano_pitch(note.pitch)
-        first = int(np.floor(note.start / dt + 0.5))
-        last = int(np.floor(note.end / dt + 0.5))
+        first = int(np.floor(note.start / frame_time + 0.5))
+        last = int(np.floor(note.end / frame_time + 0.5))
         first = max(first, 0)
         last = min(last, total_frames - 1)
         if last >= first:
             grid[note.pitch - LOWEST_PITCH, first : last + 1] = 1
-    return PianoRoll(grid, dt)
+    return PianoRoll(grid, frame_time)

@@ -1,6 +1,12 @@
 """Piano transcription: feature windowing, the conv/BiLSTM note model
-and its focal loss, training examples, probability stitching, and
+and its config, training examples, probability stitching, and
 frame/onset scoring. cli._train_and_save fits the model with nn.fit.
+
+AmtConfig is the run config's ``amt`` section and the one place each
+setting of the note model is kept and checked: its sizes, its threshold
+and its focal loss's alpha and gamma. The model's input and output
+widths (CQT bins, keys) are arguments of AmtModel, and the frame period
+of its rolls is that of the CQT, dsp.CqtConfig.frame_time.
 
 The feature pipeline is log-scaled constant-Q magnitudes at 22050 Hz with
 a 512-sample hop, cut into 512-frame windows that overlap by half. One
@@ -9,11 +15,12 @@ strided view of the grid, and training targets are cut from the piano
 roll by the same placement. The model emits 88 per-frame key
 probabilities; overlapping window outputs are averaged through
 dsp.overlap_add, the iSTFT's own overlap-add, and binarized strictly
-above 0.5.
+above the config's threshold, 0.5 by default.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +29,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import nn
 from .audio_io import Waveform, resample
 from .dsp import CqtConfig, cqt, log_magnitude, overlap_add
-from .nn.loss import FocalLossParams, focal_loss
-from .pianoroll import N_KEYS, FrameTiming, PianoRoll, active_runs, rasterize_notes
+from .nn.loss import focal_loss
+from .pianoroll import N_KEYS, PianoRoll, active_runs, rasterize_notes
 
 SEGMENT_WINDOW = 512
 SEGMENT_HOP = 256
@@ -81,23 +88,25 @@ def segment(features: np.ndarray, window: int = SEGMENT_WINDOW,
 
 @dataclass(frozen=True)
 class AmtConfig:
-    n_bins: int = 84
+    """The note model's settings: conv and BiLSTM sizes, the binarization
+    threshold, and the focal loss's alpha and gamma. A NaN fails every
+    range check."""
+
     conv_channels: int = 16
     hidden: int = 64
-    n_keys: int = N_KEYS
     threshold: float = 0.5
-    loss: FocalLossParams = FocalLossParams()
+    alpha: float = 0.35
+    gamma: float = 3.0
 
     def __post_init__(self):
-        if self.n_bins % _POOL_FREQ:
-            raise ValueError(f"pooling by {_POOL_FREQ} must divide n_bins {self.n_bins}")
-        if not 0.0 <= self.threshold < 1.0:
-            raise ValueError(f"threshold {self.threshold} out of range")
-
-    @property
-    def seq_features(self) -> int:
-        """Feature width per frame after pooling and the time-major reshape."""
-        return self.conv_channels * (self.n_bins // _POOL_FREQ)
+        if min(self.conv_channels, self.hidden) <= 0:
+            raise ValueError("model sizes must be positive")
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError(f"threshold {self.threshold} outside (0, 1)")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
 
 
 @dataclass
@@ -111,28 +120,35 @@ class AmtExample:
 class AmtModel(nn.Layer):
     """Frame-wise key-activation estimator over feature windows.
 
-    Per-bin batch norm, a 3x3 conv bank, frequency-only max pooling, a
-    time-major reshape, a BiLSTM, then a shared dense+sigmoid head giving
-    88 probabilities per frame. A batch of equal-width windows runs as
-    one pass; the batch norm takes its statistics per window.
+    Per-bin batch norm over n_bins feature rows, a 3x3 conv bank,
+    frequency-only max pooling, a time-major reshape, a BiLSTM, then a
+    shared dense+sigmoid head giving n_keys probabilities per frame. A
+    batch of equal-width windows runs as one pass; the batch norm takes
+    its statistics per window.
     """
 
-    def __init__(self, cfg: AmtConfig = AmtConfig(), seed: int = 0):
+    def __init__(self, cfg: AmtConfig = AmtConfig(), seed: int = 0, *,
+                 n_bins: int = CqtConfig.n_bins, n_keys: int = N_KEYS):
+        if n_bins % _POOL_FREQ:
+            raise ValueError(f"pooling by {_POOL_FREQ} must divide n_bins {n_bins}")
         rng = np.random.default_rng(seed)
         self.cfg = cfg
-        self.norm = nn.BatchNorm(cfg.n_bins)
+        self.n_bins = n_bins
+        # feature width per frame after pooling and the time-major reshape
+        seq_features = cfg.conv_channels * (n_bins // _POOL_FREQ)
+        self.norm = nn.BatchNorm(n_bins)
         self.conv = nn.Conv2d(1, cfg.conv_channels, (3, 3), rng)
         self.pool = nn.MaxPool2d((_POOL_FREQ, 1))
-        self.blstm = nn.BiLstm(cfg.seq_features, cfg.hidden, rng)
-        self.head = nn.Dense(2 * cfg.hidden, cfg.n_keys, rng)
+        self.blstm = nn.BiLstm(seq_features, cfg.hidden, rng)
+        self.head = nn.Dense(2 * cfg.hidden, n_keys, rng)
         self.out = nn.Sigmoid()
         self.children = {"norm": self.norm, "conv": self.conv, "pool": self.pool,
                          "blstm": self.blstm, "head": self.head, "out": self.out}
 
     def forward(self, seg: np.ndarray, training: bool = False) -> np.ndarray:
         """(B, bins, W) windows -> (B, W, keys) probabilities."""
-        if seg.ndim != 3 or seg.shape[1] != self.cfg.n_bins:
-            raise ValueError(f"expected (B, {self.cfg.n_bins}, W) features, got {seg.shape}")
+        if seg.ndim != 3 or seg.shape[1] != self.n_bins:
+            raise ValueError(f"expected (B, {self.n_bins}, W) features, got {seg.shape}")
         x = self.norm.forward(seg.transpose(2, 0, 1), training)  # stats per window and bin
         x = self.pool.forward(self.conv.forward(x.transpose(1, 2, 0)[:, None], training),
                               training)
@@ -157,18 +173,17 @@ class AmtModel(nn.Layer):
         """Summed focal loss of equal-width windows, each averaged over its
         own cells, in one forward and one backward pass."""
         probs = self.forward(np.stack([ex.features for ex in batch]), training=True)
-        losses, grads = zip(*(focal_loss(p, ex.targets, self.cfg.loss)
+        losses, grads = zip(*(focal_loss(p, ex.targets, self.cfg.alpha, self.cfg.gamma)
                               for p, ex in zip(probs, batch)))
         self.backward(np.stack(grads))
         return float(sum(losses))
 
 
 def stitch_and_threshold(outputs: list[np.ndarray], hop_frames: int, source_length: int,
-                         threshold: float = 0.5,
-                         timing: FrameTiming = FrameTiming()) -> PianoRoll:
+                         threshold: float, frame_time: float) -> PianoRoll:
     """Average overlapping (window, keys) outputs placed hop_frames apart,
     binarize strictly above the threshold, and trim (or zero-fill) to the
-    source frame count."""
+    source frame count: a roll of frame_time seconds per frame."""
     probs = np.asarray(outputs)  # ragged outputs raise ValueError
     if probs.ndim != 3 or not len(probs):
         raise ValueError(f"need a (count >= 1, window, keys) stack to stitch, got {probs.shape}")
@@ -178,7 +193,7 @@ def stitch_and_threshold(outputs: list[np.ndarray], hop_frames: int, source_leng
     grid = np.zeros((probs.shape[2], source_length), dtype=np.uint8)
     stitched = min(source_length, len(accum))
     grid[:, :stitched] = accum[:stitched].T > threshold
-    return PianoRoll(grid, timing.time_per_frame)
+    return PianoRoll(grid, frame_time)
 
 
 @dataclass(frozen=True)
@@ -277,8 +292,7 @@ def build_training_pair(audio: Waveform, notes, cqt_cfg: CqtConfig = CqtConfig()
     grid; notes are rasterized onto that grid.
     """
     feats = _features(audio, cqt_cfg, int(round(duration * cqt_cfg.sample_rate)))
-    timing = FrameTiming(cqt_cfg.hop, cqt_cfg.sample_rate)
-    roll = rasterize_notes(notes, timing, feats.shape[1])
+    roll = rasterize_notes(notes, cqt_cfg.frame_time, feats.shape[1])
     return segment(feats, window, hop_frames), roll
 
 
@@ -302,6 +316,5 @@ def transcribe_waveform(audio: Waveform, model: AmtModel,
     windows = segmented.segments
     outputs = np.concatenate([model.predict(windows[i : i + _WINDOW_BATCH])
                               for i in range(0, len(windows), _WINDOW_BATCH)])
-    timing = FrameTiming(cqt_cfg.hop, cqt_cfg.sample_rate)
     return stitch_and_threshold(outputs, segmented.hop_frames, segmented.source_length,
-                                model.cfg.threshold, timing)
+                                model.cfg.threshold, cqt_cfg.frame_time)

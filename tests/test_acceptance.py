@@ -11,14 +11,14 @@ import pytest
 from stemscribe import cli, nn, synth
 from stemscribe.audio_io import Waveform, write_wav
 from stemscribe.bss_metrics import improvements, sd_sdr, si_sdr, snr
-from stemscribe.dsp import StftConfig, istft, log_magnitude, stft
+from stemscribe.dsp import CqtConfig, StftConfig, istft, log_magnitude, stft
 from stemscribe.midi import parse_smf, render_smf
 from stemscribe.nn import grad_check
-from stemscribe.nn.loss import FocalLossParams, focal_loss
+from stemscribe.nn.loss import focal_loss
 from stemscribe.notation import (MuseScoreNotFoundError, NotationJob,
                                  build_command, resolve_executable)
-from stemscribe.pianoroll import (FrameTiming, NoteEvent, PianoRoll, notes_to_roll,
-                                  rasterize_notes, roll_to_notes)
+from stemscribe.pianoroll import (NoteEvent, PianoRoll, notes_to_roll, rasterize_notes,
+                                  roll_to_notes)
 from stemscribe.separation import (SeparatorModel, TrainingClip, apply_mask,
                                    make_training_clip, oracle_masks, remix, separate_blocks,
                                    sum_accompaniment)
@@ -99,16 +99,15 @@ def test_06_focal_loss_reference_behavior():
     rng = np.random.default_rng(3)
     p = rng.uniform(0.01, 0.99, 1000)
     y = (rng.random(1000) < 0.5).astype(float)
-    plain, _ = focal_loss(p, y, FocalLossParams(alpha=1.0, gamma=0.0))
+    plain, _ = focal_loss(p, y, alpha=1.0, gamma=0.0)
     bce = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
     bce_err = abs(plain - bce)
 
-    point, _ = focal_loss(np.array([0.9]), np.array([1.0]),
-                          FocalLossParams(alpha=0.35, gamma=3.0))
+    point, _ = focal_loss(np.array([0.9]), np.array([1.0]), alpha=0.35, gamma=3.0)
     point_err = abs(point - 3.688e-5)
 
-    params = FocalLossParams(alpha=0.35, gamma=3.0)
-    _, grad = focal_loss(p, y, params)
+    params = {"alpha": 0.35, "gamma": 3.0}
+    _, grad = focal_loss(p, y, **params)
     step = 1e-6
     rel_worst = 0.0
     for i in range(0, 1000, 97):
@@ -116,7 +115,8 @@ def test_06_focal_loss_reference_behavior():
         bumped[i] += step
         dipped = p.copy()
         dipped[i] -= step
-        numeric = (focal_loss(bumped, y, params)[0] - focal_loss(dipped, y, params)[0]) / (2 * step)
+        numeric = (focal_loss(bumped, y, **params)[0]
+                   - focal_loss(dipped, y, **params)[0]) / (2 * step)
         rel_worst = max(rel_worst, abs(numeric - grad[i]) / max(abs(numeric), 1e-12))
     ok = bce_err < 1e-12 and point_err < 1e-8 and rel_worst < 1e-5
     _verdict(6, "focal loss values and gradient", ok,
@@ -125,7 +125,7 @@ def test_06_focal_loss_reference_behavior():
 
 def test_07_gradient_checks_on_both_models():
     t0 = time.perf_counter()
-    amt = AmtModel(AmtConfig(n_bins=6, conv_channels=2, hidden=3, n_keys=5), seed=1)
+    amt = AmtModel(AmtConfig(conv_channels=2, hidden=3), seed=1, n_bins=6, n_keys=5)
     features = np.random.default_rng(2).standard_normal((6, 7))
     targets = (np.random.default_rng(3).random((7, 5)) > 0.6).astype(float)
     amt_rel = grad_check(amt, [AmtExample(features, targets)])
@@ -146,7 +146,7 @@ def test_07_gradient_checks_on_both_models():
 
 
 def test_08_frame_period_at_default_hop():
-    tpf = FrameTiming(512, 22050).time_per_frame
+    tpf = CqtConfig(hop=512, sample_rate=22050).frame_time
     err_ms = abs(tpf - 0.0232) * 1000.0
     _verdict(8, "frame period 512/22050", err_ms < 0.05,
              f"{tpf * 1000:.4f} ms, err {err_ms:.3f} ms")
@@ -167,17 +167,16 @@ def test_10_segment_counts():
 
 
 def test_11_midi_round_trips():
-    timing = FrameTiming(512, 22050)
+    frame_time = CqtConfig(hop=512, sample_rate=22050).frame_time
     rng = np.random.default_rng(4)
     identity_ok = True
     for _ in range(100):
-        roll = PianoRoll((rng.random((88, 50)) < 0.08).astype(np.uint8),
-                         timing.time_per_frame)
-        back = notes_to_roll(roll_to_notes(roll), timing, 50)
+        roll = PianoRoll((rng.random((88, 50)) < 0.08).astype(np.uint8), frame_time)
+        back = notes_to_roll(roll_to_notes(roll), frame_time, 50)
         identity_ok &= bool((back.grid == roll.grid).all())
 
     notes = roll_to_notes(
-        PianoRoll((rng.random((88, 60)) < 0.1).astype(np.uint8), timing.time_per_frame))
+        PianoRoll((rng.random((88, 60)) < 0.1).astype(np.uint8), frame_time))
     data = render_smf(notes)
     magic_ok = data[:4] == bytes([0x4D, 0x54, 0x68, 0x64])
     _, parsed = parse_smf(data)
@@ -199,16 +198,15 @@ def test_12_desk_scale_training_reaches_targets():
     train_clips = synth.make_tone_clips(12, 3.0, 22050, 0)
     test_clips = synth.make_tone_clips(4, 3.0, 22050, 100)
     pairs = [synth_pair(audio, notes) for audio, notes in train_clips]
-    amt = AmtModel(AmtConfig(conv_channels=4, hidden=16, loss=FocalLossParams(0.35, 3.0)),
-                   seed=0)
+    amt = AmtModel(AmtConfig(conv_channels=4, hidden=16, alpha=0.35, gamma=3.0), seed=0)
     examples = [ex for pair in pairs for ex in examples_from_pair(*pair)]
     nn.fit(amt, examples, nn.Adam(lr=5e-3), epochs=100, batch_size=4,
            rng=np.random.default_rng(0))
-    timing = FrameTiming(512, 22050)
+    frame_time = CqtConfig(hop=512, sample_rate=22050).frame_time
     scores = []
     for audio, notes in test_clips:
         pred = transcribe_waveform(audio, amt, window=128, hop_frames=64)
-        truth = rasterize_notes(notes, timing, pred.num_frames)
+        truth = rasterize_notes(notes, frame_time, pred.num_frames)
         scores.append(frame_metrics(pred, truth).f1)
     amt_f1 = float(np.mean(scores))
     amt_time = time.perf_counter() - t0

@@ -24,7 +24,6 @@ from stemscribe import audio_io, cli, dsp, nn, separation
 from stemscribe.audio_io import Waveform, read_wav, write_wav
 from stemscribe.config import PipelineConfig
 from stemscribe.midi import read_smf, write_smf
-from stemscribe.nn.loss import FocalLossParams
 from stemscribe.pianoroll import NoteEvent, PianoRoll
 from stemscribe.separation import SeparatorModel
 from tests.conftest import STUB_FAIL
@@ -604,12 +603,15 @@ def test_transcribe_writes_parseable_midi_and_roll(tmp_path, tiny_config):
 
 
 # raw3 to raw6 are training-run values, which only the command line sets;
-# and the STFT window is no setting: it is always the periodic Hann.
+# the STFT window is no setting: it is always the periodic Hann; raw8 to
+# raw10 are note-model values its config, AmtConfig, refuses.
 @pytest.mark.parametrize("raw", [{"stft": {"fft_sise": 256}}, [1, 2],
                                  {"paths": {"work_dir": "work"}},
                                  {"separator": {"epochs": 1}}, {"separator": {"batch_size": 4}},
                                  {"separator": {"clip_seconds": 1.0}}, {"amt": {"epochs": 1}},
-                                 {"stft": {"window": "hann"}}])
+                                 {"stft": {"window": "hann"}},
+                                 {"amt": {"threshold": 0.0}}, {"amt": {"hidden": 0}},
+                                 {"amt": {"conv_channels": 0}}])
 def test_bad_config_is_invalid(tmp_path, mixture_wav, raw):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(raw))
@@ -738,9 +740,13 @@ def test_pipeline_full_run_with_stub(tmp_path, tiny_config, mixture_wav, make_st
                      "--config", tiny_config, "--musescore", str(make_stub())])
     assert code == 0
     report = json.loads((out / "pipeline_report.json").read_text())
-    assert report["separate"]["status"] == "ok"
-    assert report["transcribe"]["status"] == "ok"
-    assert report["render"]["status"] == "ok"
+    # artifacts are named relative to --out-dir
+    assert report == {
+        "separate": {"status": "ok", "vocals": "mixture_vocals.wav",
+                     "accompaniment": "mixture_accompaniment.wav"},
+        "transcribe": {"status": "ok", "midi": "mixture_vocals.mid"},
+        "render": {"status": "ok", "pdf": "mixture_vocals.pdf"},
+    }
     assert (out / "mixture_vocals.wav").exists()
     assert (out / "mixture_vocals.mid").exists()
     assert (out / "mixture_vocals.pdf").exists()
@@ -766,7 +772,9 @@ def test_pipeline_is_deterministic_for_a_seed(tmp_path, tiny_config, mixture_wav
         out = tmp_path / name
         assert cli.main(["pipeline", str(mixture_wav), "--out-dir", str(out),
                          "--config", tiny_config, "--seed", "5"]) == 0
-        outs.append((out / "mixture_vocals.mid").read_bytes())
+        # the report names no directory, so it too is the same in both
+        outs.append([(out / name).read_bytes()
+                     for name in ("mixture_vocals.mid", "pipeline_report.json")])
     assert outs[0] == outs[1]
 
 
@@ -844,8 +852,7 @@ def test_evaluate_oracle_amt_mode_never_resamples(tmp_path, tiny_config, eval_ma
     n = audio_io.resample(mixture, cfg.cqt.sample_rate).num_samples
     assert mixture.sample_rate != cfg.cqt.sample_rate
     _, notes = read_smf(eval_manifest.parent / "ref.mid")
-    truth = cli.rasterize_notes(notes, cli.FrameTiming(cfg.cqt.hop, cfg.cqt.sample_rate),
-                                dsp.num_cqt_frames(n, cfg.cqt))
+    truth = cli.rasterize_notes(notes, cfg.cqt.frame_time, dsp.num_cqt_frames(n, cfg.cqt))
     expected = {"mix": {"frame": cli._scores_dict(cli.frame_metrics(truth, truth)),
                         "onset": cli._scores_dict(cli.onset_metrics(truth, truth,
                                                                     tolerance=0.05))}}
@@ -1363,7 +1370,8 @@ def test_a_negative_config_seed_is_refused_before_any_output(tmp_path, caplog):
 
 def test_the_config_focal_parameters_reach_the_note_model():
     cfg = PipelineConfig.from_dict({"amt": {"alpha": 0.25, "gamma": 1.5}})
-    assert cli._amt_model(cfg, None).cfg.loss == FocalLossParams(cfg.amt.alpha, cfg.amt.gamma)
+    assert cli._amt_model(cfg, None).cfg is cfg.amt  # the section itself, no copy
+    assert (cfg.amt.alpha, cfg.amt.gamma) == (0.25, 1.5)
 
 
 def test_train_amt_trains_with_the_config_gamma(tmp_path):

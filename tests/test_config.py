@@ -3,9 +3,9 @@ import json
 import pytest
 
 from stemscribe import cli
-from stemscribe.config import (AmtSettings, ManifestError, PathSettings,
-                               PipelineConfig, SeparatorSettings, load_manifest)
-from stemscribe.nn.loss import FocalLossParams
+from stemscribe.config import (ManifestError, PathSettings, PipelineConfig, SeparatorSettings,
+                               load_manifest)
+from stemscribe.transcription import AmtConfig
 
 
 def test_defaults():
@@ -14,17 +14,18 @@ def test_defaults():
     assert cfg.stft.fft_size == 512
     assert cfg.separator.hidden == 64
     assert cfg.amt.alpha == pytest.approx(0.35)
+    assert type(cfg.amt) is AmtConfig  # the note model's own config
     assert cfg.paths.musescore is None
 
 
 def test_dict_round_trip():
     cfg = PipelineConfig(seed=7, separator=SeparatorSettings(hidden=32, layers=3),
-                         amt=AmtSettings(gamma=2.0), paths=PathSettings(musescore="/tmp/x"))
+                         amt=AmtConfig(gamma=2.0), paths=PathSettings(musescore="/tmp/x"))
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_save_load_round_trip(tmp_path):
-    cfg = PipelineConfig(seed=3, amt=AmtSettings(threshold=0.4))
+    cfg = PipelineConfig(seed=3, amt=AmtConfig(threshold=0.4))
     path = tmp_path / "run.json"
     cfg.save(path)
     assert json.loads(path.read_text())["seed"] == 3  # plain JSON on disk
@@ -35,7 +36,7 @@ def test_partial_dict_keeps_defaults():
     cfg = PipelineConfig.from_dict({"separator": {"hidden": 16}})
     assert cfg.separator.hidden == 16
     assert cfg.separator.layers == 2
-    assert cfg.amt == AmtSettings()
+    assert cfg.amt == AmtConfig()
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -43,16 +44,17 @@ def test_partial_dict_keeps_defaults():
     {"alpha": 0.0}, {"alpha": 1.5},
     {"gamma": -0.5},
     {"hidden": 0}, {"conv_channels": -2}, {"threshold": float("nan")},
+    {"conv_channels": 0}, {"gamma": -0.1}, {"gamma": float("inf")}, {"alpha": float("nan")},
 ])
 def test_amt_settings_validation(kwargs):
     with pytest.raises(ValueError):
-        AmtSettings(**kwargs)
+        AmtConfig(**kwargs)
 
 
 def test_amt_alpha_of_one_loads_as_the_focal_loss_admits_it():
     # the loss takes alpha in (0, 1]; with gamma 0, alpha 1 is exact BCE
     cfg = PipelineConfig.from_dict({"amt": {"alpha": 1.0}})
-    assert cli._amt_model(cfg, None).cfg.loss == FocalLossParams(1.0, cfg.amt.gamma)
+    assert cli._amt_model(cfg, None).cfg == AmtConfig(alpha=1.0)
 
 
 @pytest.mark.parametrize("kwargs", [

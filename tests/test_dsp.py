@@ -288,6 +288,17 @@ def test_cqt_config_validation():
         CqtConfig(n_bins=0)
     with pytest.raises(ValueError):
         CqtConfig(n_bins=108)  # top bin would pass Nyquist at 22050
+    with pytest.raises(ValueError):
+        CqtConfig(hop=0)
+    with pytest.raises(ValueError):
+        CqtConfig(sample_rate=-1)  # by the Nyquist rule: frame_time is never <= 0
+
+
+def test_cqt_frame_time_is_hop_over_rate():
+    for hop, rate in ((512, 22050), (256, 8000), (441, 44100), (1, 16000)):
+        frame_time = CqtConfig(hop=hop, sample_rate=rate).frame_time
+        assert np.float64(frame_time).tobytes() == np.float64(hop / rate).tobytes()
+    assert CqtConfig().frame_time == pytest.approx(0.02322, abs=1e-5)
 
 
 def test_cqt_center_frequencies():

@@ -861,7 +861,7 @@ def test_inference_leaves_no_activations_behind(rng, tmp_path):
         sep.backward(np.ones((12, 2, 9)))  # no gradient buffers yet
     sep.predict_mask(rng.standard_normal((12, 9)))
     assert held_activations(sep) == []
-    amt = AmtModel(AmtConfig(n_bins=6, conv_channels=2, hidden=3, n_keys=5))
+    amt = AmtModel(AmtConfig(conv_channels=2, hidden=3), n_bins=6, n_keys=5)
     windows = rng.standard_normal((3, 6, 8))
     amt.forward(windows, training=True)
     assert held_activations(amt)
@@ -926,48 +926,44 @@ def test_dense_shape_check(rng):
 def test_focal_equals_bce_at_unit_alpha_zero_gamma(rng):
     p = rng.uniform(0.01, 0.99, size=1000)
     y = (rng.uniform(size=1000) > 0.7).astype(float)
-    loss, _ = nn.focal_loss(p, y, nn.FocalLossParams(alpha=1.0, gamma=0.0))
+    loss, _ = nn.focal_loss(p, y, alpha=1.0, gamma=0.0)
     bce = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
     assert abs(loss - bce) < 1e-12
 
 
 def test_focal_reference_points():
-    loss, _ = nn.focal_loss(np.array(0.5), np.array(1.0),
-                            nn.FocalLossParams(alpha=1.0, gamma=0.0))
+    loss, _ = nn.focal_loss(np.array(0.5), np.array(1.0), alpha=1.0, gamma=0.0)
     assert loss == pytest.approx(np.log(2.0), abs=1e-12)
-    loss, _ = nn.focal_loss(np.array(0.9), np.array(1.0),
-                            nn.FocalLossParams(alpha=0.35, gamma=3.0))
+    loss, _ = nn.focal_loss(np.array(0.9), np.array(1.0), alpha=0.35, gamma=3.0)
     assert loss == pytest.approx(0.35 * 0.1**3 * -np.log(0.9), abs=1e-12)
     assert loss == pytest.approx(3.688e-5, abs=1e-8)
 
 
 def test_focal_vanishes_on_confident_correct():
-    loss, _ = nn.focal_loss(np.array(1.0 - 1e-7), np.array(1.0),
-                            nn.FocalLossParams())
+    loss, _ = nn.focal_loss(np.array(1.0 - 1e-7), np.array(1.0), alpha=0.35, gamma=3.0)
     assert loss < 1e-20
 
 
 def test_focal_class_flip_symmetry(rng):
     p = rng.uniform(0.01, 0.99, size=200)
     y = (rng.uniform(size=200) > 0.5).astype(float)
-    params = nn.FocalLossParams(alpha=0.5, gamma=2.0)
-    a, _ = nn.focal_loss(p, y, params)
-    b, _ = nn.focal_loss(1.0 - p, 1.0 - y, params)
+    a, _ = nn.focal_loss(p, y, alpha=0.5, gamma=2.0)
+    b, _ = nn.focal_loss(1.0 - p, 1.0 - y, alpha=0.5, gamma=2.0)
     assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_focal_gradient_matches_finite_differences(rng):
-    params = nn.FocalLossParams(alpha=0.35, gamma=3.0)
+    params = {"alpha": 0.35, "gamma": 3.0}
     p = rng.uniform(0.05, 0.95, size=50)
     y = (rng.uniform(size=50) > 0.6).astype(float)
-    _, grad = nn.focal_loss(p, y, params)
+    _, grad = nn.focal_loss(p, y, **params)
     step = 1e-6
     for i in range(p.size):
         bumped = p.copy()
         bumped[i] += step
-        lp, _ = nn.focal_loss(bumped, y, params)
+        lp, _ = nn.focal_loss(bumped, y, **params)
         bumped[i] -= 2 * step
-        lm, _ = nn.focal_loss(bumped, y, params)
+        lm, _ = nn.focal_loss(bumped, y, **params)
         numeric = (lp - lm) / (2 * step)
         assert abs(grad[i] - numeric) / max(abs(numeric), 1e-6) < 1e-5
 
@@ -994,26 +990,16 @@ def test_focal_is_the_plain_formula_bitwise(shape, alpha, gamma):
     y_pred = rng.uniform(0.0, 1.0, shape)
     y_pred = np.where(rng.uniform(0.0, 1.0, shape) < 0.1, 1.0, y_pred)  # clipped cells
     y_true = (rng.uniform(0.0, 1.0, shape) < 0.2).astype(float)
-    loss, grad = nn.focal_loss(y_pred, y_true, nn.FocalLossParams(alpha, gamma))
+    loss, grad = nn.focal_loss(y_pred, y_true, alpha, gamma)
     want_loss, want_grad = plain_focal_loss(y_pred, y_true, alpha, gamma)
     assert loss == want_loss
     assert np.shape(grad) == np.shape(want_grad)
     assert np.asarray(grad).tobytes() == np.asarray(want_grad).tobytes()
 
 
-def test_focal_params_validated():
-    with pytest.raises(ValueError):
-        nn.FocalLossParams(alpha=0.0)
-    with pytest.raises(ValueError):
-        nn.FocalLossParams(alpha=1.5)
-    with pytest.raises(ValueError):
-        nn.FocalLossParams(gamma=-0.1)
-    nn.FocalLossParams(alpha=1.0)  # closed right end admits plain BCE
-
-
 def test_focal_shape_mismatch():
     with pytest.raises(ValueError):
-        nn.focal_loss(np.zeros(3), np.zeros(4))
+        nn.focal_loss(np.zeros(3), np.zeros(4), 0.35, 3.0)
 
 
 # ------------------------------------------------------------- optimizer

@@ -1,34 +1,19 @@
 import numpy as np
 import pytest
 
-from stemscribe.pianoroll import (DEFAULT_VELOCITY, N_KEYS, ROLL_MAGIC,
-                                  FrameTiming, NoteEvent, PianoRoll,
-                                  active_runs, notes_to_roll, rasterize_notes,
-                                  roll_to_notes)
+from stemscribe.pianoroll import (DEFAULT_VELOCITY, N_KEYS, ROLL_MAGIC, NoteEvent, PianoRoll,
+                                  active_runs, notes_to_roll, rasterize_notes, roll_to_notes)
 
-TIMING = FrameTiming(hop_length=512, sample_rate=22050)
-DT = TIMING.time_per_frame
+DT = 512 / 22050  # the frame period of the default CQT
 
 
-def silent_roll(frames, timing=TIMING):
-    return PianoRoll(np.zeros((N_KEYS, frames), dtype=np.uint8), timing.time_per_frame)
+def silent_roll(frames, frame_time=DT):
+    return PianoRoll(np.zeros((N_KEYS, frames), dtype=np.uint8), frame_time)
 
 
 def random_roll(seed, frames=60, density=0.08):
     rng = np.random.default_rng(seed)
     return PianoRoll((rng.random((N_KEYS, frames)) < density).astype(np.uint8), DT)
-
-
-def test_time_per_frame():
-    assert DT == pytest.approx(512 / 22050)
-    assert FrameTiming(100, 1000).time_per_frame == pytest.approx(0.1)
-
-
-def test_frame_timing_validation():
-    with pytest.raises(ValueError):
-        FrameTiming(0, 22050)
-    with pytest.raises(ValueError):
-        FrameTiming(512, -1)
 
 
 def test_note_event_validation():
@@ -89,7 +74,7 @@ def test_empty_roll_yields_no_notes():
 
 def test_one_frame_note_spans_single_frame():
     notes = [NoteEvent(60, 0.0, DT * 0.999)]
-    roll = notes_to_roll(notes, TIMING, 5)
+    roll = notes_to_roll(notes, DT, 5)
     np.testing.assert_array_equal(roll.grid[39], [1, 0, 0, 0, 0])
 
 
@@ -97,20 +82,20 @@ def test_one_frame_note_spans_single_frame():
 def test_roll_notes_roll_identity(seed):
     roll = random_roll(seed)
     notes = roll_to_notes(roll)
-    back = notes_to_roll(notes, TIMING, roll.num_frames)
+    back = notes_to_roll(notes, DT, roll.num_frames)
     np.testing.assert_array_equal(back.grid, roll.grid)
 
 
 def test_overlapping_notes_union():
     notes = [NoteEvent(60, 0.0, 5 * DT), NoteEvent(60, 3 * DT, 8 * DT)]
-    roll = notes_to_roll(notes, TIMING, 10)
+    roll = notes_to_roll(notes, DT, 10)
     expected = np.zeros(10, dtype=np.uint8)
     expected[0:8] = 1
     np.testing.assert_array_equal(roll.grid[39], expected)
 
 
 def test_roll_uses_own_frame_time_when_timing_omitted():
-    roll = silent_roll(10, FrameTiming(100, 1000))
+    roll = silent_roll(10, 0.1)
     roll.grid[39, 2:4] = 1
     (note,) = roll_to_notes(roll)
     assert note.start == pytest.approx(0.2)
@@ -119,31 +104,28 @@ def test_roll_uses_own_frame_time_when_timing_omitted():
 
 def test_notes_to_roll_rejects_out_of_range_pitch():
     with pytest.raises(ValueError):
-        notes_to_roll([NoteEvent(109, 0.0, 1.0)], TIMING, 10)
+        notes_to_roll([NoteEvent(109, 0.0, 1.0)], DT, 10)
     with pytest.raises(ValueError):
-        notes_to_roll([NoteEvent(20, 0.0, 1.0)], TIMING, 10)
+        notes_to_roll([NoteEvent(20, 0.0, 1.0)], DT, 10)
 
 
 # ------------------------------------------------------------- rasterize
 
 def test_rasterize_rounds_half_up_inclusive():
-    timing = FrameTiming(100, 1000)  # dt = 0.1 s
-    roll = rasterize_notes([NoteEvent(60, 0.25, 0.55)], timing, 10)
+    roll = rasterize_notes([NoteEvent(60, 0.25, 0.55)], 0.1, 10)
     # 0.25/0.1 + 0.5 = 3.0 -> frame 3; 0.55 -> round(5.5) -> frame 6, inclusive
     np.testing.assert_array_equal(np.flatnonzero(roll.grid[39]), [3, 4, 5, 6])
 
 
 def test_rasterize_clips_to_grid():
-    timing = FrameTiming(100, 1000)
-    roll = rasterize_notes([NoteEvent(60, 0.0, 99.0)], timing, 4)
+    roll = rasterize_notes([NoteEvent(60, 0.0, 99.0)], 0.1, 4)
     assert roll.grid[39].sum() == 4
-    roll = rasterize_notes([NoteEvent(60, 5.0, 6.0)], timing, 4)
+    roll = rasterize_notes([NoteEvent(60, 5.0, 6.0)], 0.1, 4)
     assert roll.grid.sum() == 0  # entirely past the grid
 
 
 def test_rasterize_short_note_still_marks_one_frame():
-    timing = FrameTiming(100, 1000)
-    roll = rasterize_notes([NoteEvent(60, 0.301, 0.302)], timing, 10)
+    roll = rasterize_notes([NoteEvent(60, 0.301, 0.302)], 0.1, 10)
     np.testing.assert_array_equal(np.flatnonzero(roll.grid[39]), [3])
 
 

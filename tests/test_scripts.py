@@ -1,5 +1,6 @@
 """The example scripts run end to end as separate processes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -40,3 +41,27 @@ def test_train_desk_models_script(tmp_path):
                  "amt_loss.csv"):
         assert (tmp_path / "models" / name).exists(), name
     assert any(line.startswith("held-out frame F1: ") for line in done.stdout.splitlines())
+
+
+def test_output_digests_script(tmp_path):
+    # two runs print the same map: every file the commands write is
+    # named relative to the run's directory and hashed
+    maps = []
+    for _ in range(2):
+        done = run_script("output_digests.py", "--tiny", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        maps.append(done.stdout)
+    assert maps[0] == maps[1]
+    digests = json.loads(maps[0])
+    assert list(digests) == sorted(digests)
+    assert all(len(d) == 64 and set(d) <= set("0123456789abcdef") for d in digests.values())
+    assert {path.split("/")[0] for path in digests} == {"evaluate", "pipeline", "separate",
+                                                        "training"}
+    for path in ("pipeline/pipeline_60s/input1/op0/mix_vocals.mid",
+                 "pipeline/track/pipeline/pipeline_report.json",
+                 "evaluate/irm_oracle/separation_metrics.json",
+                 "separate/mono/mono2/mono2_mask.csv", "separate/oracle_bounds.txt",
+                 "training/train_desk/op1/amt.ssnn", "training/desk/amt_loss.csv",
+                 "training/train_desk_models.txt"):
+        assert path in digests, path
+    assert list(tmp_path.iterdir()) == []  # it writes only in its own temporary directory

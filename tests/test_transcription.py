@@ -7,19 +7,19 @@ from stemscribe import nn
 from stemscribe.audio_io import Waveform
 from stemscribe.dsp import CqtConfig, num_cqt_frames
 from stemscribe.nn import grad_check
-from stemscribe.nn.loss import FocalLossParams, focal_loss
-from stemscribe.pianoroll import FrameTiming, N_KEYS, NoteEvent, PianoRoll
+from stemscribe.nn.loss import focal_loss
+from stemscribe.pianoroll import N_KEYS, NoteEvent, PianoRoll
 from stemscribe.transcription import (AmtConfig, AmtExample, AmtModel,
                                       SegmentedFeatures, build_training_pair,
                                       examples_from_pair, f1_from,
                                       frame_metrics, onset_metrics, segment,
                                       stitch_and_threshold, transcribe_waveform)
 
-TIMING = FrameTiming(512, 22050)
+DT = CqtConfig().frame_time
 
 
-def silent_roll(frames, timing=TIMING):
-    return PianoRoll(np.zeros((N_KEYS, frames), dtype=np.uint8), timing.time_per_frame)
+def silent_roll(frames, frame_time=DT):
+    return PianoRoll(np.zeros((N_KEYS, frames), dtype=np.uint8), frame_time)
 
 
 # --------------------------------------------------------------- segment
@@ -69,43 +69,43 @@ def test_segment_rejects_bad_input():
 
 def test_stitch_uniform_high_probability_is_all_ones():
     outputs = [np.full((8, N_KEYS), 0.9) for _ in range(3)]
-    roll = stitch_and_threshold(outputs, 4, 16, threshold=0.5, timing=TIMING)
+    roll = stitch_and_threshold(outputs, 4, 16, 0.5, DT)
     assert roll.grid.all()
     assert roll.num_frames == 16
 
 
 def test_stitch_threshold_is_strict():
     outputs = [np.full((4, N_KEYS), 0.5)]
-    roll = stitch_and_threshold(outputs, 4, 4, threshold=0.5, timing=TIMING)
+    roll = stitch_and_threshold(outputs, 4, 4, 0.5, DT)
     assert not roll.grid.any()
     # frames 2-3 average (0.25 + 0.75) / 2 = 0.5 exactly: not above it
     outputs = [np.full((4, N_KEYS), 0.25), np.full((4, N_KEYS), 0.75)]
-    roll = stitch_and_threshold(outputs, 2, 6, threshold=0.5, timing=TIMING)
+    roll = stitch_and_threshold(outputs, 2, 6, 0.5, DT)
     np.testing.assert_array_equal(roll.grid[0], [0, 0, 0, 0, 1, 1])
 
 
 def test_stitch_averages_overlap():
     a = np.full((4, N_KEYS), 0.4)
     b = np.full((4, N_KEYS), 0.8)
-    roll = stitch_and_threshold([a, b], 2, 6, threshold=0.5, timing=TIMING)
+    roll = stitch_and_threshold([a, b], 2, 6, 0.5, DT)
     # frames 0-1 see only 0.4; 2-3 average to 0.6; 4-5 see only 0.8
     np.testing.assert_array_equal(roll.grid[0], [0, 0, 1, 1, 1, 1])
 
 
 def test_stitch_trims_and_zero_fills():
     outputs = [np.full((8, N_KEYS), 0.9)]
-    roll = stitch_and_threshold(outputs, 4, 5, timing=TIMING)
+    roll = stitch_and_threshold(outputs, 4, 5, 0.5, DT)
     assert roll.num_frames == 5  # trimmed below the window width
-    roll = stitch_and_threshold(outputs, 4, 12, timing=TIMING)
+    roll = stitch_and_threshold(outputs, 4, 12, 0.5, DT)
     assert roll.num_frames == 12
     assert roll.grid[:, :8].all() and not roll.grid[:, 8:].any()
 
 
 def test_stitch_rejects_mismatched_windows():
     with pytest.raises(ValueError):
-        stitch_and_threshold([np.zeros((4, N_KEYS)), np.zeros((5, N_KEYS))], 2, 8)
+        stitch_and_threshold([np.zeros((4, N_KEYS)), np.zeros((5, N_KEYS))], 2, 8, 0.5, DT)
     with pytest.raises(ValueError):
-        stitch_and_threshold([], 2, 8)
+        stitch_and_threshold([], 2, 8, 0.5, DT)
 
 
 # ------------------------------------------- reference window placement
@@ -178,7 +178,7 @@ def test_examples_cut_targets_like_the_window_loop(grid):
     n, window, hop = grid
     rng = np.random.default_rng(n)
     feats = rng.standard_normal((2, n))
-    roll = PianoRoll(rng.integers(0, 2, (N_KEYS, n)), TIMING.time_per_frame)
+    roll = PianoRoll(rng.integers(0, 2, (N_KEYS, n)), DT)
     examples = examples_from_pair(segment(feats, window, hop), roll)
     segments = loop_segment(feats, window, hop)
     targets = loop_targets(segments, hop, roll)
@@ -201,7 +201,7 @@ def test_stitch_matches_the_window_loop(grid, threshold, quantized):
     # quarter steps make many averages land exactly on the threshold
     probs = rng.integers(0, 5, shape) / 4.0 if quantized else rng.random(shape)
     outputs = list(probs)
-    roll = stitch_and_threshold(outputs, hop, n, threshold, TIMING)
+    roll = stitch_and_threshold(outputs, hop, n, threshold, DT)
     assert np.array_equal(roll.grid, loop_stitch(outputs, hop, n, threshold))
 
 
@@ -213,11 +213,12 @@ def test_examples_reject_a_roll_of_another_length(rng):
 
 # ----------------------------------------------------------------- model
 
-TINY = AmtConfig(n_bins=6, conv_channels=2, hidden=3, n_keys=5)
+TINY = AmtConfig(conv_channels=2, hidden=3)
+TINY_SHAPE = {"n_bins": 6, "n_keys": 5}
 
 
 def test_model_outputs_probabilities():
-    model = AmtModel(TINY, seed=0)
+    model = AmtModel(TINY, seed=0, **TINY_SHAPE)
     probs = model.predict(np.random.default_rng(1).standard_normal((6, 9))[None])[0]
     assert probs.shape == (9, 5)
     assert ((probs > 0.0) & (probs < 1.0)).all()
@@ -225,7 +226,7 @@ def test_model_outputs_probabilities():
 
 def test_model_rejects_wrong_bin_count():
     with pytest.raises(ValueError, match=r"expected \(B, 6, W\) features, got \(1, 7, 9\)"):
-        AmtModel(TINY).predict(np.zeros((1, 7, 9)))
+        AmtModel(TINY, **TINY_SHAPE).predict(np.zeros((1, 7, 9)))
 
 
 def test_models_refuse_an_unbatched_input():
@@ -233,7 +234,7 @@ def test_models_refuse_an_unbatched_input():
     from stemscribe.separation import SeparatorModel
 
     with pytest.raises(ValueError, match=r"expected \(B, 6, W\) features, got \(6, 9\)"):
-        AmtModel(TINY).forward(np.zeros((6, 9)))
+        AmtModel(TINY, **TINY_SHAPE).forward(np.zeros((6, 9)))
     separator = SeparatorModel(num_bins=5, hidden=3, layers=1)
     with pytest.raises(ValueError, match=r"expected \(N, B, 5\) input, got \(4, 5\)"):
         separator.forward_mask(np.zeros((4, 5)))
@@ -241,15 +242,16 @@ def test_models_refuse_an_unbatched_input():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        AmtConfig(n_bins=5)
+    with pytest.raises(ValueError, match="pooling by 2 must divide n_bins 5"):
+        AmtModel(TINY, n_bins=5)
     with pytest.raises(ValueError):
         AmtConfig(threshold=1.0)
-    assert TINY.seq_features == 2 * 3
+    # the BiLSTM reads conv_channels x pooled bins per frame
+    assert AmtModel(TINY, **TINY_SHAPE).blstm.fwd.w_x.shape[0] == 2 * 3
 
 
 def test_model_gradient_matches_finite_differences(rng):
-    model = AmtModel(TINY, seed=1)
+    model = AmtModel(TINY, seed=1, **TINY_SHAPE)
     features = np.random.default_rng(2).standard_normal((6, 7))
     targets = (np.random.default_rng(3).random((7, 5)) > 0.6).astype(float)
     rel = grad_check(model, [AmtExample(features, targets)])
@@ -257,7 +259,7 @@ def test_model_gradient_matches_finite_differences(rng):
 
 
 def test_model_gradient_matches_finite_differences_on_a_batch():
-    model = AmtModel(TINY, seed=1)
+    model = AmtModel(TINY, seed=1, **TINY_SHAPE)
     rng = np.random.default_rng(2)
     batch = [AmtExample(scale * rng.standard_normal((6, 7)),
                         (rng.random((7, 5)) > 0.6).astype(float)) for scale in (1.0, 30.0, 0.1)]
@@ -273,7 +275,7 @@ def per_example_loss_and_grad(model, ex):
     c, b, w = pooled.shape
     seq = pooled.transpose(2, 0, 1).reshape(w, 1, c * b)
     probs = model.out.forward(model.head.forward(model.blstm.forward(seq, True), True), True)
-    loss, grad = focal_loss(probs[:, 0], ex.targets, model.cfg.loss)
+    loss, grad = focal_loss(probs[:, 0], ex.targets, model.cfg.alpha, model.cfg.gamma)
     g = model.blstm.backward(model.head.backward(model.out.backward(grad[:, None])))
     g = model.conv.backward(model.pool.backward(g.reshape(w, c, b).transpose(1, 2, 0)[None]))
     model.norm.backward(g[0, 0].T[:, None])
@@ -335,12 +337,12 @@ def test_windows_of_very_different_scale_get_their_solo_outputs():
 
 def test_model_state_round_trip(tmp_path):
     from stemscribe.nn import load_checkpoint, save_checkpoint
-    model = AmtModel(TINY, seed=4)
+    model = AmtModel(TINY, seed=4, **TINY_SHAPE)
     x = np.random.default_rng(5).standard_normal((6, 8))[None]
     before = model.predict(x)
     path = tmp_path / "amt.ckpt"
     save_checkpoint(path, model.state())
-    other = AmtModel(TINY, seed=99)
+    other = AmtModel(TINY, seed=99, **TINY_SHAPE)
     other.load_state(load_checkpoint(path))
     np.testing.assert_allclose(other.predict(x), before, atol=1e-6)
 
@@ -433,8 +435,8 @@ def test_onset_metrics_greedy_matches_each_onset_once():
 
 
 def test_onset_metrics_rejects_timing_mismatch():
-    a = silent_roll(10, FrameTiming(512, 22050))
-    b = silent_roll(10, FrameTiming(256, 22050))
+    a = silent_roll(10, 512 / 22050)
+    b = silent_roll(10, 256 / 22050)
     with pytest.raises(ValueError):
         onset_metrics(a, b)
 
@@ -498,17 +500,15 @@ def test_examples_zero_pad_roll_tail(rng):
 
 def test_transcribe_waveform_matches_source_frame_count(rng):
     audio = Waveform(rng.standard_normal((1, 6615)) * 0.1, 22050)
-    cfg = AmtConfig(n_bins=84, conv_channels=2, hidden=4)
-    model = AmtModel(cfg, seed=0)
+    model = AmtModel(AmtConfig(conv_channels=2, hidden=4), seed=0, n_bins=84)
     roll = transcribe_waveform(audio, model, window=8, hop_frames=4)
     assert roll.num_frames == num_cqt_frames(6615, CQT_SMALL)
     assert roll.frame_time == pytest.approx(512 / 22050)
 
 
 def test_train_amt_loss_decreases(rng):
-    cfg = AmtConfig(n_bins=6, conv_channels=2, hidden=4,
-                    loss=FocalLossParams(alpha=0.35, gamma=2.0))
-    model = AmtModel(cfg, seed=0)
+    cfg = AmtConfig(conv_channels=2, hidden=4, alpha=0.35, gamma=2.0)
+    model = AmtModel(cfg, seed=0, n_bins=6)
     feats = rng.standard_normal((6, 12))
     segs = segment(feats, window=6, hop=3)
     roll = silent_roll(12)
