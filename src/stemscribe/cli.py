@@ -439,8 +439,9 @@ def cmd_train_amt(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    clips = synth.make_tone_clips(args.synthetic, args.duration,
-                                  cfg.cqt.sample_rate, cfg.seed)
+    # clip by clip: a clip's audio goes once its examples are cut, so
+    # training holds the examples alone
+    clips = synth.make_tone_clips(args.synthetic, args.duration, cfg.cqt.sample_rate, cfg.seed)
     examples = [ex for audio, notes in clips for ex in examples_from_pair(*build_training_pair(
         audio, notes, cfg.cqt, duration=args.duration, window=args.window,
         hop_frames=args.hop_frames))]

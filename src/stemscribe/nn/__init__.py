@@ -12,9 +12,11 @@ Every layer keeps one contract:
     (B, C, H, W); a single example is the batch of one, and only
     SeparatorModel.predict_mask takes an unbatched grid;
   * forward(x, training=True) keeps what backward needs, an inference
-    forward keeps nothing, and backward without a training forward, or
-    before the first zero_grads() creates the gradient buffers, raises
-    RuntimeError.
+    forward keeps nothing, and backward consumes what the training
+    forward kept, so a training step holds no finished layer's
+    activations; backward without a training forward since the last
+    one, or before the first zero_grads() creates the gradient buffers,
+    raises RuntimeError.
 An LSTM steps through time only for the h -> h recurrence, for the
 whole batch at once: its input projection and its weight and input
 gradients are single matrix products over all T·B rows. Lstm and BiLstm

@@ -6,11 +6,14 @@ Layout, little-endian throughout:
           float32 payload (row-major)
 
 Loading into a model (restore_params) rejects both missing and unexpected
-tensors, so no weight is left unset or silently dropped.
+tensors, so no weight is left unset or silently dropped. Saving replaces
+the file whole or not at all, so a write cut short leaves the checkpoint
+saved before.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -25,6 +28,9 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
+    """Write the tensors to a new file beside path, named for this process,
+    then rename it over path (os.replace, atomic on POSIX and Windows); on
+    any failure the new file is removed and path keeps the bytes it had."""
     parts = [MAGIC, struct.pack("<I", VERSION)]
     for name, arr in tensors.items():
         encoded = name.encode("utf-8")
@@ -34,7 +40,14 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
         parts.append(struct.pack("<I", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

@@ -13,7 +13,11 @@ Conventions:
     example's outputs do not depend on the rest of its batch.
   * forward(x, training=True) keeps in _cache what backward() needs; an
     inference forward keeps nothing and drops any earlier cache. backward()
-    without a cache raises RuntimeError (Layer._backward_cache).
+    consumes the cache (Layer._backward_cache): the layer lets go of it as
+    backward starts, so a training step holds no finished layer's
+    activations, and a second backward without a new training forward, like
+    one without any, raises RuntimeError. Conv2d's backward drops its
+    column matrix, the largest of them, once the weight gradient is formed.
   * Lstm and BiLstm step through one recurrence, _recur forward and
     _recur_backward backward, over (T, D, B, ·) arrays with a leading
     direction axis: an Lstm is its D = 1 case, a BiLstm its D = 2 case,
@@ -80,8 +84,9 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 class Layer:
     """The one parameter container: subclasses declare PARAMS, STATS and
-    children, and define forward/backward; backward reads what the last
-    training forward left in _cache through _backward_cache."""
+    children, and define forward/backward; backward takes what the last
+    training forward left in _cache through _backward_cache, which empties
+    it."""
 
     PARAMS: tuple[str, ...] = ()
     STATS: tuple[str, ...] = ()
@@ -90,13 +95,16 @@ class Layer:
     _has_grads = False  # set by zero_grads(), which creates the gradient buffers
 
     def _backward_cache(self):
-        """The cache of the last training forward, once zero_grads() has run."""
+        """The cache of the last training forward, once zero_grads() has run,
+        handed over: the layer keeps no reference, so what backward drops is
+        freed, and the next backward needs a new training forward."""
         if self._cache is None:
             raise RuntimeError(
                 f"{type(self).__name__}.backward needs a preceding forward(x, training=True)")
         if not self._has_grads:
             raise RuntimeError(f"{type(self).__name__}.backward needs zero_grads() first")
-        return self._cache
+        cache, self._cache = self._cache, None
+        return cache
 
     def _collect(self, kind: str, attr_prefix: str = "") -> dict[str, np.ndarray]:
         """The arrays named in the class tuple `kind` (PARAMS or STATS), read
@@ -218,18 +226,21 @@ class BatchNorm(Layer):
         out += self.beta
         return out
 
-    def backward_params(self, grad: np.ndarray) -> None:
-        """Accumulate dgamma and dbeta without the input gradient: the
-        backward of a model's input layer, whose input gradient nothing
-        reads."""
-        xhat, _ = self._backward_cache()
+    def _accumulate(self, grad: np.ndarray, xhat: np.ndarray) -> None:
+        """Add dgamma and dbeta for the output gradient grad, given the cached xhat."""
         f = self.gamma.size
         self.dgamma += (grad * xhat).reshape(-1, f).sum(axis=0)
         self.dbeta += grad.reshape(-1, f).sum(axis=0)
 
+    def backward_params(self, grad: np.ndarray) -> None:
+        """Accumulate dgamma and dbeta without the input gradient: the
+        backward of a model's input layer, whose input gradient nothing
+        reads. It consumes the cache as backward does."""
+        self._accumulate(grad, self._backward_cache()[0])
+
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        self.backward_params(grad)
-        xhat, inv_std = self._cache
+        xhat, inv_std = self._backward_cache()
+        self._accumulate(grad, xhat)
         dxhat = grad * self.gamma
         n = xhat.shape[0]
         # Each example's statistics depend on all its frames, hence the
@@ -277,8 +288,10 @@ class Conv2d(Layer):
         c_out, c_in, kh, kw = self.w.shape
         gmat = grad.transpose(1, 0, 2, 3).reshape(c_out, n * h * w)
         self.dw += (gmat @ flat.T).reshape(self.w.shape)
+        flat = None  # the column matrix, the largest array of a step, is read only by dw
         self.db += gmat.sum(axis=1)
         dcols = (self.w.reshape(c_out, -1).T @ gmat).reshape(c_in, kh, kw, n, h, w)
+        gmat = None
         ph, pw = kh // 2, kw // 2
         dxp = np.zeros((c_in, n, h + 2 * ph, w + 2 * pw))
         for i in range(kh):
@@ -322,15 +335,12 @@ class MaxPool2d(Layer):
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         winner, in_shape = self._backward_cache()
-        dx = np.empty(in_shape)
-        bits = np.ascontiguousarray(grad, dtype=np.float64).view(np.int64)
-        keep = np.empty(winner.shape, dtype=np.int64)
+        dx = np.zeros(in_shape)
+        won = np.empty(winner.shape, dtype=bool)
         for k, offset in enumerate(self._offsets()):
-            # np.where(winner == k, grad, 0.0) without a branch per element:
-            # grad's bits ANDed with all ones where offset k won, else with 0
-            np.equal(winner, k, out=keep)
-            np.negative(keep, out=keep)
-            np.bitwise_and(bits, keep, out=dx[(..., *offset)].view(np.int64))
+            # grad's exact bits where offset k won, signed zeros and NaN
+            # payloads included; +0.0 where it lost
+            np.copyto(dx[(..., *offset)], grad, where=np.equal(winner, k, out=won))
         return dx
 
 

@@ -195,18 +195,32 @@ class SeparatorModel(nn.Layer):
 
     def loss_and_grad(self, batch: list["TrainingClip"]) -> float:
         """Summed L1 spectrogram-magnitude loss of equal-length clips on
-        both estimated stems, in one forward and one backward pass."""
+        both estimated stems, in one forward and one backward pass.
 
-        def stack(name: str) -> np.ndarray:
-            return np.stack([getattr(clip, name) for clip in batch], axis=1)
-
-        mix_mag = stack("mix_mag")
-        mask = self.forward_mask(stack("log_mag"), training=True)
-        d_vocal = mask * mix_mag - stack("vocal_mag")
-        d_accomp = (1.0 - mask) * mix_mag - stack("accomp_mag")
-        n = d_vocal.shape[0] * d_vocal.shape[2]  # cells per clip
-        per_clip = np.abs(d_vocal).mean(axis=(0, 2)) + np.abs(d_accomp).mean(axis=(0, 2))
-        self.backward((np.sign(d_vocal) - np.sign(d_accomp)) * mix_mag / n)
+        Each residual, mask·mix - vocal and then (1 - mask)·mix - accomp,
+        goes through one (frames, B, bins) buffer, and the gradient
+        (sign_v - sign_a)·mix / n through a second: each step of those
+        formulas, in their order, is made in place, and each clip's
+        magnitudes enter its own rows, never stacked."""
+        mask = self.forward_mask(np.stack([clip.log_mag for clip in batch], axis=1),
+                                 training=True)
+        resid = np.empty_like(mask)
+        for b, clip in enumerate(batch):
+            np.multiply(mask[:, b], clip.mix_mag, out=resid[:, b])
+            resid[:, b] -= clip.vocal_mag
+        grad = np.sign(resid)
+        per_clip = np.abs(resid, out=resid).mean(axis=(0, 2))
+        np.subtract(1.0, mask, out=resid)
+        mask = None  # the output layer's cache, which its backward frees, holds it
+        for b, clip in enumerate(batch):
+            resid[:, b] *= clip.mix_mag
+            resid[:, b] -= clip.accomp_mag
+            grad[:, b] -= np.sign(resid[:, b])
+            grad[:, b] *= clip.mix_mag
+        per_clip += np.abs(resid, out=resid).mean(axis=(0, 2))
+        resid = None
+        grad /= grad.shape[0] * grad.shape[2]  # cells per clip
+        self.backward(grad)
         return float(per_clip.sum())
 
 

@@ -8,6 +8,8 @@ piano corpora, which are far beyond what a test run can carry.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .audio_io import Waveform
@@ -124,8 +126,9 @@ def make_tone_clip(duration: float, sample_rate: int, seed: int,
     return render_notes(notes, duration, sample_rate), notes
 
 
-def make_tone_clips(count: int, duration: float, sample_rate: int,
-                    seed: int, pitches=(60, 64, 67, 72)) -> list[tuple[Waveform, list[NoteEvent]]]:
-    """Clips cycling through the pitch set, so coverage stays balanced."""
-    return [make_tone_clip(duration, sample_rate, seed + i, pitches[i % len(pitches)])
-            for i in range(count)]
+def make_tone_clips(count: int, duration: float, sample_rate: int, seed: int,
+                    pitches=(60, 64, 67, 72)) -> Iterator[tuple[Waveform, list[NoteEvent]]]:
+    """Clips cycling through the pitch set, so coverage stays balanced,
+    each made as it is taken."""
+    return (make_tone_clip(duration, sample_rate, seed + i, pitches[i % len(pitches)])
+            for i in range(count))

@@ -111,7 +111,8 @@ class AmtConfig:
 
 @dataclass
 class AmtExample:
-    """One training window: (bins, W) features, (W, keys) binary targets."""
+    """One training window: (bins, W) features, (W, keys) binary targets,
+    0 or 1 in any real or integer dtype."""
 
     features: np.ndarray
     targets: np.ndarray
@@ -160,10 +161,12 @@ class AmtModel(nn.Layer):
         return self.out.forward(self.head.forward(x, training), training).transpose(1, 0, 2)
 
     def backward(self, grad: np.ndarray) -> None:
-        """Takes the gradient of the probabilities forward returned."""
+        """Takes the gradient of the probabilities forward returned. Each
+        step's gradient is dropped once the next has read it."""
         n, c, b, w = self._backward_cache()
         g = self.blstm.backward(self.head.backward(self.out.backward(grad.transpose(1, 0, 2))))
-        g = self.conv.backward(self.pool.backward(g.reshape(w, n, c, b).transpose(1, 2, 3, 0)))
+        g = self.pool.backward(g.reshape(w, n, c, b).transpose(1, 2, 3, 0))
+        g = self.conv.backward(g)
         self.norm.backward_params(g[:, 0].transpose(2, 0, 1))
 
     def predict(self, seg: np.ndarray) -> np.ndarray:
@@ -175,7 +178,9 @@ class AmtModel(nn.Layer):
         probs = self.forward(np.stack([ex.features for ex in batch]), training=True)
         losses, grads = zip(*(focal_loss(p, ex.targets, self.cfg.alpha, self.cfg.gamma)
                               for p, ex in zip(probs, batch)))
-        self.backward(np.stack(grads))
+        grad = np.stack(grads)
+        probs = grads = None  # the output layer's cache, which its backward frees, holds probs
+        self.backward(grad)
         return float(sum(losses))
 
 
@@ -298,12 +303,13 @@ def build_training_pair(audio: Waveform, notes, cqt_cfg: CqtConfig = CqtConfig()
 
 def examples_from_pair(segmented: SegmentedFeatures, roll: PianoRoll) -> list[AmtExample]:
     """Cut one target window from the roll for each feature window, by the
-    same placement (a sub-window roll is zero-padded like the features)."""
+    same placement (a sub-window roll is zero-padded like the features).
+    Features and targets are read-only views, of the feature grid and of
+    the roll's uint8 grid: the examples of a clip hold each grid once."""
     if roll.num_frames != segmented.source_length:
         raise ValueError(f"roll has {roll.num_frames} frames, features {segmented.source_length}")
     targets = _windows(roll.grid, segmented.window, segmented.hop_frames)
-    return [AmtExample(seg, target.T.astype(np.float64))
-            for seg, target in zip(segmented.segments, targets)]
+    return [AmtExample(seg, target.T) for seg, target in zip(segmented.segments, targets)]
 
 
 def transcribe_waveform(audio: Waveform, model: AmtModel,

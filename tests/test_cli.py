@@ -24,7 +24,7 @@ from stemscribe import audio_io, cli, dsp, nn, separation
 from stemscribe.audio_io import Waveform, read_wav, write_wav
 from stemscribe.config import PipelineConfig
 from stemscribe.midi import read_smf, write_smf
-from stemscribe.pianoroll import NoteEvent, PianoRoll
+from stemscribe.pianoroll import N_KEYS, NoteEvent, PianoRoll
 from stemscribe.separation import SeparatorModel
 from tests.conftest import STUB_FAIL
 from tests.test_audio_io import fmt_chunk, pack_codes, riff_wave
@@ -1129,6 +1129,60 @@ def test_train_amt_batches_reuse_the_heap_of_the_batch_before(tmp_path):
     faults = json.loads(run_fresh_python(TRAIN_AMT_FAULTS, str(tmp_path / "out"), str(config)))
     assert len(faults) == 9  # 3 epochs of 3 batches
     assert sum(faults[3:]) / 6 < 200, faults
+
+
+@pytest.fixture
+def desk_training(tmp_path):
+    """The traced peak of cli.main on a training command at the train_desk
+    model sizes, CQT kernel bases included: their cache is emptied first."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"amt": {"conv_channels": 4, "hidden": 16},
+                                  "separator": {"hidden": 32, "layers": 2}}))
+
+    def peak(command, *options):
+        dsp._octave_bases.cache_clear()
+        tracemalloc.start()
+        try:
+            assert cli.main([command, "--out-dir", str(tmp_path / "out"), "--config",
+                             str(config), "--epochs", "1", *options]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
+
+
+DESK_AMT = ("--duration", "3.0", "--window", "128", "--hop-frames", "64", "--batch-size", "4",
+            "--lr", "5e-3")
+
+
+def test_train_amt_at_desk_sizes_holds_no_finished_activations(desk_training):
+    # One epoch at train_desk's sizes. Keeping every layer's cache to the
+    # next batch and each clip's audio through the fit peaked at
+    # 28.3-29.1 MB; with each cache consumed by its backward and the clips
+    # streamed, 16.4-17.1 MB on numpy 2.4
+    assert desk_training("train-amt", "--synthetic", "12", *DESK_AMT) < 22e6
+
+
+def test_train_separator_at_desk_sizes_holds_no_finished_activations(desk_training):
+    # One epoch at train_desk's sizes: 17.6 MB with every cache kept and
+    # the loss's stacked copies, 14.3 MB with the loss in two buffers
+    assert desk_training("train-separator", "--synthetic", "4", "--clip-seconds", "1.5",
+                         "--sample-rate", "8000", "--remix-count", "6", "--lr", "1e-3") < 16e6
+
+
+def test_train_amt_memory_grows_by_the_examples_alone(desk_training):
+    # From 4 to 16 clips of 3 s the peak may grow by the 12 clips'
+    # examples: a float64 feature grid and the roll's uint8 grid, of
+    # which every window is a view. The slack is Adam's two moment
+    # buffers (0.43 MB), which exist at the 16-clip peak but not yet at
+    # the 4-clip one, a single batch. Holding each clip's audio through
+    # the fit, and float64 target copies, grew it 8.9 MB; now 1.7 MB.
+    cqt = PipelineConfig().cqt
+    per_clip = dsp.num_cqt_frames(3 * cqt.sample_rate, cqt) * (cqt.n_bins * 8 + N_KEYS)
+    growth = (desk_training("train-amt", "--synthetic", "16", *DESK_AMT)
+              - desk_training("train-amt", "--synthetic", "4", *DESK_AMT))
+    assert growth < 12 * per_clip + 0.6e6
 
 
 # Minor page faults of each of three `separate` runs on one 10 s clip at

@@ -1,6 +1,7 @@
 import logging
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +178,7 @@ def test_batch_norm_backward_params_accumulates_what_backward_does(rng):
     bn.backward(grad)
     full = bn.dgamma.copy(), bn.dbeta.copy()
     bn.zero_grads()
+    bn.forward(x, training=True)  # backward consumed the cache
     assert bn.backward_params(grad) is None
     assert np.array_equal(bn.dgamma, full[0]) and np.array_equal(bn.dbeta, full[1])
 
@@ -410,6 +412,7 @@ def test_lstm_backward_is_bitwise_the_two_array_form(t_len, batch, input_size, h
     grad = rng.standard_normal((t_len, batch, hidden))
     lstm.forward(x, training=True)
     want = two_array_lstm_backward(lstm, grad)
+    lstm.forward(x, training=True)  # the reference consumed the cache
     got = (lstm.backward(grad), lstm.dw_x, lstm.dw_h, lstm.db)
     for name, a, b in zip(("dx", "dw_x", "dw_h", "db"), got, want):
         assert np.array_equal(a, b), name
@@ -759,8 +762,8 @@ def test_maxpool_gradient_keeps_signed_zeros_and_non_finite_values():
     grad.flat[::5], grad.flat[1::7], grad.flat[2::11] = -0.0, np.nan, -np.inf
     layer = nn.MaxPool2d((2, 1))
     layer.zero_grads()
-    layer.forward(x, training=True)
     for g in (grad, np.asfortranarray(grad)):
+        layer.forward(x, training=True)  # each backward consumes the cache
         dx = layer.backward(g)
         for b in range(x.shape[0]):
             assert dx[b].tobytes() == argmax_maxpool(x[b], grad[b], (2, 1))[1].tobytes()
@@ -822,6 +825,46 @@ def test_inference_forward_keeps_no_backward_cache(name):
     assert layer._cache is None
     with pytest.raises(RuntimeError, match="training=True"):
         layer.backward(np.ones(out_shape))
+
+
+@pytest.mark.parametrize("name, method", [*((name, "backward") for name in contract_cases()),
+                                          ("BatchNorm", "backward_params")])
+def test_backward_consumes_the_training_cache(name, method):
+    layer, x, out_shape = contract_cases()[name]
+    backward = getattr(layer, method)
+    layer.zero_grads()
+    for _ in range(2):  # each training forward admits one backward
+        layer.forward(x, training=True)
+        backward(np.ones(out_shape))
+        assert layer._cache is None
+        with pytest.raises(RuntimeError, match=rf"^{name}\.backward needs a preceding "
+                                               r"forward\(x, training=True\)$"):
+            backward(np.ones(out_shape))
+    layer.forward(x)  # an inference forward keeps nothing either
+    assert layer._cache is None
+
+
+def layers_of(model):
+    yield model
+    for child in model.children.values():
+        yield from layers_of(child)
+
+
+def test_a_training_step_leaves_no_activations_behind(rng):
+    from stemscribe.separation import SeparatorModel, TrainingClip
+    from stemscribe.transcription import AmtConfig, AmtExample, AmtModel
+
+    sep = SeparatorModel(num_bins=9, hidden=4, layers=2)
+    clips = [TrainingClip(*rng.random((4, 12, 9))) for _ in range(2)]
+    amt = AmtModel(AmtConfig(conv_channels=2, hidden=3), n_bins=6, n_keys=5)
+    windows = [AmtExample(rng.standard_normal((6, 8)), rng.integers(0, 2, (8, 5), dtype=np.uint8))
+               for _ in range(3)]
+    for model, batch in ((sep, clips), (amt, windows)):
+        model.zero_grads()
+        model.loss_and_grad(batch)
+        assert [layer for layer in layers_of(model) if layer._cache is not None] == []
+        buffers = {"d" + name for layer in layers_of(model) for name in layer.PARAMS}
+        assert {path.rsplit(".", 1)[1] for path in held_activations(model)} == buffers
 
 
 def held_activations(model):
@@ -1147,6 +1190,24 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     for name, arr in tensors.items():
         assert loaded[name].shape == arr.shape
         assert np.abs(loaded[name] - arr).max() < 1e-6  # float32 storage
+
+
+def test_an_interrupted_checkpoint_write_keeps_the_checkpoint_before(tmp_path, rng,
+                                                                    monkeypatch):
+    path = tmp_path / "model.ssnn"
+    nn.save_checkpoint(path, {"w": rng.standard_normal((30, 40))})
+    before = path.read_bytes()
+    write_bytes = Path.write_bytes
+
+    def cut_short(self, data):
+        write_bytes(self, data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", cut_short)
+    with pytest.raises(OSError, match="no space"):
+        nn.save_checkpoint(path, {"w": rng.standard_normal((30, 40))})
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["model.ssnn"]
 
 
 def test_checkpoint_bad_magic(tmp_path):

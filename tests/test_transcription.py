@@ -128,7 +128,7 @@ def loop_targets(segments, hop, roll):
         target = roll.grid[:, start : start + window]
         if target.shape[1] < window:
             target = np.pad(target, ((0, 0), (0, window - target.shape[1])))
-        targets.append(target.T.astype(np.float64))
+        targets.append(target.T)
     return targets
 
 
