@@ -20,10 +20,10 @@ one-block cases of these two.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -306,10 +306,10 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
         return w
     from scipy.signal import resample_poly  # imported here: scipy.signal takes ~1 s to load
 
-    ratio = Fraction(target_rate, w.sample_rate)
+    common = math.gcd(target_rate, w.sample_rate)  # the rate ratio in lowest terms
     out_len = resampled_length(w.num_samples, w.sample_rate, target_rate)
     out = resample_poly(
-        w.samples, ratio.numerator, ratio.denominator, axis=1, window=("kaiser", 8.0)
+        w.samples, target_rate // common, w.sample_rate // common, axis=1, window=("kaiser", 8.0)
     )
     if out.shape[1] < out_len:
         out = np.pad(out, ((0, 0), (0, out_len - out.shape[1])))

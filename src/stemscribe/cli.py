@@ -11,14 +11,16 @@ The mask CSV has one row per STFT frame and one field per frequency bin,
 each value in [0, 1] (a mask with any other value is refused, exit 2):
 each field is `%.6f`, fields are separated by `,` and every row ends in
 `\\n`, the bytes np.savetxt(path, mask, fmt="%.6f", delimiter=",") writes.
-The spectrogram stats CSV has a `frame,mean_db,max_db` header, then one
-row per frame with the mean and max of its log-magnitude row as `%.4f`.
+The spectrogram stats CSV is the line `frame,mean_db,max_db`, then one
+line per frame, `%d,%.4f,%.4f` of the frame's index and the mean and max
+of its log-magnitude row. The loss CSV of a training command is the line
+`epoch,loss`, then one line per epoch, `%d,%.8f` of the epoch's index and
+its mean loss. Every line of these two ends in `\r\n`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import dataclasses
 import json
@@ -110,17 +112,24 @@ def _write_mask_csv(mask: np.ndarray, f) -> None:
     the other way from the exact value, is formatted by "%.6f" itself,
     which rounds the exact value half to even."""
     scaled = mask * 1e6
-    q = np.rint(scaled)
-    a, b = np.divmod(q.astype(np.int32), 1000)
+    b = np.rint(scaled).astype(np.intp)  # q, in np.take's index type
+    scaled -= b  # what the rounding moved each field by
+    halfway = np.abs(scaled, out=scaled) > 0.5 - 1e-6
+    # q = 1000 a + b. Each word table is gathered into a buffer whose values
+    # are spent; with every index in range, mode="clip" lets np.take write
+    # there directly, where mode="raise" would gather into a copy first
+    a = b // 1000
+    num = np.take(_HEAD, a, out=scaled.view(np.uint64), mode="clip")
+    a *= 1000
+    b -= a
+    num |= np.take(_TAIL, b, out=a.view(np.uint64), mode="clip")
     out = np.empty(mask.shape, _FIELD)
-    num = _HEAD[a]
-    num |= _TAIL[b]
     out["num"] = num
     out["sep"] = ord(",")
     out["sep"][:, -1] = ord("\n")
-    scaled -= q
-    for i, j in zip(*np.nonzero(np.abs(scaled, out=scaled) > 0.5 - 1e-6)):
-        out["num"][i, j] = int.from_bytes(b"%.6f" % mask[i, j], "little")
+    if halfway.any():
+        for i, j in zip(*np.nonzero(halfway)):
+            out["num"][i, j] = int.from_bytes(b"%.6f" % mask[i, j], "little")
     f.write(out)
 
 
@@ -128,20 +137,19 @@ def _write_stats_csv(log_mag: np.ndarray, f, first_frame: int = 0) -> None:
     """Stats rows of the log-magnitude rows of frames first_frame onward,
     to the text file f (opened with newline=""); the header goes before
     frame 0."""
-    means = [f"{v:.4f}" for v in log_mag.mean(axis=1)]
-    maxes = [f"{v:.4f}" for v in log_mag.max(axis=1)]
-    writer = csv.writer(f)
+    rows = np.empty((len(log_mag), 3))
+    rows[:, 0] = np.arange(first_frame, first_frame + len(log_mag))
+    rows[:, 1] = log_mag.mean(axis=1)
+    rows[:, 2] = log_mag.max(axis=1)
     if first_frame == 0:
-        writer.writerow(["frame", "mean_db", "max_db"])
-    writer.writerows(zip(range(first_frame, first_frame + len(means)), means, maxes))
+        f.write("frame,mean_db,max_db\r\n")
+    f.write("%d,%.4f,%.4f\r\n" * len(rows) % tuple(rows.reshape(-1).tolist()))
 
 
 def _write_loss_csv(trace: list[float], path: Path) -> None:
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(trace):
-            writer.writerow([epoch, f"{loss:.8f}"])
+        f.write("epoch,loss\r\n")
+        f.writelines("%d,%.8f\r\n" % row for row in enumerate(trace))
 
 
 def _separate_to_dir(mixture: SampleSource, masks: MaskSource, cfg: PipelineConfig,

@@ -198,7 +198,7 @@ def num_cqt_frames(n_samples: int, cfg: CqtConfig) -> int:
     return int(np.ceil(n_samples / cfg.hop))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)  # one config's bases, 5.3 MB at the default, not several
 def _octave_bases(cfg: CqtConfig) -> tuple[int, tuple[tuple[int, np.ndarray], ...]]:
     """The left padding cqt needs and, per octave, where its frames start
     in the padded signal and its (hop, m, 2g) chunk basis.
@@ -209,7 +209,8 @@ def _octave_bases(cfg: CqtConfig) -> tuple[int, tuple[tuple[int, np.ndarray], ..
     n_max//2 - n_k//2, so it meets exactly the samples hop*t + pad - n_k//2
     onward that it would meet alone.  Zero-padded further to m whole hops,
     its rows j*hop ... (j+1)*hop are column block [:, j] of the chunk basis.
-    Built once per config and read-only, since every call shares them."""
+    Kept for the last config alone, and read-only, since every call with
+    that config shares them."""
     kernels = cqt_kernels(cfg)
     pad = max(k.size for k in kernels) // 2 + 1
     octaves = []
@@ -243,7 +244,7 @@ def cqt(x: np.ndarray, cfg: CqtConfig) -> np.ndarray:
     so one GEMM of the chunks with the (hop, m x 2g) chunk basis gives,
     in column block j of row t + j, the part of frame t's inner products
     that chunk j holds; a frame's products are the sum of its m blocks.
-    The bases are built once per config (_octave_bases).  Frames go
+    The bases of the last config are cached (_octave_bases).  Frames go
     through in blocks of _CQT_BLOCK, so beyond the padded signal and the
     output the working memory is one block's product.
     """

@@ -1,4 +1,4 @@
-"""Standard MIDI File writing and parsing, bit-exact and dependency-free.
+"""Standard MIDI File writing and parsing, bit-exact and without a MIDI library.
 
 Output is format 0: one track carrying a tempo meta event, note-on/off
 pairs with variable-length delta times, and an end-of-track marker.
@@ -11,6 +11,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .pianoroll import NoteEvent
 
@@ -25,6 +27,9 @@ NOTE_ON = 0x90
 META = 0xFF
 META_TEMPO = 0x51
 META_END_OF_TRACK = 0x2F
+
+VLQ_MAX = 0x0FFFFFFF  # the largest value four VLQ bytes hold
+_VLQ_SHIFTS = np.array([21, 14, 7, 0])  # a VLQ's 7-bit groups, most significant first
 
 
 class SmfParseError(ValueError):
@@ -41,7 +46,7 @@ class SmfDocument:
 
 def encode_vlq(value: int) -> bytes:
     """Variable-length quantity: 7 bits per byte, high bit = continuation."""
-    if not 0 <= value <= 0x0FFFFFFF:
+    if not 0 <= value <= VLQ_MAX:
         raise ValueError(f"VLQ value {value} out of range")
     out = [value & 0x7F]
     value >>= 7
@@ -70,27 +75,55 @@ def seconds_to_ticks(seconds: float, division: int, tempo: int) -> int:
 
 def render_smf(notes) -> bytes:
     """Serialize note events to format-0 SMF bytes at DEFAULT_DIVISION
-    ticks per quarter note and DEFAULT_TEMPO."""
-    events = []  # (tick, order, message); offs sort before ons at equal ticks
-    for note in notes:
-        on = seconds_to_ticks(note.start, DEFAULT_DIVISION, DEFAULT_TEMPO)
-        off = seconds_to_ticks(note.end, DEFAULT_DIVISION, DEFAULT_TEMPO)
-        events.append((on, 1, bytes([NOTE_ON, note.pitch, note.velocity])))
-        events.append((off, 0, bytes([NOTE_OFF, note.pitch, 0])))
-    events.sort()
+    ticks per quarter note and DEFAULT_TEMPO.
 
-    track = bytearray()
-    track += encode_vlq(0)
-    track += bytes([META, META_TEMPO, 3]) + DEFAULT_TEMPO.to_bytes(3, "big")
-    prev_tick = 0
-    for tick, _, message in events:
-        track += encode_vlq(tick - prev_tick)
-        track += message
-        prev_tick = tick
-    track += encode_vlq(0) + bytes([META, META_END_OF_TRACK, 0])
+    A note is a note-on at the tick of its start and a note-off at that of
+    its end, each seconds_to_ticks rounded half to even. The events go in
+    order of tick; at one tick note-offs go before note-ons (so a note
+    ending where the next one at its pitch starts survives), and events of
+    one kind in order of pitch, then velocity. A NaN or infinite time
+    raises as seconds_to_ticks does, before any other check; a negative
+    tick or a delta time above 2**28 - 1 raises encode_vlq's ValueError."""
+    notes = list(notes)
+    n = len(notes)
+    seconds = np.empty((n, 2))  # each note's on time, then its off time
+    seconds[:, 0] = np.fromiter((note.start for note in notes), np.float64, n)
+    seconds[:, 1] = np.fromiter((note.end for note in notes), np.float64, n)
+    seconds = seconds.reshape(-1)
+    # seconds_to_ticks' expression, which rint rounds half to even as round()
+    # does; a time whose product passes the float range becomes inf
+    with np.errstate(over="ignore"):
+        ticks = np.rint(seconds * DEFAULT_DIVISION * 1e6 / DEFAULT_TEMPO)
+    finite = np.isfinite(ticks)
+    if not finite.all():  # round() refuses the first, as the note loop did
+        seconds_to_ticks(float(seconds[np.argmin(finite)]), DEFAULT_DIVISION, DEFAULT_TEMPO)
+    messages = np.empty((n, 2, 3), np.uint8)
+    messages[:, :, 0] = NOTE_ON, NOTE_OFF
+    messages[:, :, 1] = np.fromiter((note.pitch for note in notes), np.int64, n)[:, None]
+    messages[:, 0, 2] = np.fromiter((note.velocity for note in notes), np.int64, n)
+    messages[:, 1, 2] = 0
+    messages = messages.reshape(-1, 3)
 
+    # NOTE_OFF < NOTE_ON, so (tick, status, pitch, velocity) is the event order
+    order = np.lexsort((messages[:, 2], messages[:, 1], messages[:, 0], ticks))
+    ticks = ticks[order]
+    deltas = np.diff(ticks, prepend=0.0)
+    bad = (deltas < 0) | (deltas > VLQ_MAX)
+    if bad.any():  # the first delta out of range refuses the track
+        i = int(np.argmax(bad))
+        encode_vlq(int(ticks[i]) - int(ticks[i - 1] if i else 0))
+    deltas = deltas.astype(np.int64)[:, None]
+    events = np.empty((2 * n, 7), np.uint8)  # four VLQ bytes, then the message
+    events[:, :4] = (deltas >> _VLQ_SHIFTS) & 0x7F
+    events[:, :3] |= 0x80
+    events[:, 4:] = messages[order]
+    keep = np.ones(events.shape, bool)  # a VLQ drops its leading zero groups
+    np.greater_equal(deltas, 1 << _VLQ_SHIFTS[:3], out=keep[:, :3])
+
+    track = (encode_vlq(0) + bytes([META, META_TEMPO, 3]) + DEFAULT_TEMPO.to_bytes(3, "big")
+             + events[keep].tobytes() + encode_vlq(0) + bytes([META, META_END_OF_TRACK, 0]))
     header = HEADER_MAGIC + struct.pack(">IHHH", 6, 0, 1, DEFAULT_DIVISION)
-    return header + TRACK_MAGIC + struct.pack(">I", len(track)) + bytes(track)
+    return header + TRACK_MAGIC + struct.pack(">I", len(track)) + track
 
 
 def write_smf(notes, path) -> int:

@@ -168,6 +168,9 @@ class Dense(Layer):
         return (g @ self.w.T).reshape(x.shape)
 
 
+_SIGMOID_CHUNK = 1 << 14  # elements of 1 - y that Sigmoid.backward holds at once
+
+
 class Sigmoid(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         y = sigmoid(x)
@@ -177,7 +180,13 @@ class Sigmoid(Layer):
     def backward(self, grad: np.ndarray) -> np.ndarray:
         y = self._backward_cache()
         out = grad * y
-        out *= 1.0 - y
+        # out *= 1.0 - y, with 1.0 - y made for a few leading rows at a time:
+        # whole, it would be a third full-size array beside out and grad
+        rows = max(1, _SIGMOID_CHUNK // y[0].size) if len(y) else 1
+        one_minus_y = np.empty_like(y[:rows])
+        for r0 in range(0, len(y), rows):
+            part = y[r0 : r0 + rows]
+            out[r0 : r0 + rows] *= np.subtract(1.0, part, out=one_minus_y[: len(part)])
         return out
 
 

@@ -100,14 +100,15 @@ def roll_to_notes(roll: PianoRoll) -> list[NoteEvent]:
     """Group each run of active frames [a..b] into a note spanning
     [a * dt, (b + 1) * dt), dt the roll's frame time, at DEFAULT_VELOCITY,
     ordered by start time then pitch."""
-    dt = roll.frame_time
-    notes = []
-    for row_index in range(N_KEYS):
-        pitch = row_index + LOWEST_PITCH
-        for first, last in active_runs(roll.grid[row_index]):
-            notes.append(NoteEvent(pitch, first * dt, (last + 1) * dt))
-    notes.sort(key=lambda n: (n.start, n.pitch))
-    return notes
+    padded = np.zeros((N_KEYS, roll.num_frames + 2), np.int8)
+    padded[:, 1:-1] = roll.grid
+    edges = np.diff(padded, axis=1)  # +1 at a run's first frame, -1 after its last
+    rows, first = np.nonzero(edges == 1)
+    stop = np.nonzero(edges == -1)[1]  # the frame after each run, in the order of first
+    starts = first * roll.frame_time
+    order = np.lexsort((rows, starts))  # by start, then pitch
+    return list(map(NoteEvent, (rows[order] + LOWEST_PITCH).tolist(), starts[order].tolist(),
+                    (stop[order] * roll.frame_time).tolist()))
 
 
 def notes_to_roll(notes, frame_time: float, total_frames: int) -> PianoRoll:

@@ -158,6 +158,7 @@ class SeparatorModel(nn.Layer):
         mask does not depend on the block of the grid it is passed in."""
         norm, *lstms, head, out = self.children.values()
         h = norm.forward(log_mag, training)
+        del log_mag  # a stacked training batch, made for this call, goes before the LSTMs run
         if training:
             if state is not None:
                 raise ValueError("a training forward starts from zero state; backward assumes it")

@@ -385,6 +385,23 @@ def test_stats_csv_keeps_the_sign_of_a_mean_that_rounds_to_zero(tmp_path):
     assert rows[1:3] == ["0,-0.0000,0.0000", "1,-0.0000,0.0000"]
 
 
+def csv_writer_loss_csv(trace, path):
+    """The loss CSV writer through csv.writer, the byte reference."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["epoch", "loss"])
+        for epoch, loss in enumerate(trace):
+            writer.writerow([epoch, f"{loss:.8f}"])
+
+
+@given(trace=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=30))
+def test_loss_csv_bytes_equal_csv_writer(tmp_path_factory, trace):
+    tmp_path = tmp_path_factory.mktemp("loss")
+    cli._write_loss_csv(trace, tmp_path / "new.csv")
+    csv_writer_loss_csv(trace, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_csv_rows_written_block_by_block_equal_one_write(tmp_path):
     mask = mask_grid(300, 7, "logistic", 3)
     log_mag = np.random.default_rng(3).normal(-20.0, 30.0, (300, 7))

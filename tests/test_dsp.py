@@ -457,6 +457,25 @@ def test_cqt_builds_its_kernels_once_per_config(rng, monkeypatch):
     assert calls == [cfg, other]
 
 
+def test_cqt_keeps_the_bases_of_one_config(rng, monkeypatch):
+    # a second config's bases replace the first's, which are built again
+    # when that config comes back
+    calls = []
+
+    def counting_kernels(cfg):
+        calls.append(cfg)
+        return cqt_kernels(cfg)
+
+    monkeypatch.setattr(dsp, "cqt_kernels", counting_kernels)
+    dsp._octave_bases.cache_clear()
+    first = CqtConfig(n_bins=24, f_min=110.0, hop=256, sample_rate=8000)
+    second = CqtConfig(n_bins=12, f_min=110.0, sample_rate=8000)
+    for cfg in (first, second, second, first):
+        cqt(rng.standard_normal(2000), cfg)
+        assert dsp._octave_bases.cache_info().currsize == 1
+    assert calls == [first, second, first]
+
+
 def test_cached_cqt_bases_are_read_only():
     _, octaves = dsp._octave_bases(CqtConfig(n_bins=24, f_min=110.0, sample_rate=8000))
     for _, basis in octaves:

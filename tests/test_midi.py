@@ -1,9 +1,13 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from stemscribe.midi import (DEFAULT_DIVISION, DEFAULT_TEMPO, HEADER_MAGIC,
+from stemscribe.midi import (DEFAULT_DIVISION, DEFAULT_TEMPO, HEADER_MAGIC, META,
+                             META_END_OF_TRACK, META_TEMPO, NOTE_OFF, NOTE_ON, TRACK_MAGIC,
                              SmfParseError, decode_vlq, encode_vlq, parse_smf,
                              read_smf, render_smf, seconds_to_ticks, write_smf)
 from stemscribe.pianoroll import NoteEvent
@@ -107,6 +111,111 @@ def test_render_parse_round_trip(seed):
         assert back.velocity == orig.velocity
         assert abs(back.start - orig.start) <= 0.5 * TICK_SECONDS + 1e-9
         assert abs(back.end - orig.end) <= 0.5 * TICK_SECONDS + 1e-9
+
+
+def loop_render_smf(notes):
+    """render_smf as a loop over the notes and a sort of (tick, order,
+    message) tuples, the reference of the array form."""
+    events = []  # (tick, order, message); offs sort before ons at equal ticks
+    for note in notes:
+        on = seconds_to_ticks(note.start, DEFAULT_DIVISION, DEFAULT_TEMPO)
+        off = seconds_to_ticks(note.end, DEFAULT_DIVISION, DEFAULT_TEMPO)
+        events.append((on, 1, bytes([NOTE_ON, note.pitch, note.velocity])))
+        events.append((off, 0, bytes([NOTE_OFF, note.pitch, 0])))
+    events.sort()
+
+    track = bytearray()
+    track += encode_vlq(0)
+    track += bytes([META, META_TEMPO, 3]) + DEFAULT_TEMPO.to_bytes(3, "big")
+    prev_tick = 0
+    for tick, _, message in events:
+        track += encode_vlq(tick - prev_tick)
+        track += message
+        prev_tick = tick
+    track += encode_vlq(0) + bytes([META, META_END_OF_TRACK, 0])
+
+    header = HEADER_MAGIC + struct.pack(">IHHH", 6, 0, 1, DEFAULT_DIVISION)
+    return header + TRACK_MAGIC + struct.pack(">I", len(track)) + bytes(track)
+
+
+def outcome(render, notes):
+    """The bytes a renderer returns, or the type and text of what it raises."""
+    try:
+        return render(notes)
+    except Exception as e:
+        return type(e), str(e)
+
+
+# tick gaps either side of the VLQ byte boundaries 2**7, 2**14 and 2**21,
+# zero (events on one tick) and the 4-byte maximum
+GAPS = [0, 1, 2**7 - 1, 2**7, 2**7 + 1, 2**14 - 1, 2**14, 2**14 + 1,
+        2**21 - 1, 2**21, 2**21 + 1, 2**28 - 1]
+# where in its tick a time falls: on it, either side of the half, on the half
+# (which rounds to even), and just below the next tick
+OFFSETS = [0.0, 0.25, 0.4999, 0.5, 0.5001, 0.999]
+
+
+@st.composite
+def tick_notes(draw):
+    """Unsorted, overlapping notes whose ticks are sums of GAPS, so that the
+    track's delta times fall either side of each VLQ byte boundary."""
+    notes, tick = [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        tick += draw(st.sampled_from(GAPS))
+        length = draw(st.sampled_from(GAPS[1:]))
+        start = (tick + draw(st.sampled_from(OFFSETS))) * TICK_SECONDS
+        end = (tick + length + draw(st.sampled_from(OFFSETS))) * TICK_SECONDS
+        notes.append(NoteEvent(draw(st.integers(0, 127)), start, end, draw(st.integers(0, 127))))
+    return draw(st.permutations(notes))
+
+
+@given(notes=tick_notes())
+def test_render_is_the_event_loop_at_vlq_boundaries(notes):
+    assert outcome(render_smf, notes) == outcome(loop_render_smf, notes)
+
+
+@given(notes=st.lists(st.builds(NoteEvent, st.integers(0, 127), st.floats(0.0, 30.0),
+                                st.floats(30.0, 60.0), st.integers(0, 127)), max_size=40),
+       pitches=st.integers(1, 4))
+def test_render_is_the_event_loop_on_shared_ticks(notes, pitches):
+    # few pitches and times on a coarse grid: notes on equal ticks, of one
+    # pitch at one tick, and overlapping ones
+    notes = [NoteEvent(n.pitch % pitches + 60, round(n.start, 1), round(n.end, 1), n.velocity)
+             for n in notes]
+    assert outcome(render_smf, notes) == outcome(loop_render_smf, notes)
+
+
+@pytest.mark.parametrize("gap", GAPS[1:])
+def test_one_note_of_each_boundary_length_renders_as_the_loop(gap):
+    notes = [NoteEvent(60, 0.0, gap * TICK_SECONDS, 90)]
+    assert render_smf(notes) == loop_render_smf(notes)
+
+
+BAD_TIMES = [math.nan, math.inf, -math.inf, 1e306, -1.0, -1e-4, 2**28 * TICK_SECONDS, 1e9]
+
+
+@given(times=st.lists(st.tuples(st.sampled_from(BAD_TIMES + [0.0, 1.0, 2.0]),
+                                st.sampled_from([0.5, 3.0, math.inf, 2**28 * TICK_SECONDS])),
+                      min_size=1, max_size=6))
+def test_render_refuses_what_the_event_loop_refuses(times):
+    # a negative tick, a delta above 2**28 - 1, a NaN or infinite time and a
+    # finite time past the float range of the tick product: the same
+    # exception with the same text, for the first fault the loop meets
+    notes = [NoteEvent(60 + i, start, start + length) for i, (start, length) in enumerate(times)
+             if not start + length <= start]
+    assert outcome(render_smf, notes) == outcome(loop_render_smf, notes)
+
+
+@pytest.mark.parametrize("start, end, error", [
+    (-1.0, 0.5, ValueError), (0.0, 1.0 + 2**28 * TICK_SECONDS, ValueError),
+    (math.nan, 1.0, ValueError), (0.0, math.nan, ValueError),
+    (0.0, math.inf, OverflowError), (-math.inf, 0.0, OverflowError),
+    (0.0, 1e306, OverflowError)])
+def test_render_refuses_a_bad_time(start, end, error):
+    notes = [NoteEvent(61, 0.0, 1.0), NoteEvent(60, start, end)]
+    with pytest.raises(error):
+        render_smf(notes)
+    assert outcome(render_smf, notes) == outcome(loop_render_smf, notes)
 
 
 def test_adjacent_same_pitch_notes_survive():

@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from stemscribe import nn
-from stemscribe.nn.layers import _BN_EPS, _STACK_LAG, _stack_chunks
+from stemscribe.nn.layers import _BN_EPS, _SIGMOID_CHUNK, _STACK_LAG, _stack_chunks
 from stemscribe.nn.layers import sigmoid as sigmoid_fn
 
 
@@ -775,6 +776,41 @@ def test_sigmoid_midpoint_and_saturation():
     out = s.forward(np.array([-800.0, 800.0]))
     assert np.all(np.isfinite(out))
     assert sigmoid_fn(np.array([0.0]))[0] == 0.5
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (5,), (4, 1, 3), (91, 6, 257), (2, _SIGMOID_CHUNK + 3),
+                                   (_SIGMOID_CHUNK + 5, 2)])
+def test_sigmoid_backward_is_bitwise_the_whole_grid_formula(shape):
+    # 1 - y is made a few rows at a time: for rows of every size, the
+    # product is (grad * y) * (1 - y), elementwise, bit for bit
+    rng = np.random.default_rng(3)
+    x, grad = rng.normal(0.0, 4.0, shape), rng.standard_normal(shape)
+    layer = nn.Sigmoid()
+    layer.zero_grads()
+    for g in (grad, np.asfortranarray(grad)):
+        y = layer.forward(x, training=True)
+        want = g * y
+        want *= 1.0 - y
+        assert layer.backward(g).tobytes() == want.tobytes()
+        assert np.array_equal(y, layer.forward(x))  # the output it handed out is left alone
+
+
+def test_sigmoid_backward_holds_its_result_and_a_chunk():
+    # beside the caller's grad and its own cached output, backward makes
+    # only the gradient it returns and a _SIGMOID_CHUNK-element 1 - y;
+    # a whole-grid 1 - y doubled its peak
+    layer = nn.Sigmoid()
+    layer.zero_grads()
+    x = np.random.default_rng(4).standard_normal((91, 6, 257))
+    layer.forward(x, training=True)
+    grad = np.ones_like(x)
+    tracemalloc.start()
+    try:
+        out = layer.backward(grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 8 * _SIGMOID_CHUNK + 64 * 1024
 
 
 def test_sigmoid_is_within_two_ulps_of_expit():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from stemscribe.pianoroll import (DEFAULT_VELOCITY, N_KEYS, ROLL_MAGIC, NoteEvent, PianoRoll,
-                                  active_runs, notes_to_roll, rasterize_notes, roll_to_notes)
+from stemscribe.pianoroll import (DEFAULT_VELOCITY, LOWEST_PITCH, N_KEYS, ROLL_MAGIC, NoteEvent,
+                                  PianoRoll, active_runs, notes_to_roll, rasterize_notes,
+                                  roll_to_notes)
 
 DT = 512 / 22050  # the frame period of the default CQT
 
@@ -76,6 +79,49 @@ def test_one_frame_note_spans_single_frame():
     notes = [NoteEvent(60, 0.0, DT * 0.999)]
     roll = notes_to_roll(notes, DT, 5)
     np.testing.assert_array_equal(roll.grid[39], [1, 0, 0, 0, 0])
+
+
+def loop_roll_to_notes(roll):
+    """roll_to_notes as a loop over the rows and their runs, the reference
+    of the array form."""
+    dt = roll.frame_time
+    notes = []
+    for row_index in range(N_KEYS):
+        pitch = row_index + LOWEST_PITCH
+        for first, last in active_runs(roll.grid[row_index]):
+            notes.append(NoteEvent(pitch, first * dt, (last + 1) * dt))
+    notes.sort(key=lambda n: (n.start, n.pitch))
+    return notes
+
+
+def assert_same_notes(got, want):
+    # repr shows each field's type too: a numpy scalar would not pass
+    assert [repr(n) for n in got] == [repr(n) for n in want]
+
+
+@given(frames=st.integers(0, 300), fill=st.sampled_from(["empty", "full", "random", "edges"]),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       frame_time=st.sampled_from([DT, 0.1, 1 / 3, 1e-3, 7.0]))
+def test_roll_to_notes_is_the_row_loop(frames, fill, density, seed, frame_time):
+    rng = np.random.default_rng(seed)
+    if fill == "empty":
+        grid = np.zeros((N_KEYS, frames), np.uint8)
+    elif fill == "full":
+        grid = np.ones((N_KEYS, frames), np.uint8)
+    else:
+        grid = (rng.random((N_KEYS, frames)) < density).astype(np.uint8)
+        if fill == "edges":  # runs that touch the first and the last frame
+            grid[rng.random(N_KEYS) < 0.5, :1] = 1
+            grid[rng.random(N_KEYS) < 0.5, -1:] = 1
+    roll = PianoRoll(grid, frame_time)
+    assert_same_notes(roll_to_notes(roll), loop_roll_to_notes(roll))
+
+
+@pytest.mark.parametrize("row", [[1], [0], [1, 1, 1], [1, 0, 1], [0, 1, 0], [1, 1, 0, 0, 1, 1]])
+def test_roll_to_notes_of_one_short_row_in_every_key(row):
+    # a 1-frame roll, runs at both ends, and notes that start together
+    roll = PianoRoll(np.tile(np.array(row, np.uint8), (N_KEYS, 1)), DT)
+    assert_same_notes(roll_to_notes(roll), loop_roll_to_notes(roll))
 
 
 @pytest.mark.parametrize("seed", range(100))
