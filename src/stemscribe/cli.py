@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import gc
 import json
 import logging
 import math
@@ -635,6 +636,13 @@ def _pin_heap_thresholds() -> None:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     _pin_heap_thresholds()
+    # What outlives a command, allocated in its middle, can hold the heap's top
+    # above that command's temporaries, so that the next command in the
+    # process faults in fresh pages. numpy loads these submodules on first
+    # use, and a command's argument parser is cyclic garbage that the
+    # collector would otherwise free at some point in the next command.
+    import numpy.fft, numpy.random  # noqa: E401, F401
+    gc.collect(1)
     try:
         args = build_parser().parse_args(argv)
         if args.verbose:

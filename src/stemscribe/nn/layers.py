@@ -24,7 +24,9 @@ Conventions:
     fwd at time s together with bwd at time T-1-s. Both start from zero
     state, which backward() assumes. BiLstm's outputs and gradients are
     bitwise those of its two Lstm children run one after the other, but
-    it calls neither child's forward nor backward.
+    it calls neither child's forward nor backward. Its forward is its
+    input GEMMs, then the recurrence, which AmtModel.predict also runs
+    alone at inference over pre-activations it assembled.
   * At inference a stack of Lstm layers, each reading the hidden states
     of the one below, runs through lstm_stack, which steps all of them in
     its own loop and calls none of their forwards. It carries an
@@ -629,16 +631,22 @@ class BiLstm(Layer):
     states concatenated, so the output feature size is twice the hidden
     size.
 
-    The two directions are independent, so one loop steps both: _recur and
-    _recur_backward with D = 2, where step s advances fwd at time s and
-    bwd at time T-1-s, carrying h and c (dh and dc in backward) as a
-    (2, B, H) stack: half the Python steps of two Lstm loops. The per-step
-    arrays are (T, 2, B, ·), where [s, 1] holds bwd at time T-1-s. Each
-    direction's input projection and weight and input gradients stay one
-    GEMM over its own rows (Lstm._project and Lstm._accumulate), in the
-    order fwd.forward(x) and bwd.forward(x[::-1]) would sum them, so
-    outputs and gradients are bitwise those of the two Lstm passes. fwd and
-    bwd stay Lstm children, which own the weights and gradient buffers.
+    forward is _pre_activations, then _recurrence. _pre_activations gives
+    each direction's input projection, one GEMM over its own rows
+    (Lstm._project), as (T, 2, B, 4H) pre-activations in step order:
+    [s, 0] is fwd at time s and [s, 1] bwd at time T-1-s. For a (1, N,
+    input) batch of one-frame sequences that is N frames' pre-activations
+    of both directions in time order. The two directions are independent,
+    so one loop steps both: _recur and _recur_backward with D = 2,
+    carrying h and c (dh and dc in backward) as a (2, B, H) stack, half
+    the Python steps of two Lstm loops. _recurrence runs that loop over
+    given pre-activations: for forward, and at inference for
+    AmtModel.predict, which assembles its windows' pre-activations from
+    frames it projected once. Weight and input gradients stay one GEMM
+    over each direction's rows (Lstm._accumulate), in the order
+    fwd.forward(x) and bwd.forward(x[::-1]) would sum them, so outputs and
+    gradients are bitwise those of the two Lstm passes. fwd and bwd stay
+    Lstm children, which own the weights and gradient buffers.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
@@ -651,17 +659,27 @@ class BiLstm(Layer):
         rows = x.shape[0] * x.shape[1]
         return zip((self.fwd, self.bwd), (x.reshape(rows, -1), x[::-1].reshape(rows, -1)))
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def _pre_activations(self, x: np.ndarray) -> np.ndarray:
+        """(T, B, input) -> the (T, 2, B, 4H) step-order pre-activations."""
         n_in = self.fwd.w_x.shape[0]
         if x.ndim != 3 or x.shape[2] != n_in:
             raise ValueError(f"expected (T, B, {n_in}) input, got {x.shape}")
-        t_len, batch, _ = x.shape
-        gates = np.empty((t_len, 2, batch, 4 * self.fwd.hidden_size))
+        gates = np.empty((x.shape[0], 2, x.shape[1], 4 * self.fwd.hidden_size))
         for d, (layer, rows) in enumerate(self._directions(x)):
             layer._project(rows, gates[:, d])
+        return gates
+
+    def _recurrence(self, gates: np.ndarray):
+        """The (T, B, 2H) outputs of (T, 2, B, 4H) step-order pre-activations,
+        which become the activated gates, and the (gates, c, tanh_c, hs)
+        backward reads."""
         c, tanh_c, hs = _recur(gates, np.stack([self.fwd.w_h, self.bwd.w_h]))
-        self._cache = (x, gates, c, tanh_c, hs) if training else None
-        return np.concatenate([hs[:, 0], hs[::-1, 1]], axis=-1)
+        return np.concatenate([hs[:, 0], hs[::-1, 1]], axis=-1), (gates, c, tanh_c, hs)
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        out, steps = self._recurrence(self._pre_activations(x))
+        self._cache = (x, *steps) if training else None
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         x, gates, c, tanh_c, hs = self._backward_cache()

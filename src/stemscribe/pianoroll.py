@@ -12,6 +12,7 @@ dsp.CqtConfig.frame_time. Two rasterization rules coexist:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,8 +57,8 @@ class PianoRoll:
             raise ValueError(f"roll must be ({N_KEYS}, frames), got {self.grid.shape}")
         if not np.isin(self.grid, (0, 1)).all():
             raise ValueError("roll entries must be 0 or 1")
-        if self.frame_time <= 0:
-            raise ValueError("frame_time must be positive")
+        if not 0 < self.frame_time < math.inf:  # a NaN fails this test too
+            raise ValueError(f"frame_time must be positive and finite, got {self.frame_time}")
         self.grid = self.grid.astype(np.uint8)
 
     @property

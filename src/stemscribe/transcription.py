@@ -16,6 +16,13 @@ roll by the same placement. The model emits 88 per-frame key
 probabilities; overlapping window outputs are averaged through
 dsp.overlap_add, the iSTFT's own overlap-add, and binarized strictly
 above the config's threshold, 0.5 by default.
+
+Training runs AmtModel.forward on stacked windows. Inference runs
+AmtModel.predict on the whole grid: at inference every layer before the
+BiLSTM recurrence reads a frame and its two neighbours only, so predict
+takes each frame through them once, in blocks of frames per group of
+windows, and only the recurrence, the head and the sigmoid run per
+window.
 """
 
 from __future__ import annotations
@@ -36,9 +43,13 @@ SEGMENT_WINDOW = 512
 SEGMENT_HOP = 256
 # The factor the note model's max pooling divides the bins by.
 _POOL_FREQ = 2
-# Windows per forward pass at inference. A default-size window in flight
-# holds ~10 MB of activations; up to 3 at once leave the peak RSS of
-# transcribing a 180 s clip where one at a time puts it.
+# Windows that AmtModel.predict takes through the recurrence, head and
+# sigmoid together, and whose new frames it projects as one block. A group
+# of 3 default-size windows holds 6.3 MB of pre-activations (512 steps of
+# 2 directions x 3 windows x 256) and 4.2 MB of the 1,024 frames' own
+# projections; the conv, pool and projection of its block add ~19 MB while
+# they run (~14 MB for the 768 frames of each later group). Batches of 1
+# and of 3 windows are not bitwise equal in the recurrence and head GEMMs.
 _WINDOW_BATCH = 3
 
 
@@ -50,10 +61,13 @@ def _windows(grid: np.ndarray, window: int, hop: int) -> np.ndarray:
     then (N_padded - window) // hop + 1, so a trailing partial window is
     not emitted. Stitching zero-fills whatever the last window misses.
     """
+    return sliding_window_view(_padded(grid, window), window, axis=1)[:, ::hop].transpose(1, 0, 2)
+
+
+def _padded(grid: np.ndarray, window: int) -> np.ndarray:
+    """A (rows, N) grid, zero-padded to one window if it is shorter."""
     n = grid.shape[1]
-    if n < window:
-        grid = np.pad(grid, ((0, 0), (0, window - n)))
-    return sliding_window_view(grid, window, axis=1)[:, ::hop].transpose(1, 0, 2)
+    return np.pad(grid, ((0, 0), (0, window - n))) if n < window else grid
 
 
 @dataclass
@@ -124,8 +138,9 @@ class AmtModel(nn.Layer):
     Per-bin batch norm over n_bins feature rows, a 3x3 conv bank,
     frequency-only max pooling, a time-major reshape, a BiLSTM, then a
     shared dense+sigmoid head giving n_keys probabilities per frame. A
-    batch of equal-width windows runs as one pass; the batch norm takes
-    its statistics per window.
+    batch of equal-width windows runs as one pass of forward, whose
+    training batch norm takes its statistics per window. predict is the
+    inference of a whole feature grid, which projects each frame once.
     """
 
     def __init__(self, cfg: AmtConfig = AmtConfig(), seed: int = 0, *,
@@ -169,8 +184,89 @@ class AmtModel(nn.Layer):
         g = self.conv.backward(g)
         self.norm.backward_params(g[:, 0].transpose(2, 0, 1))
 
-    def predict(self, seg: np.ndarray) -> np.ndarray:
-        return self.forward(seg, training=False)
+    def predict(self, features: np.ndarray, window: int = SEGMENT_WINDOW,
+                hop: int = SEGMENT_HOP) -> np.ndarray:
+        """(bins, N) grid -> the (count, window, keys) probabilities of the
+        windows _windows places on it: forward over
+        segment(features, window, hop).segments, but for the bits that the
+        input projection's GEMM row counts give.
+
+        At inference norm, conv, pool and the BiLstm input projections
+        act on a frame and its two neighbours only, so each frame goes
+        through them once, in one block of frames per group of
+        _WINDOW_BATCH windows: the frames the group adds to those the
+        group before projected, with one frame of real context on each
+        side. Only each window's first and last frame is projected again,
+        beside the zero neighbour its own conv padding gives. The group's
+        step-order pre-activations are gathered from the projected frames
+        and go through the BiLstm recurrence, the head and the sigmoid
+        together.
+        """
+        if features.ndim != 2 or features.shape[0] != self.n_bins or features.shape[1] < 1:
+            raise ValueError(f"expected a ({self.n_bins}, N >= 1) grid, got {features.shape}")
+        if window <= 0 or hop <= 0:
+            raise ValueError(f"window and hop must be positive, got {window} and {hop}")
+        self._cache = self.blstm._cache = None  # an inference pass, as forward's
+        grid = _padded(features, window)
+        starts = np.arange(0, grid.shape[1] - window + 1, hop)
+        outputs = np.empty((len(starts), window, self.head.w.shape[1]))
+        frames, base = np.empty((2, 0, self.blstm.fwd.b.size)), 0  # projected frames from base
+        for i in range(0, len(starts), _WINDOW_BATCH):
+            group = starts[i : i + _WINDOW_BATCH]
+            # the projections this group shares with the one before, copied so
+            # that the rest are freed before the frames it adds are projected
+            frames = frames[:, group[0] - base :].copy()
+            frames = np.concatenate([frames, self._project_frames(
+                grid, group[0] + frames.shape[1], group[-1] + window)], axis=1)
+            base = group[0]
+            x = self.blstm._recurrence(self._gates(grid, group, window, frames))[0]
+            outputs[i : i + len(group)] = self.out.forward(self.head.forward(x)).transpose(1, 0, 2)
+        return outputs
+
+    def _gates(self, grid: np.ndarray, group: np.ndarray, window: int,
+               frames: np.ndarray) -> np.ndarray:
+        """The (window, 2, len(group), 4H) step-order pre-activations of the
+        windows starting at the grid frames in group, gathered from the
+        (2, ·, 4H) projections of the frames from group[0] on, but for the
+        first and last frame of each, which are projected again."""
+        first, last = self._project_edges(grid, group, window)
+        at = group - group[0] + np.arange(window)[:, None]  # the frame of each step
+        gates = np.empty((window, 2, len(group), frames.shape[2]))
+        np.take(frames[0], at, axis=0, out=gates[:, 0], mode="clip")
+        np.take(frames[1], at[::-1], axis=0, out=gates[:, 1], mode="clip")
+        gates[0, 0], gates[-1, 0], gates[0, 1], gates[-1, 1] = first[0], last[0], last[1], first[1]
+        return gates
+
+    def _project(self, pooled: np.ndarray) -> np.ndarray:
+        """(B, C, bins / pool, W) pooled columns -> (2, B·W, 4H): the fwd
+        and bwd pre-activations of each column, as a batch of one-frame
+        sequences."""
+        rows = pooled.transpose(0, 3, 1, 2).reshape(1, -1, self.blstm.fwd.w_x.shape[0])
+        return self.blstm._pre_activations(rows)[0]
+
+    def _convolved(self, cols: np.ndarray) -> np.ndarray:
+        """(bins, B, W) grid columns -> the (B, C, bins / pool, W) pooled
+        conv output of each of the B images norm makes of them."""
+        x = self.norm.forward(cols.transpose(2, 1, 0))
+        return self.pool.forward(self.conv.forward(x.transpose(1, 2, 0)[:, None]))
+
+    def _project_frames(self, grid: np.ndarray, start: int, end: int) -> np.ndarray:
+        """(2, end - start, 4H): grid frames start ... end-1 projected, each
+        beside its real neighbours (zero beyond the grid)."""
+        lo, hi = max(start - 1, 0), min(end + 1, grid.shape[1])
+        return self._project(self._convolved(grid[:, None, lo:hi])[..., start - lo : end - lo])
+
+    def _project_edges(self, grid: np.ndarray, group: np.ndarray, window: int):
+        """The (2, len(group), 4H) projections of the first frames of the
+        windows starting at the frames in group, then those of their last
+        frames, each beside the zero that stands for the frame before or
+        after its window."""
+        m = min(window, 2)  # the edge frame and its one neighbour in the window
+        cols = np.concatenate([group, group + window - m])[:, None] + np.arange(m)
+        pooled = self._convolved(grid[:, cols])
+        n = len(group)
+        proj = self._project(np.concatenate([pooled[:n, ..., :1], pooled[n:, ..., m - 1 :]]))
+        return proj[:, :n], proj[:, n:]
 
     def loss_and_grad(self, batch: list[AmtExample]) -> float:
         """Summed focal loss of equal-width windows, each averaged over its
@@ -316,11 +412,8 @@ def transcribe_waveform(audio: Waveform, model: AmtModel,
                         cqt_cfg: CqtConfig = CqtConfig(),
                         window: int = SEGMENT_WINDOW,
                         hop_frames: int = SEGMENT_HOP) -> PianoRoll:
-    """Audio in, binary piano roll out; the full untrimmed clip is used.
-    The windows go through the model in batches of _WINDOW_BATCH."""
-    segmented = segment(_features(audio, cqt_cfg), window, hop_frames)
-    windows = segmented.segments
-    outputs = np.concatenate([model.predict(windows[i : i + _WINDOW_BATCH])
-                              for i in range(0, len(windows), _WINDOW_BATCH)])
-    return stitch_and_threshold(outputs, segmented.hop_frames, segmented.source_length,
-                                model.cfg.threshold, cqt_cfg.frame_time)
+    """Audio in, binary piano roll out; the full untrimmed clip is used,
+    through one AmtModel.predict over its feature grid."""
+    features = _features(audio, cqt_cfg)
+    return stitch_and_threshold(model.predict(features, window, hop_frames), hop_frames,
+                                features.shape[1], model.cfg.threshold, cqt_cfg.frame_time)

@@ -456,6 +456,18 @@ def test_bilstm_is_bitwise_the_two_lstm_loops(t_len, batch, input_size, hidden):
     assert np.array_equal(bi.forward(x), out)  # inference gives the training outputs
 
 
+def test_bilstm_forward_is_its_pre_activations_then_its_recurrence(rng):
+    bi = nn.BiLstm(5, 3, rng)
+    x = rng.standard_normal((7, 2, 5))
+    gates = bi._pre_activations(x)
+    assert gates.shape == (7, 2, 2, 12)
+    assert np.array_equal(bi._recurrence(gates)[0], bi.forward(x))
+    # a batch of one-frame sequences: each frame's fwd and bwd pre-activations, in time order
+    frames = bi._pre_activations(x[:, :1].transpose(1, 0, 2))[0]
+    for d, lstm in enumerate((bi.fwd, bi.bwd)):
+        np.testing.assert_allclose(frames[d], x[:, 0] @ lstm.w_x + lstm.b, rtol=1e-14)
+
+
 def test_bilstm_checkpoint_keeps_the_two_loop_tensor_names(tmp_path, rng):
     bi = nn.BiLstm(4, 3, rng)
     assert list(bi.state()) == [f"{d}.{p}" for d in ("fwd", "bwd") for p in ("w_x", "w_h", "b")]
@@ -946,7 +958,10 @@ def test_inference_leaves_no_activations_behind(rng, tmp_path):
     assert held_activations(amt)
     with pytest.raises(RuntimeError, match=r"^AmtModel\.backward needs zero_grads\(\) first"):
         amt.backward(np.ones((3, 8, 5)))
-    amt.predict(windows)
+    amt.forward(windows)
+    assert held_activations(amt) == []
+    amt.forward(windows, training=True)
+    amt.predict(rng.standard_normal((6, 20)), window=8, hop=4)
     assert held_activations(amt) == []
     # the models inference builds hold weights only, fresh or loaded
     cfg, path = PipelineConfig(), tmp_path / "model.ssnn"

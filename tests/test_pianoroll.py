@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -200,3 +202,14 @@ def test_load_rejects_bad_magic_and_truncation(tmp_path):
     short.write_bytes(path.read_bytes()[:-40])
     with pytest.raises(ValueError):
         PianoRoll.load(short)
+
+
+@pytest.mark.parametrize("frame_time", [0.0, -DT, float("nan"), float("inf"), -float("inf")])
+def test_roll_refuses_a_frame_time_that_is_not_positive_and_finite(tmp_path, frame_time):
+    with pytest.raises(ValueError, match="frame_time must be positive and finite"):
+        PianoRoll(np.zeros((N_KEYS, 3)), frame_time)
+    # nor does a .prol header that holds one load
+    path = tmp_path / "roll.prol"
+    path.write_bytes(ROLL_MAGIC + struct.pack("<IId", N_KEYS, 3, frame_time) + bytes(33))
+    with pytest.raises(ValueError, match="frame_time must be positive and finite"):
+        PianoRoll.load(path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,14 +221,18 @@ TINY_SHAPE = {"n_bins": 6, "n_keys": 5}
 
 def test_model_outputs_probabilities():
     model = AmtModel(TINY, seed=0, **TINY_SHAPE)
-    probs = model.predict(np.random.default_rng(1).standard_normal((6, 9))[None])[0]
+    probs = model.forward(np.random.default_rng(1).standard_normal((6, 9))[None])[0]
     assert probs.shape == (9, 5)
     assert ((probs > 0.0) & (probs < 1.0)).all()
 
 
 def test_model_rejects_wrong_bin_count():
     with pytest.raises(ValueError, match=r"expected \(B, 6, W\) features, got \(1, 7, 9\)"):
-        AmtModel(TINY, **TINY_SHAPE).predict(np.zeros((1, 7, 9)))
+        AmtModel(TINY, **TINY_SHAPE).forward(np.zeros((1, 7, 9)))
+    with pytest.raises(ValueError, match=r"expected a \(6, N >= 1\) grid, got \(7, 9\)"):
+        AmtModel(TINY, **TINY_SHAPE).predict(np.zeros((7, 9)))
+    with pytest.raises(ValueError, match="window and hop must be positive, got 0 and 4"):
+        AmtModel(TINY, **TINY_SHAPE).predict(np.zeros((6, 9)), window=0, hop=4)
 
 
 def test_models_refuse_an_unbatched_input():
@@ -329,9 +335,9 @@ def test_windows_of_very_different_scale_get_their_solo_outputs():
     for probs, ex in zip(together, (quiet, loud)):
         np.testing.assert_allclose(probs, model.forward(ex.features[None], training=True)[0],
                                    rtol=1e-10, atol=1e-12)
-    inference = model.predict(np.stack([quiet.features, loud.features]))
+    inference = model.forward(np.stack([quiet.features, loud.features]))
     for probs, ex in zip(inference, (quiet, loud)):
-        np.testing.assert_allclose(probs, model.predict(ex.features[None])[0], rtol=1e-10,
+        np.testing.assert_allclose(probs, model.forward(ex.features[None])[0], rtol=1e-10,
                                    atol=1e-12)
 
 
@@ -339,12 +345,99 @@ def test_model_state_round_trip(tmp_path):
     from stemscribe.nn import load_checkpoint, save_checkpoint
     model = AmtModel(TINY, seed=4, **TINY_SHAPE)
     x = np.random.default_rng(5).standard_normal((6, 8))[None]
-    before = model.predict(x)
+    before = model.forward(x)
     path = tmp_path / "amt.ckpt"
     save_checkpoint(path, model.state())
     other = AmtModel(TINY, seed=99, **TINY_SHAPE)
     other.load_state(load_checkpoint(path))
-    np.testing.assert_allclose(other.predict(x), before, atol=1e-6)
+    np.testing.assert_allclose(other.forward(x), before, atol=1e-6)
+
+
+def offset_model(seed=0):
+    """A TINY model over 6 bins, for every piano key, whose input norm has
+    running statistics, gamma and beta far from their initial 0 and 1: a
+    grid padded after the norm instead of before, or an edge frame beside
+    a normalized zero instead of the conv's zero padding, then changes the
+    outputs."""
+    model = AmtModel(TINY, seed=seed, n_bins=6)
+    rng = np.random.default_rng(seed + 1)
+    model.norm.running_mean[:] = rng.standard_normal(6)
+    model.norm.running_var[:] = rng.uniform(0.5, 2.0, 6)
+    model.norm.gamma[:] = rng.uniform(0.5, 2.0, 6)
+    model.norm.beta[:] = rng.standard_normal(6)
+    return model
+
+
+# (frames, window, hop, windows): grids shorter than one window, one window
+# exactly, lengths on and off the hop, window counts of 1, 3, 4 and 7 around
+# the groups of 3, and windows of 1 and 2 frames, whose edges fall in one
+# frame or touch, some placed further apart than their width
+GRID_CASES = [
+    (300, 512, 256, 1), (512, 512, 256, 1), (1024, 512, 256, 3), (1100, 512, 256, 3),
+    (1280, 512, 256, 4), (2048, 512, 256, 7),
+    (100, 128, 64, 1), (128, 128, 64, 1), (320, 128, 64, 4), (333, 128, 64, 4),
+    (512, 128, 64, 7),
+    (5, 8, 4, 1), (8, 8, 4, 1), (16, 8, 4, 3), (19, 8, 4, 3), (20, 8, 4, 4), (35, 8, 4, 7),
+    (1, 1, 1, 1), (7, 1, 1, 7), (19, 1, 3, 7), (1, 2, 1, 1), (4, 2, 1, 3), (8, 2, 2, 4),
+    (20, 2, 3, 7),
+]
+
+
+@pytest.mark.parametrize("n, window, hop, count", GRID_CASES)
+def test_predict_on_the_grid_is_forward_on_its_windows(n, window, hop, count):
+    model = offset_model()
+    grid = np.random.default_rng(n + window).standard_normal((6, n)) - 1.0
+    segmented = segment(grid, window, hop)
+    assert len(segmented.segments) == count
+    want = model.forward(segmented.segments)
+    got = model.predict(grid, window, hop)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    rolls = [stitch_and_threshold(p, hop, n, TINY.threshold, DT).grid for p in (got, want)]
+    assert np.array_equal(*rolls)
+
+
+def test_predict_convolves_each_frame_about_once(monkeypatch):
+    # 9 windows of 512 frames cover 2,560 of 2,584 frames; the per-window
+    # pass convolves 4,608 columns
+    columns = []
+    conv_forward = nn.Conv2d.forward
+
+    def counting(self, x, training=False):
+        out = conv_forward(self, x, training)
+        columns.append(out.shape[0] * out.shape[3])
+        return out
+
+    monkeypatch.setattr(nn.Conv2d, "forward", counting)
+    model = offset_model()
+    grid = np.random.default_rng(0).standard_normal((6, 2584))
+    model.forward(segment(grid).segments)
+    assert sum(columns) == 9 * 512
+    columns.clear()
+    model.predict(grid)
+    assert sum(columns) <= 1.1 * 2584
+
+
+def transcription_peak(model, seconds):
+    """Bytes transcribe_waveform allocates at its peak beyond what was live
+    when it started, on seconds of noise at the CQT rate."""
+    audio = Waveform(0.1 * np.random.default_rng(0).standard_normal((1, seconds * 22050)), 22050)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        transcribe_waveform(audio, model)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_transcription_peak_grows_by_the_clip_long_arrays_only():
+    # From 30 s to 120 s the feature grid grows by 2.6 MB and the window
+    # outputs by 5.4 MB: 8.0 MB, which is what the per-window pass added
+    # too. Projections of the whole grid held at once added 70 MB.
+    model = AmtModel()
+    transcription_peak(model, 1)  # the CQT bases, kept once made
+    assert transcription_peak(model, 120) - transcription_peak(model, 30) < 9.0e6
 
 
 # ---------------------------------------------------------------- scores
