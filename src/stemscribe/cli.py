@@ -23,10 +23,10 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
-import gc
 import json
 import logging
 import math
+import mmap
 import platform
 import sys
 from pathlib import Path
@@ -613,19 +613,42 @@ _MMAP_THRESHOLD = 32 * 1024 * 1024
 _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, <malloc.h>
 
+# On a fresh heap a command's temporaries are carved one after the other
+# from the top; a later command's go into the free chunks the one before
+# gave back, wherever glibc's bins place them, and can reach above where
+# the first command's did: up to 1.9 MB for a 10 s separate, whose largest
+# block temporaries are 1-2 MB. Each command leaves this much touched heap
+# in the top chunk, so that the next one's reach faults in no fresh pages.
+_HEAP_RESERVE = 2 * 1024 * 1024
 
-def _pin_heap_thresholds() -> None:
+
+class _MallInfo2(ctypes.Structure):
+    """glibc's struct mallinfo2 (2.33 on), <malloc.h>."""
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
+def _glibc() -> ctypes.CDLL | None:
+    """The process's C library if it is glibc, else None: musl's mallopt
+    does nothing, and macOS has none."""
+    if platform.libc_ver()[0] != "glibc":
+        return None
+    try:
+        return ctypes.CDLL(None)
+    except OSError:
+        return None
+
+
+def _pin_heap_thresholds(libc: ctypes.CDLL) -> None:
     """Fix glibc's mmap and trim thresholds for the rest of the process,
     so that multi-MB temporaries (a training batch's, a separation
     block's) reuse the heap their predecessors gave back instead of being
     unmapped or trimmed and faulted in again, and a command run again in
-    one process reuses the heap of the run before. A no-op on other C
-    libraries (musl's mallopt does nothing, macOS has none)."""
-    if platform.libc_ver()[0] != "glibc":
-        return
+    one process reuses the heap of the run before."""
     try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
+        mallopt = libc.mallopt
+    except AttributeError:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
@@ -633,16 +656,43 @@ def _pin_heap_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
+_reserved_arena = 0  # the main arena's size when _reserve_heap last touched its top
+
+
+def _reserve_heap(libc: ctypes.CDLL) -> None:
+    """Touch one byte of each page of a block _HEAP_RESERVE larger than
+    the main arena's top chunk, carved from it, and give it back: the
+    top then holds that much touched heap above all the process has
+    used. Nothing is done while the arena has not grown since the last
+    time, or when the block would be mapped apart from the heap."""
+    global _reserved_arena
+    try:
+        mallinfo2, malloc, free = libc.mallinfo2, libc.malloc, libc.free
+    except AttributeError:  # glibc before 2.33
+        return
+    mallinfo2.restype = _MallInfo2
+    info = mallinfo2()
+    size = info.keepcost + _HEAP_RESERVE
+    if info.arena == _reserved_arena or size >= _MMAP_THRESHOLD:
+        return
+    malloc.argtypes, malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p
+    free.argtypes, free.restype = (ctypes.c_void_p,), None
+    block = malloc(size)
+    if block is None:
+        return
+    pages = np.frombuffer((ctypes.c_char * size).from_address(block), np.uint8)
+    pages[::mmap.PAGESIZE] = 0
+    pages[-1] = 0
+    del pages
+    free(block)
+    _reserved_arena = mallinfo2().arena
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    _pin_heap_thresholds()
-    # What outlives a command, allocated in its middle, can hold the heap's top
-    # above that command's temporaries, so that the next command in the
-    # process faults in fresh pages. numpy loads these submodules on first
-    # use, and a command's argument parser is cyclic garbage that the
-    # collector would otherwise free at some point in the next command.
-    import numpy.fft, numpy.random  # noqa: E401, F401
-    gc.collect(1)
+    libc = _glibc()
+    if libc is not None:
+        _pin_heap_thresholds(libc)
     try:
         args = build_parser().parse_args(argv)
         if args.verbose:
@@ -658,6 +708,9 @@ def main(argv=None) -> int:
             FileNotFoundError, NotADirectoryError, IsADirectoryError, ValueError) as e:
         log.error("%s", e)
         return EXIT_INVALID_INPUT
+    finally:
+        if libc is not None:
+            _reserve_heap(libc)
 
 
 if __name__ == "__main__":

@@ -1235,7 +1235,39 @@ def test_separate_runs_reuse_the_heap_of_the_run_before(tmp_path, rng):
     assert max(faults[1:]) < 300, faults
 
 
-@pytest.mark.parametrize("no_mallopt", ["other libc", "no mallopt", "no library"])
+HEAP_RESERVE_FAULTS = """
+import ctypes, json, resource
+from stemscribe import cli
+print(cli.__file__)
+libc = cli._glibc()
+cli._pin_heap_thresholds(libc)
+cli._reserve_heap(libc)
+libc.malloc.argtypes, libc.malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p
+libc.free.argtypes = (ctypes.c_void_p,)
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cli._reserve_heap(libc)  # the arena has not grown: nothing to touch
+    block = libc.malloc(cli._HEAP_RESERVE)
+    ctypes.memset(block, 1, cli._HEAP_RESERVE)
+    libc.free(block)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap reserve is made under glibc only")
+def test_heap_reserve_is_written_without_faults():
+    # A fresh interpreter's top chunk is mostly untouched: writing a block
+    # of the reserve's size carved from it faulted in ~480 pages before
+    # _reserve_heap touched them
+    faults = json.loads(run_fresh_python(HEAP_RESERVE_FAULTS))
+    assert len(faults) == 3
+    assert max(faults) < 64, faults
+
+
+@pytest.mark.parametrize("no_mallopt",["other libc", "no mallopt", "no library"])
 def test_fit_without_mallopt_trains_to_the_pinned_bytes(tmp_path, tiny_config, mixture_wav,
                                                         monkeypatch, no_mallopt):
     argv = ["train-amt", "--config", tiny_config, "--synthetic", "3", "--duration", "1.0",
