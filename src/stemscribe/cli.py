@@ -201,7 +201,7 @@ def cmd_separate(args) -> int:
     cfg = _load_config(args.config)
     with WavReader(args.input) as mixture:
         if args.mask_mode == "model":
-            masks = _separator_model(cfg, args.checkpoint).masks()
+            masks = _separator_model(cfg, args.checkpoint).masks(mixture, cfg.stft)
         else:  # a constant mask, which reads no checkpoint
             masks = lambda t0, log_mag: np.full_like(log_mag, float(args.mask_mode == "ones"))
         paths = _separate_to_dir(mixture, masks, cfg, Path(args.out_dir), Path(args.input).stem)
@@ -255,7 +255,8 @@ def cmd_pipeline(args) -> int:
 
     with WavReader(args.input) as mixture:
         sep_model = _separator_model(cfg, args.sep_checkpoint)
-        paths = _separate_to_dir(mixture, sep_model.masks(), cfg, out_dir, stem_name)
+        paths = _separate_to_dir(mixture, sep_model.masks(mixture, cfg.stft), cfg, out_dir,
+                                 stem_name)
     # artifacts by their names in out_dir, so the report is the same wherever the run is
     report["separate"] = {"status": "ok", "vocals": paths["vocals"].name,
                           "accompaniment": paths["accompaniment"].name}
@@ -331,7 +332,7 @@ def cmd_evaluate(args) -> int:
                 est_vocals = est_accomp = mixture
             else:  # the oracle source's padded references go with the call
                 est_vocals, est_accomp = separate_blocks(
-                    mixture, sep_model.masks() if args.separator == "model"
+                    mixture, sep_model.masks(mixture, cfg.stft) if args.separator == "model"
                     else oracle_masks(mixture, ref_vocals, ref_accomp, cfg.stft), cfg.stft)
 
             def metrics(ref: Waveform, est: Waveform, other: Waveform) -> dict:
@@ -425,15 +426,24 @@ def _require_a_sample(seconds: float, seconds_name: str, rate: int, rate_name: s
                          f"no samples: the shortest clip is one sample, {1 / rate:g} s")
 
 
+def _synthetic_rate(args, cfg: PipelineConfig) -> int:
+    """The --sample-rate of synthetic sets, by default the note model's
+    cqt.sample_rate: separation never resamples, so a separator trained
+    at another rate would map every bin of the pipeline's audio to
+    another frequency."""
+    return cfg.cqt.sample_rate if args.sample_rate is None else args.sample_rate
+
+
 def cmd_train_separator(args) -> int:
     cfg = _load_config(args.config)
+    rate = _synthetic_rate(args, cfg)
     if not args.manifest:
-        _require_a_sample(args.clip_seconds, "--clip-seconds", args.sample_rate, "--sample-rate")
+        _require_a_sample(args.clip_seconds, "--clip-seconds", rate, "--sample-rate")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     clips = [make_training_clip(mixture, targets.vocals, sum_accompaniment(targets), cfg.stft)
              for mixture, targets in _remixes(args.manifest, args.remix_count, args.synthetic,
-                                              args.clip_seconds, args.sample_rate, cfg.seed)]
+                                              args.clip_seconds, rate, cfg.seed)]
     return _train_and_save(_separator_model(cfg, None), clips, out_dir, "separator",
                            epochs=args.epochs, lr=args.lr, batch_size=args.batch_size,
                            seed=cfg.seed)
@@ -462,12 +472,13 @@ def cmd_train_amt(args) -> int:
 def cmd_mix(args) -> int:
     cfg = _load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
+    rate = _synthetic_rate(args, cfg)
     if not args.manifest:
-        _require_a_sample(args.duration, "--duration", args.sample_rate, "--sample-rate")
+        _require_a_sample(args.duration, "--duration", rate, "--sample-rate")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, (mixture, targets) in enumerate(_remixes(args.manifest, args.count, args.synthetic,
-                                                    args.duration, args.sample_rate, seed)):
+                                                    args.duration, rate, seed)):
         write_wav(mixture, out_dir / f"mix_{i:03d}_mixture.wav", bit_depth=32)
         for stem_name, stem in targets.stems().items():
             write_wav(stem, out_dir / f"mix_{i:03d}_{stem_name}.wav", bit_depth=32)
@@ -575,7 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=positive_float, default=1e-3)
     p.add_argument("--batch-size", type=positive_int, default=10)
     p.add_argument("--clip-seconds", type=positive_float, default=7.0)
-    p.add_argument("--sample-rate", type=positive_int, default=8000)
+    p.add_argument("--sample-rate", type=positive_int,
+                   help="of the synthetic sets; default: the config's cqt.sample_rate")
     p.add_argument("--config")
     p.set_defaults(func=cmd_train_separator)
 
@@ -598,7 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--synthetic", type=positive_int, default=4)
     p.add_argument("--duration", type=positive_float, default=2.0)
-    p.add_argument("--sample-rate", type=positive_int, default=8000)
+    p.add_argument("--sample-rate", type=positive_int,
+                   help="of the synthetic sets; default: the config's cqt.sample_rate")
     p.add_argument("--config")
     p.set_defaults(func=cmd_mix)
 

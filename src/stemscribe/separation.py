@@ -7,16 +7,25 @@ blocks of _SEP_BLOCK frames of that grid: each block's samples, read
 from the mixture (a WAV file or a Waveform) and downmixed, its STFT,
 its log-magnitude grid, its rows from a mask source (the model, the
 oracle or a constant) and the inverse STFT of the masked bins, with the
-LSTM layers' (h, c) and the overlap-add tail carried from block to block.
-Each block's stem samples go on as it completes them, so a separation
-from file to file holds no signal whole, and its memory does not grow
-with the audio. Every stage is per frame or causal, and every matrix
-product of the model runs over the row ranges of a pass over the whole
-grid, so the masks and stems are bitwise those of that pass at any
-_SEP_BLOCK that is a multiple of nn.layers._STACK_LAG. The
-accompaniment is the mono mixture minus the vocals, so the two stems add
-back to the mixture by construction; it equals the inverse STFT of the
-complementary mask 1 - m to rounding error.
+overlap-add tail carried from block to block. Each block's stem samples
+go on as it completes them, so a separation from file to file holds no
+signal whole, and its memory does not grow with the audio.
+
+The model's mask source (SeparatorModel.masks) runs its LSTM layers in
+one of two ways, chosen by the length of the grid alone. A grid shorter
+than _LANE_MIN_FRAMES frames, such as 10 s at the default config, is
+one pass, the layers' (h, c) carried from block to block. A longer grid is
+cut into lanes that step together as one batch, each from zero state
+after a burn-in (_lane_plan, _LanePass), whose masks are those of the
+one pass within a bound that the weights set: scripts/lane_gate.py
+measures it, and ROADMAP.md holds its table for trained separators.
+Either way every stage is per frame or causal, and every matrix product
+of the model runs over row ranges that the grid alone sets, so the
+masks and stems are bitwise the same at any _SEP_BLOCK that is a
+multiple of nn.layers._STACK_LAG, under any BLAS thread count and from
+run to run. The accompaniment is the mono mixture minus the vocals, so
+the two stems add back to the mixture by construction; it equals the
+inverse STFT of the complementary mask 1 - m to rounding error.
 """
 
 from __future__ import annotations
@@ -42,6 +51,30 @@ GAIN_LOW, GAIN_HIGH = 0.5, 1.25
 # frames of every block in the chunks of a pass over the whole grid, and
 # the masks and stems do not depend on it.
 _SEP_BLOCK = 512
+
+# The lane pass of SeparatorModel.masks (_lane_plan, _LanePass).  A grid
+# of at least _LANE_MIN_FRAMES frames is cut into lanes, whose bounds are
+# multiples of nn.layers._STACK_LAG, and the lanes of each super-block,
+# at most _LANES, step together as one batch of nn.lstm_stack from zero
+# state, _LANE_ROUND frames per call.  Each lane reads at most
+# _LANE_FRAMES frames, so the top-layer states a super-block keeps are at
+# most 4 MB at the default sizes; its (_LANE_ROUND, _LANES, bins) input
+# buffer is 4 MB more, and a 60 s separate peaks 8 MB above one pass
+# under tracemalloc.  Every lane but the grid's first starts _BURN_IN
+# frames before the first frame it keeps and drops their outputs: the
+# burn-in of Kapturowski et al., "Recurrent Experience Replay in
+# Distributed Reinforcement Learning" (ICLR 2019), after which the lane
+# runs from about the state one pass over the grid reaches there.  At
+# batch 8 a frame's step costs about half what it costs at batch 1, but
+# the lanes take a second STFT of every frame and step through their
+# burn-in too, so a grid shorter than _LANE_MIN_FRAMES (11.9 s at the
+# default config; 10 s is 1,731 frames) gains too little and runs as
+# one pass.
+_LANES = 8
+_LANE_FRAMES = 1024
+_LANE_ROUND = 128
+_BURN_IN = 128
+_LANE_MIN_FRAMES = 2048
 
 # Where separate_blocks reads the mixture: read(start, stop) gives the
 # samples [start, stop) of every channel.
@@ -183,15 +216,32 @@ class SeparatorModel(nn.Layer):
         lstms = [layer for layer in self.children.values() if isinstance(layer, nn.Lstm)]
         return np.zeros((len(lstms), 2, batch, lstms[0].hidden_size))
 
-    def predict_mask(self, log_mag: np.ndarray, state: np.ndarray | None = None) -> np.ndarray:
+    def predict_mask(self, log_mag: np.ndarray,
+                     state: np.ndarray | _LanePass | None = None) -> np.ndarray:
         """Inference mask for a (frames, bins) log_magnitude grid, from state
-        (see forward_mask) when given."""
-        return self.forward_mask(log_mag[:, None], state=state)[:, 0]
+        (see forward_mask) when given.  When state is a _LanePass, the
+        rows are those of the pass's next len(log_mag) frames: the pass
+        gives their top-layer LSTM states, running the super-block that
+        holds them first if it has not, and only the head runs here."""
+        if not isinstance(state, _LanePass):
+            return self.forward_mask(log_mag[:, None], state=state)[:, 0]
+        *_, head, out = self.children.values()
+        return out.forward(nn.stack_dense(head, state.next_states(len(log_mag))))[:, 0]
 
-    def masks(self) -> MaskSource:
-        """Mask source: predict_mask of each block from the (h, c) the
-        block before it left, so a grid's blocks in order get its masks."""
-        state = self.zero_state()
+    def masks(self, mixture: SampleSource, stft_cfg: StftConfig) -> MaskSource:
+        """Mask source of the mixture's analysis grid: predict_mask of each
+        block, in order, from the state the block before it left.
+
+        A grid shorter than _LANE_MIN_FRAMES frames is one pass, the
+        lstm_stack (h, c) carried from block to block.  A longer one is a
+        lane pass (_lane_plan, _LanePass), whose masks are those of the
+        one pass only within a bound that the burn-in and the weights set
+        (scripts/lane_gate.py measures it).  Either way the rows are
+        bitwise the same at any _SEP_BLOCK that is a multiple of
+        nn.layers._STACK_LAG, under any BLAS thread count and from run to
+        run."""
+        plan = _lane_plan(_grid_frames(mixture.num_samples, stft_cfg))
+        state = _LanePass(self, mixture, stft_cfg, plan) if plan else self.zero_state()
         return lambda first_frame, log_mag: self.predict_mask(log_mag, state)
 
     def loss_and_grad(self, batch: list["TrainingClip"]) -> float:
@@ -259,6 +309,87 @@ def _padded_block(source: SampleSource, t0: int, t1: int, cfg: StftConfig) -> np
     lo = max(a, 0)
     hi = max(min(b, source.num_samples), lo)
     return np.pad(downmix(source.read(lo, hi)), (lo - a, b - hi))
+
+
+def _lane_plan(n_frames: int) -> list[list[tuple[int, int, int]]]:
+    """The lanes of the lane pass over a grid of n_frames frames, one list
+    per super-block of at most _LANES consecutive lanes; empty for a grid
+    shorter than _LANE_MIN_FRAMES, which runs as one pass.
+
+    A lane is (first, keep, stop): it reads the frames [first, stop) and
+    keeps the outputs of [keep, stop).  Lane i reads from i·L on and keeps
+    from i·L + _BURN_IN, but for the grid's first lane, which keeps every
+    frame it reads; so all lanes read L + _BURN_IN frames, but the grid's
+    last, which stops at its end.  L is the smallest multiple of
+    nn.layers._STACK_LAG with which the fewest super-blocks of lanes
+    reading at most _LANE_FRAMES frames hold the grid."""
+    if n_frames < _LANE_MIN_FRAMES:
+        return []
+    lag = nn.layers._STACK_LAG
+    span = n_frames - _BURN_IN  # the frames after those the first lane keeps in addition
+    supers = -(-span // (_LANES * (_LANE_FRAMES - _BURN_IN)))
+    length = lag * -(-span // (_LANES * supers * lag))
+    keeps = [0, *range(length + _BURN_IN, n_frames, length), n_frames]
+    lanes = [(i * length, keep, stop) for i, (keep, stop) in enumerate(zip(keeps, keeps[1:]))]
+    return [lanes[i : i + _LANES] for i in range(0, len(lanes), _LANES)]
+
+
+class _LanePass:
+    """The lane pass over one mixture's analysis grid (_lane_plan).
+
+    A super-block's lanes step together, _LANE_ROUND frames per
+    nn.lstm_stack call, with their (h, c) carried from call to call, for
+    as many frames as its longest lane reads.  For each call every lane
+    reads its own samples, through _padded_block, stft, log_magnitude and
+    the norm, into one (_LANE_ROUND, lanes, bins) buffer; a lane past its
+    stop is fed zero rows, whose outputs it drops.  The pass keeps only
+    the top layer's states of one super-block, in one (L + _BURN_IN,
+    lanes, hidden) buffer, and runs the next super-block when
+    next_states first asks for one of its frames."""
+
+    def __init__(self, model: SeparatorModel, source: SampleSource, cfg: StftConfig,
+                 plan: list[list[tuple[int, int, int]]]):
+        self.model, self.source, self.cfg = model, source, cfg
+        self.supers = iter(plan)
+        self.lanes: list[tuple[int, int, int]] = []  # the super-block in the buffer
+        first, _, stop = plan[0][0]
+        hidden = model.children["head"].w.shape[0]
+        self.top = np.empty((stop - first, len(plan[0]), hidden))
+        self.next = 0  # the next frame next_states hands out
+
+    def next_states(self, count: int) -> np.ndarray:
+        """(count, 1, hidden) top-layer states of the next count frames of
+        the grid, in order."""
+        t0, t1 = self.next, self.next + count
+        rows = np.empty((count, 1, self.top.shape[2]))
+        t = t0
+        while t < t1:
+            if not self.lanes or t >= self.lanes[-1][2]:
+                self._run(next(self.supers))
+            for j, (first, keep, stop) in enumerate(self.lanes):
+                a, e = max(t, keep), min(t1, stop)
+                if a < e:
+                    rows[a - t0 : e - t0, 0] = self.top[a - first : e - first, j]
+            t = min(t1, self.lanes[-1][2])
+        self.next = t1
+        return rows
+
+    def _run(self, lanes: list[tuple[int, int, int]]) -> None:
+        """Step the super-block's lanes, keeping their top-layer states."""
+        norm, *lstms, _, _ = self.model.children.values()
+        steps = max(stop - first for first, _, stop in lanes)
+        x = np.empty((min(_LANE_ROUND, steps), len(lanes), norm.gamma.size))
+        state = self.model.zero_state(len(lanes))
+        for s in range(0, steps, _LANE_ROUND):
+            r = min(_LANE_ROUND, steps - s)
+            for j, (first, _, stop) in enumerate(lanes):
+                t0, t1 = first + s, min(first + s + r, stop)
+                if t0 < t1:
+                    grid = stft(_padded_block(self.source, t0, t1, self.cfg), self.cfg)
+                    x[: t1 - t0, j] = norm.forward(log_magnitude(np.abs(grid))[:, None])[:, 0]
+                x[max(t1 - t0, 0) : r, j] = 0.0
+            self.top[s : s + r, : len(lanes)] = nn.lstm_stack(lstms, x[:r], state)
+        self.lanes = lanes
 
 
 def analysis_spectrogram(w: Waveform, cfg: StftConfig) -> np.ndarray:
@@ -359,6 +490,6 @@ def separate(mixture: Waveform, model: SeparatorModel,
     """(vocals, accompaniment, mask) of the mixture under the model; the
     accompaniment is the exact complement mixture - vocals."""
     blocks = []
-    vocals, accomp = separate_blocks(mixture, model.masks(), stft_cfg,
+    vocals, accomp = separate_blocks(mixture, model.masks(mixture, stft_cfg), stft_cfg,
                                      on_block=lambda t0, log_mag, rows: blocks.append(rows))
     return vocals, accomp, np.concatenate(blocks)

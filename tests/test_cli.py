@@ -20,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from stemscribe import audio_io, cli, dsp, nn, separation
+from stemscribe import audio_io, cli, dsp, nn, separation, synth
 from stemscribe.audio_io import Waveform, read_wav, write_wav
 from stemscribe.config import PipelineConfig
 from stemscribe.midi import read_smf, write_smf
@@ -459,7 +459,8 @@ def test_separation_memory_grows_with_the_audio_not_the_grids(tmp_path, tiny_con
         tracemalloc.start()
         try:
             with audio_io.WavReader(path) as mixture:
-                cli._separate_to_dir(mixture, model.masks(), cfg, tmp_path / str(blocks), "m")
+                cli._separate_to_dir(mixture, model.masks(mixture, cfg.stft), cfg,
+                                     tmp_path / str(blocks), "m")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -479,7 +480,8 @@ def test_separating_10_s_at_the_default_config_peaks_under_16_mb(tmp_path):
     tracemalloc.start()
     try:
         with audio_io.WavReader(tmp_path / "m.wav") as mixture:
-            cli._separate_to_dir(mixture, model.masks(), cfg, tmp_path / "out", "m")
+            cli._separate_to_dir(mixture, model.masks(mixture, cfg.stft), cfg, tmp_path / "out",
+                                     "m")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -588,7 +590,8 @@ def test_file_to_file_stems_equal_read_wav_then_separation_in_memory(tmp_path, t
     assert cli.main(["separate", str(path), "--out-dir", str(out), "--config", tiny_config]) == 0
     cfg = PipelineConfig.load(tiny_config)
     mixture = read_wav(path)
-    stems = separation.separate_blocks(mixture, cli._separator_model(cfg, None).masks(), cfg.stft)
+    model = cli._separator_model(cfg, None)
+    stems = separation.separate_blocks(mixture, model.masks(mixture, cfg.stft), cfg.stft)
     for name, stem in zip(("vocals", "accompaniment"), stems):
         write_wav(stem, tmp_path / f"{name}.wav")
         assert (out / f"in_{name}.wav").read_bytes() == (tmp_path / f"{name}.wav").read_bytes()
@@ -1342,7 +1345,8 @@ def test_training_size_options_are_checked_where_they_enter(tmp_path, tiny_confi
 @pytest.mark.parametrize("command, options", [
     (["mix", "--count", "1", "--duration", "1e-6"], ["--duration", "--sample-rate"]),
     # half a sample at 8 kHz rounds to none, as synth counts samples
-    (["mix", "--count", "1", "--duration", "6.25e-5"], ["--duration", "--sample-rate"]),
+    (["mix", "--count", "1", "--duration", "6.25e-5", "--sample-rate", "8000"],
+     ["--duration", "--sample-rate"]),
     (["train-separator", "--synthetic", "2", "--clip-seconds", "1e-6"],
      ["--clip-seconds", "--sample-rate"]),
     (["train-amt", *AMT_SMALL[:2], "--duration", "1e-6", "--window", "16", "--hop-frames", "8"],
@@ -1380,8 +1384,32 @@ def test_mix_takes_its_seed_from_the_config_unless_one_is_given(tmp_path):
 def test_a_one_sample_clip_is_the_shortest_accepted(tmp_path, tiny_config):
     out = tmp_path / "m"
     assert cli.main(["mix", "--out-dir", str(out), "--config", tiny_config, "--count", "1",
-                     "--duration", "1.25e-4"]) == 0
+                     "--duration", "1.25e-4", "--sample-rate", "8000"]) == 0
     assert read_wav(out / "mix_000_mixture.wav").num_samples == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["mix", "--count", "1", "--duration", "0.05"],
+    ["train-separator", "--synthetic", "1", "--remix-count", "1", "--clip-seconds", "0.05",
+     "--epochs", "0"],
+], ids=["mix", "train-separator"])
+def test_synthetic_sets_default_to_the_cqt_rate(tmp_path, monkeypatch, command):
+    # separation never resamples: a separator trained on sets of another
+    # rate than the pipeline's audio would map each bin to another frequency
+    rates = []
+    make = synth.make_source_sets
+    monkeypatch.setattr(synth, "make_source_sets",
+                        lambda count, seconds, rate, seed: rates.append(rate)
+                        or make(count, seconds, rate, seed))
+    config = tmp_path / "16k.json"
+    PipelineConfig.from_dict({"cqt": {"sample_rate": 16000}}).save(config)
+    for options in ([], ["--config", str(config)], ["--config", str(config),
+                                                    "--sample-rate", "8000"]):
+        out = tmp_path / f"o{len(rates)}"
+        assert cli.main([command[0], "--out-dir", str(out), *command[1:], *options]) == 0
+        if command[0] == "mix":
+            assert read_wav(out / "mix_000_vocals.wav").sample_rate == rates[-1]
+    assert rates == [22050, 16000, 8000]
 
 
 # Out-of-domain values of each declared option domain, by the name of its argparse type.

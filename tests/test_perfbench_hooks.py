@@ -4,6 +4,7 @@ must fail here, not only when the benchmark runs."""
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -45,3 +46,33 @@ def test_benchmark_hooks_install_trace_and_unpatch(monkeypatch):
     assert tracer.counters[0]["nn.Lstm.steps"] == 4
     assert tracer.counters[0]["dsp.cqt.gather_mb"] > 0
     assert (nn.Lstm.__dict__["forward"], dsp.cqt) == original
+
+
+def test_the_lane_pass_runs_under_the_predict_mask_span(monkeypatch):
+    # a lane pass's time stays in the span that wraps the separator's
+    # inference: its STFTs and norms are that span's children
+    from stemscribe import separation
+    from stemscribe.audio_io import Waveform
+
+    for name, value in {"_LANES": 3, "_LANE_FRAMES": 256, "_LANE_ROUND": 64, "_BURN_IN": 64,
+                        "_LANE_MIN_FRAMES": 128}.items():
+        monkeypatch.setattr(separation, name, value)
+    spans = load_by_path("spans", monkeypatch)
+    layers = load_by_path("layers", monkeypatch)
+    tracer = spans.Tracer()
+    tracer.op = 0
+    layers.install(tracer)
+    try:
+        cfg = dsp.StftConfig()
+        mix = Waveform(np.random.default_rng(0).standard_normal((1, 600 * cfg.hop)), 22050)
+        separation.separate(mix, SeparatorModel(num_bins=cfg.num_bins, hidden=3, layers=2), cfg)
+    finally:
+        tracer.unpatch()
+    name_of = {span[0]: span[2] for span in tracer.spans}
+    pairs = Counter((name_of.get(parent), name) for _, parent, name, *_ in tracer.spans)
+    lanes = sum(map(len, separation._lane_plan(separation._grid_frames(600 * cfg.hop, cfg))))
+    lane_stfts = pairs["separation.predict_mask", "dsp.stft"]
+    assert lane_stfts >= lanes
+    assert pairs["separation.predict_mask", "nn.BatchNorm.forward"] == lane_stfts
+    assert all(parent == "separation.predict_mask"
+               for parent, name in pairs if name == "nn.BatchNorm.forward")

@@ -6,6 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from stemscribe import cli, nn
+from stemscribe.config import PipelineConfig
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -21,6 +24,29 @@ def test_oracle_bounds_script(tmp_path):
     done = run_script("oracle_bounds.py", "--tracks", "1", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert "ideal ratio mask" in done.stdout and "mixture baseline" in done.stdout
+
+
+def test_lane_gate_script(tmp_path):
+    # a tiny separator, saved as a checkpoint, on one 12 s track: 2,073
+    # frames at 22.05 kHz, just past the lane threshold
+    config = tmp_path / "tiny.json"
+    PipelineConfig.from_dict({"separator": {"hidden": 4, "layers": 2}}).save(config)
+    cfg = PipelineConfig.load(config)
+    nn.save_checkpoint(tmp_path / "sep.ssnn", cli._separator_model(cfg, None).state())
+    done = run_script("lane_gate.py", "--checkpoint", "sep.ssnn", "--config", str(config),
+                      "--tracks", "1", "--seconds", "12", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "1 tracks of 12 s at 22050 Hz: 2073 frames, 8 lanes in 1 super-blocks"
+    assert lines[1].startswith("one pass, vocals SI-SDR dB:")
+    assert lines[2].split() == ["W", "max", "|dmask|", "dSI-SDR", "0"]
+    rows = [line.split() for line in lines[3:]]
+    assert [int(row[0]) for row in rows] == [32, 64, 128, 256]
+    assert all(0.0 < float(row[1]) < 1.0 and abs(float(row[2])) < 1.0 for row in rows)
+    # a track that runs as one pass has nothing to compare
+    done = run_script("lane_gate.py", "--config", str(config), "--tracks", "1",
+                      "--seconds", "11", cwd=tmp_path)
+    assert done.returncode == 1 and "which runs as one pass" in done.stderr
 
 
 def test_separation_memory_script(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stemscribe import nn, separation, synth
-from stemscribe.audio_io import Waveform
+from stemscribe.audio_io import Waveform, WavReader, read_wav, write_wav
 from stemscribe.bss_metrics import si_sdr
 from stemscribe.dsp import StftConfig, istft, log_magnitude
 from stemscribe.separation import (SeparatorModel, SourceSet, TrainingClip,
@@ -319,13 +319,41 @@ def test_accompaniment_matches_the_inverted_complementary_mask(rng, channels):
         assert np.abs(resid).max() < 1e-12
 
 
+def lane_loop_masks(mix, model, cfg):
+    """The lane pass as a plain loop over separation._lane_plan, the
+    reference SeparatorModel.masks must match from _LANE_MIN_FRAMES frames
+    on: each lane's rows cut from the whole log-magnitude grid and zero
+    past its stop, each super-block's lanes stepped together in calls of
+    _LANE_ROUND frames, and the head run once over the kept top-layer
+    states of the whole grid."""
+    norm, *lstms, head, out = model.children.values()
+    log_mag = log_magnitude(np.abs(analysis_spectrogram(mix, cfg)))
+    top = np.full((len(log_mag), 1, head.w.shape[0]), np.nan)
+    for lanes in separation._lane_plan(len(log_mag)):
+        steps = max(stop - first for first, _, stop in lanes)
+        x = np.zeros((steps, len(lanes), cfg.num_bins))
+        for j, (first, _, stop) in enumerate(lanes):
+            x[: stop - first, j] = norm.forward(log_mag[first:stop, None])[:, 0]
+        state = model.zero_state(len(lanes))
+        r = separation._LANE_ROUND
+        h = np.concatenate([nn.lstm_stack(lstms, x[s : s + r], state)
+                            for s in range(0, steps, r)])
+        for j, (first, keep, stop) in enumerate(lanes):
+            top[keep:stop, 0] = h[keep - first : stop - first, j]
+    return out.forward(nn.stack_dense(head, top))[:, 0]
+
+
 def whole_grid_separate(mix, model, cfg, mask=None):
     """The whole-grid separation that the blocked pass replaced, kept as
     the reference: one STFT, one mask and one inverse STFT of the analysis
-    grid.  Returns (vocals samples, mask)."""
+    grid.  The model's mask is that of one pass over the grid, or from
+    _LANE_MIN_FRAMES frames on that of the lane loop.  Returns (vocals
+    samples, mask)."""
     spec = analysis_spectrogram(mix, cfg)
-    if mask is None:
+    if mask is None and len(spec) < separation._LANE_MIN_FRAMES:
         mask = model.predict_mask(log_magnitude(np.abs(spec)))
+    elif mask is None:
+        mask = lane_loop_masks(mix, model, cfg)
     lo, hi = cfg.fft_size, cfg.fft_size + mix.num_samples
     return istft(apply_mask(mask, spec), cfg)[None, lo:hi], mask
 
@@ -368,14 +396,23 @@ def test_blocked_separation_matches_the_whole_grid(rng, monkeypatch, block, fram
     np.testing.assert_allclose(vocals.samples, ref_vocals, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("frames", [
-    1025,  # the last block of 64, 512 and 1024 frames would hold 1 frame
-    1089,  # the last block of 512 and 1024 frames holds 65 frames, of 64 one
-    2053,
+@pytest.mark.parametrize("frames, lane_frames", [
+    # the last block of 64, 512 and 1024 frames would hold 1 frame
+    pytest.param(1025, None, id="1025"),
+    # the last block of 512 and 1024 frames holds 65 frames, of 64 one
+    pytest.param(1089, None, id="1089"),
+    # the longest grid of one pass
+    pytest.param(separation._LANE_MIN_FRAMES - 1, None, id="longest-one-pass"),
+    # 8 lanes of 256 frames; a block of 512 frames takes rows from 2 or 3
+    pytest.param(2053, None, id="2053"),
+    # 2 super-blocks of 8 lanes of 128 frames
+    pytest.param(2053, 256, id="2053-two-super-blocks"),
 ])
-def test_blocked_separation_is_bitwise_the_whole_grid(rng, monkeypatch, frames):
+def test_blocked_separation_is_bitwise_the_whole_grid(rng, monkeypatch, frames, lane_frames):
     # blocks of multiples of nn.layers._STACK_LAG frames, and one block of
     # any size holding the whole grid, at the default separator sizes
+    if lane_frames:
+        monkeypatch.setattr(separation, "_LANE_FRAMES", lane_frames)
     mix = Waveform(rng.standard_normal((1, (frames - 2) * CFG.hop - CFG.fft_size + 1)), 22050)
     assert len(analysis_spectrogram(mix, CFG)) == frames
     model = SeparatorModel(num_bins=CFG.num_bins, hidden=64, layers=2, seed=0)
@@ -386,6 +423,103 @@ def test_blocked_separation_is_bitwise_the_whole_grid(rng, monkeypatch, frames):
         assert np.array_equal(mask, ref_mask), block
         assert np.array_equal(vocals.samples, ref_vocals), block
         assert np.array_equal(accomp.samples, mix.samples - ref_vocals), block
+
+
+def check_lane_plan(n_frames):
+    """Every frame of the grid kept from exactly one lane, lane bounds on
+    the lag, and no lane reading before frame 0 or past the grid."""
+    plan = separation._lane_plan(n_frames)
+    if n_frames < separation._LANE_MIN_FRAMES:
+        assert plan == []
+        return
+    lanes = [lane for lanes in plan for lane in lanes]
+    assert [0] + [stop for _, _, stop in lanes] == [keep for _, keep, _ in lanes] + [n_frames]
+    assert all(keep < stop for _, keep, stop in lanes)
+    assert lanes[0][:2] == (0, 0)  # the grid's first lane keeps every frame it reads
+    assert all(keep - first == separation._BURN_IN and first > 0 for first, keep, _ in lanes[1:])
+    lag = nn.layers._STACK_LAG
+    assert all(first % lag == keep % lag == 0 for first, keep, _ in lanes)
+    reads = lanes[0][2]  # what every lane reads but the grid's last, which stops at its end
+    assert all(stop - first == reads for first, _, stop in lanes[:-1])
+    assert lanes[-1][2] - lanes[-1][0] <= reads
+    for lanes in plan:
+        assert 1 <= len(lanes) <= separation._LANES
+        assert max(stop - first for first, _, stop in lanes) <= separation._LANE_FRAMES
+        assert lanes[-1][2] - lanes[0][1] <= separation._LANES * separation._LANE_FRAMES
+    assert all(len(lanes) == separation._LANES for lanes in plan[:-1])
+
+
+LANE_MIN = separation._LANE_MIN_FRAMES
+
+
+@pytest.mark.parametrize("n_frames", [
+    1, 2, 63, 64, 65, LANE_MIN - 1, LANE_MIN, LANE_MIN + 1,
+    separation._grid_frames(10 * 22050, CFG),  # 1,731: separate_10s runs as one pass
+    separation._grid_frames(60 * 22050, CFG),  # 10,341: 2 super-blocks of 8 lanes
+    # one full super-block, and one frame more
+    separation._LANES * (separation._LANE_FRAMES - separation._BURN_IN) + separation._BURN_IN,
+    separation._LANES * (separation._LANE_FRAMES - separation._BURN_IN) + separation._BURN_IN + 1,
+])
+def test_lane_plan_keeps_every_frame_from_one_lane(n_frames):
+    check_lane_plan(n_frames)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 100_000))
+def test_lane_plan_keeps_every_frame_from_one_lane_at_any_length(n_frames):
+    check_lane_plan(n_frames)
+
+
+# A tiny lane pass: 3 lanes per super-block, each reading at most 256
+# frames, 64 of burn-in and 64 per call, from 128 frames on
+TINY_LANES = {"_LANES": 3, "_LANE_FRAMES": 256, "_LANE_ROUND": 64, "_BURN_IN": 64,
+              "_LANE_MIN_FRAMES": 128}
+
+
+@pytest.mark.parametrize("n_frames", [127, 128, 129, 191, 600, 1000, 1001])
+def test_tiny_lane_plans_keep_every_frame_from_one_lane(monkeypatch, n_frames):
+    for name, value in TINY_LANES.items():
+        monkeypatch.setattr(separation, name, value)
+    check_lane_plan(n_frames)
+    if n_frames >= 1000:
+        assert [len(lanes) for lanes in separation._lane_plan(n_frames)] == [3, 2]
+
+
+@pytest.mark.parametrize("frames", [128, 129, 300, 1000, 1001])
+def test_lane_masks_are_bitwise_the_lane_loop(rng, monkeypatch, tmp_path, frames):
+    # from a Waveform and from a file, in blocks of several sizes, one of
+    # which holds rows of two super-blocks at 1000 frames
+    for name, value in TINY_LANES.items():
+        monkeypatch.setattr(separation, name, value)
+    samples = (frames - 2) * CFG.hop - CFG.fft_size + 1
+    write_wav(Waveform(0.1 * rng.standard_normal((2, samples)), 22050), tmp_path / "m.wav")
+    mix = read_wav(tmp_path / "m.wav")
+    assert len(analysis_spectrogram(mix, CFG)) == frames
+    model = SeparatorModel(num_bins=CFG.num_bins, hidden=8, layers=3, seed=1)
+    ref = lane_loop_masks(mix, model, CFG)
+    assert np.isfinite(ref).all()
+    for block in (64, 512):
+        monkeypatch.setattr(separation, "_SEP_BLOCK", block)
+        with WavReader(tmp_path / "m.wav") as reader:
+            for source in (mix, reader):
+                blocks = []
+                separate_blocks(source, model.masks(source, CFG), CFG,
+                                on_block=lambda t0, log_mag, rows: blocks.append(rows))
+                assert np.array_equal(np.concatenate(blocks), ref), block
+
+
+def test_a_contracting_separator_runs_in_lanes_as_in_one_pass():
+    # with the norm's statistics fitted to the grid, the default-size
+    # separator forgets its state within the burn-in: its lane masks are
+    # those of one pass over the grid within 1e-6 (seen: 1.1e-16)
+    mix = mixture_of(synth.make_source_set(15.0, 22050, 1))
+    log_mag = log_magnitude(np.abs(analysis_spectrogram(mix, CFG)))
+    assert len(separation._lane_plan(len(log_mag))[0]) == separation._LANES
+    model = SeparatorModel(num_bins=CFG.num_bins, hidden=64, layers=2, seed=0)
+    norm = model.children["norm"]
+    norm.running_mean, norm.running_var = log_mag.mean(axis=0), log_mag.var(axis=0)
+    _, _, mask = separate(mix, model, CFG)
+    assert np.abs(mask - model.predict_mask(log_mag)).max() < 1e-6
 
 
 def test_a_lone_last_frame_joins_the_block_before_it(rng, monkeypatch):
@@ -417,8 +551,8 @@ def test_blocks_see_every_frame_once_in_order(rng, monkeypatch):
     monkeypatch.setattr(separation, "_SEP_BLOCK", BLOCK)
     mix = Waveform(rng.standard_normal((1, 5000)), 8000)
     seen = []
-    separate_blocks(mix, SeparatorModel(num_bins=CFG.num_bins, hidden=4, layers=1).masks(), CFG,
-                    on_block=lambda t0, log_mag, rows: seen.append((t0, log_mag, rows)))
+    separate_blocks(mix, SeparatorModel(num_bins=CFG.num_bins, hidden=4, layers=1).masks(mix, CFG),
+                    CFG, on_block=lambda t0, log_mag, rows: seen.append((t0, log_mag, rows)))
     grid = log_magnitude(np.abs(analysis_spectrogram(mix, CFG)))
     assert [t0 for t0, _, _ in seen] == list(range(0, grid.shape[0], BLOCK))
     assert np.array_equal(np.concatenate([log_mag for _, log_mag, _ in seen]), grid)
