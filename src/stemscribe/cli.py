@@ -34,11 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bss_metrics, midi, nn, notation, synth
-from .audio_io import (UnsupportedCodecError, Waveform, WavFormatError, WavReader, WavWriter,
-                       read_wav, resampled_length, write_wav)
+from .audio_io import Waveform, WavReader, WavWriter, read_wav, resampled_length, write_wav
 from .config import ManifestError, PipelineConfig, load_manifest
-from .dsp import WindowError, check_invertible, num_cqt_frames
-from .midi import SmfParseError
+from .dsp import check_invertible, num_cqt_frames
 from .pianoroll import rasterize_notes, roll_to_notes
 from .separation import (
     STEM_NAMES,
@@ -200,10 +198,7 @@ def _separate_to_dir(mixture: SampleSource, masks: MaskSource, cfg: PipelineConf
 def cmd_separate(args) -> int:
     cfg = _load_config(args.config)
     with WavReader(args.input) as mixture:
-        if args.mask_mode == "model":
-            masks = _separator_model(cfg, args.checkpoint).masks(mixture, cfg.stft)
-        else:  # a constant mask, which reads no checkpoint
-            masks = lambda t0, log_mag: np.full_like(log_mag, float(args.mask_mode == "ones"))
+        masks = _separator_model(cfg, args.checkpoint).masks(mixture, cfg.stft)
         paths = _separate_to_dir(mixture, masks, cfg, Path(args.out_dir), Path(args.input).stem)
     print(f"wrote {paths['vocals']} and {paths['accompaniment']}")
     return EXIT_OK
@@ -359,8 +354,7 @@ def cmd_evaluate(args) -> int:
                 truth = rasterize_notes(ref_notes, cfg.cqt.frame_time, pred.num_frames)
             amt_report[name] = {
                 "frame": _scores_dict(frame_metrics(pred, truth)),
-                "onset": _scores_dict(onset_metrics(pred, truth,
-                                                    tolerance=args.onset_tolerance)),
+                "onset": _scores_dict(onset_metrics(pred, truth)),
             }
 
     sep_path = out_dir / "separation_metrics.json"
@@ -518,8 +512,6 @@ positive_int = _domain(int, lambda v: v > 0, "a positive integer", "positive_int
 nonnegative_int = _domain(int, lambda v: v >= 0, "a nonnegative integer", "nonnegative_int")
 positive_float = _domain(float, lambda v: 0.0 < v < math.inf, "a positive finite number",
                          "positive_float")
-nonnegative_float = _domain(float, lambda v: 0.0 <= v < math.inf,
-                            "a nonnegative finite number", "nonnegative_float")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,8 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--checkpoint")
     p.add_argument("--config")
-    p.add_argument("--mask-mode", choices=["model", "ones", "zeros"], default="model",
-                   help="force a constant mask instead of the model output")
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("transcribe", help="audio to MIDI")
@@ -573,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separator", choices=["model", "irm", "mixture"], default="model",
                    help="estimate source: model, oracle ratio mask, or the mixture itself")
     p.add_argument("--amt-mode", choices=["model", "oracle"], default="model")
-    p.add_argument("--onset-tolerance", type=nonnegative_float, default=0.05)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("train-separator", help="fit the mask model")
@@ -717,8 +706,7 @@ def main(argv=None) -> int:
     except nn.DivergenceError as e:
         log.error("%s", e)
         return EXIT_DIVERGED
-    except (WavFormatError, UnsupportedCodecError, SmfParseError, ManifestError, WindowError,
-            FileNotFoundError, NotADirectoryError, IsADirectoryError, ValueError) as e:
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError, ValueError) as e:
         log.error("%s", e)
         return EXIT_INVALID_INPUT
     finally:

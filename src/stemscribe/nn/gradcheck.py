@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def grad_check(model, batch, step: float = 1e-4) -> float:
+def grad_check(model, batch) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     batch is what model.loss_and_grad takes. Perturbs every parameter
-    element twice, so keep the model tiny. The relative error denominator
-    is floored at 1e-6 to ignore noise on near-zero gradient entries.
+    element twice, by +-1e-4, so keep the model tiny. The relative error
+    denominator is floored at 1e-6 to ignore noise on near-zero gradient
+    entries.
     """
     model.zero_grads()
     model.loss_and_grad(batch)
@@ -20,6 +21,7 @@ def grad_check(model, batch, step: float = 1e-4) -> float:
         model.zero_grads()
         return model.loss_and_grad(batch)
 
+    step = 1e-4
     worst = 0.0
     for name, p in model.params().items():
         flat = p.reshape(-1)

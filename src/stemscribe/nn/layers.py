@@ -37,7 +37,7 @@ Conventions:
     through a Dense head in the same chunks of frames as its input GEMMs.
   * Every logistic is 0.5·tanh(x/2) + 0.5 in numpy ufuncs: this module
     imports numpy only, so a command that never resamples never loads
-    scipy. Sigmoid calls sigmoid(x, out=None), four in-place calls.
+    scipy. Sigmoid calls sigmoid(x): one new array, four ufunc calls.
     _recur and lstm_stack halve the i, f and o columns of their copy of
     w_h and of each input projection beforehand, which is exact, so one
     tanh over the whole gate block also gives tanh(g).
@@ -68,16 +68,16 @@ def uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-k, k, size=shape)
 
 
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def sigmoid(x: np.ndarray) -> np.ndarray:
     """The logistic function of a float array, as 0.5 * tanh(0.5 * x) + 0.5
-    in four in-place ufunc calls; out may alias x.
+    in a new array, through four ufunc calls.
 
     tanh saturates instead of overflowing, so no input raises a warning:
     0 maps to exactly 0.5, +-inf to 1 and 0, and NaN stays NaN. Within
     2^-51 of scipy.special.expit; results below ~1e-16 lose the relative
     precision expit keeps, and those below 2^-54 flush to 0.
     """
-    out = np.multiply(x, 0.5, out=out)
+    out = np.multiply(x, 0.5)
     np.tanh(out, out=out)
     out *= 0.5
     out += 0.5

@@ -29,23 +29,21 @@ class NotationExportError(RuntimeError):
         self.stderr = stderr
 
 
-def resolve_executable(explicit_path: str | os.PathLike | None = None,
-                       env: dict | None = None) -> Path:
+def resolve_executable(explicit_path: str | os.PathLike | None = None) -> Path:
     """Locate the binary: explicit argument, then MUSESCORE_PATH, then a
     search-path entry named mscore."""
-    env = os.environ if env is None else env
     if explicit_path is not None:
         p = Path(explicit_path)
         if p.exists():
             return p.resolve()  # a bare relative name would hit PATH lookup
         raise MuseScoreNotFoundError(f"explicit path {p} does not exist")
-    from_env = env.get(ENV_VAR)
+    from_env = os.environ.get(ENV_VAR)
     if from_env:
         p = Path(from_env)
         if p.exists():
             return p.resolve()
         raise MuseScoreNotFoundError(f"{ENV_VAR}={from_env} does not exist")
-    found = shutil.which(PATH_NAME, path=env.get("PATH"))
+    found = shutil.which(PATH_NAME)
     if found:
         return Path(found).resolve()
     raise MuseScoreNotFoundError(

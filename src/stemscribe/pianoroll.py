@@ -88,15 +88,6 @@ def _check_piano_pitch(pitch: int) -> None:
         raise ValueError(f"pitch {pitch} outside piano range {LOWEST_PITCH}..{HIGHEST_PITCH}")
 
 
-def active_runs(row: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal [first, last] index pairs of consecutive ones in a 0/1 row."""
-    padded = np.concatenate([[0], row.astype(np.int8), [0]])
-    edges = np.diff(padded)
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1) - 1
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
 def roll_to_notes(roll: PianoRoll) -> list[NoteEvent]:
     """Group each run of active frames [a..b] into a note spanning
     [a * dt, (b + 1) * dt), dt the roll's frame time, at DEFAULT_VELOCITY,

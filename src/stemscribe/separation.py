@@ -122,12 +122,13 @@ def mixture_of(s: SourceSet) -> Waveform:
     return Waveform(s.vocals.samples + sum_accompaniment(s).samples, s.sample_rate)
 
 
-def remix(sets: list[SourceSet], gains: dict[str, float] | None = None,
+def remix(sets: list[SourceSet],
           rng: np.random.Generator | int | None = None) -> tuple[Waveform, SourceSet]:
-    """Draw each stem from a random set, scale, and sum into a new mixture.
+    """Draw each stem from a random set, scale it by a gain drawn uniformly
+    from [GAIN_LOW, GAIN_HIGH], and sum them into a new mixture.
 
     The returned targets are the scaled stems, so the mixture equals their
-    sum exactly. Gains default to uniform draws from [0.5, 1.25].
+    sum exactly.
     """
     if not sets:
         raise ValueError("need at least one source set")
@@ -136,8 +137,7 @@ def remix(sets: list[SourceSet], gains: dict[str, float] | None = None,
         raise ValueError("source sets must have aligned clip lengths")
     rng = np.random.default_rng(rng)
     picked = {name: sets[rng.integers(len(sets))].stems()[name] for name in STEM_NAMES}
-    if gains is None:
-        gains = {name: float(rng.uniform(GAIN_LOW, GAIN_HIGH)) for name in STEM_NAMES}
+    gains = {name: float(rng.uniform(GAIN_LOW, GAIN_HIGH)) for name in STEM_NAMES}
     scaled = {
         name: Waveform(gains[name] * w.samples, w.sample_rate) for name, w in picked.items()
     }

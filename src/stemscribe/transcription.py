@@ -37,10 +37,13 @@ from . import nn
 from .audio_io import Waveform, resample
 from .dsp import CqtConfig, cqt, log_magnitude, overlap_add
 from .nn.loss import focal_loss
-from .pianoroll import N_KEYS, PianoRoll, active_runs, rasterize_notes
+from .pianoroll import LOWEST_PITCH, N_KEYS, PianoRoll, rasterize_notes, roll_to_notes
 
 SEGMENT_WINDOW = 512
 SEGMENT_HOP = 256
+# onset_metrics matches onsets within 50 ms, the convention of mir_eval's
+# transcription metrics (Raffel et al., ISMIR 2014).
+ONSET_TOLERANCE = 0.05
 # The factor the note model's max pooling divides the bins by.
 _POOL_FREQ = 2
 # Windows that AmtModel.predict takes through the recurrence, head and
@@ -343,14 +346,17 @@ def frame_metrics(pred: PianoRoll, truth: PianoRoll) -> Scores:
 
 
 def _onset_times(roll: PianoRoll) -> list[list[float]]:
-    """Per pitch row, the start times of each contiguous active run."""
-    dt = roll.frame_time
-    return [[a * dt for a, _ in active_runs(row)] for row in roll.grid]
+    """Per pitch row, in time order, the start times of the notes
+    roll_to_notes makes of its runs."""
+    onsets = [[] for _ in range(N_KEYS)]
+    for note in roll_to_notes(roll):
+        onsets[note.pitch - LOWEST_PITCH].append(note.start)
+    return onsets
 
 
-def onset_metrics(pred: PianoRoll, truth: PianoRoll, tolerance: float = 0.05) -> Scores:
+def onset_metrics(pred: PianoRoll, truth: PianoRoll) -> Scores:
     """Onset precision/recall/F1 with greedy earliest-first matching of
-    same-pitch onsets within the tolerance (seconds, inclusive)."""
+    same-pitch onsets within ONSET_TOLERANCE seconds, inclusive."""
     if pred.grid.shape[0] != truth.grid.shape[0]:
         raise ValueError(f"shape mismatch: {pred.grid.shape} vs {truth.grid.shape}")
     if abs(pred.frame_time - truth.frame_time) > 1e-12:
@@ -360,9 +366,9 @@ def onset_metrics(pred: PianoRoll, truth: PianoRoll, tolerance: float = 0.05) ->
         j = 0
         matched = 0
         for t in truth_onsets:
-            while j < len(pred_onsets) and pred_onsets[j] < t - tolerance:
+            while j < len(pred_onsets) and pred_onsets[j] < t - ONSET_TOLERANCE:
                 j += 1  # too early for this and every later reference
-            if j < len(pred_onsets) and pred_onsets[j] <= t + tolerance:
+            if j < len(pred_onsets) and pred_onsets[j] <= t + ONSET_TOLERANCE:
                 matched += 1
                 j += 1
         tp += matched

@@ -201,10 +201,18 @@ def test_separation_is_one_pass(tmp_path, tiny_config, mixture_wav, monkeypatch,
     assert total(calls, "log_magnitude", amt=True) == (1 if command == "pipeline" else 0)
 
 
+def separate_under_constant_mask(mixture_wav, config, out_dir, value):
+    """The separation `separate` runs, with a mask of `value` in every cell
+    in place of the model's."""
+    with audio_io.WavReader(mixture_wav) as mixture:
+        return cli._separate_to_dir(mixture, lambda t0, log_mag: np.full_like(log_mag, value),
+                                    PipelineConfig.load(config), Path(out_dir),
+                                    Path(mixture_wav).stem)
+
+
 def test_separate_ones_mask_passes_mixture_through(tmp_path, tiny_config, mixture_wav):
     out = tmp_path / "ones"
-    assert cli.main(["separate", str(mixture_wav), "--out-dir", str(out),
-                     "--config", tiny_config, "--mask-mode", "ones"]) == 0
+    separate_under_constant_mask(mixture_wav, tiny_config, out, 1.0)
     original = read_wav(mixture_wav).samples
     vocals = read_wav(out / "mixture_vocals.wav").samples
     # reconstruction plus one round of 16-bit quantization
@@ -218,8 +226,7 @@ def test_separate_warns_about_a_clipped_stem(tmp_path, tiny_config, caplog):
     t = np.arange(8000) / 8000.0
     loud = tmp_path / "loud.wav"
     write_wav(Waveform(1.5 * np.sin(2 * np.pi * 440.0 * t)[None, :], 8000), loud, bit_depth=32)
-    assert cli.main(["separate", str(loud), "--out-dir", str(tmp_path / "o"),
-                     "--config", tiny_config, "--mask-mode", "ones"]) == 0
+    separate_under_constant_mask(loud, tiny_config, tmp_path / "o", 1.0)
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1
     assert warnings[0].startswith("vocals stem: ")
@@ -228,15 +235,13 @@ def test_separate_warns_about_a_clipped_stem(tmp_path, tiny_config, caplog):
 
 def test_separate_of_a_quiet_mixture_warns_of_nothing(tmp_path, tiny_config, mixture_wav,
                                                       caplog):
-    assert cli.main(["separate", str(mixture_wav), "--out-dir", str(tmp_path / "o"),
-                     "--config", tiny_config, "--mask-mode", "ones"]) == 0
+    separate_under_constant_mask(mixture_wav, tiny_config, tmp_path / "o", 1.0)
     assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
 def test_separate_zeros_mask_silences_vocals(tmp_path, tiny_config, mixture_wav):
     out = tmp_path / "zeros"
-    assert cli.main(["separate", str(mixture_wav), "--out-dir", str(out),
-                     "--config", tiny_config, "--mask-mode", "zeros"]) == 0
+    separate_under_constant_mask(mixture_wav, tiny_config, out, 0.0)
     vocals = read_wav(out / "mixture_vocals.wav").samples
     assert np.max(np.abs(vocals)) <= 2.0 ** -15
 
@@ -433,8 +438,11 @@ def test_separate_audit_csvs_keep_their_bytes(tmp_path, tiny_config, mixture_wav
     for block in (separation._SEP_BLOCK, SMALL_BLOCK):
         monkeypatch.setattr(separation, "_SEP_BLOCK", block)
         out = tmp_path / f"sep{block}"
-        assert cli.main(["separate", str(mixture_wav), "--out-dir", str(out),
-                         "--config", tiny_config, "--mask-mode", mask_mode]) == 0
+        if mask_mode == "model":
+            assert cli.main(["separate", str(mixture_wav), "--out-dir", str(out),
+                             "--config", tiny_config]) == 0
+        else:
+            separate_under_constant_mask(mixture_wav, tiny_config, out, float(mask_mode == "ones"))
         assert (out / "mixture_mask.csv").read_bytes() == (tmp_path / "mask.csv").read_bytes()
         assert ((out / "mixture_spectrogram_stats.csv").read_bytes()
                 == (tmp_path / "stats.csv").read_bytes())
@@ -499,13 +507,11 @@ def swapped_checkpoints(tmp_path, tiny_config):
             "--amt-checkpoint": str(tmp_path / "amt.ssnn")}
 
 
-@pytest.mark.parametrize("mask_mode, code", [("ones", 0), ("zeros", 0), ("model", 2)])
-def test_separate_reads_the_checkpoint_only_under_the_model_mask(tmp_path, tiny_config,
-                                                                 mixture_wav, swapped_checkpoints,
-                                                                 mask_mode, code):
+def test_separate_refuses_a_checkpoint_of_the_other_model(tmp_path, tiny_config, mixture_wav,
+                                                          swapped_checkpoints):
     assert cli.main(["separate", str(mixture_wav), "--out-dir", str(tmp_path / "o"),
-                     "--config", tiny_config, "--mask-mode", mask_mode,
-                     "--checkpoint", swapped_checkpoints["--sep-checkpoint"]]) == code
+                     "--config", tiny_config,
+                     "--checkpoint", swapped_checkpoints["--sep-checkpoint"]]) == 2
 
 
 def test_separate_missing_input_is_invalid(tmp_path, tiny_config):
@@ -874,8 +880,7 @@ def test_evaluate_oracle_amt_mode_never_resamples(tmp_path, tiny_config, eval_ma
     _, notes = read_smf(eval_manifest.parent / "ref.mid")
     truth = cli.rasterize_notes(notes, cfg.cqt.frame_time, dsp.num_cqt_frames(n, cfg.cqt))
     expected = {"mix": {"frame": cli._scores_dict(cli.frame_metrics(truth, truth)),
-                        "onset": cli._scores_dict(cli.onset_metrics(truth, truth,
-                                                                    tolerance=0.05))}}
+                        "onset": cli._scores_dict(cli.onset_metrics(truth, truth))}}
 
     def refuse(*args, **kwargs):
         raise AssertionError("oracle mode resampled the mixture")
@@ -1417,7 +1422,6 @@ OUT_OF_DOMAIN = {
     "positive_int": ["0", "-3"],
     "nonnegative_int": ["-1"],
     "positive_float": ["0", "-0.001", "nan", "inf"],
-    "nonnegative_float": ["-0.5", "nan", "inf"],
 }
 
 

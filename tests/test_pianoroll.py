@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stemscribe.pianoroll import (DEFAULT_VELOCITY, LOWEST_PITCH, N_KEYS, ROLL_MAGIC, NoteEvent,
-                                  PianoRoll, active_runs, notes_to_roll, rasterize_notes,
-                                  roll_to_notes)
+                                  PianoRoll, notes_to_roll, rasterize_notes, roll_to_notes)
 
 DT = 512 / 22050  # the frame period of the default CQT
 
@@ -41,22 +40,35 @@ def test_roll_validation():
     assert silent_roll(7).num_frames == 7
 
 
-# ----------------------------------------------------------- active_runs
+# ------------------------------------------------------------ note runs
 
-def test_active_runs_cases():
-    assert active_runs(np.array([0, 0, 0])) == []
-    assert active_runs(np.array([1, 1, 1])) == [(0, 2)]
-    assert active_runs(np.array([0, 1, 1, 0, 1, 0, 1, 1])) == [(1, 2), (4, 4), (6, 7)]
+def one_row_runs(row):
+    """The (first, last) frames of the notes roll_to_notes makes of a roll
+    whose only active row is `row`, on pitch 60."""
+    roll = silent_roll(len(row), frame_time=1.0)
+    roll.grid[60 - LOWEST_PITCH] = row
+    notes = roll_to_notes(roll)
+    assert {n.pitch for n in notes} <= {60}
+    return [(int(n.start), int(n.end) - 1) for n in notes]
 
 
-def test_active_runs_match_transition_scan():
+def test_roll_to_notes_cases():
+    assert one_row_runs([0, 0, 0]) == []
+    assert one_row_runs([1, 1, 1]) == [(0, 2)]
+    assert one_row_runs([0, 1, 1, 0, 1, 0, 1, 1]) == [(1, 2), (4, 4), (6, 7)]
+
+
+def test_roll_to_notes_match_transition_scan():
+    # each note is a maximal run: its frames are all active, and together
+    # the notes activate every active frame
     rng = np.random.default_rng(11)
     for _ in range(50):
         row = (rng.random(40) < 0.3).astype(np.uint8)
-        runs = active_runs(row)
         rebuilt = np.zeros_like(row)
-        for a, b in runs:
+        for a, b in one_row_runs(row):
             assert row[a : b + 1].all()
+            assert a == 0 or not row[a - 1]
+            assert b == len(row) - 1 or not row[b + 1]
             rebuilt[a : b + 1] = 1
         np.testing.assert_array_equal(rebuilt, row)
 
@@ -84,14 +96,20 @@ def test_one_frame_note_spans_single_frame():
 
 
 def loop_roll_to_notes(roll):
-    """roll_to_notes as a loop over the rows and their runs, the reference
-    of the array form."""
+    """roll_to_notes as a loop over the rows and their frames, the
+    reference of the array form: a note opens where a row turns on and
+    closes where it turns off or the roll ends."""
     dt = roll.frame_time
     notes = []
     for row_index in range(N_KEYS):
         pitch = row_index + LOWEST_PITCH
-        for first, last in active_runs(roll.grid[row_index]):
-            notes.append(NoteEvent(pitch, first * dt, (last + 1) * dt))
+        first = None
+        for t, on in enumerate([*roll.grid[row_index].tolist(), 0]):
+            if on and first is None:
+                first = t
+            elif not on and first is not None:
+                notes.append(NoteEvent(pitch, first * dt, t * dt))
+                first = None
     notes.sort(key=lambda n: (n.start, n.pitch))
     return notes
 

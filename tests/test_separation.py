@@ -54,17 +54,20 @@ def test_mixture_is_vocals_plus_accompaniment():
 
 # ----------------------------------------------------------------- remix
 
-def test_remix_single_set_unit_gains():
+def test_remix_single_set_scales_each_stem_by_one_drawn_gain():
+    # the targets are the scaled stems, so each stem's gain can be recovered
     s = toy_sources()
-    gains = {name: 1.0 for name in ("vocals", "bass", "drums", "other")}
-    mix, targets = remix([s], gains=gains, rng=0)
-    np.testing.assert_allclose(mix.samples, mixture_of(s).samples, atol=1e-12)
-
-
-def test_remix_zero_gains_silent():
-    gains = dict.fromkeys(("vocals", "bass", "drums", "other"), 0.0)
-    mix, _ = remix([toy_sources()], gains=gains, rng=0)
-    assert not mix.samples.any()
+    mix, targets = remix([s], rng=np.random.default_rng(5))
+    gains = []
+    for name, stem in s.stems().items():
+        nonzero = stem.samples != 0
+        ratio = targets.stems()[name].samples[nonzero] / stem.samples[nonzero]
+        np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
+        gains.append(ratio[0])
+    assert all(separation.GAIN_LOW <= g <= separation.GAIN_HIGH for g in gains)
+    assert len(set(gains)) == 4  # a gain per stem
+    weighted = sum(g * stem.samples for g, stem in zip(gains, s.stems().values()))
+    np.testing.assert_allclose(mix.samples, weighted, atol=1e-12)
 
 
 def test_remix_deterministic_under_seed():

@@ -501,28 +501,29 @@ def test_frame_metrics_shape_mismatch():
 
 def test_onset_metrics_identical_rolls():
     roll = roll_with([(60, slice(5, 12)), (72, slice(2, 4))])
-    s = onset_metrics(roll, roll, tolerance=0.0)
+    s = onset_metrics(roll, roll)
     assert (s.precision, s.recall, s.f1) == (1.0, 1.0, 1.0)
 
 
 def test_onset_metrics_one_frame_shift_within_tolerance():
     truth = roll_with([(60, slice(10, 16))])
     pred = roll_with([(60, slice(11, 17))])
-    s = onset_metrics(pred, truth, tolerance=0.05)  # shift ~23 ms
+    s = onset_metrics(pred, truth)  # shift ~23 ms, within ONSET_TOLERANCE (50 ms)
     assert s.f1 == 1.0
 
 
 def test_onset_metrics_three_frame_shift_unmatched():
     truth = roll_with([(60, slice(10, 16))])
     pred = roll_with([(60, slice(13, 19))])
-    s = onset_metrics(pred, truth, tolerance=0.05)  # shift ~70 ms
+    s = onset_metrics(pred, truth)  # shift ~70 ms, beyond ONSET_TOLERANCE
     assert s.f1 == 0.0 and s.precision == 0.0 and s.recall == 0.0
 
 
 def test_onset_metrics_greedy_matches_each_onset_once():
-    truth = roll_with([(60, slice(10, 12)), (60, slice(13, 15))])
-    pred = roll_with([(60, slice(10, 12))])  # one prediction, two references
-    s = onset_metrics(pred, truth, tolerance=0.2)
+    # one prediction, two references each one frame (~23 ms) from it
+    truth = roll_with([(60, slice(10, 11)), (60, slice(12, 13))])
+    pred = roll_with([(60, slice(11, 12))])
+    s = onset_metrics(pred, truth)
     assert s.precision == 1.0
     assert s.recall == pytest.approx(0.5)
 
