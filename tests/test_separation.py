@@ -70,6 +70,21 @@ def test_remix_single_set_scales_each_stem_by_one_drawn_gain():
     np.testing.assert_allclose(mix.samples, weighted, atol=1e-12)
 
 
+def test_remix_single_set_unit_gains(monkeypatch):
+    monkeypatch.setattr(separation, "GAIN_LOW", 1.0)
+    monkeypatch.setattr(separation, "GAIN_HIGH", 1.0)
+    s = toy_sources()
+    mix, targets = remix([s], rng=0)
+    np.testing.assert_allclose(mix.samples, mixture_of(s).samples, atol=1e-12)
+
+
+def test_remix_zero_gains_silent(monkeypatch):
+    monkeypatch.setattr(separation, "GAIN_LOW", 0.0)
+    monkeypatch.setattr(separation, "GAIN_HIGH", 0.0)
+    mix, _ = remix([toy_sources()], rng=0)
+    assert not mix.samples.any()
+
+
 def test_remix_deterministic_under_seed():
     sets = [toy_sources(seed=i) for i in range(3)]
     a, _ = remix(sets, rng=np.random.default_rng(42))
